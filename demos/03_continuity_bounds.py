@@ -11,8 +11,7 @@ entropy.
 import numpy as np
 
 import phientropy as pe
-from phientropy.bounds import condition1_delta, entropy_min_half
-from phientropy.cli import run_bound_checks
+from phientropy.bounds import condition1_delta, entropy_min_half, run_bound_checks
 
 rng = np.random.default_rng(1)
 p = pe.Pdf(rng.dirichlet(np.ones(8)))

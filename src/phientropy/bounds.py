@@ -7,6 +7,13 @@ must come back true on every valid input; a violation beyond tolerance
 indicates an implementation bug, which is exactly what
 :func:`stability_scan` hunts for with randomized and hill-climbed inputs.
 
+One ordered table, :data:`CHECKS`, decides which inequalities apply to an
+input and evaluates them: :func:`run_bound_checks` (the ``bounds`` command)
+and :func:`stability_scan` both walk it, and the ``check_*`` functions are
+thin wrappers over its evaluators.  Every row reads one per-input context
+that validates the pdfs once and computes the quantities the inequalities
+share (tv, I(p), I(q), d(p, q), I(p sym q), ...) at most once.
+
 Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
 holds when ``lhs <= rhs + 1e-10 * (1 + |rhs|)``.
 
@@ -33,20 +40,14 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import (
-    Pdf,
-    sample_neighbor,
-    sample_sparse,
-    sample_uniform,
-    sym_diff,
-    tv_norm,
-)
+from .distributions import Pdf, sample_neighbor, sample_sparse, sample_uniform
 from .errors import (
+    DomainError,
     FamilyError,
     IdenticalPdfs,
     InfeasibleEpsilon,
@@ -58,21 +59,23 @@ from .errors import (
 from .families import (
     LogFamily,
     big_f_drop,
+    big_f_drop_unchecked,
     family_to_json,
     kappa_maxwell,
     kaniadakis,
-    ln_phi,
-    omega_phi,
+    ln_phi_unchecked,
     piecewise_linear,
     shannon,
     sqrt_log,
     tsallis,
 )
-from .functionals import entropy, entropy_max
 from .numerics import bisect_monotone, sum_compensated
 
 __all__ = [
     "TOL_SCALE",
+    "BOUND_IDS",
+    "CHECKS",
+    "Check",
     "BoundReport",
     "ScanConfig",
     "ScanReport",
@@ -90,6 +93,7 @@ __all__ = [
     "check_fannes",
     "condition1_delta",
     "check_condition1_segment",
+    "run_bound_checks",
     "entropy_min_half",
     "stability_scan",
     "default_family_grid",
@@ -97,16 +101,17 @@ __all__ = [
 
 TOL_SCALE = 1e-10
 
+# Every bound, in the order the check table evaluates and reports them.
 BOUND_IDS = (
     "cont1",
-    "relent_I",
-    "relent_D",
-    "improved",
+    "lb",
     "cont2",
+    "improved",
     "lesche3",
     "lesche4",
     "fannes",
-    "lb",
+    "relent_I",
+    "relent_D",
     "condition1_segment",
 )
 
@@ -163,8 +168,12 @@ def _digest(bound_id: str, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None,
     return h.hexdigest()[:16]
 
 
+def _tol(rhs) -> float:
+    return TOL_SCALE * (1.0 + abs(rhs))
+
+
 def _report(bound_id, lhs, rhs, digest) -> BoundReport:
-    tol = TOL_SCALE * (1.0 + abs(rhs))
+    tol = _tol(rhs)
     ratio = lhs / rhs if rhs > 0 else None
     return BoundReport(
         bound_id=bound_id,
@@ -180,6 +189,134 @@ def _report(bound_id, lhs, rhs, digest) -> BoundReport:
 def _lengths(p: Pdf, q: Pdf):
     if p.n != q.n:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
+
+
+# ---------------------------------------------------------------------------
+# per-input context
+
+
+def _entropy(fam: LogFamily, w: np.ndarray) -> float:
+    """``entropy(fam, Pdf(w), "generic")`` on weights already validated."""
+    return sum_compensated(big_f_drop_unchecked(fam, w) - w * fam.f_zero)
+
+
+def _omega(fam: LogFamily, x: float) -> float:
+    """``omega_phi(fam, x)`` for one scalar ``x``, with the same arithmetic."""
+    if not 0.0 < x < math.inf:
+        raise DomainError("omega_phi requires finite x > 0")
+    arr = np.asarray(x, dtype=float)
+    return float(arr * big_f_drop_unchecked(fam, np.asarray(1.0 / arr)) - fam.f_zero)
+
+
+def _require_finite(*arrays: np.ndarray):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise DomainError("reference weight too small: a ratio to r overflows")
+
+
+class _Trial:
+    """One input of the check table: validated once, shared values cached.
+
+    The constructor checks equal lengths and finite, nonnegative weights of
+    p, q and r; everything after it calls the unchecked family kernels.
+    Each value the inequalities share is computed on first use and then
+    kept, with the arithmetic of the public function it stands for.
+    ``segment`` holds (lam, mu, epsilon) for the segment check, or None.
+    """
+
+    def __init__(self, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None):
+        _lengths(p, q)
+        if r is None:
+            w = np.concatenate((p.weights, q.weights))
+        else:
+            _lengths(p, r)
+            w = np.concatenate((p.weights, q.weights, r.weights))
+        if not (w.min() >= 0.0 and w.max() < math.inf):
+            raise DomainError("pdf weights must be finite and nonnegative")
+        self.fam, self.p, self.q, self.r = fam, p, q, r
+        self.segment = segment
+        self.diff = np.abs(p.weights - q.weights)
+        self.tv = sum_compensated(self.diff)
+
+    @cached_property
+    def ent_p(self) -> float:
+        return _entropy(self.fam, self.p.weights)
+
+    @cached_property
+    def ent_q(self) -> float:
+        return _entropy(self.fam, self.q.weights)
+
+    @cached_property
+    def gap(self) -> float:
+        """|I(p) - I(q)|, the left side of every entropy-difference bound."""
+        return abs(self.ent_p - self.ent_q)
+
+    @cached_property
+    def d(self) -> float:
+        return sum_compensated(big_f_drop_unchecked(self.fam, self.diff))
+
+    @cached_property
+    def ent_sym(self) -> float:
+        """I(p sym q); the symmetric difference is ``diff / tv``."""
+        return _entropy(self.fam, self.diff / self.tv)
+
+    @cached_property
+    def i_max(self) -> float:
+        return _omega(self.fam, float(self.diff.size))
+
+    # -- the reference r
+
+    @cached_property
+    def bare(self) -> np.ndarray:
+        """Coordinates where p and q differ and r vanishes."""
+        return (self.p.weights != self.q.weights) & (self.r.weights == 0)
+
+    @cached_property
+    def any_bare(self) -> bool:
+        return bool(np.any(self.bare))
+
+    @cached_property
+    def bare_mass(self) -> float:
+        return sum_compensated(self.p.weights[self.bare] - self.q.weights[self.bare])
+
+    @cached_property
+    def relent_supported(self) -> bool:
+        """Both relative-entropy bounds need finite limits at bare coordinates."""
+        fam = self.fam
+        return not self.any_bare or (
+            fam.omega_at_zero_finite and math.isfinite(fam.ln_at_zero)
+        )
+
+    @cached_property
+    def r_pos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        pos = self.r.weights > 0
+        return self.p.weights[pos], self.q.weights[pos], self.r.weights[pos]
+
+    def _r_weighted(self, invert: bool) -> float:
+        # Where p and q differ, bare coordinates and r > 0 partition the
+        # support of diff (x - y == 0 exactly when x == y in floating point).
+        fam, diff, rw = self.fam, self.diff, self.r.weights
+        limit = fam.ln_sup if invert else fam.ln_at_zero
+        if self.any_bare and not math.isfinite(limit):
+            raise SupportError("r has zero weight where p and q differ")
+        pos = (diff > 0) & (rw > 0)
+        if invert:
+            x = 1.0 / rw[pos]
+            _require_finite(x)
+        else:
+            x = rw[pos]
+        total = sum_compensated(diff[pos] * ln_phi_unchecked(fam, x))
+        if self.any_bare:
+            total += limit * sum_compensated(diff[self.bare])
+        return total if invert else -total
+
+    @cached_property
+    def h_r(self) -> float:
+        return self._r_weighted(invert=True)
+
+    @cached_property
+    def e_r(self) -> float:
+        return self._r_weighted(invert=False)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +340,12 @@ def metric_d_capped(fam: LogFamily, p: Pdf, q: Pdf, cap: float) -> float:
     return min(metric_d(fam, p, q), cap)
 
 
-def _r_weighted(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf, invert: bool) -> float:
-    _lengths(p, q)
-    _lengths(p, r)
-    diff = np.abs(p.weights - q.weights)
-    rw = r.weights
-    active = diff > 0
-    zero_r = active & (rw == 0)
-    limit = fam.ln_sup if invert else fam.ln_at_zero
-    if np.any(zero_r) and not math.isfinite(limit):
-        raise SupportError("r has zero weight where p and q differ")
-    pos = active & (rw > 0)
-    vals = np.asarray(ln_phi(fam, 1.0 / rw[pos] if invert else rw[pos]))
-    total = sum_compensated(diff[pos] * vals)
-    if np.any(zero_r):
-        total += limit * sum_compensated(diff[zero_r])
-    return total if invert else -total
-
-
 def h_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
     """Reference-weighted distance ``sum_k |p_k - q_k| ln_phi(1 / r_k)``.
 
     Nonnegative since ``r_k <= 1``; a metric in (p, q) for fixed r.
     """
-    return _r_weighted(fam, p, q, r, invert=True)
+    return _Trial(fam, p, q, r).h_r
 
 
 def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
@@ -234,19 +353,235 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Coincides with :func:`h_r` for the natural logarithm.
     """
-    return _r_weighted(fam, p, q, r, invert=False)
+    return _Trial(fam, p, q, r).e_r
 
 
 # ---------------------------------------------------------------------------
-# inequality checks
+# the check table
+#
+# A precondition returns None when its check applies, _NOT_APPLICABLE when
+# the check does not concern the input (wrong family, no reference, no
+# segment), or a skip reason, which ``run_bound_checks`` lists as skipped.
+
+_NOT_APPLICABLE = "not applicable"
+_SUPPORT = "r vanishes where p and q differ"
+
+
+def _pre_always(t: _Trial) -> Optional[str]:
+    return None
+
+
+def _pre_distinct(t: _Trial) -> Optional[str]:
+    return None if t.tv > 0 else "identical pdfs"
+
+
+def _pre_improved(t: _Trial) -> Optional[str]:
+    if t.tv == 0:
+        return "identical pdfs"
+    return "tv > 1" if t.tv > 1.0 else None
+
+
+def _pre_lesche3(t: _Trial) -> Optional[str]:
+    return None if t.fam.kind == "tsallis" else _NOT_APPLICABLE
+
+
+def _pre_lesche4(t: _Trial) -> Optional[str]:
+    return None if t.fam.kind == "shannon" else _NOT_APPLICABLE
+
+
+def _pre_fannes(t: _Trial) -> Optional[str]:
+    if t.fam.kind != "shannon":
+        return _NOT_APPLICABLE
+    return "tv > 1/3" if t.tv > 1.0 / 3.0 else None
+
+
+def _pre_relent(t: _Trial) -> Optional[str]:
+    if t.r is None:
+        return _NOT_APPLICABLE
+    return None if t.relent_supported else _SUPPORT
+
+
+def _check_mix_weights(lam: float, mu: float):
+    if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
+        raise ParamError("lam and mu must lie in [0, 1]")
+
+
+def _segment_excess(t: _Trial) -> Optional[str]:
+    """None when ``|lam - mu| * tv`` lies within the radius, else why not."""
+    lam, mu, epsilon = t.segment
+    delta = condition1_delta(t.fam, epsilon)
+    if abs(lam - mu) * t.tv > delta * (1.0 + 1e-12):
+        return f"hypothesis violated: |lam-mu|*tv = {abs(lam - mu) * t.tv} > delta = {delta}"
+    return None
+
+
+def _pre_segment(t: _Trial) -> Optional[str]:
+    if t.segment is None or t.tv == 0.0:
+        return _NOT_APPLICABLE
+    _check_mix_weights(t.segment[0], t.segment[1])
+    return _segment_excess(t)
+
+
+def _eval_cont1(t: _Trial):
+    return t.gap, t.d
+
+
+def _eval_lb(t: _Trial):
+    fam = t.fam
+    return -fam.f_zero - float(ln_phi_unchecked(fam, np.asarray(0.5))), t.ent_sym
+
+
+def _eval_cont2(t: _Trial):
+    return t.gap, t.tv * (t.fam.f_zero + _omega(t.fam, t.diff.size / t.tv))
+
+
+def _eval_improved(t: _Trial):
+    fam = t.fam
+    drop = float(big_f_drop_unchecked(fam, np.asarray(min(t.tv, 1.0))))
+    return t.gap, (drop / fam.f_zero) * (fam.f_zero + t.ent_sym)
+
+
+def _eval_lesche3(t: _Trial):
+    k, tv = t.fam.kappa, t.tv
+    return t.gap, (1.0 + 1.0 / k) * tv + (t.i_max - 1.0 / k) * tv ** (1.0 + k)
+
+
+def _eval_lesche4(t: _Trial):
+    tv = t.tv
+    return t.gap, (1.0 + t.i_max) * tv - (tv * math.log(tv) if tv > 0 else 0.0)
+
+
+def _eval_fannes(t: _Trial):
+    tv = t.tv
+    return t.gap, t.i_max * tv - (tv * math.log(tv) if tv > 0 else 0.0)
+
+
+def _eval_relent_i(t: _Trial):
+    # The per-coordinate integral form keeps full precision when p ~ q.
+    fam = t.fam
+    pp, qq, rr = t.r_pos
+    xq, xp = qq / rr, pp / rr
+    _require_finite(xq, xp)
+    terms = (pp - qq) * fam.f_zero + rr * (
+        big_f_drop_unchecked(fam, xq) - big_f_drop_unchecked(fam, xp)
+    )
+    lhs = sum_compensated(terms)
+    if t.any_bare:
+        lhs += -fam.omega_at_zero * t.bare_mass
+    return abs(lhs), t.d + t.h_r
+
+
+def _eval_relent_d(t: _Trial):
+    # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r).
+    fam = t.fam
+    pp, qq, rr = t.r_pos
+    cross = sum_compensated((pp - qq) * ln_phi_unchecked(fam, rr))
+    if t.any_bare:
+        cross += fam.ln_at_zero * t.bare_mass
+    return abs(t.ent_q - t.ent_p - cross), t.d + t.e_r
+
+
+def _eval_segment(t: _Trial):
+    lam, mu, epsilon = t.segment
+    fam, pw, qw = t.fam, t.p.weights, t.q.weights
+    lhs = abs(_entropy(fam, lam * pw + (1.0 - lam) * qw) - _entropy(fam, mu * pw + (1.0 - mu) * qw))
+    return lhs, epsilon * t.ent_sym
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    ``precondition`` says whether the bound applies to a context (see above);
+    ``evaluate`` returns its (lhs, rhs).  ``with_r`` / ``with_params`` put
+    the reference pdf / the segment's (lam, mu, epsilon) into the digest and
+    the scan witness.
+    """
+
+    bound_id: str
+    precondition: Callable[[_Trial], Optional[str]]
+    evaluate: Callable[[_Trial], tuple]
+    with_r: bool = False
+    with_params: bool = False
+
+
+_CONT1 = Check("cont1", _pre_always, _eval_cont1)
+_LB = Check("lb", _pre_distinct, _eval_lb)
+_CONT2 = Check("cont2", _pre_distinct, _eval_cont2)
+_IMPROVED = Check("improved", _pre_improved, _eval_improved)
+_LESCHE3 = Check("lesche3", _pre_lesche3, _eval_lesche3)
+_LESCHE4 = Check("lesche4", _pre_lesche4, _eval_lesche4)
+_FANNES = Check("fannes", _pre_fannes, _eval_fannes)
+_RELENT_I = Check("relent_I", _pre_relent, _eval_relent_i, with_r=True)
+_RELENT_D = Check("relent_D", _pre_relent, _eval_relent_d, with_r=True)
+_SEGMENT = Check("condition1_segment", _pre_segment, _eval_segment, with_params=True)
+
+CHECKS = (
+    _CONT1,
+    _LB,
+    _CONT2,
+    _IMPROVED,
+    _LESCHE3,
+    _LESCHE4,
+    _FANNES,
+    _RELENT_I,
+    _RELENT_D,
+    _SEGMENT,
+)
+
+
+def _check_digest(check: Check, t: _Trial) -> str:
+    return _digest(
+        check.bound_id,
+        t.fam,
+        t.p,
+        t.q,
+        t.r if check.with_r else None,
+        params=t.segment if check.with_params else (),
+    )
+
+
+def _evaluate(check: Check, t: _Trial) -> BoundReport:
+    lhs, rhs = check.evaluate(t)
+    return _report(check.bound_id, lhs, rhs, _check_digest(check, t))
+
+
+def run_bound_checks(
+    fam: LogFamily,
+    p: Pdf,
+    q: Pdf,
+    r: Optional[Pdf] = None,
+    mix_lambda: float = 1.0,
+    mix_mu: float = 0.0,
+    epsilon: Optional[float] = None,
+) -> tuple[list[BoundReport], list[str]]:
+    """Every check of :data:`CHECKS` whose preconditions the inputs satisfy.
+
+    Returns (reports, skipped-bound ids), both in table order.  The
+    relative-entropy bounds need ``r``; the segment check needs ``epsilon``
+    and distinct pdfs.  Used by the ``bounds`` command and for witness
+    replay.
+    """
+    segment = None if epsilon is None else (mix_lambda, mix_mu, epsilon)
+    t = _Trial(fam, p, q, r, segment)
+    reports: list[BoundReport] = []
+    skipped: list[str] = []
+    for check in CHECKS:
+        reason = check.precondition(t)
+        if reason is None:
+            reports.append(_evaluate(check, t))
+        elif reason != _NOT_APPLICABLE:
+            skipped.append(check.bound_id)
+    return reports, skipped
+
+
+# ---------------------------------------------------------------------------
+# inequality checks, one bound each
 
 
 def check_cont1(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """|I(p) - I(q)| <= d(p, q)."""
-    _lengths(p, q)
-    lhs = abs(entropy(fam, p, "generic") - entropy(fam, q, "generic"))
-    rhs = metric_d(fam, p, q)
-    return _report("cont1", lhs, rhs, _digest("cont1", fam, p, q))
+    return _evaluate(_CONT1, _Trial(fam, p, q))
 
 
 def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, BoundReport]:
@@ -260,33 +595,10 @@ def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, B
     for D) so they keep full precision when p and q are close.  Taking
     q = r turns the first bound into an upper bound for I(p|q) itself.
     """
-    _lengths(p, q)
-    _lengths(p, r)
-    pw, qw, rw = p.weights, q.weights, r.weights
-    d = metric_d(fam, p, q)
-
-    changed = pw != qw
-    bare = changed & (rw == 0)
-    if np.any(bare) and not fam.omega_at_zero_finite:
+    t = _Trial(fam, p, q, r)
+    if not t.relent_supported:
         raise SupportError("r has zero weight where p and q differ")
-    pos = rw > 0
-    pp, qq, rr = pw[pos], qw[pos], rw[pos]
-    gq = np.asarray(big_f_drop(fam, qq / rr))
-    gp = np.asarray(big_f_drop(fam, pp / rr))
-    terms_i = (pp - qq) * fam.f_zero + rr * (gq - gp)
-    lhs_i = sum_compensated(terms_i)
-    if np.any(bare):
-        lhs_i += -fam.omega_at_zero * sum_compensated(pw[bare] - qw[bare])
-    rep_i = _report("relent_I", abs(lhs_i), d + h_r(fam, p, q, r), _digest("relent_I", fam, p, q, r))
-
-    if np.any(bare) and not math.isfinite(fam.ln_at_zero):
-        raise SupportError("r has zero weight where p and q differ")
-    cross = sum_compensated((pp - qq) * np.asarray(ln_phi(fam, rr)))
-    if np.any(bare):
-        cross += fam.ln_at_zero * sum_compensated(pw[bare] - qw[bare])
-    lhs_d = entropy(fam, q, "generic") - entropy(fam, p, "generic") - cross
-    rep_d = _report("relent_D", abs(lhs_d), d + e_r(fam, p, q, r), _digest("relent_D", fam, p, q, r))
-    return rep_i, rep_d
+    return _evaluate(_RELENT_I, t), _evaluate(_RELENT_D, t)
 
 
 def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -295,16 +607,12 @@ def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= [(F(0) - F(tv)) / F(0)] * [F(0) + I(p sym q)],
     which reduces to ``cont1`` when tv = 1.
     """
-    _lengths(p, q)
-    tv = tv_norm(p, q)
-    if tv == 0.0:
+    t = _Trial(fam, p, q)
+    if t.tv == 0.0:
         raise IdenticalPdfs("improved bound requires p != q")
-    if tv > 1.0 + 1e-15:
-        raise RangeError(f"improved bound requires tv <= 1, got {tv}")
-    lhs = abs(entropy(fam, p, "generic") - entropy(fam, q, "generic"))
-    drop = float(np.asarray(big_f_drop(fam, min(tv, 1.0))))
-    rhs = (drop / fam.f_zero) * (fam.f_zero + entropy(fam, sym_diff(p, q), "generic"))
-    return _report("improved", lhs, rhs, _digest("improved", fam, p, q))
+    if t.tv > 1.0 + 1e-15:
+        raise RangeError(f"improved bound requires tv <= 1, got {t.tv}")
+    return _evaluate(_IMPROVED, t)
 
 
 def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -312,12 +620,10 @@ def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
 
     -F(0) - ln_phi(1/2) <= I(p sym q); the left side may well be negative.
     """
-    _lengths(p, q)
-    if tv_norm(p, q) == 0.0:
+    t = _Trial(fam, p, q)
+    if t.tv == 0.0:
         raise IdenticalPdfs("lower bound requires p != q")
-    lhs = -fam.f_zero - float(np.asarray(ln_phi(fam, 0.5)))
-    rhs = entropy(fam, sym_diff(p, q), "generic")
-    return _report("lb", lhs, rhs, _digest("lb", fam, p, q))
+    return _evaluate(_LB, t)
 
 
 def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -326,13 +632,10 @@ def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     A relaxation of ``cont1`` (its right side dominates d(p, q)) whose merit
     is the explicit dependence on N.
     """
-    _lengths(p, q)
-    tv = tv_norm(p, q)
-    if tv == 0.0:
+    t = _Trial(fam, p, q)
+    if t.tv == 0.0:
         raise IdenticalPdfs("cont2 right side requires p != q")
-    lhs = abs(entropy(fam, p, "generic") - entropy(fam, q, "generic"))
-    rhs = tv * (fam.f_zero + float(np.asarray(omega_phi(fam, p.n / tv))))
-    return _report("cont2", lhs, rhs, _digest("cont2", fam, p, q))
+    return _evaluate(_CONT2, t)
 
 
 def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -343,12 +646,7 @@ def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """
     if fam.kind != "tsallis":
         raise FamilyError("lesche3 is the tsallis specialization")
-    _lengths(p, q)
-    k = fam.kappa
-    tv = tv_norm(p, q)
-    lhs = abs(entropy(fam, p, "generic") - entropy(fam, q, "generic"))
-    rhs = (1.0 + 1.0 / k) * tv + (entropy_max(fam, p.n) - 1.0 / k) * tv ** (1.0 + k)
-    return _report("lesche3", lhs, rhs, _digest("lesche3", fam, p, q))
+    return _evaluate(_LESCHE3, _Trial(fam, p, q))
 
 
 def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -358,11 +656,7 @@ def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """
     if fam.kind != "shannon":
         raise FamilyError("lesche4 is the shannon specialization")
-    _lengths(p, q)
-    tv = tv_norm(p, q)
-    lhs = abs(entropy(fam, p, "generic") - entropy(fam, q, "generic"))
-    rhs = (1.0 + entropy_max(fam, p.n)) * tv - (tv * math.log(tv) if tv > 0 else 0.0)
-    return _report("lesche4", lhs, rhs, _digest("lesche4", fam, p, q))
+    return _evaluate(_LESCHE4, _Trial(fam, p, q))
 
 
 def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -373,13 +667,30 @@ def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """
     if fam.kind != "shannon":
         raise FamilyError("fannes is the shannon specialization")
-    _lengths(p, q)
-    tv = tv_norm(p, q)
-    if tv > 1.0 / 3.0 + 1e-15:
-        raise RangeError(f"fannes estimate requires tv <= 1/3, got {tv}")
-    lhs = abs(entropy(fam, p, "generic") - entropy(fam, q, "generic"))
-    rhs = entropy_max(fam, p.n) * tv - (tv * math.log(tv) if tv > 0 else 0.0)
-    return _report("fannes", lhs, rhs, _digest("fannes", fam, p, q))
+    t = _Trial(fam, p, q)
+    if t.tv > 1.0 / 3.0 + 1e-15:
+        raise RangeError(f"fannes estimate requires tv <= 1/3, got {t.tv}")
+    return _evaluate(_FANNES, t)
+
+
+def check_condition1_segment(
+    fam: LogFamily, p: Pdf, q: Pdf, lam: float, mu: float, epsilon: float
+) -> BoundReport:
+    """Uniform continuity of entropy along the segment from ``q`` to ``p``.
+
+    For mixtures with ``|lam - mu| * tv_norm(p, q)`` within the radius from
+    :func:`condition1_delta`:
+    |I(lam p + (1-lam) q) - I(mu p + (1-mu) q)| <= epsilon * I(p sym q).
+    The endpoint case lam=1, mu=0 is the continuity condition itself.
+    """
+    t = _Trial(fam, p, q, segment=(lam, mu, epsilon))
+    _check_mix_weights(lam, mu)
+    if t.tv == 0.0:
+        raise IdenticalPdfs("segment condition requires p != q")
+    excess = _segment_excess(t)
+    if excess is not None:
+        raise RangeError(excess)
+    return _evaluate(_SEGMENT, t)
 
 
 def entropy_min_half(fam: LogFamily) -> float:
@@ -422,39 +733,6 @@ def condition1_delta(fam: LogFamily, epsilon: float) -> float:
     # whose logarithm is heavy at the origin the radius can be very small
     # (e.g. ~1e-14 for tsallis kappa = -0.9), which plain bisection handles.
     return bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
-
-
-def check_condition1_segment(
-    fam: LogFamily, p: Pdf, q: Pdf, lam: float, mu: float, epsilon: float
-) -> BoundReport:
-    """Uniform continuity of entropy along the segment from ``q`` to ``p``.
-
-    For mixtures with ``|lam - mu| * tv_norm(p, q)`` within the radius from
-    :func:`condition1_delta`:
-    |I(lam p + (1-lam) q) - I(mu p + (1-mu) q)| <= epsilon * I(p sym q).
-    The endpoint case lam=1, mu=0 is the continuity condition itself.
-    """
-    _lengths(p, q)
-    if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
-        raise ParamError("lam and mu must lie in [0, 1]")
-    tv = tv_norm(p, q)
-    if tv == 0.0:
-        raise IdenticalPdfs("segment condition requires p != q")
-    delta = condition1_delta(fam, epsilon)
-    if abs(lam - mu) * tv > delta * (1.0 + 1e-12):
-        raise RangeError(
-            f"hypothesis violated: |lam-mu|*tv = {abs(lam - mu) * tv} > delta = {delta}"
-        )
-    mix_a = Pdf(lam * p.weights + (1.0 - lam) * q.weights)
-    mix_b = Pdf(mu * p.weights + (1.0 - mu) * q.weights)
-    lhs = abs(entropy(fam, mix_a, "generic") - entropy(fam, mix_b, "generic"))
-    rhs = epsilon * entropy(fam, sym_diff(p, q), "generic")
-    return _report(
-        "condition1_segment",
-        lhs,
-        rhs,
-        _digest("condition1_segment", fam, p, q, params=(lam, mu, epsilon)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +805,8 @@ class ScanReport:
     ``witness`` embeds the full inputs (family spec, weights, parameters)
     and the offending report, so any entry can be replayed through the
     corresponding ``check_*`` call or the ``bounds`` CLI command.
+    ``violations`` counts evaluated reports with ``holds == False``; it is
+    not part of the JSON payload.
     """
 
     trials: int
@@ -535,6 +815,7 @@ class ScanReport:
     per_bound: dict
     support_errors: int
     config: ScanConfig
+    violations: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -547,16 +828,17 @@ class ScanReport:
         }
 
 
-def _witness(fam, p, q, r, params, report) -> dict:
+def _witness(check: Check, t: _Trial, report: BoundReport) -> dict:
     w = {
-        "family": family_to_json(fam),
-        "p": p.weights.tolist(),
-        "q": q.weights.tolist(),
+        "family": family_to_json(t.fam),
+        "p": t.p.weights.tolist(),
+        "q": t.q.weights.tolist(),
     }
-    if r is not None:
-        w["r"] = r.weights.tolist()
-    if params:
-        w["params"] = params
+    if check.with_r:
+        w["r"] = t.r.weights.tolist()
+    if check.with_params:
+        lam, mu, epsilon = t.segment
+        w["params"] = {"lam": lam, "mu": mu, "epsilon": epsilon}
     w["report"] = report.to_json()
     return w
 
@@ -567,52 +849,41 @@ class _Aggregator:
         self.worst: Optional[float] = None
         self.worst_witness: Optional[dict] = None
         self.support_errors = 0
+        self.violations = 0
 
-    def add(self, fam, p, q, r, params, report: BoundReport):
-        stats = self.per_bound.setdefault(report.bound_id, _BoundStats())
+    def add(self, check: Check, t: _Trial, lhs, rhs) -> Optional[float]:
+        """Count one evaluated check; return its ratio (None when rhs <= 0).
+
+        The report, its digest and the witness are built only when the ratio
+        beats the bound's or the scan's worst so far.
+        """
+        stats = self.per_bound.get(check.bound_id)
+        if stats is None:
+            stats = self.per_bound[check.bound_id] = _BoundStats()
         stats.trials += 1
-        ratio = report.ratio
-        if ratio is not None:
-            if stats.worst_ratio is None or ratio > stats.worst_ratio:
-                stats.worst_ratio = ratio
-                stats.witness = _witness(fam, p, q, r, params, report)
-            if self.worst is None or ratio > self.worst:
-                self.worst = ratio
-                self.worst_witness = _witness(fam, p, q, r, params, report)
+        if not lhs <= rhs + _tol(rhs):
+            self.violations += 1
+        if not rhs > 0:
+            return None
+        ratio = float(lhs / rhs)
+        worst_bound = stats.worst_ratio is None or ratio > stats.worst_ratio
+        worst_scan = self.worst is None or ratio > self.worst
+        if worst_bound or worst_scan:
+            report = _report(check.bound_id, lhs, rhs, _check_digest(check, t))
+            witness = _witness(check, t, report)
+            if worst_bound:
+                stats.worst_ratio, stats.witness = ratio, witness
+            if worst_scan:
+                self.worst, self.worst_witness = ratio, witness
         return ratio
 
 
 def _battery(fam, p, q, r, epsilon, rng, agg: _Aggregator) -> Optional[float]:
     """Run every applicable check; return the trial's max ratio (or None)."""
-    tv = tv_norm(p, q)
+    t = _Trial(fam, p, q, r)
+    tv = t.tv
     if tv == 0.0:
         return None
-    best: Optional[float] = None
-
-    def track(report, params=None, with_r=None):
-        nonlocal best
-        ratio = agg.add(fam, p, q, with_r, params, report)
-        if ratio is not None and (best is None or ratio > best):
-            best = ratio
-
-    track(check_cont1(fam, p, q))
-    track(check_lb(fam, p, q))
-    track(check_cont2(fam, p, q))
-    if tv <= 1.0:
-        track(check_improved(fam, p, q))
-    if fam.kind == "tsallis":
-        track(check_lesche3(fam, p, q))
-    elif fam.kind == "shannon":
-        track(check_lesche4(fam, p, q))
-        if tv <= 1.0 / 3.0:
-            track(check_fannes(fam, p, q))
-    if r is not None:
-        try:
-            rep_i, rep_d = check_relent(fam, p, q, r)
-            track(rep_i, with_r=r)
-            track(rep_d, with_r=r)
-        except SupportError:
-            agg.support_errors += 1
     delta = condition1_delta(fam, epsilon)
     lam, mu = rng.uniform(0.0, 1.0, size=2)
     if abs(lam - mu) * tv > delta:
@@ -622,10 +893,20 @@ def _battery(fam, p, q, r, epsilon, rng, agg: _Aggregator) -> Optional[float]:
         mu = min(1.0, max(0.0, lam - math.copysign(0.5 * delta / tv, lam - mu)))
         if abs(lam - mu) * tv > delta:
             mu = lam
-    track(
-        check_condition1_segment(fam, p, q, float(lam), float(mu), epsilon),
-        params={"lam": float(lam), "mu": float(mu), "epsilon": epsilon},
-    )
+    t.segment = (float(lam), float(mu), epsilon)
+
+    best: Optional[float] = None
+    support_skip = False
+    for check in CHECKS:
+        reason = check.precondition(t)
+        if reason is None:
+            lhs, rhs = check.evaluate(t)
+            ratio = agg.add(check, t, lhs, rhs)
+            if ratio is not None and (best is None or ratio > best):
+                best = ratio
+        elif reason == _SUPPORT:
+            support_skip = True
+    agg.support_errors += support_skip
     return best
 
 
@@ -723,4 +1004,5 @@ def stability_scan(config: ScanConfig) -> ScanReport:
         per_bound=agg.per_bound,
         support_errors=agg.support_errors,
         config=config,
+        violations=agg.violations,
     )

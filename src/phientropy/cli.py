@@ -15,8 +15,9 @@ identical inputs produce byte-identical output.  ``--format table`` prints
 a human-readable table carrying a "not for parsing" banner.
 
 Exit codes: 0 success (all checked bounds hold), 1 input or usage error,
-2 a checked inequality failed beyond tolerance (a mathematical violation,
-i.e. an implementation bug worth failing CI over).
+2 a checked inequality failed beyond tolerance, i.e. some evaluated report
+has ``holds == False`` (a mathematical violation, hence an implementation
+bug worth failing CI over).
 """
 
 from __future__ import annotations
@@ -24,26 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 import numpy as np
 
-from .bounds import (
-    ScanConfig,
-    check_cont1,
-    check_condition1_segment,
-    check_cont2,
-    check_fannes,
-    check_improved,
-    check_lb,
-    check_lesche3,
-    check_lesche4,
-    check_relent,
-    default_family_grid,
-    stability_scan,
-)
-from .distributions import Pdf, tv_norm, validate
-from .errors import PhiEntropyError, RangeError, SupportError
+from .bounds import ScanConfig, default_family_grid, run_bound_checks, stability_scan
+from .distributions import Pdf, validate
+from .errors import PhiEntropyError
 from .families import (
     LogFamily,
     big_f,
@@ -162,58 +149,6 @@ def _cmd_divergence(args) -> int:
     return 0
 
 
-def run_bound_checks(
-    fam: LogFamily,
-    p: Pdf,
-    q: Pdf,
-    r: Optional[Pdf] = None,
-    mix_lambda: float = 1.0,
-    mix_mu: float = 0.0,
-    epsilon: Optional[float] = None,
-) -> tuple[list, list[str]]:
-    """Every check whose preconditions the inputs satisfy, in a fixed order.
-
-    Returns (reports, skipped-bound ids).  Used by the ``bounds`` command and
-    by witness replay in the test-suite.
-    """
-    reports = []
-    skipped: list[str] = []
-    tv = tv_norm(p, q)
-
-    reports.append(check_cont1(fam, p, q))
-    if tv > 0:
-        reports.append(check_lb(fam, p, q))
-        reports.append(check_cont2(fam, p, q))
-        if tv <= 1.0:
-            reports.append(check_improved(fam, p, q))
-        else:
-            skipped.append("improved")
-    else:
-        skipped += ["lb", "cont2", "improved"]
-    if fam.kind == "tsallis":
-        reports.append(check_lesche3(fam, p, q))
-    elif fam.kind == "shannon":
-        reports.append(check_lesche4(fam, p, q))
-        if tv <= 1.0 / 3.0:
-            reports.append(check_fannes(fam, p, q))
-        else:
-            skipped.append("fannes")
-    if r is not None:
-        try:
-            rep_i, rep_d = check_relent(fam, p, q, r)
-            reports += [rep_i, rep_d]
-        except SupportError:
-            skipped += ["relent_I", "relent_D"]
-    if epsilon is not None and tv > 0:
-        try:
-            reports.append(
-                check_condition1_segment(fam, p, q, mix_lambda, mix_mu, epsilon)
-            )
-        except RangeError:
-            skipped.append("condition1_segment")
-    return reports, skipped
-
-
 def _cmd_bounds(args) -> int:
     fam = _load_family(args.family)
     p = _load_pdf(args.p, args.validate_tol)
@@ -258,8 +193,7 @@ def _cmd_scan(args) -> int:
     )
     report = stability_scan(config)
     _emit(report.to_json(), args.format)
-    violated = report.worst_ratio is not None and report.worst_ratio > 1.0 + args.ratio_tol
-    return 2 if violated else 0
+    return 2 if report.violations else 0
 
 
 _MODELS = {
@@ -363,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--families", default="default", help="'default' or a JSON array of family specs")
     sp.add_argument("--modes", default="uniform,sparse,neighbor,hillclimb")
     sp.add_argument("--hill-steps", type=int, default=200)
-    sp.add_argument(
-        "--ratio-tol", type=float, default=1e-9,
-        help="worst-ratio slack before exiting with a violation",
-    )
     common(sp)
     sp.set_defaults(func=_cmd_scan)
 

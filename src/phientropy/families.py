@@ -177,12 +177,12 @@ def kaniadakis(kappa: float) -> LogFamily:
 def kappa_maxwell(kappa: float) -> LogFamily:
     """Logarithm ``kappa * (1 - x**(-1/(1+kappa)))`` of the kappa-distribution.
 
-    Any ``kappa > 0`` is accepted.  ``ln_phi`` is bounded above by ``kappa``,
-    so the deduced logarithm has a finite limit ``-(1 + kappa)`` at 0.
+    Any finite ``kappa > 0`` is accepted.  ``ln_phi`` is bounded above by
+    ``kappa``, so the deduced logarithm has a finite limit ``-(1 + kappa)`` at 0.
     """
     kappa = float(kappa)
-    if not kappa > 0:
-        raise ParamError(f"kappa_maxwell requires kappa > 0, got {kappa}")
+    if not (kappa > 0 and math.isfinite(kappa)):
+        raise ParamError(f"kappa_maxwell requires finite kappa > 0, got {kappa}")
     return LogFamily(
         kind="kappa_maxwell",
         kappa=kappa,
@@ -205,10 +205,12 @@ def sqrt_log() -> LogFamily:
 def piecewise_linear(base: float) -> LogFamily:
     """Piecewise-linear logarithm interpolating ``ln_phi(base**n) = n``.
 
-    Requires ``base > 1`` so the knot values increase and the interpolant is
-    concave.  F(0) = 1/2 + 1/(base - 1).
+    Requires a finite ``base > 1`` so the knot values increase and the
+    interpolant is concave.  F(0) = 1/2 + 1/(base - 1).
     """
     base = float(base)
+    if not math.isfinite(base):
+        raise ParamError(f"piecewise_linear base must be finite, got {base}")
     if not base > 1.0:
         raise ParamError(
             f"piecewise_linear base must exceed 1 (got {base}); smaller bases "
@@ -236,10 +238,16 @@ def custom_family(
     grid at construction.  ``singularity_exponent`` declares s in [0, 1)
     with ``|ln(x)| = O(x**-s)`` near 0 so that quadrature meshes can be
     graded; F(0) is then computed by quadrature.  Optional finite limits at
-    0+ and +inf refine support handling in the entropy functionals.
+    0+ (``ln_at_zero < 0``) and +inf (``ln_sup > 0``) refine support handling
+    in the entropy functionals; ``-inf`` / ``+inf`` mean divergent.
     """
     if not 0.0 <= singularity_exponent < 1.0:
         raise ParamError("singularity exponent must lie in [0, 1)")
+    # An increasing ln with ln(1) = 0 has ln(0+) < 0 < ln(+inf); NaN fails both.
+    if ln_at_zero is not None and not float(ln_at_zero) < 0.0:
+        raise ParamError(f"ln_at_zero must be negative or -inf, got {ln_at_zero}")
+    if ln_sup is not None and not float(ln_sup) > 0.0:
+        raise ParamError(f"ln_sup must be positive or +inf, got {ln_sup}")
     quad = quad or QuadratureSpec()
 
     grid = np.logspace(-6, 6, 121)
@@ -316,6 +324,15 @@ def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
     arr, scalar = _as_array(x)
     if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
         raise DomainError("ln_phi requires finite x > 0")
+    return _ret(ln_phi_unchecked(fam, arr), scalar)
+
+
+def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`ln_phi`: a float ndarray, known finite and > 0, in.
+
+    Skips the domain check, so callers that validated their inputs once (the
+    bound checks) do not pay for it on every call.
+    """
     k = fam.kappa
     if fam.kind == "shannon":
         out = np.log(arr)
@@ -333,7 +350,7 @@ def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
         out = m + u / (am * (a - 1.0))
     else:
         out = fam.custom_ln(arr)
-    return _ret(out, scalar)
+    return out
 
 
 def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
@@ -347,6 +364,14 @@ def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
     arr, scalar = _as_array(x)
     if np.any(arr < 0) or not np.all(np.isfinite(arr)):
         raise DomainError("big_f_drop requires finite x >= 0")
+    return _ret(big_f_drop_unchecked(fam, arr), scalar)
+
+
+def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`big_f_drop`: a float ndarray, known finite and >= 0, in.
+
+    Skips the domain check, like :func:`ln_phi_unchecked`.
+    """
     k = fam.kappa
     if fam.kind == "shannon":
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -371,7 +396,7 @@ def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
         for i, xi in enumerate(flat):
             vals[i] = _custom_drop(fam, float(xi))
         out = vals.reshape(arr.shape)
-    return _ret(out, scalar)
+    return out
 
 
 def _custom_drop(fam: LogFamily, x: float) -> float:

@@ -9,11 +9,14 @@ from phientropy.bounds import (
     ScanConfig,
     condition1_delta,
     entropy_min_half,
+    run_bound_checks,
     stability_scan,
 )
 from phientropy.errors import (
+    DomainError,
     FamilyError,
     IdenticalPdfs,
+    LengthMismatch,
     ParamError,
     RangeError,
     SupportError,
@@ -494,7 +497,36 @@ class TestBoundReportShape:
         assert a != b
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [0.5, math.nan, 0.5], [math.inf, 0.0, 0.0]])
+    def test_weights_must_be_finite_and_nonnegative(self, bad):
+        fam, good = pe.shannon(), pe.validate([0.2, 0.3, 0.5])
+        with pytest.raises(DomainError):
+            pe.check_cont1(fam, pe.Pdf(bad), good)
+        with pytest.raises(DomainError):
+            pe.check_relent(fam, good, pe.validate([0.3, 0.3, 0.4]), pe.Pdf(bad))
+        with pytest.raises(DomainError):
+            run_bound_checks(fam, good, pe.Pdf(bad))
+
+    def test_reference_length(self):
+        with pytest.raises(LengthMismatch):
+            pe.check_relent(pe.shannon(), P(), Q(), pe.validate([1.0]))
+
+    def test_overflowing_reference_ratio(self):
+        r = pe.Pdf([1.0, 5e-324])
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError):
+                pe.check_relent(pe.tsallis(-0.5), P(), Q(), r)
+            with pytest.raises(DomainError):
+                pe.h_r(pe.tsallis(-0.5), P(), Q(), r)
+
+
 class TestStabilityScan:
+    def test_violations_counted_outside_payload(self):
+        report = stability_scan(ScanConfig(trials=200, seed=3))
+        assert report.violations == 0
+        assert "violations" not in report.to_json()
+
     def test_trials_must_be_positive(self):
         with pytest.raises(ParamError):
             stability_scan(ScanConfig(trials=0))

@@ -1,9 +1,11 @@
+import dataclasses
+import hashlib
 import json
 import math
 
 import pytest
 
-import phientropy as pe
+import phientropy.bounds as bounds
 import phientropy.cli as cli
 
 
@@ -21,6 +23,21 @@ def write_pdf(tmp_path, name, weights):
 
 SHANNON = '{"kind":"shannon"}'
 TSALLIS = '{"kind":"tsallis","kappa":0.5}'
+
+
+def break_cont1(monkeypatch):
+    """Make the check table's cont1 row report lhs = rhs + 1, a violation."""
+    def broken(t):
+        _, rhs = real(t)
+        return rhs + 1.0, rhs
+
+    rows = []
+    for check in bounds.CHECKS:
+        if check.bound_id == "cont1":
+            real = check.evaluate
+            check = dataclasses.replace(check, evaluate=broken)
+        rows.append(check)
+    monkeypatch.setattr(bounds, "CHECKS", tuple(rows))
 
 
 class TestFamilies:
@@ -130,16 +147,7 @@ class TestBounds:
 
     def test_violation_exit_two(self, capsys, tmp_path, monkeypatch):
         # force a fake violation to show the CI-facing exit path
-        real = cli.check_cont1
-
-        def broken(fam, p, q):
-            rep = real(fam, p, q)
-            return pe.BoundReport(
-                bound_id=rep.bound_id, lhs=rep.rhs + 1.0, rhs=rep.rhs,
-                ratio=None, holds=False, tol=rep.tol, inputs_digest=rep.inputs_digest,
-            )
-
-        monkeypatch.setattr(cli, "check_cont1", broken)
+        break_cont1(monkeypatch)
         p = write_pdf(tmp_path, "p.json", [0.5, 0.5])
         q = write_pdf(tmp_path, "q.json", [0.25, 0.75])
         code, out, _ = run(capsys, "bounds", "--family", SHANNON, "--p", p, "--q", q)
@@ -163,6 +171,26 @@ class TestScan:
         code2, out2, _ = run(capsys, *args)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_exit_zero_when_every_report_holds(self, capsys):
+        # The worst report of this scan is a relent_I with lhs ~ 1.2e-15 and
+        # rhs ~ 6.1e-16: ratio ~ 1.95, yet it holds within the tolerance, so
+        # the exit code is 0.  The payload bytes are those of earlier releases.
+        code, out, _ = run(capsys, "scan", "--trials", "1000", "--seed", "3898507391")
+        assert code == 0
+        assert json.loads(out)["worst_ratio"] > 1.9
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1e54b60b82687385c9502c915041974bb1ceedd7b6a80a23e554be2046b2d922"
+        )
+
+    def test_violation_exit_two(self, capsys, monkeypatch):
+        break_cont1(monkeypatch)
+        code, out, _ = run(capsys, "scan", "--trials", "30", "--dims", "2", "--seed", "5")
+        assert code == 2
+        assert json.loads(out)["per_bound"]["cont1"]["witness"]["report"]["holds"] is False
+
+    def test_ratio_tol_flag_is_gone(self, capsys):
+        assert cli.main(["scan", "--trials", "5", "--ratio-tol", "1e-9"]) == 1
 
     def test_custom_family_list(self, capsys):
         code, out, _ = run(

@@ -45,6 +45,27 @@ class TestParameterValidation:
         with pytest.raises(ParamError):
             pe.piecewise_linear(base)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters(self, value):
+        for make in (pe.tsallis, pe.kaniadakis, pe.kappa_maxwell, pe.piecewise_linear):
+            with pytest.raises(ParamError):
+                make(value)
+
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"kind":"kappa_maxwell","kappa":1e999}', '{"kind":"kappa_maxwell","kappa":Infinity}',
+         '{"kind":"piecewise_linear","base":1e999}', '{"kind":"piecewise_linear","base":Infinity}'],
+    )
+    def test_non_finite_parameters_in_specs(self, spec, capsys):
+        import json
+
+        from phientropy import cli
+
+        with pytest.raises(ParamError):
+            pe.family_from_json(json.loads(spec))
+        assert cli.main(["eval", "--family", spec, "--fn", "ln", "--x", "2"]) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestLnPhi:
     def test_vanishes_at_one_exactly(self, family):
@@ -358,6 +379,15 @@ class TestCustomFamily:
     def test_rejects_bad_exponent(self):
         with pytest.raises(ParamError):
             pe.custom_family(lambda x: np.log(x), singularity_exponent=1.2)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{"ln_at_zero": math.nan}, {"ln_sup": math.nan}, {"ln_at_zero": 0.5}, {"ln_sup": -1.0}],
+        ids=str,
+    )
+    def test_rejects_limits_outside_domain(self, limits):
+        with pytest.raises(ParamError):
+            pe.custom_family(lambda x: x - 1.0, singularity_exponent=0.0, **limits)
 
 
 class TestWireFormat:

@@ -1,0 +1,139 @@
+"""Pinned CLI output: the ``scan`` and ``bounds`` JSON must not change by a byte.
+
+The digests and payloads below were produced by the release before the check
+table was introduced (Python 3.11.7, numpy 2.4.6); any change to the check
+order, the arithmetic of a kernel or the summation shows up here.
+"""
+
+import hashlib
+import itertools
+import json
+
+import pytest
+
+import phientropy as pe
+import phientropy.cli as cli
+from phientropy.bounds import BOUND_IDS, CHECKS, run_bound_checks
+
+SCAN_SHA256 = {
+    "1": "65f67e5ade2074f5934520e0f85b57af22bcccbeb852d7d7256e67223e295963",
+    "2": "b65e6e17d67f85ef76ce9daa90986ef22d2568df7e80338371252e80750b6470",
+    "3": "07a08d467e774a8aa1057edf51da7fc4f4e5edf0f89d43572014bf3351b74cf2",
+    "271828": "5306e816381ae6b485b193548a1f7622dc38a0daab33c2164bba1b64b24f4ba5",
+}
+
+P = [0.5, 0.3, 0.2]
+Q = [0.45, 0.35, 0.2]
+R = [0.4, 0.35, 0.25]
+
+# (family spec, p, q, r, extra argv, expected stdout without the newline)
+BOUNDS_CASES = {
+    # tv = 0: lb, cont2 and improved are listed as skipped
+    "identical": (
+        '{"kind":"shannon"}', P, P, R, ["--epsilon", "0.5"],
+        '{"all_hold":true,"family":{"kind":"shannon"},"reports":['
+        '{"bound_id":"cont1","holds":true,"inputs_digest":"933b414ae9988be4","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10},'
+        '{"bound_id":"lesche4","holds":true,"inputs_digest":"5f37010bbf1d8583","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10},'
+        '{"bound_id":"fannes","holds":true,"inputs_digest":"70719ee84477c089","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10},'
+        '{"bound_id":"relent_I","holds":true,"inputs_digest":"cc29f2997cf54f90","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10},'
+        '{"bound_id":"relent_D","holds":true,"inputs_digest":"6e0367f01f6af12f","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10}],'
+        '"skipped":["lb","cont2","improved"]}',
+    ),
+    # every bound of the shannon family evaluated
+    "shannon": (
+        '{"kind":"shannon"}', P, Q, R,
+        ["--epsilon", "0.5", "--mix-lambda", "0.6", "--mix-mu", "0.55"],
+        '{"all_hold":true,"family":{"kind":"shannon"},"reports":['
+        '{"bound_id":"cont1","holds":true,"inputs_digest":"a9139a1268204179","lhs":0.019000775294780947,"ratio":0.04755267368772126,"rhs":0.399573227355399,"tol":1.3995732273553993e-10},'
+        '{"bound_id":"lb","holds":true,"inputs_digest":"5fd8a8f9d1932541","lhs":-0.3068528194400547,"ratio":-0.4426950408889634,"rhs":0.6931471805599454,"tol":1.6931471805599455e-10},'
+        '{"bound_id":"cont2","holds":true,"inputs_digest":"03f0b48cfabad9a1","lhs":0.019000775294780947,"ratio":0.04317183177002873,"rhs":0.44011973816621547,"tol":1.4401197381662155e-10},'
+        '{"bound_id":"improved","holds":true,"inputs_digest":"941b6594ef2d53a7","lhs":0.019000775294780947,"ratio":0.03397993892492382,"rhs":0.5591762638762172,"tol":1.5591762638762172e-10},'
+        '{"bound_id":"lesche4","holds":true,"inputs_digest":"5e56ccbca58529e9","lhs":0.019000775294780947,"ratio":0.04317183177002872,"rhs":0.4401197381662155,"tol":1.4401197381662155e-10},'
+        '{"bound_id":"fannes","holds":true,"inputs_digest":"75ec81a0b117d1f2","lhs":0.019000775294780947,"ratio":0.05586495919709113,"rhs":0.3401197381662155,"tol":1.3401197381662155e-10},'
+        '{"bound_id":"relent_I","holds":true,"inputs_digest":"fd8416e6f52cdea2","lhs":0.012324205663554827,"ratio":0.024753421769529455,"rhs":0.49787887017404064,"tol":1.4978788701740407e-10},'
+        '{"bound_id":"relent_D","holds":true,"inputs_digest":"dbd315bc0cddbe3b","lhs":0.012324205663554806,"ratio":0.024753421769529414,"rhs":0.49787887017404064,"tol":1.4978788701740407e-10},'
+        '{"bound_id":"condition1_segment","holds":true,"inputs_digest":"1ccab967ad84a177","lhs":0.0009974007287074649,"ratio":0.0028778901701705956,"rhs":0.3465735902799727,"tol":1.3465735902799728e-10}],'
+        '"skipped":[]}',
+    ),
+    # tv = 2: improved, the unsupported relative-entropy pair and the
+    # segment outside its radius are all skipped
+    "disjoint": (
+        '{"kind":"tsallis","kappa":0.5}', [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], ["--epsilon", "0.1"],
+        '{"all_hold":true,"family":{"kappa":0.5,"kind":"tsallis"},"reports":['
+        '{"bound_id":"cont1","holds":true,"inputs_digest":"f0cb3537d2b68417","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
+        '{"bound_id":"lb","holds":true,"inputs_digest":"26ffe0c9af434287","lhs":-0.12132034355964272,"ratio":-0.2071067811865478,"rhs":0.5857864376269049,"tol":1.585786437626905e-10},'
+        '{"bound_id":"cont2","holds":true,"inputs_digest":"ee2cff64617f9b01","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
+        '{"bound_id":"lesche3","holds":true,"inputs_digest":"38b0fc8a20f5c7e4","lhs":0.0,"ratio":0.0,"rhs":1.9999999999999991,"tol":2.9999999999999995e-10}],'
+        '"skipped":["improved","relent_I","relent_D","condition1_segment"]}',
+    ),
+}
+
+
+def _stdout(capsys, argv) -> tuple[int, str]:
+    code = cli.main(argv)
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", sorted(SCAN_SHA256))
+def test_scan_bytes(capsys, seed):
+    code, out = _stdout(capsys, ["scan", "--trials", "1000", "--seed", seed])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[seed]
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_CASES))
+def test_bounds_bytes(capsys, tmp_path, case):
+    family, p, q, r, extra, want = BOUNDS_CASES[case]
+    argv = ["bounds", "--family", family]
+    for name, w in (("p", p), ("q", q), ("r", r)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"weights": w}))
+        argv += [f"--{name}", str(path)]
+    code, out = _stdout(capsys, argv + extra)
+    assert code == 0
+    assert out == want + "\n"
+
+
+def test_table_is_in_bound_id_order():
+    assert tuple(check.bound_id for check in CHECKS) == BOUND_IDS
+
+
+def _applicable(fam, tv: float, with_r: bool, with_epsilon: bool) -> set:
+    """Bounds that must be reported or listed as skipped, by the docs."""
+    ids = {"cont1", "lb", "cont2", "improved"}
+    if fam.kind == "tsallis":
+        ids.add("lesche3")
+    if fam.kind == "shannon":
+        ids |= {"lesche4", "fannes"}
+    if with_r:
+        ids |= {"relent_I", "relent_D"}
+    if with_epsilon and tv > 0:
+        ids.add("condition1_segment")
+    return ids
+
+
+PAIRS = {
+    "identical": (P, P),
+    "near": (P, Q),
+    "far": ([0.9, 0.1, 0.0], [0.0, 0.2, 0.8]),
+}
+
+
+FAMILIES = (pe.shannon(), pe.tsallis(0.5), pe.tsallis(-0.5), pe.kappa_maxwell(0.5), pe.sqrt_log())
+
+
+@pytest.mark.parametrize(
+    "fam, pair, with_r, epsilon",
+    list(itertools.product(FAMILIES, sorted(PAIRS), (False, True), (None, 0.5))),
+    ids=lambda v: v.label if isinstance(v, pe.LogFamily) else str(v),
+)
+def test_reports_and_skips_follow_bound_ids(fam, pair, with_r, epsilon):
+    p, q = (pe.validate(w) for w in PAIRS[pair])
+    r = pe.validate([0.2, 0.0, 0.8]) if with_r else None
+    reports, skipped = run_bound_checks(fam, p, q, r, 0.6, 0.55, epsilon)
+    evaluated = [rep.bound_id for rep in reports]
+    want = _applicable(fam, pe.tv_norm(p, q), with_r, epsilon is not None)
+    assert evaluated == [b for b in BOUND_IDS if b in evaluated]
+    assert skipped == [b for b in BOUND_IDS if b in skipped]
+    assert not set(evaluated) & set(skipped)
+    assert set(evaluated) | set(skipped) == want
