@@ -12,7 +12,9 @@ input and evaluates them: :func:`run_bound_checks` (the ``bounds`` command)
 and :func:`stability_scan` both walk it, and the ``check_*`` functions are
 thin wrappers over its evaluators.  Every row reads one per-input context
 that validates the pdfs once and computes the quantities the inequalities
-share (tv, I(p), I(q), d(p, q), I(p sym q), ...) at most once.
+share (tv, I(p), I(q), d(p, q), I(p sym q), ...) once, with a single call
+of the family kernel; what depends only on the family, N and the reference
+pdf is computed once per reference.
 
 Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
 holds when ``lhs <= rhs + 1e-10 * (1 + |rhs|)``.
@@ -40,7 +42,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -194,129 +196,171 @@ def _lengths(p: Pdf, q: Pdf):
 # ---------------------------------------------------------------------------
 # per-input context
 
-
-def _entropy(fam: LogFamily, w: np.ndarray) -> float:
-    """``entropy(fam, Pdf(w), "generic")`` on weights already validated."""
-    return sum_compensated(big_f_drop_unchecked(fam, w) - w * fam.f_zero)
-
-
-def _omega(fam: LogFamily, x: float) -> float:
-    """``omega_phi(fam, x)`` for one scalar ``x``, with the same arithmetic."""
-    if not 0.0 < x < math.inf:
-        raise DomainError("omega_phi requires finite x > 0")
-    arr = np.asarray(x, dtype=float)
-    return float(arr * big_f_drop_unchecked(fam, np.asarray(1.0 / arr)) - fam.f_zero)
+_WEIGHTS = "pdf weights must be finite and nonnegative"
+_OVERFLOW = "reference weight too small: a ratio to r overflows"
+_BARE = "r has zero weight where p and q differ"
 
 
-def _require_finite(*arrays: np.ndarray):
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise DomainError("reference weight too small: a ratio to r overflows")
+def _check_weights(w: np.ndarray):
+    if not (w.min() >= 0.0 and w.max() < math.inf):
+        raise DomainError(_WEIGHTS)
+
+
+class _Reference:
+    """What a check-table input shares with every input of its family, N and r.
+
+    I_max(N) = omega(N), the left side of ``lb``, and, given a reference pdf
+    r, its zero pattern and ln_phi(r), ln_phi(1/r) where r > 0.  The scan
+    builds one per hill-climb restart and reuses it for every step.  Each
+    value has the arithmetic of the public function it stands for.
+    """
+
+    def __init__(self, fam: LogFamily, n: int, r: Pdf | None = None):
+        f0 = fam.f_zero
+        self.fam, self.n, self.r = fam, n, r
+        self.i_max = n * float(big_f_drop_unchecked(fam, np.asarray(1.0 / n))) - f0
+        if r is None:
+            self.lb_lhs = -f0 - float(ln_phi_unchecked(fam, np.asarray(0.5)))
+            return
+        rw = r.weights
+        _check_weights(rw)
+        self.zero = rw == 0
+        self.any_zero = bool(self.zero.any())
+        self.pos = ~self.zero if self.any_zero else slice(None)
+        self.rr = rr = rw[self.pos]
+        # 1/r overflows only where r is subnormal.  Such entries get
+        # ln_phi(1) = 0 here, and h_r raises wherever p and q differ on one.
+        with np.errstate(over="ignore"):
+            inv = 1.0 / rr
+        over = np.isinf(inv)
+        self.inv_inf = None
+        if over.any():
+            self.inv_inf = np.zeros(n, dtype=bool)
+            self.inv_inf[self.pos] = over
+            inv[over] = 1.0
+        ln = ln_phi_unchecked(fam, np.concatenate(((0.5,), rr, inv)))
+        self.lb_lhs = -f0 - float(ln[0])
+        self.ln_r = ln[1 : rr.size + 1]
+        # Rows ln_phi(1/r), ln_phi(r) over all N entries, 0 where r = 0.
+        self.ln2 = np.zeros((2, n))
+        self.ln2[0, self.pos] = ln[rr.size + 1 :]
+        self.ln2[1, self.pos] = self.ln_r
 
 
 class _Trial:
-    """One input of the check table: validated once, shared values cached.
+    """One input of the check table: validated once, every shared value computed once.
 
-    The constructor checks equal lengths and finite, nonnegative weights of
-    p, q and r; everything after it calls the unchecked family kernels.
-    Each value the inequalities share is computed on first use and then
-    kept, with the arithmetic of the public function it stands for.
+    The constructor checks that p and q are finite and nonnegative and forms
+    |p - q| and tv; :meth:`evaluate` then computes everything the table reads,
+    passing all ``big_f_drop`` arguments (p, q, |p - q|, the symmetric
+    difference, the mixtures of the segment, the omega(N / tv) and min(tv, 1)
+    arguments and relent_I's q/r and p/r) through one kernel call.  Each value
+    keeps the arithmetic of the public function it stands for.  An error a
+    value's public function would raise (a ratio to r that overflows, an
+    unsupported limit, omega at an infinite x) is recorded here and raised by
+    the evaluator that reads the value, so errors still come in table order.
     ``segment`` holds (lam, mu, epsilon) for the segment check, or None.
     """
 
-    def __init__(self, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None):
-        _lengths(p, q)
-        if r is None:
-            w = np.concatenate((p.weights, q.weights))
-        else:
-            _lengths(p, r)
-            w = np.concatenate((p.weights, q.weights, r.weights))
-        if not (w.min() >= 0.0 and w.max() < math.inf):
-            raise DomainError("pdf weights must be finite and nonnegative")
-        self.fam, self.p, self.q, self.r = fam, p, q, r
-        self.segment = segment
+    def __init__(self, ref: _Reference, p: Pdf, q: Pdf):
+        self.ref, self.fam, self.r = ref, ref.fam, ref.r
+        self.p, self.q = p, q
+        _check_weights(np.concatenate((p.weights, q.weights)))
         self.diff = np.abs(p.weights - q.weights)
         self.tv = sum_compensated(self.diff)
+        self.segment = None
 
-    @cached_property
-    def ent_p(self) -> float:
-        return _entropy(self.fam, self.p.weights)
+    def evaluate(self, segment=None):
+        fam, ref, tv, diff = self.fam, self.ref, self.tv, self.diff
+        f0, n = fam.f_zero, ref.n
+        pw, qw = self.p.weights, self.q.weights
+        self.segment = segment
+        # Arguments whose entropy terms big_f_drop(w) - w * F(0) are summed
+        # come first, then |p - q|, the scalars and the relent_I ratios.
+        ents = [pw, qw]
+        scalars = ()
+        mixed = False
+        if tv > 0:
+            ents.append(diff / tv)
+            if segment is not None and _mix_weights_ok(segment[0], segment[1]):
+                lam, mu = segment[0], segment[1]
+                ents += [lam * pw + (1.0 - lam) * qw, mu * pw + (1.0 - mu) * qw]
+                mixed = True
+            # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
+            self.x_cont2 = n / tv
+            scalars = (1.0 / self.x_cont2, min(tv, 1.0))
+        ratios = ()
+        if self.r is not None:
+            ratios = self._relent_setup()
+        args = np.concatenate((*ents, diff, scalars, *ratios))
+        g = big_f_drop_unchecked(fam, args)
+        m = len(ents) * n
+        terms = (g[:m] - args[:m] * f0).tolist()
+        rest = g[m : m + n + len(scalars)].tolist()
+        self.ent_p = sum_compensated(terms[:n])
+        self.ent_q = sum_compensated(terms[n : 2 * n])
+        self.gap = abs(self.ent_p - self.ent_q)
+        self.d = sum_compensated(rest[:n])
+        if tv > 0:
+            self.ent_sym = sum_compensated(terms[2 * n : 3 * n])
+            if mixed:
+                self.ent_mix = (
+                    sum_compensated(terms[3 * n : 4 * n]),
+                    sum_compensated(terms[4 * n :]),
+                )
+            self.g_cont2, self.g_improved = rest[n], rest[n + 1]
+        if ratios:
+            k = ref.rr.size
+            o = m + n + len(scalars)
+            self.relent_i_sum = sum_compensated(self.dpq * f0 + ref.rr * (g[o : o + k] - g[o + k :]))
+        return self
 
-    @cached_property
-    def ent_q(self) -> float:
-        return _entropy(self.fam, self.q.weights)
+    def get_h_r(self) -> float:
+        if self.h_r_error is not None:
+            raise self.h_r_error
+        return self.h_r
 
-    @cached_property
-    def gap(self) -> float:
-        """|I(p) - I(q)|, the left side of every entropy-difference bound."""
-        return abs(self.ent_p - self.ent_q)
+    def get_e_r(self) -> float:
+        if self.e_r_error is not None:
+            raise self.e_r_error
+        return self.e_r
 
-    @cached_property
-    def d(self) -> float:
-        return sum_compensated(big_f_drop_unchecked(self.fam, self.diff))
-
-    @cached_property
-    def ent_sym(self) -> float:
-        """I(p sym q); the symmetric difference is ``diff / tv``."""
-        return _entropy(self.fam, self.diff / self.tv)
-
-    @cached_property
-    def i_max(self) -> float:
-        return _omega(self.fam, float(self.diff.size))
-
-    # -- the reference r
-
-    @cached_property
-    def bare(self) -> np.ndarray:
-        """Coordinates where p and q differ and r vanishes."""
-        return (self.p.weights != self.q.weights) & (self.r.weights == 0)
-
-    @cached_property
-    def any_bare(self) -> bool:
-        return bool(np.any(self.bare))
-
-    @cached_property
-    def bare_mass(self) -> float:
-        return sum_compensated(self.p.weights[self.bare] - self.q.weights[self.bare])
-
-    @cached_property
-    def relent_supported(self) -> bool:
-        """Both relative-entropy bounds need finite limits at bare coordinates."""
-        fam = self.fam
-        return not self.any_bare or (
+    def _relent_setup(self) -> tuple:
+        """Support, h_r, e_r and the q/r, p/r arguments (empty if not needed)."""
+        fam, ref, diff = self.fam, self.ref, self.diff
+        self.any_bare = False
+        if ref.any_zero:
+            bare = (diff > 0) & ref.zero
+            self.any_bare = bool(bare.any())
+        self.relent_supported = not self.any_bare or (
             fam.omega_at_zero_finite and math.isfinite(fam.ln_at_zero)
         )
-
-    @cached_property
-    def r_pos(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        pos = self.r.weights > 0
-        return self.p.weights[pos], self.q.weights[pos], self.r.weights[pos]
-
-    def _r_weighted(self, invert: bool) -> float:
         # Where p and q differ, bare coordinates and r > 0 partition the
         # support of diff (x - y == 0 exactly when x == y in floating point).
-        fam, diff, rw = self.fam, self.diff, self.r.weights
-        limit = fam.ln_sup if invert else fam.ln_at_zero
-        if self.any_bare and not math.isfinite(limit):
-            raise SupportError("r has zero weight where p and q differ")
-        pos = (diff > 0) & (rw > 0)
-        if invert:
-            x = 1.0 / rw[pos]
-            _require_finite(x)
-        else:
-            x = rw[pos]
-        total = sum_compensated(diff[pos] * ln_phi_unchecked(fam, x))
+        # ln2 is 0 where r = 0, and the +0.0 terms there leave the sums exact.
+        moved = diff > 0
+        h_terms, e_terms = (diff[moved] * ref.ln2[:, moved]).tolist()
+        h, e = sum_compensated(h_terms), sum_compensated(e_terms)
+        self.h_r_error = self.e_r_error = None
         if self.any_bare:
-            total += limit * sum_compensated(diff[self.bare])
-        return total if invert else -total
-
-    @cached_property
-    def h_r(self) -> float:
-        return self._r_weighted(invert=True)
-
-    @cached_property
-    def e_r(self) -> float:
-        return self._r_weighted(invert=False)
+            self.bare_mass = sum_compensated(self.p.weights[bare] - self.q.weights[bare])
+            bare_abs = sum_compensated(diff[bare])
+            h += fam.ln_sup * bare_abs
+            e += fam.ln_at_zero * bare_abs
+            if not math.isfinite(fam.ln_sup):
+                self.h_r_error = SupportError(_BARE)
+            if not math.isfinite(fam.ln_at_zero):
+                self.e_r_error = SupportError(_BARE)
+        if self.h_r_error is None and ref.inv_inf is not None and (diff[ref.inv_inf] > 0).any():
+            self.h_r_error = DomainError(_OVERFLOW)
+        self.h_r, self.e_r = h, -e
+        if not self.relent_supported:
+            return ()
+        pp, qq = self.p.weights[ref.pos], self.q.weights[ref.pos]
+        self.dpq = pp - qq
+        xq, xp = qq / ref.rr, pp / ref.rr
+        self.ratio_overflow = not (np.isfinite(xq).all() and np.isfinite(xp).all())
+        return () if self.ratio_overflow else (xq, xp)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +389,7 @@ def h_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Nonnegative since ``r_k <= 1``; a metric in (p, q) for fixed r.
     """
-    return _Trial(fam, p, q, r).h_r
+    return _trial(fam, p, q, r).get_h_r()
 
 
 def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
@@ -353,7 +397,7 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Coincides with :func:`h_r` for the natural logarithm.
     """
-    return _Trial(fam, p, q, r).e_r
+    return _trial(fam, p, q, r).get_e_r()
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +409,7 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
 _NOT_APPLICABLE = "not applicable"
 _SUPPORT = "r vanishes where p and q differ"
+_IDENTICAL = "identical pdfs"
 
 
 def _pre_always(t: _Trial) -> Optional[str]:
@@ -372,12 +417,12 @@ def _pre_always(t: _Trial) -> Optional[str]:
 
 
 def _pre_distinct(t: _Trial) -> Optional[str]:
-    return None if t.tv > 0 else "identical pdfs"
+    return None if t.tv > 0 else _IDENTICAL
 
 
 def _pre_improved(t: _Trial) -> Optional[str]:
     if t.tv == 0:
-        return "identical pdfs"
+        return _IDENTICAL
     return "tv > 1" if t.tv > 1.0 else None
 
 
@@ -401,8 +446,12 @@ def _pre_relent(t: _Trial) -> Optional[str]:
     return None if t.relent_supported else _SUPPORT
 
 
+def _mix_weights_ok(lam: float, mu: float) -> bool:
+    return 0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0
+
+
 def _check_mix_weights(lam: float, mu: float):
-    if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
+    if not _mix_weights_ok(lam, mu):
         raise ParamError("lam and mu must lie in [0, 1]")
 
 
@@ -416,8 +465,10 @@ def _segment_excess(t: _Trial) -> Optional[str]:
 
 
 def _pre_segment(t: _Trial) -> Optional[str]:
-    if t.segment is None or t.tv == 0.0:
+    if t.segment is None:
         return _NOT_APPLICABLE
+    if t.tv == 0.0:
+        return _IDENTICAL
     _check_mix_weights(t.segment[0], t.segment[1])
     return _segment_excess(t)
 
@@ -427,65 +478,57 @@ def _eval_cont1(t: _Trial):
 
 
 def _eval_lb(t: _Trial):
-    fam = t.fam
-    return -fam.f_zero - float(ln_phi_unchecked(fam, np.asarray(0.5))), t.ent_sym
+    return t.ref.lb_lhs, t.ent_sym
 
 
 def _eval_cont2(t: _Trial):
-    return t.gap, t.tv * (t.fam.f_zero + _omega(t.fam, t.diff.size / t.tv))
+    x, f0 = t.x_cont2, t.fam.f_zero
+    if not x < math.inf:
+        raise DomainError("omega_phi requires finite x > 0")
+    return t.gap, t.tv * (f0 + (x * t.g_cont2 - f0))
 
 
 def _eval_improved(t: _Trial):
-    fam = t.fam
-    drop = float(big_f_drop_unchecked(fam, np.asarray(min(t.tv, 1.0))))
-    return t.gap, (drop / fam.f_zero) * (fam.f_zero + t.ent_sym)
+    f0 = t.fam.f_zero
+    return t.gap, (t.g_improved / f0) * (f0 + t.ent_sym)
 
 
 def _eval_lesche3(t: _Trial):
     k, tv = t.fam.kappa, t.tv
-    return t.gap, (1.0 + 1.0 / k) * tv + (t.i_max - 1.0 / k) * tv ** (1.0 + k)
+    return t.gap, (1.0 + 1.0 / k) * tv + (t.ref.i_max - 1.0 / k) * tv ** (1.0 + k)
 
 
 def _eval_lesche4(t: _Trial):
     tv = t.tv
-    return t.gap, (1.0 + t.i_max) * tv - (tv * math.log(tv) if tv > 0 else 0.0)
+    return t.gap, (1.0 + t.ref.i_max) * tv - (tv * math.log(tv) if tv > 0 else 0.0)
 
 
 def _eval_fannes(t: _Trial):
     tv = t.tv
-    return t.gap, t.i_max * tv - (tv * math.log(tv) if tv > 0 else 0.0)
+    return t.gap, t.ref.i_max * tv - (tv * math.log(tv) if tv > 0 else 0.0)
 
 
 def _eval_relent_i(t: _Trial):
     # The per-coordinate integral form keeps full precision when p ~ q.
-    fam = t.fam
-    pp, qq, rr = t.r_pos
-    xq, xp = qq / rr, pp / rr
-    _require_finite(xq, xp)
-    terms = (pp - qq) * fam.f_zero + rr * (
-        big_f_drop_unchecked(fam, xq) - big_f_drop_unchecked(fam, xp)
-    )
-    lhs = sum_compensated(terms)
+    if t.ratio_overflow:
+        raise DomainError(_OVERFLOW)
+    lhs = t.relent_i_sum
     if t.any_bare:
-        lhs += -fam.omega_at_zero * t.bare_mass
-    return abs(lhs), t.d + t.h_r
+        lhs += -t.fam.omega_at_zero * t.bare_mass
+    return abs(lhs), t.d + t.get_h_r()
 
 
 def _eval_relent_d(t: _Trial):
     # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r).
-    fam = t.fam
-    pp, qq, rr = t.r_pos
-    cross = sum_compensated((pp - qq) * ln_phi_unchecked(fam, rr))
+    cross = sum_compensated(t.dpq * t.ref.ln_r)
     if t.any_bare:
-        cross += fam.ln_at_zero * t.bare_mass
-    return abs(t.ent_q - t.ent_p - cross), t.d + t.e_r
+        cross += t.fam.ln_at_zero * t.bare_mass
+    return abs(t.ent_q - t.ent_p - cross), t.d + t.get_e_r()
 
 
 def _eval_segment(t: _Trial):
-    lam, mu, epsilon = t.segment
-    fam, pw, qw = t.fam, t.p.weights, t.q.weights
-    lhs = abs(_entropy(fam, lam * pw + (1.0 - lam) * qw) - _entropy(fam, mu * pw + (1.0 - mu) * qw))
-    return lhs, epsilon * t.ent_sym
+    mix_lam, mix_mu = t.ent_mix
+    return abs(mix_lam - mix_mu), t.segment[2] * t.ent_sym
 
 
 @dataclass(frozen=True)
@@ -530,6 +573,14 @@ CHECKS = (
 )
 
 
+def _trial(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> _Trial:
+    """Validate one input of the check table and evaluate its shared values."""
+    _lengths(p, q)
+    if r is not None:
+        _lengths(p, r)
+    return _Trial(_Reference(fam, p.n, r), p, q).evaluate(segment)
+
+
 def _check_digest(check: Check, t: _Trial) -> str:
     return _digest(
         check.bound_id,
@@ -559,11 +610,11 @@ def run_bound_checks(
 
     Returns (reports, skipped-bound ids), both in table order.  The
     relative-entropy bounds need ``r``; the segment check needs ``epsilon``
-    and distinct pdfs.  Used by the ``bounds`` command and for witness
-    replay.
+    and is skipped for identical pdfs.  Used by the ``bounds`` command and
+    for witness replay.
     """
     segment = None if epsilon is None else (mix_lambda, mix_mu, epsilon)
-    t = _Trial(fam, p, q, r, segment)
+    t = _trial(fam, p, q, r, segment)
     reports: list[BoundReport] = []
     skipped: list[str] = []
     for check in CHECKS:
@@ -581,7 +632,7 @@ def run_bound_checks(
 
 def check_cont1(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """|I(p) - I(q)| <= d(p, q)."""
-    return _evaluate(_CONT1, _Trial(fam, p, q))
+    return _evaluate(_CONT1, _trial(fam, p, q))
 
 
 def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, BoundReport]:
@@ -595,9 +646,9 @@ def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, B
     for D) so they keep full precision when p and q are close.  Taking
     q = r turns the first bound into an upper bound for I(p|q) itself.
     """
-    t = _Trial(fam, p, q, r)
+    t = _trial(fam, p, q, r)
     if not t.relent_supported:
-        raise SupportError("r has zero weight where p and q differ")
+        raise SupportError(_BARE)
     return _evaluate(_RELENT_I, t), _evaluate(_RELENT_D, t)
 
 
@@ -607,7 +658,7 @@ def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= [(F(0) - F(tv)) / F(0)] * [F(0) + I(p sym q)],
     which reduces to ``cont1`` when tv = 1.
     """
-    t = _Trial(fam, p, q)
+    t = _trial(fam, p, q)
     if t.tv == 0.0:
         raise IdenticalPdfs("improved bound requires p != q")
     if t.tv > 1.0 + 1e-15:
@@ -620,7 +671,7 @@ def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
 
     -F(0) - ln_phi(1/2) <= I(p sym q); the left side may well be negative.
     """
-    t = _Trial(fam, p, q)
+    t = _trial(fam, p, q)
     if t.tv == 0.0:
         raise IdenticalPdfs("lower bound requires p != q")
     return _evaluate(_LB, t)
@@ -632,7 +683,7 @@ def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     A relaxation of ``cont1`` (its right side dominates d(p, q)) whose merit
     is the explicit dependence on N.
     """
-    t = _Trial(fam, p, q)
+    t = _trial(fam, p, q)
     if t.tv == 0.0:
         raise IdenticalPdfs("cont2 right side requires p != q")
     return _evaluate(_CONT2, t)
@@ -646,7 +697,7 @@ def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """
     if fam.kind != "tsallis":
         raise FamilyError("lesche3 is the tsallis specialization")
-    return _evaluate(_LESCHE3, _Trial(fam, p, q))
+    return _evaluate(_LESCHE3, _trial(fam, p, q))
 
 
 def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -656,7 +707,7 @@ def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """
     if fam.kind != "shannon":
         raise FamilyError("lesche4 is the shannon specialization")
-    return _evaluate(_LESCHE4, _Trial(fam, p, q))
+    return _evaluate(_LESCHE4, _trial(fam, p, q))
 
 
 def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -667,7 +718,7 @@ def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """
     if fam.kind != "shannon":
         raise FamilyError("fannes is the shannon specialization")
-    t = _Trial(fam, p, q)
+    t = _trial(fam, p, q)
     if t.tv > 1.0 / 3.0 + 1e-15:
         raise RangeError(f"fannes estimate requires tv <= 1/3, got {t.tv}")
     return _evaluate(_FANNES, t)
@@ -683,7 +734,7 @@ def check_condition1_segment(
     |I(lam p + (1-lam) q) - I(mu p + (1-mu) q)| <= epsilon * I(p sym q).
     The endpoint case lam=1, mu=0 is the continuity condition itself.
     """
-    t = _Trial(fam, p, q, segment=(lam, mu, epsilon))
+    t = _trial(fam, p, q, segment=(lam, mu, epsilon))
     _check_mix_weights(lam, mu)
     if t.tv == 0.0:
         raise IdenticalPdfs("segment condition requires p != q")
@@ -699,7 +750,7 @@ def entropy_min_half(fam: LogFamily) -> float:
     A concave functional is minimized at an extreme point of the polytope;
     here every extreme point is a permutation of (1/2, 1/2, 0, ..., 0).
     """
-    return 2.0 * float(np.asarray(big_f_drop(fam, 0.5))) - fam.f_zero
+    return 2.0 * float(big_f_drop_unchecked(fam, np.asarray(0.5))) - fam.f_zero
 
 
 @lru_cache(maxsize=4096)
@@ -724,8 +775,9 @@ def condition1_delta(fam: LogFamily, epsilon: float) -> float:
         raise InfeasibleEpsilon("family admits no positive entropy floor")
     amp = (f0 + i_min) / i_min
 
+    # The bisection keeps delta in [0, 1], inside big_f_drop's domain.
     def coeff(delta: float) -> float:
-        return float(np.asarray(big_f_drop(fam, delta))) / f0 * amp
+        return float(big_f_drop_unchecked(fam, np.asarray(delta))) / f0 * amp
 
     if coeff(1.0) <= epsilon:
         return 1.0
@@ -878,13 +930,13 @@ class _Aggregator:
         return ratio
 
 
-def _battery(fam, p, q, r, epsilon, rng, agg: _Aggregator) -> Optional[float]:
+def _battery(ref: _Reference, p, q, epsilon, rng, agg: _Aggregator) -> Optional[float]:
     """Run every applicable check; return the trial's max ratio (or None)."""
-    t = _Trial(fam, p, q, r)
+    t = _Trial(ref, p, q)
     tv = t.tv
     if tv == 0.0:
         return None
-    delta = condition1_delta(fam, epsilon)
+    delta = condition1_delta(ref.fam, epsilon)
     lam, mu = rng.uniform(0.0, 1.0, size=2)
     if abs(lam - mu) * tv > delta:
         # Pull mu toward lam until the segment hypothesis holds; the hard
@@ -893,7 +945,7 @@ def _battery(fam, p, q, r, epsilon, rng, agg: _Aggregator) -> Optional[float]:
         mu = min(1.0, max(0.0, lam - math.copysign(0.5 * delta / tv, lam - mu)))
         if abs(lam - mu) * tv > delta:
             mu = lam
-    t.segment = (float(lam), float(mu), epsilon)
+    t.evaluate((float(lam), float(mu), epsilon))
 
     best: Optional[float] = None
     support_skip = False
@@ -950,6 +1002,14 @@ def stability_scan(config: ScanConfig) -> ScanReport:
     for m in config.modes:
         if m not in ("uniform", "sparse", "neighbor", "hillclimb"):
             raise ParamError(f"unknown scan mode {m!r}")
+    for fam in config.families:
+        try:
+            family_to_json(fam)
+        except FamilyError:
+            raise ParamError(
+                f"cannot scan family {fam.label!r}: it has no JSON encoding, "
+                "and scan witnesses must replay through JSON"
+            ) from None
 
     fams = config.families
     dims = config.dims
@@ -972,7 +1032,8 @@ def stability_scan(config: ScanConfig) -> ScanReport:
         if mode == "hillclimb":
             budget = min(config.hill_steps, config.trials - done)
             p, q, r = _sample_pair("uniform", dim, scale, rng)
-            best = _battery(fam, p, q, r, epsilon, rng, agg)
+            ref = _Reference(fam, dim, r)
+            best = _battery(ref, p, q, epsilon, rng, agg)
             done += 1
             step = 0.1
             used = 1
@@ -984,7 +1045,7 @@ def stability_scan(config: ScanConfig) -> ScanReport:
                     if target_p
                     else (p, _transfer(q, int(i), int(j), step))
                 )
-                ratio = _battery(fam, cand_p, cand_q, r, epsilon, rng, agg)
+                ratio = _battery(ref, cand_p, cand_q, epsilon, rng, agg)
                 used += 1
                 done += 1
                 if ratio is not None and (best is None or ratio > best):
@@ -994,7 +1055,7 @@ def stability_scan(config: ScanConfig) -> ScanReport:
                     step *= 0.5
         else:
             p, q, r = _sample_pair(mode, dim, scale, rng)
-            _battery(fam, p, q, r, epsilon, rng, agg)
+            _battery(_Reference(fam, dim, r), p, q, epsilon, rng, agg)
             done += 1
 
     return ScanReport(

@@ -50,7 +50,7 @@ from .fisher import (
     fisher_g2,
     softmax_model,
 )
-from .functionals import FunctionalValue, divergence, entropy, has_closed_form, rel_entropy
+from .functionals import divergence, entropy, rel_entropy, resolve_method
 
 DEFAULT_SEED = 271828
 TABLE_BANNER = "# human-readable output; not for parsing (use --format json)"
@@ -123,12 +123,9 @@ def _cmd_eval(args) -> int:
 def _cmd_entropy(args) -> int:
     fam = _load_family(args.family)
     p = _load_pdf(args.pdf, args.validate_tol)
-    method = args.method
-    if method == "auto":
-        method = "closed_form" if has_closed_form(fam, "entropy") else "generic"
-    fv = FunctionalValue(value=entropy(fam, p, method), family=fam, method=method)
+    method = resolve_method(fam, "entropy", args.method)
     _emit(
-        {"entropy": fv.value, "family": family_to_json(fv.family), "method": fv.method},
+        {"entropy": entropy(fam, p, method), "family": family_to_json(fam), "method": method},
         args.format,
     )
     return 0

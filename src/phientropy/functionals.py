@@ -18,7 +18,6 @@ relative.  Sums are accumulated with compensated summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,37 +27,30 @@ from .families import LogFamily, big_f_drop, ln_phi, omega_phi
 from .numerics import sum_compensated
 
 __all__ = [
-    "FunctionalValue",
     "entropy",
     "entropy_max",
     "rel_entropy",
     "divergence",
     "bregman_f",
-    "has_closed_form",
+    "resolve_method",
 ]
 
-_CLOSED_ENTROPY = ("shannon", "tsallis", "kaniadakis")
-_CLOSED_REL = ("shannon", "tsallis", "kaniadakis")
-_CLOSED_DIV = ("shannon", "tsallis")
+# Family kinds with a closed form, per functional.
+_CLOSED = {
+    "entropy": ("shannon", "tsallis", "kaniadakis"),
+    "rel_entropy": ("shannon", "tsallis", "kaniadakis"),
+    "divergence": ("shannon", "tsallis"),
+}
 
 
-@dataclass(frozen=True)
-class FunctionalValue:
-    """A functional evaluation tagged with the method that produced it."""
+def resolve_method(fam: LogFamily, functional: str, method: str) -> str:
+    """The method ``functional`` uses for ``fam`` when asked for ``method``.
 
-    value: float
-    family: LogFamily
-    method: str
-
-
-def has_closed_form(fam: LogFamily, functional: str) -> bool:
-    table = {"entropy": _CLOSED_ENTROPY, "rel_entropy": _CLOSED_REL, "divergence": _CLOSED_DIV}
-    return fam.kind in table[functional]
-
-
-def _resolve(fam: LogFamily, method: str, closed_kinds) -> str:
+    ``auto`` becomes ``closed_form`` when the family has one for that
+    functional, else ``generic``; any other method is returned unchanged.
+    """
     if method == "auto":
-        return "closed_form" if fam.kind in closed_kinds else "generic"
+        return "closed_form" if fam.kind in _CLOSED[functional] else "generic"
     return method
 
 
@@ -75,7 +67,7 @@ def entropy(fam: LogFamily, p: Pdf, method: str = "auto") -> float:
     sums (shannon / tsallis / kaniadakis); ``auto`` prefers a closed form.
     """
     w = p.weights
-    method = _resolve(fam, method, _CLOSED_ENTROPY)
+    method = resolve_method(fam, "entropy", method)
     if method == "generic":
         terms = np.asarray(big_f_drop(fam, w)) - w * fam.f_zero
         return sum_compensated(terms)
@@ -127,7 +119,7 @@ def rel_entropy(fam: LogFamily, p: Pdf, q: Pdf, method: str = "auto") -> float:
         raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
     pw, qw = p.weights, q.weights
     _check_support(fam, pw, qw)
-    method = _resolve(fam, method, _CLOSED_REL)
+    method = resolve_method(fam, "rel_entropy", method)
     if method in ("generic", "omega"):
         both = (pw > 0) & (qw > 0)
         pp, qq = pw[both], qw[both]
@@ -195,7 +187,7 @@ def divergence(fam: LogFamily, p: Pdf, q: Pdf, method: str = "auto") -> float:
             f"ln_phi diverges at 0 for family {fam.label}, but q has zero "
             "weight where p differs"
         )
-    method = _resolve(fam, method, _CLOSED_DIV)
+    method = resolve_method(fam, "divergence", method)
     if method == "generic":
         pos = qw > 0
         pp, qq = pw[pos], qw[pos]

@@ -535,6 +535,12 @@ class TestStabilityScan:
         with pytest.raises(ParamError):
             stability_scan(ScanConfig(trials=5, modes=("drunkwalk",)))
 
+    def test_custom_family_rejected_before_any_trial(self):
+        custom = pe.custom_family(np.log, singularity_exponent=0.0)
+        config = ScanConfig(families=(pe.shannon(), custom), trials=5)
+        with pytest.raises(ParamError, match="'custom'.*witnesses must replay through JSON"):
+            stability_scan(config)
+
     def test_deterministic(self):
         cfg = ScanConfig(trials=600, seed=31)
         a = json.dumps(stability_scan(cfg).to_json(), sort_keys=True)

@@ -3,6 +3,13 @@
 The digests and payloads below were produced by the release before the check
 table was introduced (Python 3.11.7, numpy 2.4.6); any change to the check
 order, the arithmetic of a kernel or the summation shows up here.
+
+Byte identity holds per numpy version and per SIMD dispatch level: numpy's
+AVX-512 and AVX2 loops round some powers and logarithms differently, which
+moves the scan's worst ratios for some seeds.  So the scan digests are pinned
+once per x86 dispatch level, picked from numpy's detected CPU features; the
+AVX2 set was captured with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"``.  A host with no pinned set skips the scan digests.
 """
 
 import hashlib
@@ -10,17 +17,36 @@ import itertools
 import json
 
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import phientropy as pe
 import phientropy.cli as cli
 from phientropy.bounds import BOUND_IDS, CHECKS, run_bound_checks
 
 SCAN_SHA256 = {
-    "1": "65f67e5ade2074f5934520e0f85b57af22bcccbeb852d7d7256e67223e295963",
-    "2": "b65e6e17d67f85ef76ce9daa90986ef22d2568df7e80338371252e80750b6470",
-    "3": "07a08d467e774a8aa1057edf51da7fc4f4e5edf0f89d43572014bf3351b74cf2",
-    "271828": "5306e816381ae6b485b193548a1f7622dc38a0daab33c2164bba1b64b24f4ba5",
+    "X86_V4": {
+        "1": "65f67e5ade2074f5934520e0f85b57af22bcccbeb852d7d7256e67223e295963",
+        "2": "b65e6e17d67f85ef76ce9daa90986ef22d2568df7e80338371252e80750b6470",
+        "3": "07a08d467e774a8aa1057edf51da7fc4f4e5edf0f89d43572014bf3351b74cf2",
+        "271828": "5306e816381ae6b485b193548a1f7622dc38a0daab33c2164bba1b64b24f4ba5",
+    },
+    "X86_V3": {
+        "1": "9c92262abbaeb7e1a6de88481e22a8e7536d46b85c85dc0541f5620cf522af42",
+        "2": "b65e6e17d67f85ef76ce9daa90986ef22d2568df7e80338371252e80750b6470",
+        "3": "07a08d467e774a8aa1057edf51da7fc4f4e5edf0f89d43572014bf3351b74cf2",
+        "271828": "d82faf388d1d6da8a844dec16d5ee3a980f4357edf9480cf8343299fca9fc22a",
+    },
 }
+SCAN_SEEDS = ("1", "2", "3", "271828")
+
+
+def _dispatch() -> str:
+    """The highest x86 level numpy dispatches to here, or the enabled features."""
+    for level in ("X86_V4", "X86_V3"):
+        if __cpu_features__.get(level):
+            return level
+    return "features " + " ".join(sorted(k for k, on in __cpu_features__.items() if on))
+
 
 P = [0.5, 0.3, 0.2]
 Q = [0.45, 0.35, 0.2]
@@ -28,7 +54,7 @@ R = [0.4, 0.35, 0.25]
 
 # (family spec, p, q, r, extra argv, expected stdout without the newline)
 BOUNDS_CASES = {
-    # tv = 0: lb, cont2 and improved are listed as skipped
+    # tv = 0: lb, cont2, improved and the segment are listed as skipped
     "identical": (
         '{"kind":"shannon"}', P, P, R, ["--epsilon", "0.5"],
         '{"all_hold":true,"family":{"kind":"shannon"},"reports":['
@@ -37,7 +63,7 @@ BOUNDS_CASES = {
         '{"bound_id":"fannes","holds":true,"inputs_digest":"70719ee84477c089","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10},'
         '{"bound_id":"relent_I","holds":true,"inputs_digest":"cc29f2997cf54f90","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10},'
         '{"bound_id":"relent_D","holds":true,"inputs_digest":"6e0367f01f6af12f","lhs":0.0,"ratio":null,"rhs":0.0,"tol":1e-10}],'
-        '"skipped":["lb","cont2","improved"]}',
+        '"skipped":["lb","cont2","improved","condition1_segment"]}',
     ),
     # every bound of the shannon family evaluated
     "shannon": (
@@ -74,11 +100,14 @@ def _stdout(capsys, argv) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("seed", sorted(SCAN_SHA256))
+@pytest.mark.parametrize("seed", SCAN_SEEDS)
 def test_scan_bytes(capsys, seed):
+    pinned = SCAN_SHA256.get(_dispatch())
+    if pinned is None:
+        pytest.skip(f"no scan digests pinned for numpy SIMD dispatch {_dispatch()}")
     code, out = _stdout(capsys, ["scan", "--trials", "1000", "--seed", seed])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_SHA256[seed]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[seed]
 
 
 @pytest.mark.parametrize("case", sorted(BOUNDS_CASES))
@@ -98,7 +127,7 @@ def test_table_is_in_bound_id_order():
     assert tuple(check.bound_id for check in CHECKS) == BOUND_IDS
 
 
-def _applicable(fam, tv: float, with_r: bool, with_epsilon: bool) -> set:
+def _applicable(fam, with_r: bool, with_epsilon: bool) -> set:
     """Bounds that must be reported or listed as skipped, by the docs."""
     ids = {"cont1", "lb", "cont2", "improved"}
     if fam.kind == "tsallis":
@@ -107,7 +136,7 @@ def _applicable(fam, tv: float, with_r: bool, with_epsilon: bool) -> set:
         ids |= {"lesche4", "fannes"}
     if with_r:
         ids |= {"relent_I", "relent_D"}
-    if with_epsilon and tv > 0:
+    if with_epsilon:
         ids.add("condition1_segment")
     return ids
 
@@ -132,7 +161,7 @@ def test_reports_and_skips_follow_bound_ids(fam, pair, with_r, epsilon):
     r = pe.validate([0.2, 0.0, 0.8]) if with_r else None
     reports, skipped = run_bound_checks(fam, p, q, r, 0.6, 0.55, epsilon)
     evaluated = [rep.bound_id for rep in reports]
-    want = _applicable(fam, pe.tv_norm(p, q), with_r, epsilon is not None)
+    want = _applicable(fam, with_r, epsilon is not None)
     assert evaluated == [b for b in BOUND_IDS if b in evaluated]
     assert skipped == [b for b in BOUND_IDS if b in skipped]
     assert not set(evaluated) & set(skipped)
