@@ -9,12 +9,12 @@ indicates an implementation bug, which is exactly what
 
 One ordered table, :data:`CHECKS`, decides which inequalities apply to an
 input and evaluates them: :func:`run_bound_checks` (the ``bounds`` command)
-and :func:`stability_scan` both walk it, and the ``check_*`` functions are
-thin wrappers over its evaluators.  Every row reads one per-input context
-that validates the pdfs once and computes the quantities the inequalities
-share (tv, I(p), I(q), d(p, q), I(p sym q), ...) once, with a single call
-of the family kernel; what depends only on the family, N and the reference
-pdf is computed once per reference.
+and :func:`stability_scan` both walk it, and each ``check_*`` function
+evaluates its rows, raising on an input the table would skip.  Every row
+reads one per-input context that validates the pdfs once and computes the
+quantities the inequalities share (tv, I(p), I(q), d(p, q), I(p sym q), ...)
+once, with a single call of the family kernel; what depends only on the
+family, N and the reference pdf is computed once per reference.
 
 Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
 holds when ``lhs <= rhs + 1e-10 * (1 + |rhs|)``.
@@ -125,6 +125,8 @@ class BoundReport:
     ``ratio`` is lhs/rhs when rhs > 0, else None.  ``inputs_digest`` is a
     deterministic token over (bound id, family, inputs, parameters): equal
     inputs give equal digests, so scan witnesses can be replayed and matched.
+    A custom family enters the digest only through (singularity exponent,
+    F(0)), so two different custom logarithms can share a digest.
     """
 
     bound_id: str
@@ -406,10 +408,13 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 # A precondition returns None when its check applies, _NOT_APPLICABLE when
 # the check does not concern the input (wrong family, no reference, no
 # segment), or a skip reason, which ``run_bound_checks`` lists as skipped.
+# The ``check_*`` functions raise on any reason, with the error type below
+# (RangeError for the reasons not listed).
 
 _NOT_APPLICABLE = "not applicable"
 _SUPPORT = "r vanishes where p and q differ"
 _IDENTICAL = "identical pdfs"
+_REFUSALS = {_NOT_APPLICABLE: FamilyError, _SUPPORT: SupportError, _IDENTICAL: IdenticalPdfs}
 
 
 def _pre_always(t: _Trial) -> Optional[str]:
@@ -450,27 +455,18 @@ def _mix_weights_ok(lam: float, mu: float) -> bool:
     return 0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0
 
 
-def _check_mix_weights(lam: float, mu: float):
+def _pre_segment(t: _Trial) -> Optional[str]:
+    if t.segment is None:
+        return _NOT_APPLICABLE
+    lam, mu, epsilon = t.segment
     if not _mix_weights_ok(lam, mu):
         raise ParamError("lam and mu must lie in [0, 1]")
-
-
-def _segment_excess(t: _Trial) -> Optional[str]:
-    """None when ``|lam - mu| * tv`` lies within the radius, else why not."""
-    lam, mu, epsilon = t.segment
+    if t.tv == 0.0:
+        return _IDENTICAL
     delta = condition1_delta(t.fam, epsilon)
     if abs(lam - mu) * t.tv > delta * (1.0 + 1e-12):
         return f"hypothesis violated: |lam-mu|*tv = {abs(lam - mu) * t.tv} > delta = {delta}"
     return None
-
-
-def _pre_segment(t: _Trial) -> Optional[str]:
-    if t.segment is None:
-        return _NOT_APPLICABLE
-    if t.tv == 0.0:
-        return _IDENTICAL
-    _check_mix_weights(t.segment[0], t.segment[1])
-    return _segment_excess(t)
 
 
 def _eval_cont1(t: _Trial):
@@ -630,9 +626,19 @@ def run_bound_checks(
 # inequality checks, one bound each
 
 
+def _checked(checks, fam, p, q, r=None, segment=None) -> tuple[BoundReport, ...]:
+    """Evaluate table rows on one input; raise if the table would not evaluate one."""
+    t = _trial(fam, p, q, r, segment)
+    for check in checks:
+        reason = check.precondition(t)
+        if reason is not None:
+            raise _REFUSALS.get(reason, RangeError)(f"{check.bound_id}: {reason}")
+    return tuple(_evaluate(check, t) for check in checks)
+
+
 def check_cont1(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """|I(p) - I(q)| <= d(p, q)."""
-    return _evaluate(_CONT1, _trial(fam, p, q))
+    return _checked((_CONT1,), fam, p, q)[0]
 
 
 def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, BoundReport]:
@@ -646,10 +652,7 @@ def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, B
     for D) so they keep full precision when p and q are close.  Taking
     q = r turns the first bound into an upper bound for I(p|q) itself.
     """
-    t = _trial(fam, p, q, r)
-    if not t.relent_supported:
-        raise SupportError(_BARE)
-    return _evaluate(_RELENT_I, t), _evaluate(_RELENT_D, t)
+    return _checked((_RELENT_I, _RELENT_D), fam, p, q, r)
 
 
 def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -658,12 +661,7 @@ def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= [(F(0) - F(tv)) / F(0)] * [F(0) + I(p sym q)],
     which reduces to ``cont1`` when tv = 1.
     """
-    t = _trial(fam, p, q)
-    if t.tv == 0.0:
-        raise IdenticalPdfs("improved bound requires p != q")
-    if t.tv > 1.0 + 1e-15:
-        raise RangeError(f"improved bound requires tv <= 1, got {t.tv}")
-    return _evaluate(_IMPROVED, t)
+    return _checked((_IMPROVED,), fam, p, q)[0]
 
 
 def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -671,10 +669,7 @@ def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
 
     -F(0) - ln_phi(1/2) <= I(p sym q); the left side may well be negative.
     """
-    t = _trial(fam, p, q)
-    if t.tv == 0.0:
-        raise IdenticalPdfs("lower bound requires p != q")
-    return _evaluate(_LB, t)
+    return _checked((_LB,), fam, p, q)[0]
 
 
 def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -683,10 +678,7 @@ def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     A relaxation of ``cont1`` (its right side dominates d(p, q)) whose merit
     is the explicit dependence on N.
     """
-    t = _trial(fam, p, q)
-    if t.tv == 0.0:
-        raise IdenticalPdfs("cont2 right side requires p != q")
-    return _evaluate(_CONT2, t)
+    return _checked((_CONT2,), fam, p, q)[0]
 
 
 def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -695,9 +687,7 @@ def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= (1 + 1/kappa) tv + [I_max(N) - 1/kappa] tv^(1+kappa);
     an exact rewrite of ``cont2`` using the q-logarithm rescaling identity.
     """
-    if fam.kind != "tsallis":
-        raise FamilyError("lesche3 is the tsallis specialization")
-    return _evaluate(_LESCHE3, _trial(fam, p, q))
+    return _checked((_LESCHE3,), fam, p, q)[0]
 
 
 def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -705,9 +695,7 @@ def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
 
     |I(p) - I(q)| <= (1 + I_max(N)) tv - tv ln(tv).
     """
-    if fam.kind != "shannon":
-        raise FamilyError("lesche4 is the shannon specialization")
-    return _evaluate(_LESCHE4, _trial(fam, p, q))
+    return _checked((_LESCHE4,), fam, p, q)[0]
 
 
 def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -716,12 +704,7 @@ def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= I_max(N) tv - tv ln(tv); one tv weaker than lesche4's
     right side, hence always below it.
     """
-    if fam.kind != "shannon":
-        raise FamilyError("fannes is the shannon specialization")
-    t = _trial(fam, p, q)
-    if t.tv > 1.0 / 3.0 + 1e-15:
-        raise RangeError(f"fannes estimate requires tv <= 1/3, got {t.tv}")
-    return _evaluate(_FANNES, t)
+    return _checked((_FANNES,), fam, p, q)[0]
 
 
 def check_condition1_segment(
@@ -734,14 +717,7 @@ def check_condition1_segment(
     |I(lam p + (1-lam) q) - I(mu p + (1-mu) q)| <= epsilon * I(p sym q).
     The endpoint case lam=1, mu=0 is the continuity condition itself.
     """
-    t = _trial(fam, p, q, segment=(lam, mu, epsilon))
-    _check_mix_weights(lam, mu)
-    if t.tv == 0.0:
-        raise IdenticalPdfs("segment condition requires p != q")
-    excess = _segment_excess(t)
-    if excess is not None:
-        raise RangeError(excess)
-    return _evaluate(_SEGMENT, t)
+    return _checked((_SEGMENT,), fam, p, q, segment=(lam, mu, epsilon))[0]
 
 
 def entropy_min_half(fam: LogFamily) -> float:

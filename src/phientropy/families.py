@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, FamilyError, NonDifferentiableError, ParamError
-from .numerics import QuadratureSpec, bisect_monotone, integrate, richardson_diff
+from .numerics import bisect_monotone, integrate, richardson_diff
 
 __all__ = [
     "LogFamily",
@@ -58,17 +58,6 @@ __all__ = [
     "family_from_json",
     "builtin_catalogue",
 ]
-
-_KINDS = (
-    "shannon",
-    "tsallis",
-    "kaniadakis",
-    "kappa_maxwell",
-    "sqrt_log",
-    "piecewise_linear",
-    "custom",
-)
-
 
 @dataclass(frozen=True)
 class LogFamily:
@@ -96,7 +85,6 @@ class LogFamily:
     f_zero: float = 1.0
     ln_at_zero: float = -math.inf
     ln_sup: float = math.inf
-    quad: QuadratureSpec = QuadratureSpec()
 
     @property
     def omega_at_zero(self) -> float:
@@ -229,7 +217,6 @@ def custom_family(
     singularity_exponent: float,
     ln_at_zero: Optional[float] = None,
     ln_sup: Optional[float] = None,
-    quad: Optional[QuadratureSpec] = None,
 ) -> LogFamily:
     """Wrap a user-supplied deformed logarithm.
 
@@ -248,7 +235,6 @@ def custom_family(
         raise ParamError(f"ln_at_zero must be negative or -inf, got {ln_at_zero}")
     if ln_sup is not None and not float(ln_sup) > 0.0:
         raise ParamError(f"ln_sup must be positive or +inf, got {ln_sup}")
-    quad = quad or QuadratureSpec()
 
     grid = np.logspace(-6, 6, 121)
     vals = np.asarray(ln(grid), dtype=float)
@@ -274,7 +260,6 @@ def custom_family(
         lambda t: float(fn(np.asarray([t]))[0]),
         0.0,
         1.0,
-        quad,
         singular_at_a=singularity_exponent,
     )
     return LogFamily(
@@ -284,12 +269,14 @@ def custom_family(
         f_zero=f0,
         ln_at_zero=-math.inf if ln_at_zero is None else float(ln_at_zero),
         ln_sup=math.inf if ln_sup is None else float(ln_sup),
-        quad=quad,
     )
 
 
 # ---------------------------------------------------------------------------
 # evaluation helpers
+
+
+_TINY = np.finfo(float).tiny
 
 
 def _as_array(x):
@@ -388,7 +375,10 @@ def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
         a = fam.base
         pos = np.where(arr > 0, arr, 1.0)
         m, am, u = _pw_panels(pos, a)
-        val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + u * u / (2.0 * am * (a - 1.0)))
+        uu, den = u * u, 2.0 * am * (a - 1.0)
+        # u * u underflows below u ~ 1.5e-154; divide before squaring there.
+        half_uu = np.where(uu >= _TINY, uu / den, u * (u / den))
+        val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + half_uu)
         out = np.where(arr > 0, val, 0.0)
     else:
         flat = np.atleast_1d(arr)
@@ -404,8 +394,8 @@ def _custom_drop(fam: LogFamily, x: float) -> float:
         return 0.0
     f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
     if x <= 1.0:
-        return -integrate(f, 0.0, x, fam.quad, singular_at_a=fam.singularity_exponent)
-    return fam.f_zero - integrate(f, 1.0, x, fam.quad)
+        return -integrate(f, 0.0, x, singular_at_a=fam.singularity_exponent)
+    return fam.f_zero - integrate(f, 1.0, x)
 
 
 def big_f(fam: LogFamily, x) -> float | np.ndarray:
@@ -542,56 +532,54 @@ def kappa_maxwell_density(
 # wire format
 
 
+# kind -> (constructor, {JSON field: admissible range}).  The wire format
+# and the catalogue are derived from this table; each field is passed to the
+# constructor as the keyword argument of the same name.
+_BUILTINS = {
+    "shannon": (shannon, {}),
+    "tsallis": (tsallis, {"kappa": "(-1, 1) excluding 0"}),
+    "kaniadakis": (kaniadakis, {"kappa": "(-1, 1) excluding 0"}),
+    "kappa_maxwell": (kappa_maxwell, {"kappa": "> 0"}),
+    "sqrt_log": (sqrt_log, {}),
+    "piecewise_linear": (piecewise_linear, {"base": "> 1"}),
+}
+
+
 def family_to_json(fam: LogFamily) -> dict:
     """JSON-able family spec, e.g. ``{"kind": "tsallis", "kappa": 0.5}``."""
-    if fam.kind == "custom":
+    if fam.kind not in _BUILTINS:
         raise FamilyError("custom families have no JSON encoding (library-only)")
-    spec: dict = {"kind": fam.kind}
-    if fam.kappa is not None:
-        spec["kappa"] = fam.kappa
-    if fam.base is not None:
-        spec["base"] = fam.base
-    return spec
+    return {"kind": fam.kind, **{name: getattr(fam, name) for name in _BUILTINS[fam.kind][1]}}
 
 
 def family_from_json(spec: dict) -> LogFamily:
-    """Build a family from its JSON spec; inverse of :func:`family_to_json`."""
+    """Build a family from its JSON spec; inverse of :func:`family_to_json`.
+
+    The spec must carry exactly the fields of its kind, each a JSON number.
+    """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParamError("family spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    extra = set(spec) - {"kind", "kappa", "base"}
-    if extra:
-        raise ParamError(f"unknown family spec fields: {sorted(extra)}")
-    if kind == "shannon":
-        return shannon()
-    if kind == "tsallis":
-        return tsallis(_require(spec, "kappa"))
-    if kind == "kaniadakis":
-        return kaniadakis(_require(spec, "kappa"))
-    if kind == "kappa_maxwell":
-        return kappa_maxwell(_require(spec, "kappa"))
-    if kind == "sqrt_log":
-        return sqrt_log()
-    if kind == "piecewise_linear":
-        return piecewise_linear(_require(spec, "base"))
     if kind == "custom":
         raise ParamError("custom families cannot be built from JSON (library-only)")
-    raise ParamError(f"unknown family kind {kind!r}; known kinds: {_KINDS}")
-
-
-def _require(spec: dict, field: str) -> float:
-    if field not in spec:
-        raise ParamError(f"family kind {spec['kind']!r} requires field {field!r}")
-    return float(spec[field])
+    if not isinstance(kind, str) or kind not in _BUILTINS:
+        raise ParamError(f"unknown family kind {kind!r}; known kinds: {tuple(_BUILTINS)}")
+    make, fields = _BUILTINS[kind]
+    given = sorted(set(spec) - {"kind"})
+    if given != sorted(fields):
+        raise ParamError(f"family kind {kind!r} takes fields {sorted(fields)}, got {given}")
+    params = {}
+    for name in fields:
+        value = spec[name]
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ParamError(f"family field {name!r} must be a JSON number, got {value!r}")
+        try:
+            params[name] = float(value)
+        except OverflowError:
+            raise ParamError(f"family field {name!r} must be finite, got {value}") from None
+    return make(**params)
 
 
 def builtin_catalogue() -> list[dict]:
     """Describe the built-in families and their admissible parameters."""
-    return [
-        {"kind": "shannon", "params": {}},
-        {"kind": "tsallis", "params": {"kappa": "(-1, 1) excluding 0"}},
-        {"kind": "kaniadakis", "params": {"kappa": "(-1, 1) excluding 0"}},
-        {"kind": "kappa_maxwell", "params": {"kappa": "> 0"}},
-        {"kind": "sqrt_log", "params": {}},
-        {"kind": "piecewise_linear", "params": {"base": "> 1"}},
-    ]
+    return [{"kind": kind, "params": dict(fields)} for kind, (_, fields) in _BUILTINS.items()]

@@ -9,7 +9,6 @@ inputs produce bit-identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import BracketError, NoConvergence, ParamError
 
 __all__ = [
-    "QuadratureSpec",
     "integrate",
     "bisect_monotone",
     "central_diff",
@@ -26,26 +24,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and limits for :func:`integrate`.
-
-    ``grading_ratio`` controls the geometric mesh used near a declared
-    endpoint singularity: panel widths shrink by this factor toward the
-    endpoint.
-    """
-
-    abs_tol: float = 1e-11
-    max_depth: int = 40
-    grading_ratio: float = 0.5
-
-    def __post_init__(self):
-        if not self.abs_tol > 0:
-            raise ParamError("abs_tol must be positive")
-        if self.max_depth < 4:
-            raise ParamError("max_depth must be at least 4")
-        if not 0.0 < self.grading_ratio < 1.0:
-            raise ParamError("grading_ratio must lie in (0, 1)")
+# Quadrature settings of :func:`integrate`: the absolute tolerance, the
+# recursion depth of adaptive Simpson, and the factor by which panel widths
+# shrink toward a declared endpoint singularity.
+_ABS_TOL = 1e-11
+_MAX_DEPTH = 40
+_GRADING_RATIO = 0.5
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
@@ -90,7 +74,6 @@ def integrate(
     f: Callable[[float], float],
     a: float,
     b: float,
-    spec: Optional[QuadratureSpec] = None,
     singular_at_a: Optional[float] = None,
 ) -> float:
     """Integrate ``f`` over ``[a, b]``.
@@ -100,38 +83,37 @@ def integrate(
     integrand is then never evaluated at ``a``: a geometrically graded mesh
     approaches the endpoint and the remaining tail is extrapolated from the
     declared exponent (panel integrals of an ``(x-a)^-s`` integrand shrink by
-    ``grading_ratio**(1-s)`` per level, so the tail is a geometric series).
+    ``0.5**(1-s)`` per level, so the tail is a geometric series).
 
-    Raises :class:`NoConvergence` when the requested ``abs_tol`` cannot be
+    Raises :class:`NoConvergence` when the absolute tolerance 1e-11 cannot be
     certified.
     """
-    spec = spec or QuadratureSpec()
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, spec, singular_at_a=None if singular_at_a is None else singular_at_a)
+        return -integrate(f, b, a, singular_at_a=singular_at_a)
     if singular_at_a is None:
-        return _simpson_panel(f, a, b, spec.abs_tol, spec.max_depth)
+        return _simpson_panel(f, a, b, _ABS_TOL, _MAX_DEPTH)
 
     s = float(singular_at_a)
     if not 0.0 <= s < 1.0:
         raise ParamError("singularity exponent must lie in [0, 1)")
 
-    r = spec.grading_ratio
+    r = _GRADING_RATIO
     graded = 0.1 * (b - a)
     smooth = 0.0
     if b > a + graded:
-        smooth = _simpson_panel(f, a + graded, b, 0.25 * spec.abs_tol, spec.max_depth)
+        smooth = _simpson_panel(f, a + graded, b, 0.25 * _ABS_TOL, _MAX_DEPTH)
 
     # Geometric decay rate of panel integrals for the declared singularity;
     # the per-panel tolerance budget is split at the same rate so deep panels
     # are not asked for more relative accuracy than shallow ones.
     q = r ** (1.0 - s)
     tail_factor = q / (1.0 - q)
-    stop = 0.25 * spec.abs_tol / max(tail_factor, 1.0)
+    stop = 0.25 * _ABS_TOL / max(tail_factor, 1.0)
 
     total = 0.0
-    budget = 0.25 * spec.abs_tol * (1.0 - q)
+    budget = 0.25 * _ABS_TOL * (1.0 - q)
     hi = a + graded
     last = math.inf
     for k in range(1, _MAX_GRADED_PANELS + 1):
@@ -142,7 +124,7 @@ def integrate(
                 estimate=smooth + total,
                 error=abs(last) * tail_factor,
             )
-        last = _simpson_panel(f, lo, hi, budget * q ** (k - 1), spec.max_depth)
+        last = _simpson_panel(f, lo, hi, budget * q ** (k - 1), _MAX_DEPTH)
         total += last
         hi = lo
         if abs(last) <= stop:

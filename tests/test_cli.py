@@ -55,6 +55,12 @@ class TestEval:
         payload = json.loads(out)
         assert payload["values"][0]["value"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_malformed_family_is_input_error(self, capsys):
+        spec = '{"kind":"tsallis","kappa":null}'
+        code, out, err = run(capsys, "eval", "--family", spec, "--fn", "ln", "--x", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "kappa" in err
+
     def test_multiple_points(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--family", TSALLIS, "--fn", "omega", "--x", "1.0", "--x", "2.0"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -414,9 +415,74 @@ class TestWireFormat:
             {"kappa": 0.5},
             {"kind": "shannon", "extra": 1},
             {"kind": "custom"},
+            {"kind": []},
+            {"kind": "shannon", "kappa": 0.5},
+            {"kind": "tsallis", "kappa": 0.5, "base": 3},
+            {"kind": "tsallis", "kappa": "0.5"},
+            {"kind": "tsallis", "kappa": None},
+            {"kind": "tsallis", "kappa": True},
+            {"kind": "piecewise_linear", "base": 10**400},
         ):
             with pytest.raises(ParamError):
                 pe.family_from_json(spec)
+
+
+def exact_kernels(fam, x):
+    """(ln_phi(x), F(0) - F(x)) from each kind's closed forms, in mpmath at 50 digits.
+
+    F(0) - F(x) is the exact antiderivative -integral_0^x ln_phi; for the
+    piecewise-linear family, the sum of the full panels below x's panel plus
+    the partial panel, with the panel index found exactly.
+    """
+    with mpmath.workdps(50):
+        x = mpmath.mpf(x)
+        if fam.kind == "shannon":
+            ln, drop = mpmath.log(x), x - x * mpmath.log(x)
+        elif fam.kind == "tsallis":
+            k = mpmath.mpf(fam.kappa)
+            ln, drop = (1 + 1 / k) * (x**k - 1), (1 + 1 / k) * x - x ** (1 + k) / k
+        elif fam.kind == "kaniadakis":
+            k = mpmath.mpf(fam.kappa)
+            ln = (x**k - x**-k) / (2 * k)
+            drop = (x ** (1 - k) / (1 - k) - x ** (1 + k) / (1 + k)) / (2 * k)
+        elif fam.kind == "kappa_maxwell":
+            k = mpmath.mpf(fam.kappa)
+            ln, drop = k * (1 - x ** (-1 / (1 + k))), (1 + k) * x ** (k / (1 + k)) - k * x
+        elif fam.kind == "sqrt_log":
+            ln, drop = -1 + mpmath.sqrt(x), x - 2 * x**1.5 / 3
+        else:
+            a = mpmath.mpf(fam.base)
+            m = mpmath.floor(mpmath.log(x) / mpmath.log(a))
+            m += (a ** (m + 1) <= x) - (a**m > x)
+            am = a**m
+            u = x - am
+            ln = m + u / (am * (a - 1))
+            drop = -(am * (m - mpmath.mpf(0.5)) - am / (a - 1) + m * u + u * u / (2 * am * (a - 1)))
+        return ln, drop
+
+
+def assert_close(got, want, rel=1e-12):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+class TestMpmathCertificate:
+    XS = (1e-300, 1e-200, 1e-100, 1e-20, 1e-5, 0.5, 1.0, 2.0, 7.0, 1e3)
+
+    @pytest.mark.parametrize(
+        "fam", FAMILY_GRID + (pe.piecewise_linear(1.0 + 1e-12),), ids=lambda f: f.label
+    )
+    def test_closed_forms_to_1e_12(self, fam):
+        for x in self.XS:
+            ln, drop = exact_kernels(fam, x)
+            assert_close(pe.ln_phi(fam, x), ln)
+            assert_close(pe.big_f_drop(fam, x), drop)
+
+    @pytest.mark.parametrize("base", [1.1, 2.0, 10.0])
+    def test_piecewise_linear_drop_where_the_offset_square_underflows(self, base):
+        # Panel offsets u below ~1.5e-154 have u * u below the normal range.
+        fam = pe.piecewise_linear(base)
+        for x in np.logspace(-155, -305, 31):
+            assert_close(pe.big_f_drop(fam, float(x)), exact_kernels(fam, float(x))[1])
 
 
 @given(x=st.floats(1e-5, 1e5), y=st.floats(1e-5, 1e5))

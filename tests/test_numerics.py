@@ -6,26 +6,12 @@ import pytest
 
 from phientropy.errors import BracketError, NoConvergence, ParamError
 from phientropy.numerics import (
-    QuadratureSpec,
     bisect_monotone,
     central_diff,
     integrate,
     richardson_diff,
     sum_compensated,
 )
-
-
-class TestQuadratureSpec:
-    def test_defaults_valid(self):
-        spec = QuadratureSpec()
-        assert spec.abs_tol == 1e-11 and spec.max_depth == 40 and spec.grading_ratio == 0.5
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"abs_tol": 0.0}, {"abs_tol": -1e-3}, {"max_depth": 2}, {"grading_ratio": 1.0}]
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ParamError):
-            QuadratureSpec(**kwargs)
 
 
 class TestIntegrate:

@@ -16,8 +16,17 @@ import numpy as np
 import pytest
 
 import phientropy as pe
+import phientropy.bounds as bounds
 from phientropy.bounds import BOUND_IDS, ScanConfig, condition1_delta, e_r, h_r, run_bound_checks
-from phientropy.errors import DomainError, PhiEntropyError, SupportError
+from phientropy.errors import (
+    DomainError,
+    FamilyError,
+    IdenticalPdfs,
+    ParamError,
+    PhiEntropyError,
+    RangeError,
+    SupportError,
+)
 from phientropy.families import big_f_drop, ln_phi, omega_phi
 from phientropy.numerics import bisect_monotone, sum_compensated
 
@@ -234,3 +243,55 @@ def _delta_by_public_bisection(fam, epsilon):
 def test_condition1_delta_matches_public_bisection(fam, epsilon):
     condition1_delta.cache_clear()
     assert _bits(condition1_delta(fam, epsilon)) == _bits(_delta_by_public_bisection(fam, epsilon))
+
+
+# Each check_* function, its bound ids and the run_bound_checks arguments
+# (r, mix_lambda, mix_mu, epsilon) its own arguments correspond to.
+PUBLIC_CHECKS = [
+    (pe.check_cont1, ("cont1",), False, False),
+    (pe.check_lb, ("lb",), False, False),
+    (pe.check_cont2, ("cont2",), False, False),
+    (pe.check_improved, ("improved",), False, False),
+    (pe.check_lesche3, ("lesche3",), False, False),
+    (pe.check_lesche4, ("lesche4",), False, False),
+    (pe.check_fannes, ("fannes",), False, False),
+    (pe.check_relent, ("relent_I", "relent_D"), True, False),
+    (pe.check_condition1_segment, ("condition1_segment",), False, True),
+]
+REFUSALS = (FamilyError, SupportError, IdenticalPdfs, RangeError, ParamError)
+
+
+def _assert_checks_agree_with_table(monkeypatch, fam, p, q, r, lam, mu, epsilon):
+    """check_X returns the table's report for X, and raises where the table reports no X."""
+    assert {b for _, ids, _, _ in PUBLIC_CHECKS for b in ids} == set(BOUND_IDS)
+    for fn, ids, with_r, with_segment in PUBLIC_CHECKS:
+        args = (fam, p, q) + ((r,) if with_r else ()) + ((lam, mu, epsilon) if with_segment else ())
+        table_args = (fam, p, q, r if with_r else None) + ((lam, mu, epsilon) if with_segment else ())
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "CHECKS", tuple(c for c in bounds.CHECKS if c.bound_id in ids))
+            want, want_error = _outcome(run_bound_checks, *table_args)
+        got, got_error = _outcome(fn, *args)
+        if want_error is not None:
+            assert got_error == want_error, ids
+        elif want[0]:
+            assert got_error is None, (ids, got_error)
+            assert (got if with_r else (got,)) == tuple(want[0])
+        else:  # skipped, or not applicable to the input
+            assert got_error is not None and issubclass(got_error[0], REFUSALS), (ids, got)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("fam_index", range(len(GRID)), ids=[f.label for f in GRID])
+def test_check_functions_agree_with_the_table(monkeypatch, fam_index, case):
+    for n in DIMS:
+        inputs = _inputs(fam_index, n, case)
+        _assert_checks_agree_with_table(monkeypatch, GRID[fam_index], *inputs)
+
+
+@pytest.mark.parametrize("fam", GRID, ids=lambda f: f.label)
+def test_check_functions_refuse_tv_just_above_one(monkeypatch, fam):
+    p, q = pe.Pdf(np.array([0.5000000000000002, 0.5])), pe.Pdf(np.array([0.0, 1.0]))
+    assert pe.tv_norm(p, q) == 1.0 + 2.0**-52
+    _assert_checks_agree_with_table(monkeypatch, fam, p, q, p, 1.0, 0.0, 0.5)
+    with pytest.raises(RangeError):
+        pe.check_improved(fam, p, q)
