@@ -11,9 +11,9 @@ One ordered table, :data:`CHECKS`, decides which inequalities apply to an
 input and evaluates them: :func:`run_bound_checks` (the ``bounds`` command)
 and :func:`stability_scan` both walk it, and each ``check_*`` function
 evaluates its rows, raising on an input the table would skip.  Every row
-reads one per-input context that validates the pdfs once and computes the
-quantities the inequalities share (tv, I(p), I(q), d(p, q), I(p sym q), ...)
-once, with a single call of the family kernel; what depends only on the
+reads one per-input context that checks the pdf lengths once and computes
+the quantities the inequalities share (tv, I(p), I(q), d(p, q), I(p sym q),
+...) once, with a single call of the family kernel; what depends only on the
 family, N and the reference pdf is computed once per reference.
 
 Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
@@ -47,13 +47,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import Pdf, sample_neighbor, sample_sparse, sample_uniform
+from .distributions import Pdf, _check_lengths, sample_neighbor, sample_sparse, sample_uniform
 from .errors import (
     DomainError,
     FamilyError,
     IdenticalPdfs,
     InfeasibleEpsilon,
-    LengthMismatch,
     ParamError,
     RangeError,
     SupportError,
@@ -81,6 +80,8 @@ __all__ = [
     "BoundReport",
     "ScanConfig",
     "ScanReport",
+    "NEIGHBOR_SCALES",
+    "SCAN_EPSILONS",
     "metric_d",
     "metric_d_capped",
     "h_r",
@@ -190,22 +191,11 @@ def _report(bound_id, lhs, rhs, digest) -> BoundReport:
     )
 
 
-def _lengths(p: Pdf, q: Pdf):
-    if p.n != q.n:
-        raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
-
-
 # ---------------------------------------------------------------------------
 # per-input context
 
-_WEIGHTS = "pdf weights must be finite and nonnegative"
 _OVERFLOW = "reference weight too small: a ratio to r overflows"
 _BARE = "r has zero weight where p and q differ"
-
-
-def _check_weights(w: np.ndarray):
-    if not (w.min() >= 0.0 and w.max() < math.inf):
-        raise DomainError(_WEIGHTS)
 
 
 class _Reference:
@@ -225,7 +215,6 @@ class _Reference:
             self.lb_lhs = -f0 - float(ln_phi_unchecked(fam, np.asarray(0.5)))
             return
         rw = r.weights
-        _check_weights(rw)
         self.zero = rw == 0
         self.any_zero = bool(self.zero.any())
         self.pos = ~self.zero if self.any_zero else slice(None)
@@ -250,24 +239,24 @@ class _Reference:
 
 
 class _Trial:
-    """One input of the check table: validated once, every shared value computed once.
+    """One input of the check table: every shared value computed once.
 
-    The constructor checks that p and q are finite and nonnegative and forms
-    |p - q| and tv; :meth:`evaluate` then computes everything the table reads,
-    passing all ``big_f_drop`` arguments (p, q, |p - q|, the symmetric
-    difference, the mixtures of the segment, the omega(N / tv) and min(tv, 1)
-    arguments and relent_I's q/r and p/r) through one kernel call.  Each value
-    keeps the arithmetic of the public function it stands for.  An error a
-    value's public function would raise (a ratio to r that overflows, an
-    unsupported limit, omega at an infinite x) is recorded here and raised by
-    the evaluator that reads the value, so errors still come in table order.
+    A :class:`Pdf` has finite, nonnegative weights and :func:`_trial` checks
+    the lengths, so the constructor only forms |p - q| and tv; :meth:`evaluate`
+    computes everything the table reads, passing all ``big_f_drop`` arguments
+    (p, q, |p - q|, the symmetric difference, the mixtures of the segment, the
+    omega(N / tv) and min(tv, 1) arguments and relent_I's q/r and p/r) through
+    one kernel call.  Each value keeps the arithmetic of the public function
+    it stands for.  An error a value's public function would raise (a ratio
+    to r, or F at one, that overflows, an unsupported limit, omega at an
+    infinite x) is recorded here and raised by the evaluator that reads the
+    value, so errors still come in table order.
     ``segment`` holds (lam, mu, epsilon) for the segment check, or None.
     """
 
     def __init__(self, ref: _Reference, p: Pdf, q: Pdf):
         self.ref, self.fam, self.r = ref, ref.fam, ref.r
         self.p, self.q = p, q
-        _check_weights(np.concatenate((p.weights, q.weights)))
         self.diff = np.abs(p.weights - q.weights)
         self.tv = sum_compensated(self.diff)
         self.segment = None
@@ -312,9 +301,8 @@ class _Trial:
                 )
             self.g_cont2, self.g_improved = rest[n], rest[n + 1]
         if ratios:
-            k = ref.rr.size
-            o = m + n + len(scalars)
-            self.relent_i_sum = sum_compensated(self.dpq * f0 + ref.rr * (g[o : o + k] - g[o + k :]))
+            self.g_ratios = g[m + n + len(scalars) :]
+            self.ratio_overflow = not np.isfinite(self.g_ratios).all()
         return self
 
     def get_h_r(self) -> float:
@@ -375,7 +363,7 @@ def metric_d(fam: LogFamily, p: Pdf, q: Pdf) -> float:
     Symmetric, zero exactly at p = q, and satisfies the triangle inequality;
     finite for all finite-support inputs.
     """
-    _lengths(p, q)
+    _check_lengths(p, q)
     return sum_compensated(np.asarray(big_f_drop(fam, np.abs(p.weights - q.weights))))
 
 
@@ -508,7 +496,8 @@ def _eval_relent_i(t: _Trial):
     # The per-coordinate integral form keeps full precision when p ~ q.
     if t.ratio_overflow:
         raise DomainError(_OVERFLOW)
-    lhs = t.relent_i_sum
+    g, k = t.g_ratios, t.ref.rr.size
+    lhs = sum_compensated(t.dpq * t.fam.f_zero + t.ref.rr * (g[:k] - g[k:]))
     if t.any_bare:
         lhs += -t.fam.omega_at_zero * t.bare_mass
     return abs(lhs), t.d + t.get_h_r()
@@ -570,10 +559,10 @@ CHECKS = (
 
 
 def _trial(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> _Trial:
-    """Validate one input of the check table and evaluate its shared values."""
-    _lengths(p, q)
+    """Check one check-table input's lengths and evaluate its shared values."""
+    _check_lengths(p, q)
     if r is not None:
-        _lengths(p, r)
+        _check_lengths(p, r)
     return _Trial(_Reference(fam, p.n, r), p, q).evaluate(segment)
 
 
@@ -786,6 +775,11 @@ def default_family_grid() -> tuple[LogFamily, ...]:
     )
 
 
+# The scan cycles through these neighbor-pair tv radii and segment epsilons.
+NEIGHBOR_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+SCAN_EPSILONS = (0.1, 0.5, 1.0)
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     """Configuration for :func:`stability_scan`; fully determines the run."""
@@ -795,8 +789,6 @@ class ScanConfig:
     trials: int = 1000
     seed: int = 271828
     modes: tuple[str, ...] = ("uniform", "sparse", "neighbor", "hillclimb")
-    neighbor_scales: tuple[float, ...] = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
-    epsilons: tuple[float, ...] = (0.1, 0.5, 1.0)
     hill_steps: int = 200
 
     def to_json(self) -> dict:
@@ -806,8 +798,8 @@ class ScanConfig:
             "trials": self.trials,
             "seed": self.seed,
             "modes": list(self.modes),
-            "neighbor_scales": list(self.neighbor_scales),
-            "epsilons": list(self.epsilons),
+            "neighbor_scales": list(NEIGHBOR_SCALES),
+            "epsilons": list(SCAN_EPSILONS),
             "hill_steps": self.hill_steps,
         }
 
@@ -971,10 +963,12 @@ def stability_scan(config: ScanConfig) -> ScanReport:
     steps, accepting only ratio increases, at most ``hill_steps`` steps per
     restart).  Every evaluated input counts as one trial.  The trial-to-seed
     mapping is a deterministic split of the root seed, so the report is
-    identical regardless of scheduling.
+    identical regardless of scheduling.  A bad config raises before any trial.
     """
     if config.trials < 1:
         raise ParamError("trials must be at least 1")
+    if not (config.families and config.modes and config.dims and min(config.dims) >= 1):
+        raise ParamError("the scan needs a family, a mode and a dim, and every dim >= 1")
     for m in config.modes:
         if m not in ("uniform", "sparse", "neighbor", "hillclimb"):
             raise ParamError(f"unknown scan mode {m!r}")
@@ -1001,8 +995,8 @@ def stability_scan(config: ScanConfig) -> ScanReport:
         fam = fams[slot % len(fams)]
         dim = dims[(slot // len(fams)) % len(dims)]
         mode = modes[(slot // (len(fams) * len(dims))) % len(modes)]
-        scale = config.neighbor_scales[slot % len(config.neighbor_scales)]
-        epsilon = config.epsilons[slot % len(config.epsilons)]
+        scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
+        epsilon = SCAN_EPSILONS[slot % len(SCAN_EPSILONS)]
         slot += 1
 
         if mode == "hillclimb":

@@ -1,8 +1,8 @@
 """Finite discrete probability distributions.
 
 A :class:`Pdf` is an immutable vector of nonnegative weights summing to one.
-Construction through :func:`validate` enforces the contract and never
-renormalizes silently; :func:`normalize` is the explicit opt-in for that.
+Its constructor refuses non-finite and negative weights; :func:`validate` also
+checks the unit sum and never renormalizes: :func:`normalize` is the opt-in.
 
 Random generation is driven by numpy's PCG64 generator seeded through
 ``SeedSequence``, a named, documented, splittable 64-bit PRNG: the same seed
@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    DomainError,
     IdenticalPdfs,
     LengthMismatch,
     NegativeWeight,
@@ -48,8 +49,9 @@ DEFAULT_VALIDATION_TOL = 1e-9
 class Pdf:
     """Immutable finite discrete distribution.
 
-    The constructor only freezes the array; it does not check the simplex
-    constraints.  Use :func:`validate` for untrusted input.
+    The constructor freezes the array and raises :class:`DomainError` for a
+    NaN, infinite or negative weight; it does not check the unit sum.  Use
+    :func:`validate` for untrusted input.
     """
 
     weights: np.ndarray
@@ -58,6 +60,8 @@ class Pdf:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ParamError("weights must be a one-dimensional, nonempty sequence")
+        if not (w.min() >= 0.0 and w.max() < np.inf):
+            raise DomainError("pdf weights must be finite and nonnegative")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -375,9 +375,10 @@ def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
         a = fam.base
         pos = np.where(arr > 0, arr, 1.0)
         m, am, u = _pw_panels(pos, a)
-        uu, den = u * u, 2.0 * am * (a - 1.0)
-        # u * u underflows below u ~ 1.5e-154; divide before squaring there.
-        half_uu = np.where(uu >= _TINY, uu / den, u * (u / den))
+        with np.errstate(over="ignore"):
+            uu, den = u * u, 2.0 * am * (a - 1.0)
+        # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide first there.
+        half_uu = np.where((uu >= _TINY) & (uu < math.inf), uu / den, u * (u / den))
         val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + half_uu)
         out = np.where(arr > 0, val, 0.0)
     else:
@@ -493,7 +494,8 @@ def _exp_by_bisection(fam: LogFamily, y: float) -> float:
         return math.inf
     if math.isfinite(fam.ln_at_zero) and y <= fam.ln_at_zero:
         return 0.0
-    f = lambda t: float(np.asarray(ln_phi(fam, t)))
+    # Every point evaluated lies in [2**-63, 2**63], inside ln_phi's domain.
+    f = lambda t: float(ln_phi_unchecked(fam, np.asarray(t)))
     lo, hi = 1.0, 1.0
     for _ in range(64):
         if f(lo) <= y:

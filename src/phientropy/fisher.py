@@ -31,6 +31,7 @@ from .distributions import Pdf
 from .errors import ParamError, StepTooLarge, ZeroProbability
 from .families import LogFamily, ln_phi_prime
 from .functionals import divergence, rel_entropy
+from .numerics import richardson_diff
 
 __all__ = [
     "ParametricModel",
@@ -137,14 +138,11 @@ def model_jacobian(model: ParametricModel, theta: Sequence[float]) -> np.ndarray
     th = np.asarray(theta, dtype=float)
     if th.shape != (model.dim_theta,):
         raise ParamError(f"theta must have shape ({model.dim_theta},)")
-    h = model.fd_step
     jac = np.empty((model.dim_p, model.dim_theta))
     for i in range(model.dim_theta):
         e = np.zeros_like(th)
         e[i] = 1.0
-        d1 = (model.eval(th + h * e).weights - model.eval(th - h * e).weights) / (2 * h)
-        d2 = (model.eval(th + 0.5 * h * e).weights - model.eval(th - 0.5 * h * e).weights) / h
-        jac[:, i] = (4.0 * d2 - d1) / 3.0
+        jac[:, i] = richardson_diff(lambda t: model.eval(th + t * e).weights, 0.0, model.fd_step)
     leak = np.abs(jac.sum(axis=0)).max()
     if leak > 1e-8:
         raise ParamError(

@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .distributions import Pdf
-from .errors import FamilyError, LengthMismatch, ParamError, SupportError
+from .distributions import Pdf, _check_lengths
+from .errors import FamilyError, ParamError, SupportError
 from .families import LogFamily, big_f_drop, ln_phi, omega_phi
 from .numerics import sum_compensated
 
@@ -115,8 +115,7 @@ def rel_entropy(fam: LogFamily, p: Pdf, q: Pdf, method: str = "auto") -> float:
     definition, default generic route), ``integral`` (the equivalent
     antiderivative form ``sum_k q_k F(p_k/q_k)``), ``closed_form``, ``auto``.
     """
-    if p.n != q.n:
-        raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
+    _check_lengths(p, q)
     pw, qw = p.weights, q.weights
     _check_support(fam, pw, qw)
     method = resolve_method(fam, "rel_entropy", method)
@@ -178,8 +177,7 @@ def divergence(fam: LogFamily, p: Pdf, q: Pdf, method: str = "auto") -> float:
     at 0 (tsallis with positive kappa, sqrt_log); otherwise
     :class:`SupportError`.  Coincides with :func:`rel_entropy` for shannon.
     """
-    if p.n != q.n:
-        raise LengthMismatch(f"lengths differ: {p.n} vs {q.n}; pad first")
+    _check_lengths(p, q)
     pw, qw = p.weights, q.weights
     touched = (qw == 0) & (pw != qw)
     if np.any(touched) and not math.isfinite(fam.ln_at_zero):

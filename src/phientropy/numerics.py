@@ -85,13 +85,16 @@ def integrate(
     declared exponent (panel integrals of an ``(x-a)^-s`` integrand shrink by
     ``0.5**(1-s)`` per level, so the tail is a geometric series).
 
+    ``b < a`` flips the sign, except with a declared singularity (ParamError).
     Raises :class:`NoConvergence` when the absolute tolerance 1e-11 cannot be
     certified.
     """
     if a == b:
         return 0.0
     if b < a:
-        return -integrate(f, b, a, singular_at_a=singular_at_a)
+        if singular_at_a is not None:
+            raise ParamError("a declared singularity at a requires a < b")
+        return -integrate(f, b, a)
     if singular_at_a is None:
         return _simpson_panel(f, a, b, _ABS_TOL, _MAX_DEPTH)
 

@@ -51,7 +51,6 @@ def test_criterion_01_inequality_theorem_suite():
         trials=100_000,
         seed=20040,
         modes=("uniform", "sparse", "neighbor", "hillclimb"),
-        neighbor_scales=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
     )
     t0 = time.perf_counter()
     rep = stability_scan(config)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import phientropy as pe
+import phientropy.bounds as bounds
 from phientropy.bounds import (
     ScanConfig,
     condition1_delta,
@@ -521,6 +522,48 @@ class TestInputValidation:
                 pe.h_r(pe.tsallis(-0.5), P(), Q(), r)
 
 
+class TestRelentAtTinyReference:
+    """relent_I where a reference weight is so small that F(p/r) is huge.
+
+    p = (0.5, 0.5), q = (0.6, 0.4): the ratios p/r and q/r at r_2 are finite,
+    but F at them may exceed the double range.
+    """
+
+    P, Q = (0.5, 0.5), (0.6, 0.4)
+
+    def inputs(self, r2):
+        return pe.validate(self.P), pe.validate(self.Q), pe.Pdf([1.0, r2])
+
+    @pytest.mark.parametrize("r2", [1e-200, 1e-250, 1e-300])
+    def test_piecewise_linear_reports_stay_finite(self, r2):
+        p, q, r = self.inputs(r2)
+        reports, skipped = run_bound_checks(pe.piecewise_linear(2.0), p, q, r)
+        assert skipped == []
+        for rep in reports:
+            assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs), rep
+            assert rep.holds, rep
+        assert math.isfinite(pe.rel_entropy(pe.piecewise_linear(2.0), p, r))
+
+    @pytest.mark.parametrize(
+        "fam, r2",
+        [
+            (pe.tsallis(0.9), 1e-200),
+            (pe.tsallis(0.5), 1e-250),
+            (pe.kaniadakis(0.5), 1e-250),
+            (pe.kaniadakis(-0.5), 1e-250),
+            (pe.sqrt_log(), 1e-250),
+        ],
+        ids=lambda v: v.label if hasattr(v, "label") else repr(v),
+    )
+    def test_kernel_overflow_at_a_ratio_is_refused(self, fam, r2):
+        p, q, r = self.inputs(r2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError, match="a ratio to r overflows"):
+                pe.check_relent(fam, p, q, r)
+            with pytest.raises(DomainError, match="a ratio to r overflows"):
+                run_bound_checks(fam, p, q, r)
+
+
 class TestStabilityScan:
     def test_violations_counted_outside_payload(self):
         report = stability_scan(ScanConfig(trials=200, seed=3))
@@ -534,6 +577,21 @@ class TestStabilityScan:
     def test_unknown_mode(self):
         with pytest.raises(ParamError):
             stability_scan(ScanConfig(trials=5, modes=("drunkwalk",)))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"dims": (2, 0)}, {"dims": (-1,)}, {"dims": ()}, {"modes": ()}, {"families": ()}],
+        ids=["dim-zero", "dim-negative", "no-dims", "no-modes", "no-families"],
+    )
+    def test_config_rejected_before_any_trial(self, fields, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial was sampled")
+
+        monkeypatch.setattr(bounds, "_sample_pair", no_trial)
+        monkeypatch.setattr(bounds, "sample_uniform", no_trial)
+        config = ScanConfig(trials=5, **fields)
+        with pytest.raises(ParamError):
+            stability_scan(config)
 
     def test_custom_family_rejected_before_any_trial(self):
         custom = pe.custom_family(np.log, singularity_exponent=0.0)

@@ -160,6 +160,19 @@ class TestBounds:
         assert code == 2
         assert json.loads(out)["all_hold"] is False
 
+    def test_tiny_reference_weight(self, capsys, tmp_path):
+        p = write_pdf(tmp_path, "p.json", [0.5, 0.5])
+        q = write_pdf(tmp_path, "q.json", [0.6, 0.4])
+        r = write_pdf(tmp_path, "r.json", [1.0, 1e-200])
+        argv = ("bounds", "--p", p, "--q", q, "--r", r)
+        code, out, _ = run(capsys, *argv, "--family", '{"kind":"piecewise_linear","base":2.0}')
+        assert code == 0
+        relent_i = [rep for rep in json.loads(out)["reports"] if rep["bound_id"] == "relent_I"]
+        assert relent_i[0]["holds"] and math.isfinite(relent_i[0]["lhs"])
+        code, out, err = run(capsys, *argv, "--family", '{"kind":"tsallis","kappa":0.9}')
+        assert code == 1 and out == ""
+        assert "error: reference weight too small: a ratio to r overflows" in err
+
     def test_table_format_banner(self, capsys, tmp_path):
         p = write_pdf(tmp_path, "p.json", [0.5, 0.5])
         q = write_pdf(tmp_path, "q.json", [0.25, 0.75])
@@ -194,6 +207,16 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--trials", "30", "--dims", "2", "--seed", "5")
         assert code == 2
         assert json.loads(out)["per_bound"]["cont1"]["witness"]["report"]["holds"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("--dims", ","), ("--dims", "2,0"), ("--families", "[]")],
+        ids=["no-dims", "dim-zero", "no-families"],
+    )
+    def test_empty_or_bad_config_is_input_error(self, capsys, argv):
+        code, out, err = run(capsys, "scan", "--trials", "5", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_ratio_tol_flag_is_gone(self, capsys):
         assert cli.main(["scan", "--trials", "5", "--ratio-tol", "1e-9"]) == 1

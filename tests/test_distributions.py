@@ -11,6 +11,7 @@ from phientropy.distributions import (
     sample_uniform,
 )
 from phientropy.errors import (
+    DomainError,
     IdenticalPdfs,
     LengthMismatch,
     NegativeWeight,
@@ -20,6 +21,24 @@ from phientropy.errors import (
 )
 
 from conftest import random_pdf
+
+
+class TestPdf:
+    @pytest.mark.parametrize(
+        "bad", [[0.5, np.nan, 0.5], [0.5, -0.1, 0.6], [np.inf, 0.0, 0.0], [-np.inf, 1.0]]
+    )
+    def test_rejects_nonfinite_or_negative_weights(self, bad):
+        with pytest.raises(DomainError, match="pdf weights must be finite and nonnegative"):
+            pe.Pdf(bad)
+
+    def test_does_not_check_the_sum(self):
+        assert pe.Pdf([0.5, 0.2]).weights.tolist() == [0.5, 0.2]
+        assert pe.Pdf([-0.0, 1.0]).n == 2
+
+    def test_normalize_keeps_its_own_negative_weight_error(self):
+        with pytest.raises(NegativeWeight) as exc:
+            normalize([1.0, -2.0])
+        assert exc.value.index == 1
 
 
 class TestValidate:

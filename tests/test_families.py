@@ -477,6 +477,15 @@ class TestMpmathCertificate:
             assert_close(pe.ln_phi(fam, x), ln)
             assert_close(pe.big_f_drop(fam, x), drop)
 
+    @pytest.mark.parametrize("base", [1.1, 2.0, 3.7])
+    def test_piecewise_linear_where_the_offset_square_overflows(self, base):
+        # Panel offsets u above ~1.3e154 have u * u above the double range.
+        fam = pe.piecewise_linear(base)
+        for x in (1e155, 1e200, 1e300):
+            ln, drop = exact_kernels(fam, x)
+            assert_close(pe.ln_phi(fam, x), ln)
+            assert_close(pe.big_f_drop(fam, x), drop)
+
     @pytest.mark.parametrize("base", [1.1, 2.0, 10.0])
     def test_piecewise_linear_drop_where_the_offset_square_underflows(self, base):
         # Panel offsets u below ~1.5e-154 have u * u below the normal range.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import phientropy as pe
-from phientropy.errors import FamilyError, ParamError, SupportError
+from phientropy.errors import DomainError, FamilyError, ParamError, SupportError
 from phientropy.numerics import integrate
 
 from conftest import random_pdf
@@ -16,6 +16,30 @@ CLOSED_REL_ENTROPY = ("shannon", "tsallis", "kaniadakis")
 
 def uniform(n):
     return pe.Pdf(np.full(n, 1.0 / n))
+
+
+class TestWeightsRefusedAtConstruction:
+    """The closed forms never look at a weight's validity; the Pdf type does.
+
+    Before the type checked them, the closed-form shannon entropy of
+    (0.5, nan, 0.5) came out as ln 2 and that of (0.5, -0.1, 0.6) as 0.653.
+    """
+
+    GOOD = (0.2, 0.3, 0.5)
+    CALLS = {
+        "entropy": lambda p, q: pe.entropy(pe.shannon(), p, "closed_form"),
+        "rel_entropy": lambda p, q: pe.rel_entropy(pe.shannon(), p, q, "closed_form"),
+        "rel_entropy_swapped": lambda p, q: pe.rel_entropy(pe.shannon(), q, p, "closed_form"),
+        "divergence": lambda p, q: pe.divergence(pe.shannon(), p, q, "closed_form"),
+        "tv_norm": pe.tv_norm,
+        "sym_diff": pe.sym_diff,
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [[0.5, math.nan, 0.5], [0.5, -0.1, 0.6], [math.inf, 0.0, 0.0]])
+    def test_bad_weights_raise_domain_error(self, call, bad):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            self.CALLS[call](pe.Pdf(bad), pe.validate(self.GOOD))
 
 
 class TestEntropy:

@@ -18,6 +18,14 @@ class TestIntegrate:
     def test_linear(self):
         assert integrate(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
+    def test_reversed_limits_flip_the_sign(self):
+        assert integrate(lambda x: x, 1.0, 0.0) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_reversed_limits_with_a_singularity_are_refused(self):
+        # Swapping the limits would move the singular endpoint from a = 1 to 0.
+        with pytest.raises(ParamError, match="requires a < b"):
+            integrate(lambda x: (1.0 - x) ** -0.5, 1.0, 0.0, singular_at_a=0.5)
+
     def test_neg_log_with_graded_mesh(self):
         # analytic antiderivative: integral of -ln over [0,1] is 1
         got = integrate(lambda x: -math.log(x), 0.0, 1.0, singular_at_a=0.0)

@@ -17,7 +17,7 @@ import pytest
 
 import phientropy as pe
 import phientropy.bounds as bounds
-from phientropy.bounds import BOUND_IDS, ScanConfig, condition1_delta, e_r, h_r, run_bound_checks
+from phientropy.bounds import BOUND_IDS, SCAN_EPSILONS, condition1_delta, e_r, h_r, run_bound_checks
 from phientropy.errors import (
     DomainError,
     FamilyError,
@@ -61,7 +61,7 @@ def _inputs(fam_index: int, n: int, case: str):
     elif case == "tiny_tv":  # tv is the smallest subnormal, so N / tv overflows
         q = p.copy()
         p[0], q[0] = 0.0, 5e-324
-    epsilon = ScanConfig().epsilons[(fam_index + n) % 3]
+    epsilon = SCAN_EPSILONS[(fam_index + n) % 3]
     lam, mu = rng.uniform(0.0, 1.0, size=2)
     if (fam_index + n) % 2:  # pull the segment inside its radius
         mu = lam + 1e-3 * (mu - lam)
@@ -152,6 +152,7 @@ def test_run_bound_checks_matches_public_functions(fam_index, n, case):
     assert [rep.bound_id for rep in reports] == [w[0] for w in want]
     for rep, (_, lhs, rhs) in zip(reports, want):
         assert (_bits(rep.lhs), _bits(rep.rhs)) == (_bits(lhs), _bits(rhs)), rep.bound_id
+        assert math.isfinite(rep.lhs) and math.isfinite(rep.rhs), rep.bound_id
     assert not {rep.bound_id for rep in reports} & set(skipped)
     assert set(skipped) <= set(BOUND_IDS)
 
@@ -238,7 +239,7 @@ def _delta_by_public_bisection(fam, epsilon):
     return bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
 
 
-@pytest.mark.parametrize("epsilon", ScanConfig().epsilons)
+@pytest.mark.parametrize("epsilon", SCAN_EPSILONS)
 @pytest.mark.parametrize("fam", GRID, ids=lambda f: f.label)
 def test_condition1_delta_matches_public_bisection(fam, epsilon):
     condition1_delta.cache_clear()
