@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import ScanConfig, default_family_grid, run_bound_checks, stability_scan
 from .distributions import Pdf, validate
-from .errors import PhiEntropyError
+from .errors import NonDifferentiableError, PhiEntropyError
 from .families import (
     LogFamily,
     big_f,
@@ -186,7 +186,6 @@ def _cmd_scan(args) -> int:
         trials=args.trials,
         seed=args.seed,
         modes=tuple(args.modes.split(",")),
-        hill_steps=args.hill_steps,
     )
     report = stability_scan(config)
     _emit(report.to_json(), args.format)
@@ -213,8 +212,10 @@ def _cmd_fisher(args) -> int:
         "theta": theta.tolist(),
         "g2": fisher_g2(fam, model, theta).tolist(),
     }
-    if fam.kind != "piecewise_linear":
+    try:
         payload["g1"] = fisher_g1(fam, model, theta).tolist()
+    except NonDifferentiableError:
+        pass  # ln_phi has no derivative at 1
     if args.expansion:
         dtheta = np.full(model.dim_theta, args.dtheta)
         rep = expansion_check(fam, model, theta, dtheta)
@@ -293,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--families", default="default", help="'default' or a JSON array of family specs")
     sp.add_argument("--modes", default="uniform,sparse,neighbor,hillclimb")
-    sp.add_argument("--hill-steps", type=int, default=200)
     common(sp)
     sp.set_defaults(func=_cmd_scan)
 

@@ -162,18 +162,23 @@ def rng_for_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-def sample_uniform(n: int, rng: np.random.Generator) -> Pdf:
-    """Draw from the flat Dirichlet measure on the n-simplex."""
+def _flat_dirichlet(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Weights of a flat Dirichlet draw on the n-simplex; n = 1 draws nothing."""
     if n < 1:
         raise ParamError("n must be at least 1")
     if n == 1:
-        return Pdf(np.array([1.0]))
-    return Pdf(rng.dirichlet(np.ones(n)))
+        return np.array([1.0])
+    return rng.dirichlet(np.ones(n))
+
+
+def sample_uniform(n: int, rng: np.random.Generator) -> Pdf:
+    """Draw from the flat Dirichlet measure on the n-simplex."""
+    return Pdf(_flat_dirichlet(n, rng))
 
 
 def sample_sparse(n: int, rng: np.random.Generator) -> Pdf:
     """Uniform draw with a random subset of coordinates zeroed out."""
-    base = sample_uniform(n, rng).weights.copy()
+    base = _flat_dirichlet(n, rng)
     if n > 1:
         keep = max(1, int(rng.integers(1, n + 1)))
         zero_idx = rng.permutation(n)[keep:]

@@ -20,6 +20,15 @@ handled through quadrature with a declared endpoint-singularity exponent.
 All evaluation functions accept scalars or ndarrays and are pure, so family
 values can be shared freely across threads.
 
+Each kind is one row of the kind table ``_KINDS`` at the end of this module:
+its constructor, its JSON fields with their admissible ranges, and its
+kernels ``ln``, ``drop`` (F(0) - F(x)), ``prime`` and, where ln_phi has a
+closed inverse, ``exp``.  The public functions check their argument's domain
+and call the row's kernel; the wire format, the catalogue and the labels
+read the same row.  To add a kind, write its constructor (validate the
+parameters; compute F(0), the limits of ln_phi and the singularity exponent)
+and its row; ``fields=None`` keeps a kind out of the wire format.
+
 The numerically load-bearing primitive is ``big_f_drop(x) = F(0) - F(x)``,
 evaluated in cancellation-free form per family.  It equals
 ``-integral_0^x ln_phi`` and is increasing and concave on ``[0, 1]`` with
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -86,6 +95,9 @@ class LogFamily:
     ln_at_zero: float = -math.inf
     ln_sup: float = math.inf
 
+    def __post_init__(self):
+        _row(self.kind)  # ParamError for a kind the table does not define
+
     @property
     def omega_at_zero(self) -> float:
         # omega(0+) = -F(0) - sup ln_phi  (limit of x*g(1/x) is F(y)/y -> sup ln)
@@ -99,11 +111,9 @@ class LogFamily:
 
     @property
     def label(self) -> str:
-        if self.kappa is not None:
-            return f"{self.kind}(kappa={self.kappa:g})"
-        if self.base is not None:
-            return f"{self.kind}(base={self.base:g})"
-        return self.kind
+        fields = _KINDS[self.kind].fields or {}
+        params = ", ".join(f"{name}={getattr(self, name):g}" for name in fields)
+        return f"{self.kind}({params})" if params else self.kind
 
 
 def shannon() -> LogFamily:
@@ -273,7 +283,7 @@ def custom_family(
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers
+# evaluation
 
 
 _TINY = np.finfo(float).tiny
@@ -288,29 +298,21 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
-def _pw_panels(x: np.ndarray, base: float):
-    """Panel index m, knot base**m and offset u = x - base**m for each x > 0.
+def _in_domain(x, name: str, allow_zero: bool = False):
+    """``x`` as a float ndarray and whether it was a scalar.
 
-    Guards against floor(log(x)/log(base)) misrounding at the knots.
+    Raises :class:`DomainError` unless every value is finite and > 0
+    (>= 0 with ``allow_zero``).
     """
-    m = np.floor(np.log(x) / math.log(base))
-    am = np.power(base, m)
-    low = x < am
-    if np.any(low):
-        m = np.where(low, m - 1, m)
-        am = np.power(base, m)
-    high = x >= am * base
-    if np.any(high):
-        m = np.where(high, m + 1, m)
-        am = np.power(base, m)
-    return m, am, x - am
+    arr, scalar = _as_array(x)
+    if np.any(arr < 0 if allow_zero else arr <= 0) or not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} requires finite x {'>=' if allow_zero else '>'} 0")
+    return arr, scalar
 
 
 def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
     """Evaluate the deformed logarithm at ``x > 0``."""
-    arr, scalar = _as_array(x)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("ln_phi requires finite x > 0")
+    arr, scalar = _in_domain(x, "ln_phi")
     return _ret(ln_phi_unchecked(fam, arr), scalar)
 
 
@@ -320,24 +322,7 @@ def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     Skips the domain check, so callers that validated their inputs once (the
     bound checks) do not pay for it on every call.
     """
-    k = fam.kappa
-    if fam.kind == "shannon":
-        out = np.log(arr)
-    elif fam.kind == "tsallis":
-        out = (1.0 + 1.0 / k) * (arr**k - 1.0)
-    elif fam.kind == "kaniadakis":
-        out = (arr**k - arr**-k) / (2.0 * k)
-    elif fam.kind == "kappa_maxwell":
-        out = k * (1.0 - arr ** (-1.0 / (1.0 + k)))
-    elif fam.kind == "sqrt_log":
-        out = -1.0 + np.sqrt(arr)
-    elif fam.kind == "piecewise_linear":
-        a = fam.base
-        m, am, u = _pw_panels(arr, a)
-        out = m + u / (am * (a - 1.0))
-    else:
-        out = fam.custom_ln(arr)
-    return out
+    return _KINDS[fam.kind].ln(fam, arr)
 
 
 def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
@@ -348,9 +333,7 @@ def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
     ``x * (-ln_phi(x))``); this is what the entropy and metric sums are
     built from.
     """
-    arr, scalar = _as_array(x)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("big_f_drop requires finite x >= 0")
+    arr, scalar = _in_domain(x, "big_f_drop", allow_zero=True)
     return _ret(big_f_drop_unchecked(fam, arr), scalar)
 
 
@@ -359,44 +342,7 @@ def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
     Skips the domain check, like :func:`ln_phi_unchecked`.
     """
-    k = fam.kappa
-    if fam.kind == "shannon":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(arr > 0, arr - arr * np.log(arr), 0.0)
-    elif fam.kind == "tsallis":
-        out = (1.0 + 1.0 / k) * arr - (1.0 / k) * arr ** (1.0 + k)
-    elif fam.kind == "kaniadakis":
-        out = (arr ** (1.0 - k) / (1.0 - k) - arr ** (1.0 + k) / (1.0 + k)) / (2.0 * k)
-    elif fam.kind == "kappa_maxwell":
-        out = (1.0 + k) * arr ** (k / (1.0 + k)) - k * arr
-    elif fam.kind == "sqrt_log":
-        out = arr - (2.0 / 3.0) * arr**1.5
-    elif fam.kind == "piecewise_linear":
-        a = fam.base
-        pos = np.where(arr > 0, arr, 1.0)
-        m, am, u = _pw_panels(pos, a)
-        with np.errstate(over="ignore"):
-            uu, den = u * u, 2.0 * am * (a - 1.0)
-        # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide first there.
-        half_uu = np.where((uu >= _TINY) & (uu < math.inf), uu / den, u * (u / den))
-        val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + half_uu)
-        out = np.where(arr > 0, val, 0.0)
-    else:
-        flat = np.atleast_1d(arr)
-        vals = np.empty_like(flat)
-        for i, xi in enumerate(flat):
-            vals[i] = _custom_drop(fam, float(xi))
-        out = vals.reshape(arr.shape)
-    return out
-
-
-def _custom_drop(fam: LogFamily, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
-    if x <= 1.0:
-        return -integrate(f, 0.0, x, singular_at_a=fam.singularity_exponent)
-    return fam.f_zero - integrate(f, 1.0, x)
+    return _KINDS[fam.kind].drop(fam, arr)
 
 
 def big_f(fam: LogFamily, x) -> float | np.ndarray:
@@ -412,9 +358,7 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
     the two F(0) terms combined - which stays accurate for large ``x`` and
     makes ``omega(1) = 0`` exact.
     """
-    arr, scalar = _as_array(x)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("omega_phi requires finite x > 0")
+    arr, scalar = _in_domain(x, "omega_phi")
     out = arr * np.asarray(big_f_drop(fam, 1.0 / arr)) - fam.f_zero
     return _ret(out, scalar)
 
@@ -423,36 +367,11 @@ def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
     """Derivative of the deformed logarithm, ``1 / phi(x)``.
 
     For the piecewise-linear family the one-sided slopes differ at the knots
-    ``base**n``, so evaluation there raises :class:`NonDifferentiableError`.
+    ``base**n`` (1 among them), so evaluation there raises
+    :class:`NonDifferentiableError`.
     """
-    arr, scalar = _as_array(x)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("ln_phi_prime requires finite x > 0")
-    k = fam.kappa
-    if fam.kind == "shannon":
-        out = 1.0 / arr
-    elif fam.kind == "tsallis":
-        out = (1.0 + k) * arr ** (k - 1.0)
-    elif fam.kind == "kaniadakis":
-        out = 0.5 * (arr ** (k - 1.0) + arr ** (-k - 1.0))
-    elif fam.kind == "kappa_maxwell":
-        out = (k / (1.0 + k)) * arr ** (-(2.0 + k) / (1.0 + k))
-    elif fam.kind == "sqrt_log":
-        out = 0.5 / np.sqrt(arr)
-    elif fam.kind == "piecewise_linear":
-        a = fam.base
-        m, am, u = _pw_panels(arr, a)
-        if np.any(u == 0.0):
-            raise NonDifferentiableError(
-                "piecewise-linear logarithm has no derivative at its knots"
-            )
-        out = 1.0 / (am * (a - 1.0))
-    else:
-        flat = np.atleast_1d(arr)
-        f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
-        vals = np.array([richardson_diff(f, xi, 1e-6 * max(xi, 1e-3)) for xi in flat])
-        out = vals.reshape(arr.shape)
-    return _ret(out, scalar)
+    arr, scalar = _in_domain(x, "ln_phi_prime")
+    return _ret(_KINDS[fam.kind].prime(fam, arr), scalar)
 
 
 def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
@@ -463,53 +382,9 @@ def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
     custom) fall back to monotone bisection at 1e-12 relative tolerance.
     """
     arr, scalar = _as_array(x)
-    k = fam.kappa
     with np.errstate(over="ignore", divide="ignore"):
-        if fam.kind == "shannon":
-            out = np.exp(arr)
-        elif fam.kind == "tsallis":
-            b = 1.0 + (k / (1.0 + k)) * arr
-            if k > 0:
-                out = np.where(b > 0, np.maximum(b, 0.0) ** (1.0 / k), 0.0)
-            else:
-                out = np.where(b > 0, np.maximum(b, 1e-300) ** (1.0 / k), math.inf)
-        elif fam.kind == "kaniadakis":
-            t = k * arr
-            r = np.sqrt(1.0 + t * t)
-            b = np.where(t >= 0, r + t, 1.0 / (r - t))
-            out = b ** (1.0 / k)
-        elif fam.kind == "kappa_maxwell":
-            out = np.where(arr < k, np.maximum(1.0 - arr / k, 1e-300) ** (-(1.0 + k)), math.inf)
-        elif fam.kind == "sqrt_log":
-            out = np.where(arr <= -1.0, 0.0, (1.0 + arr) ** 2)
-        else:
-            flat = np.atleast_1d(arr)
-            vals = np.array([_exp_by_bisection(fam, float(y)) for y in flat])
-            out = vals.reshape(arr.shape)
+        out = _KINDS[fam.kind].exp(fam, arr)
     return _ret(out, scalar)
-
-
-def _exp_by_bisection(fam: LogFamily, y: float) -> float:
-    if math.isfinite(fam.ln_sup) and y >= fam.ln_sup:
-        return math.inf
-    if math.isfinite(fam.ln_at_zero) and y <= fam.ln_at_zero:
-        return 0.0
-    # Every point evaluated lies in [2**-63, 2**63], inside ln_phi's domain.
-    f = lambda t: float(ln_phi_unchecked(fam, np.asarray(t)))
-    lo, hi = 1.0, 1.0
-    for _ in range(64):
-        if f(lo) <= y:
-            break
-        lo *= 0.5
-    else:
-        return 0.0
-    for _ in range(64):
-        if f(hi) >= y:
-            break
-        hi *= 2.0
-    else:
-        return math.inf
-    return bisect_monotone(f, y, lo, hi, tol=1e-13, x_rel_tol=1e-12)
 
 
 def kappa_maxwell_density(
@@ -531,27 +406,221 @@ def kappa_maxwell_density(
 
 
 # ---------------------------------------------------------------------------
-# wire format
+# kernels that do not fit on one line of the kind table; each takes the
+# family and a float ndarray already in its function's domain
 
 
-# kind -> (constructor, {JSON field: admissible range}).  The wire format
-# and the catalogue are derived from this table; each field is passed to the
-# constructor as the keyword argument of the same name.
-_BUILTINS = {
-    "shannon": (shannon, {}),
-    "tsallis": (tsallis, {"kappa": "(-1, 1) excluding 0"}),
-    "kaniadakis": (kaniadakis, {"kappa": "(-1, 1) excluding 0"}),
-    "kappa_maxwell": (kappa_maxwell, {"kappa": "> 0"}),
-    "sqrt_log": (sqrt_log, {}),
-    "piecewise_linear": (piecewise_linear, {"base": "> 1"}),
+def _per_point(fn: Callable[[float], float], arr: np.ndarray) -> np.ndarray:
+    """``fn`` applied to each element of ``arr``, in an array of its shape."""
+    return np.array([fn(float(v)) for v in np.atleast_1d(arr)]).reshape(arr.shape)
+
+
+def _shannon_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(arr > 0, arr - arr * np.log(arr), 0.0)
+
+
+def _tsallis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    k = fam.kappa
+    b = 1.0 + (k / (1.0 + k)) * arr
+    if k > 0:
+        return np.where(b > 0, np.maximum(b, 0.0) ** (1.0 / k), 0.0)
+    return np.where(b > 0, np.maximum(b, 1e-300) ** (1.0 / k), math.inf)
+
+
+def _kaniadakis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    t = fam.kappa * arr
+    r = np.sqrt(1.0 + t * t)
+    b = np.where(t >= 0, r + t, 1.0 / (r - t))
+    return b ** (1.0 / fam.kappa)
+
+
+def _pw_panels(x: np.ndarray, base: float):
+    """Panel index m, knot base**m and offset u = x - base**m for each x > 0.
+
+    Guards against floor(log(x)/log(base)) misrounding at the knots.
+    """
+    m = np.floor(np.log(x) / math.log(base))
+    am = np.power(base, m)
+    low = x < am
+    if np.any(low):
+        m = np.where(low, m - 1, m)
+        am = np.power(base, m)
+    high = x >= am * base
+    if np.any(high):
+        m = np.where(high, m + 1, m)
+        am = np.power(base, m)
+    return m, am, x - am
+
+
+def _pw_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    m, am, u = _pw_panels(arr, fam.base)
+    return m + u / (am * (fam.base - 1.0))
+
+
+def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    a = fam.base
+    m, am, u = _pw_panels(np.where(arr > 0, arr, 1.0), a)
+    with np.errstate(over="ignore"):
+        uu, den = u * u, 2.0 * am * (a - 1.0)
+    # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide first there.
+    half_uu = np.where((uu >= _TINY) & (uu < math.inf), uu / den, u * (u / den))
+    val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + half_uu)
+    return np.where(arr > 0, val, 0.0)
+
+
+def _pw_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    m, am, u = _pw_panels(arr, fam.base)
+    if np.any(u == 0.0):
+        raise NonDifferentiableError("piecewise-linear logarithm has no derivative at its knots")
+    return 1.0 / (am * (fam.base - 1.0))
+
+
+def _custom_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
+
+    def drop(x: float) -> float:
+        if x == 0.0:
+            return 0.0
+        if x <= 1.0:
+            return -integrate(f, 0.0, x, singular_at_a=fam.singularity_exponent)
+        return fam.f_zero - integrate(f, 1.0, x)
+
+    return _per_point(drop, arr)
+
+
+def _custom_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
+    return _per_point(lambda x: richardson_diff(f, x, 1e-6 * max(x, 1e-3)), arr)
+
+
+def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    # Every point evaluated lies in [2**-63, 2**63], inside ln_phi's domain.
+    f = lambda t: float(ln_phi_unchecked(fam, np.asarray(t)))
+
+    def inverse(y: float) -> float:
+        if math.isfinite(fam.ln_sup) and y >= fam.ln_sup:
+            return math.inf
+        if math.isfinite(fam.ln_at_zero) and y <= fam.ln_at_zero:
+            return 0.0
+        lo, hi = 1.0, 1.0
+        for _ in range(64):
+            if f(lo) <= y:
+                break
+            lo *= 0.5
+        else:
+            return 0.0
+        for _ in range(64):
+            if f(hi) >= y:
+                break
+            hi *= 2.0
+        else:
+            return math.inf
+        return bisect_monotone(f, y, lo, hi, tol=1e-13, x_rel_tol=1e-12)
+
+    return _per_point(inverse, arr)
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+# "LogFamily" as a string: typing caches this alias, and a cached class would
+# keep each re-imported copy of this module alive.
+Kernel = Callable[["LogFamily", np.ndarray], np.ndarray]
+
+
+class _Kind(NamedTuple):
+    """One family kind: its constructor, JSON fields and kernels.
+
+    ``fields`` maps each JSON field, passed to ``make`` as the keyword of the
+    same name, to its admissible range; None means no JSON encoding.  The
+    kernels take the family and a float ndarray in their function's domain:
+    ln_phi, F(0) - F(x), ln_phi', and the inverse of ln_phi (by bisection
+    unless the row gives a closed form).
+    """
+
+    make: Callable[..., LogFamily]
+    fields: Optional[dict[str, str]]
+    ln: Kernel
+    drop: Kernel
+    prime: Kernel
+    exp: Kernel = _exp_by_bisection
+
+
+_KINDS = {
+    "shannon": _Kind(
+        make=shannon, fields={},
+        ln=lambda fam, x: np.log(x),
+        drop=_shannon_drop,
+        prime=lambda fam, x: 1.0 / x,
+        exp=lambda fam, x: np.exp(x),
+    ),
+    "tsallis": _Kind(
+        make=tsallis, fields={"kappa": "(-1, 1) excluding 0"},
+        ln=lambda fam, x: (1.0 + 1.0 / fam.kappa) * (x**fam.kappa - 1.0),
+        drop=lambda fam, x: (1.0 + 1.0 / fam.kappa) * x - (1.0 / fam.kappa) * x ** (1.0 + fam.kappa),
+        prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
+        exp=_tsallis_exp,
+    ),
+    "kaniadakis": _Kind(
+        make=kaniadakis, fields={"kappa": "(-1, 1) excluding 0"},
+        ln=lambda fam, x: (x**fam.kappa - x**-fam.kappa) / (2.0 * fam.kappa),
+        drop=lambda fam, x: (
+            x ** (1.0 - fam.kappa) / (1.0 - fam.kappa) - x ** (1.0 + fam.kappa) / (1.0 + fam.kappa)
+        ) / (2.0 * fam.kappa),
+        prime=lambda fam, x: 0.5 * (x ** (fam.kappa - 1.0) + x ** (-fam.kappa - 1.0)),
+        exp=_kaniadakis_exp,
+    ),
+    "kappa_maxwell": _Kind(
+        make=kappa_maxwell, fields={"kappa": "> 0"},
+        ln=lambda fam, x: fam.kappa * (1.0 - x ** (-1.0 / (1.0 + fam.kappa))),
+        drop=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa / (1.0 + fam.kappa)) - fam.kappa * x,
+        prime=lambda fam, x: (fam.kappa / (1.0 + fam.kappa)) * x ** (-(2.0 + fam.kappa) / (1.0 + fam.kappa)),
+        exp=lambda fam, x: np.where(
+            x < fam.kappa, np.maximum(1.0 - x / fam.kappa, 1e-300) ** (-(1.0 + fam.kappa)), math.inf
+        ),
+    ),
+    "sqrt_log": _Kind(
+        make=sqrt_log, fields={},
+        ln=lambda fam, x: -1.0 + np.sqrt(x),
+        drop=lambda fam, x: x - (2.0 / 3.0) * x**1.5,
+        prime=lambda fam, x: 0.5 / np.sqrt(x),
+        exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
+    ),
+    "piecewise_linear": _Kind(
+        make=piecewise_linear, fields={"base": "> 1"},
+        ln=_pw_ln,
+        drop=_pw_drop,
+        prime=_pw_prime,
+    ),
+    "custom": _Kind(
+        make=custom_family, fields=None,
+        ln=lambda fam, x: fam.custom_ln(x),
+        drop=_custom_drop,
+        prime=_custom_prime,
+    ),
 }
+
+
+def _row(kind) -> _Kind:
+    row = _KINDS.get(kind) if isinstance(kind, str) else None
+    if row is None:
+        known = tuple(name for name, r in _KINDS.items() if r.fields is not None)
+        raise ParamError(f"unknown family kind {kind!r}; known kinds: {known}")
+    return row
+
+
+# ---------------------------------------------------------------------------
+# wire format
 
 
 def family_to_json(fam: LogFamily) -> dict:
     """JSON-able family spec, e.g. ``{"kind": "tsallis", "kappa": 0.5}``."""
-    if fam.kind not in _BUILTINS:
-        raise FamilyError("custom families have no JSON encoding (library-only)")
-    return {"kind": fam.kind, **{name: getattr(fam, name) for name in _BUILTINS[fam.kind][1]}}
+    fields = _KINDS[fam.kind].fields
+    if fields is None:
+        raise FamilyError(f"{fam.kind} families have no JSON encoding (library-only)")
+    return {"kind": fam.kind, **{name: getattr(fam, name) for name in fields}}
 
 
 def family_from_json(spec: dict) -> LogFamily:
@@ -562,16 +631,14 @@ def family_from_json(spec: dict) -> LogFamily:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ParamError("family spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    if kind == "custom":
-        raise ParamError("custom families cannot be built from JSON (library-only)")
-    if not isinstance(kind, str) or kind not in _BUILTINS:
-        raise ParamError(f"unknown family kind {kind!r}; known kinds: {tuple(_BUILTINS)}")
-    make, fields = _BUILTINS[kind]
+    row = _row(kind)
+    if row.fields is None:
+        raise ParamError(f"{kind} families cannot be built from JSON (library-only)")
     given = sorted(set(spec) - {"kind"})
-    if given != sorted(fields):
-        raise ParamError(f"family kind {kind!r} takes fields {sorted(fields)}, got {given}")
+    if given != sorted(row.fields):
+        raise ParamError(f"family kind {kind!r} takes fields {sorted(row.fields)}, got {given}")
     params = {}
-    for name in fields:
+    for name in row.fields:
         value = spec[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParamError(f"family field {name!r} must be a JSON number, got {value!r}")
@@ -579,9 +646,13 @@ def family_from_json(spec: dict) -> LogFamily:
             params[name] = float(value)
         except OverflowError:
             raise ParamError(f"family field {name!r} must be finite, got {value}") from None
-    return make(**params)
+    return row.make(**params)
 
 
 def builtin_catalogue() -> list[dict]:
     """Describe the built-in families and their admissible parameters."""
-    return [{"kind": kind, "params": dict(fields)} for kind, (_, fields) in _BUILTINS.items()]
+    return [
+        {"kind": kind, "params": dict(row.fields)}
+        for kind, row in _KINDS.items()
+        if row.fields is not None
+    ]

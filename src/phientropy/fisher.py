@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .distributions import Pdf
-from .errors import ParamError, StepTooLarge, ZeroProbability
+from .errors import NonDifferentiableError, ParamError, StepTooLarge, ZeroProbability
 from .families import LogFamily, ln_phi_prime
 from .functionals import divergence, rel_entropy
 from .numerics import richardson_diff
@@ -164,8 +164,8 @@ def _positive_weights(model: ParametricModel, theta) -> np.ndarray:
 def fisher_g1(fam: LogFamily, model: ParametricModel, theta: Sequence[float]) -> np.ndarray:
     """Prefactor form: ``ln_phi'(1)`` times the classical Fisher matrix.
 
-    Refused for the piecewise-linear family, whose logarithm has no
-    two-sided derivative at 1.
+    Raises :class:`NonDifferentiableError` where ``ln_phi`` has no two-sided
+    derivative at 1 (the piecewise-linear family).
     """
     w = _positive_weights(model, theta)
     pref = float(np.asarray(ln_phi_prime(fam, 1.0)))
@@ -234,7 +234,10 @@ def expansion_check(
     dth = np.asarray(dtheta, dtype=float)
     if dth.shape != th.shape:
         raise ParamError("dtheta must match theta's shape")
-    g1 = fisher_g1(fam, model, th) if fam.kind != "piecewise_linear" else None
+    try:
+        g1 = fisher_g1(fam, model, th)
+    except NonDifferentiableError:  # ln_phi has no derivative at 1
+        g1 = None
     g2 = fisher_g2(fam, model, th)
     base = Pdf(_positive_weights(model, th))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -563,6 +564,21 @@ class TestRelentAtTinyReference:
             with pytest.raises(DomainError, match="a ratio to r overflows"):
                 run_bound_checks(fam, p, q, r)
 
+    def test_deliberate_overflow_warns_nothing(self):
+        # The kernels overflow on purpose here; the evaluators raise, numpy stays quiet.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fam, r2 in ((pe.tsallis(0.9), 1e-200), (pe.shannon(), 5e-324)):
+                p, q, r = self.inputs(r2)
+                with pytest.raises(DomainError, match="a ratio to r overflows"):
+                    run_bound_checks(fam, p, q, r)
+                with pytest.raises(DomainError, match="a ratio to r overflows"):
+                    pe.check_relent(fam, p, q, r)
+                assert math.isfinite(pe.e_r(fam, p, q, r))
+            assert math.isfinite(pe.h_r(pe.tsallis(0.9), *self.inputs(1e-200)))
+            with pytest.raises(DomainError, match="a ratio to r overflows"):
+                pe.h_r(pe.shannon(), *self.inputs(5e-324))
+
 
 class TestStabilityScan:
     def test_violations_counted_outside_payload(self):
@@ -573,6 +589,12 @@ class TestStabilityScan:
     def test_trials_must_be_positive(self):
         with pytest.raises(ParamError):
             stability_scan(ScanConfig(trials=0))
+
+    def test_hill_climb_budget_is_fixed(self):
+        assert bounds.HILL_STEPS == 200
+        assert ScanConfig().to_json()["hill_steps"] == 200
+        with pytest.raises(TypeError):
+            ScanConfig(hill_steps=5)
 
     def test_unknown_mode(self):
         with pytest.raises(ParamError):

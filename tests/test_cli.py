@@ -2,6 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,6 +177,26 @@ class TestBounds:
         assert code == 1 and out == ""
         assert "error: reference weight too small: a ratio to r overflows" in err
 
+    @pytest.mark.parametrize(
+        "family, r2", [('{"kind":"tsallis","kappa":0.9}', 1e-200), (SHANNON, 5e-324)]
+    )
+    def test_tiny_reference_weight_prints_no_numpy_warning(self, tmp_path, family, r2):
+        # A fresh interpreter with Python's default warning filters, so a
+        # numpy RuntimeWarning would reach stderr as it does for a user.
+        p = write_pdf(tmp_path, "p.json", [0.5, 0.5])
+        q = write_pdf(tmp_path, "q.json", [0.6, 0.4])
+        r = write_pdf(tmp_path, "r.json", [1.0, r2])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phientropy.cli", "bounds", "--family", family,
+             "--p", p, "--q", q, "--r", r],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: reference weight too small")
+        assert "Warning" not in proc.stderr
+
     def test_table_format_banner(self, capsys, tmp_path):
         p = write_pdf(tmp_path, "p.json", [0.5, 0.5])
         q = write_pdf(tmp_path, "q.json", [0.25, 0.75])
@@ -220,6 +244,9 @@ class TestScan:
 
     def test_ratio_tol_flag_is_gone(self, capsys):
         assert cli.main(["scan", "--trials", "5", "--ratio-tol", "1e-9"]) == 1
+
+    def test_hill_steps_flag_is_gone(self, capsys):
+        assert cli.main(["scan", "--trials", "5", "--hill-steps", "3"]) == 1
 
     def test_custom_family_list(self, capsys):
         code, out, _ = run(
@@ -288,6 +315,16 @@ class TestFisherCommand:
             capsys, "fisher", "--family", SHANNON, "--model", "gauss", "--theta", "0.5"
         )
         assert code == 1
+
+    def test_g1_left_out_where_ln_phi_has_no_derivative_at_one(self, capsys):
+        code, out, _ = run(
+            capsys, "fisher", "--family", '{"kind":"piecewise_linear","base":2.0}',
+            "--model", "bernoulli", "--theta", "0.3", "--expansion",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert "g1" not in payload and payload["g2"][0][0] > 0
+        assert math.isnan(payload["expansion"]["order1"])
 
 
 class TestUsage:

@@ -3,6 +3,7 @@ import pytest
 
 import phientropy as pe
 from phientropy.distributions import (
+    Pdf,
     normalize,
     rng_for_seed,
     sample_neighbor,
@@ -179,6 +180,34 @@ class TestSampling:
     def test_unknown_mode(self):
         with pytest.raises(ParamError):
             sample_simplex(4, seed=1, mode="gaussian")
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64])
+    def test_sparse_keeps_its_stream(self, n):
+        # The draw order of the former sample_uniform-then-zero implementation.
+        def two_step(n, rng):
+            base = sample_uniform(n, rng).weights.copy()
+            if n > 1:
+                keep = max(1, int(rng.integers(1, n + 1)))
+                base[rng.permutation(n)[keep:]] = 0.0
+                base /= base.sum()
+            return base
+
+        for seed in range(20):
+            got, want = rng_for_seed(seed), rng_for_seed(seed)
+            for _ in range(3):
+                assert sample_sparse(n, got).weights.tobytes() == two_step(n, want).tobytes()
+            assert got.bit_generator.state == want.bit_generator.state
+
+    def test_sparse_builds_one_pdf(self, monkeypatch):
+        built = []
+        post_init = Pdf.__post_init__
+        monkeypatch.setattr(Pdf, "__post_init__", lambda self: (built.append(1), post_init(self)))
+        sample_sparse(8, rng_for_seed(1))
+        assert len(built) == 1
+
+    def test_sparse_needs_a_coordinate(self):
+        with pytest.raises(ParamError):
+            sample_sparse(0, rng_for_seed(1))
 
     def test_sparse_has_zeros_often(self):
         rng = rng_for_seed(5)

@@ -91,6 +91,22 @@ class TestLnPhi:
         with pytest.raises(DomainError):
             pe.ln_phi(family, -1.0)
 
+    @pytest.mark.parametrize(
+        "fn, bad, message",
+        [
+            (pe.ln_phi, [1.0, 0.0], "ln_phi requires finite x > 0"),
+            (pe.ln_phi, math.inf, "ln_phi requires finite x > 0"),
+            (pe.big_f_drop, [0.0, -1e-300], "big_f_drop requires finite x >= 0"),
+            (pe.big_f_drop, math.nan, "big_f_drop requires finite x >= 0"),
+            (pe.omega_phi, 0.0, "omega_phi requires finite x > 0"),
+            (pe.ln_phi_prime, [-2.0], "ln_phi_prime requires finite x > 0"),
+        ],
+    )
+    def test_domain_messages(self, family, fn, bad, message):
+        with pytest.raises(DomainError) as err:
+            fn(family, bad)
+        assert str(err.value) == message
+
     def test_monotone_on_random_pairs(self, family, rng):
         xs = np.sort(np.exp(rng.uniform(-12, 6, size=400)))
         vals = pe.ln_phi(family, xs)
@@ -407,6 +423,30 @@ class TestWireFormat:
             "sqrt_log",
             "piecewise_linear",
         }
+
+    def test_wire_error_messages(self):
+        with pytest.raises(ParamError) as err:
+            pe.family_from_json({"kind": "nope"})
+        assert str(err.value) == (
+            "unknown family kind 'nope'; known kinds: ('shannon', 'tsallis', "
+            "'kaniadakis', 'kappa_maxwell', 'sqrt_log', 'piecewise_linear')"
+        )
+        with pytest.raises(ParamError, match=r"^custom families cannot be built from JSON \(library-only\)$"):
+            pe.family_from_json({"kind": "custom"})
+        with pytest.raises(FamilyError, match=r"^custom families have no JSON encoding \(library-only\)$"):
+            pe.family_to_json(pe.custom_family(lambda x: np.log(x), 0.0))
+        with pytest.raises(ParamError, match=r"^family kind 'tsallis' takes fields \['kappa'\], got \[\]$"):
+            pe.family_from_json({"kind": "tsallis"})
+
+    def test_labels(self):
+        labels = [f.label for f in (pe.shannon(), pe.tsallis(0.5), pe.kappa_maxwell(2.0), pe.piecewise_linear(1.1))]
+        assert labels == ["shannon", "tsallis(kappa=0.5)", "kappa_maxwell(kappa=2)", "piecewise_linear(base=1.1)"]
+        assert pe.custom_family(lambda x: np.log(x), 0.0).label == "custom"
+
+    @pytest.mark.parametrize("kind", ["nope", "", "Shannon", None, 3])
+    def test_unknown_kind_refused_at_construction(self, kind):
+        with pytest.raises(ParamError, match="unknown family kind"):
+            pe.LogFamily(kind=kind)
 
     def test_bad_specs(self):
         for spec in (

@@ -1,15 +1,16 @@
-"""Pinned CLI output: the ``scan`` and ``bounds`` JSON must not change by a byte.
+"""Pinned CLI output: the ``scan``, ``bounds`` and ``eval`` JSON must not change by a byte.
 
-The digests and payloads below were produced by the release before the check
-table was introduced (Python 3.11.7, numpy 2.4.6); any change to the check
+The scan digests and bounds payloads below were produced by the release
+before the check table was introduced, the eval digests by the release
+before the kind table (Python 3.11.7, numpy 2.4.6); any change to the check
 order, the arithmetic of a kernel or the summation shows up here.
 
 Byte identity holds per numpy version and per SIMD dispatch level: numpy's
 AVX-512 and AVX2 loops round some powers and logarithms differently, which
-moves the scan's worst ratios for some seeds.  So the scan digests are pinned
-once per x86 dispatch level, picked from numpy's detected CPU features; the
-AVX2 set was captured with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR"``.  A host with no pinned set skips the scan digests.
+moves the scan's worst ratios for some seeds.  So the scan and eval digests
+are pinned once per x86 dispatch level, picked from numpy's detected CPU
+features; the AVX2 sets were captured with ``NPY_DISABLE_CPU_FEATURES="X86_V4
+AVX512_ICL AVX512_SPR"``.  A host with no pinned set skips the digests.
 """
 
 import hashlib
@@ -95,6 +96,63 @@ BOUNDS_CASES = {
 }
 
 
+# ``eval`` on every built-in kind (the scan grid plus a second
+# piecewise-linear base, whose exp takes the bisection path) and every --fn;
+# one digest per family over the five commands' stdout, in --fn order.
+EVAL_SPECS = (
+    '{"kind":"shannon"}',
+    '{"kind":"tsallis","kappa":0.1}',
+    '{"kind":"tsallis","kappa":-0.1}',
+    '{"kind":"tsallis","kappa":0.5}',
+    '{"kind":"tsallis","kappa":-0.5}',
+    '{"kind":"tsallis","kappa":0.9}',
+    '{"kind":"tsallis","kappa":-0.9}',
+    '{"kind":"kaniadakis","kappa":0.5}',
+    '{"kind":"kaniadakis","kappa":-0.5}',
+    '{"kind":"kappa_maxwell","kappa":0.5}',
+    '{"kind":"kappa_maxwell","kappa":2.0}',
+    '{"kind":"sqrt_log"}',
+    '{"kind":"piecewise_linear","base":2.0}',
+    '{"kind":"piecewise_linear","base":1.1}',
+)
+EVAL_XS = (1e-12, 0.3, 0.7, 1.5, 3.0, 1e4)
+EXP_XS = (-5.0, -0.7, 0.0, 0.4, 2.5, 30.0)
+EVAL_SHA256 = {
+    "X86_V4": {
+        '{"kind":"shannon"}': "1cdf97ffeb1e0bdf90c6dce607d0db4c4880ad33ff7d98398e010b74df5a7aeb",
+        '{"kind":"tsallis","kappa":0.1}': "97969673489cd5c2695c336fac6008eaad70d9d6023a56cb82cd055fa8d9d205",
+        '{"kind":"tsallis","kappa":-0.1}': "eaa43c1f23fac25bfc4a7512b90ea1c7c4abbfd668acf2ebcec36de3e9190960",
+        '{"kind":"tsallis","kappa":0.5}': "2c17f5b68004d00297f692f7a22117da6406f417ffd7b3e163c3944eec49fffd",
+        '{"kind":"tsallis","kappa":-0.5}': "40530103454fc1466e384c1ec80dacf1a2205c03cb4e41ed6c2cc934153e3f48",
+        '{"kind":"tsallis","kappa":0.9}': "16384b8d7754d5377bb7c5907219b4370f8d96fb7603cac241307fddf1bab27f",
+        '{"kind":"tsallis","kappa":-0.9}': "c2f9d55fa66b14dbaac793ebff579cc6a76e9dad140858e2f5b501a3719a2200",
+        '{"kind":"kaniadakis","kappa":0.5}': "df00d7bc6c21c9f8c00a382f40fbc0204eb3d232f3dd04f5725acd3a2f63a5e3",
+        '{"kind":"kaniadakis","kappa":-0.5}': "99792faf610b14a3f674c86524465486ae299776eceaf1b24b299f4a4fa309be",
+        '{"kind":"kappa_maxwell","kappa":0.5}': "7a7b4dc173eeca8a2069f35c4035bd215f8c07a5a6fafaf4f5c08269bc614939",
+        '{"kind":"kappa_maxwell","kappa":2.0}': "ab42876f7002fada51d0e267940ec690203c7349be9fe43ab2849d0651a4b88c",
+        '{"kind":"sqrt_log"}': "e62b775b8f17a2a55d4b9ba4c907d2621ce0d2b0704d9e852aeef5c9c4cca1da",
+        '{"kind":"piecewise_linear","base":2.0}': "3ab38960f41cf0d28a83f6da365e8518f5a0a89ec52e8df5118f6f6adac2af94",
+        '{"kind":"piecewise_linear","base":1.1}': "29fadbb6d596278e7f632246d4de1f3d16eda639702be43479ec7aad050787bc",
+    },
+    "X86_V3": {
+        '{"kind":"shannon"}': "1cdf97ffeb1e0bdf90c6dce607d0db4c4880ad33ff7d98398e010b74df5a7aeb",
+        '{"kind":"tsallis","kappa":0.1}': "9faf57284afe1441a4351b3981ad676d328732c1059a86fde8426b9db20faa0c",
+        '{"kind":"tsallis","kappa":-0.1}': "a15b3bf615c89f7e0e3b3380763697c5ec5e8cc713f08a0f098f2e39ec8d9b8c",
+        '{"kind":"tsallis","kappa":0.5}': "1f7ceddd1a82625c8aa5dd25d1de2a4fb15f4c85a06a6c3499120d222f642363",
+        '{"kind":"tsallis","kappa":-0.5}': "71cb3ef0a0bde100423c9a139eb30ebfea0cf1836f1183233d5f9ede7aa236cb",
+        '{"kind":"tsallis","kappa":0.9}': "16384b8d7754d5377bb7c5907219b4370f8d96fb7603cac241307fddf1bab27f",
+        '{"kind":"tsallis","kappa":-0.9}': "c2f9d55fa66b14dbaac793ebff579cc6a76e9dad140858e2f5b501a3719a2200",
+        '{"kind":"kaniadakis","kappa":0.5}': "b607b60cc76a60b890fe6f46a7e13b2aa2ca08f59af586230d204e9a95b48767",
+        '{"kind":"kaniadakis","kappa":-0.5}': "a3aafbfaec435dcaae7d8420678638b8a61849520f802b5a020ba7459a121882",
+        '{"kind":"kappa_maxwell","kappa":0.5}': "811c07bab6b49d7d4f19eb379686e9f0fd29b5b472f0f79c9c5de4302a2eed4e",
+        '{"kind":"kappa_maxwell","kappa":2.0}': "8c4778f712d185d798b9bb9ae47e788dfc385cb42adae0a31aa3c9e272b2481e",
+        '{"kind":"sqrt_log"}': "e62b775b8f17a2a55d4b9ba4c907d2621ce0d2b0704d9e852aeef5c9c4cca1da",
+        '{"kind":"piecewise_linear","base":2.0}': "3ab38960f41cf0d28a83f6da365e8518f5a0a89ec52e8df5118f6f6adac2af94",
+        '{"kind":"piecewise_linear","base":1.1}': "99a07b971d43000df64db3781b521e97835dda48cf56788cfd3eac991cbcd8da",
+    },
+}
+
+
 def _stdout(capsys, argv) -> tuple[int, str]:
     code = cli.main(argv)
     return code, capsys.readouterr().out
@@ -166,3 +224,17 @@ def test_reports_and_skips_follow_bound_ids(fam, pair, with_r, epsilon):
     assert skipped == [b for b in BOUND_IDS if b in skipped]
     assert not set(evaluated) & set(skipped)
     assert set(evaluated) | set(skipped) == want
+
+
+@pytest.mark.parametrize("spec", EVAL_SPECS)
+def test_eval_bytes(capsys, spec):
+    pinned = EVAL_SHA256.get(_dispatch())
+    if pinned is None:
+        pytest.skip(f"no eval digests pinned for numpy SIMD dispatch {_dispatch()}")
+    h = hashlib.sha256()
+    for fn in sorted(cli._EVAL_FNS):
+        xs = EXP_XS if fn == "exp" else EVAL_XS
+        code, out = _stdout(capsys, ["eval", "--family", spec, "--fn", fn] + [f"--x={x!r}" for x in xs])
+        assert code == 0, (fn, out)
+        h.update(out.encode())
+    assert h.hexdigest() == pinned[spec]
