@@ -23,12 +23,16 @@ for fam in pe.default_family_grid():
     try:
         pref = pe.ln_phi_prime(fam, 1.0)
     except NonDifferentiableError:
-        print(f"{fam.label:<24} {'(no two-sided derivative at 1: g1/g2 refused)':>44}")
+        # ln_phi has a kink at 1, so g1 is refused.  g2 needs ln_phi' only at
+        # the model's probabilities: 0.5 is a knot too, 0.3 and 0.7 are not.
+        g2 = pe.fisher_g2(fam, bern, np.array([0.3]))[0, 0]
+        print(f"{fam.label:<24} {'-':>10} {'refused':>10} {g2:>10.5f}  (g2 at theta = 0.3)")
         continue
     g1 = pe.fisher_g1(fam, bern, theta)[0, 0]
     g2 = pe.fisher_g2(fam, bern, theta)[0, 0]
     print(f"{fam.label:<24} {pref:>10.5f} {g1:>10.5f} {g2:>10.5f}")
 print("(g1 is always prefactor * 4; g2 escapes that pattern)")
+print("(piecewise_linear: no two-sided derivative at 1, so no g1; g2 fails only on a knot)")
 
 print()
 print("=" * 72)

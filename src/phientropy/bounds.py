@@ -41,6 +41,7 @@ import hashlib
 import json
 import math
 import struct
+import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
@@ -237,6 +238,13 @@ class _Reference:
         self.ln2 = np.zeros((2, n))
         self.ln2[0, self.pos] = ln[rr.size + 1 :]
         self.ln2[1, self.pos] = self.ln_r
+        # ln_phi of a subnormal r can be infinite.
+        self.ln2_finite = _all_finite(self.ln2)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # Half the cost of np.isfinite(a).all() on the few-element arrays of a scan.
+    return np.count_nonzero(np.isfinite(a)) == a.size
 
 
 class _Trial:
@@ -281,12 +289,16 @@ class _Trial:
             # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
             self.x_cont2 = n / tv
             scalars = (1.0 / self.x_cont2, min(tv, 1.0))
-        ratios = ()
-        if self.r is not None:
-            ratios = self._relent_setup()
+        ratios = self._relent_setup() if self.r is not None else ()
         args = np.concatenate((*ents, diff, scalars, *ratios))
-        g = big_f_drop_unchecked(fam, args)
         m = len(ents) * n
+        if ratios:
+            # A ratio to a tiny r that overflows is kept out of the kernel.
+            end = m + n + len(scalars)
+            self.ratio_overflow = not _all_finite(args[end:])
+            if self.ratio_overflow:
+                ratios, args = (), args[:end]
+        g = big_f_drop_unchecked(fam, args)
         terms = (g[:m] - args[:m] * f0).tolist()
         rest = g[m : m + n + len(scalars)].tolist()
         self.ent_p = sum_compensated(terms[:n])
@@ -303,7 +315,7 @@ class _Trial:
             self.g_cont2, self.g_improved = rest[n], rest[n + 1]
         if ratios:
             self.g_ratios = g[m + n + len(scalars) :]
-            self.ratio_overflow = not np.isfinite(self.g_ratios).all()
+            self.ratio_overflow = not _all_finite(self.g_ratios)
         return self
 
     def get_h_r(self) -> float:
@@ -317,7 +329,10 @@ class _Trial:
         return self.e_r
 
     def _relent_setup(self) -> tuple:
-        """Support, h_r, e_r and the q/r, p/r arguments (empty if not needed)."""
+        """Support, h_r, e_r and the q/r, p/r arguments (empty if not needed).
+
+        The caller keeps the ratios out of the kernel call if one overflows.
+        """
         fam, ref, diff = self.fam, self.ref, self.diff
         self.any_bare = False
         if ref.any_zero:
@@ -328,9 +343,14 @@ class _Trial:
         )
         # Where p and q differ, bare coordinates and r > 0 partition the
         # support of diff (x - y == 0 exactly when x == y in floating point).
-        # ln2 is 0 where r = 0, and the +0.0 terms there leave the sums exact.
-        moved = diff > 0
-        h_terms, e_terms = (diff[moved] * ref.ln2[:, moved]).tolist()
+        # ln2 is 0 where r = 0, and diff is 0 where p and q agree: a finite
+        # ln2 makes those terms zeros, which leave the sums' bits unchanged
+        # (see sum_compensated).  An infinite ln2 would make them NaN.
+        if ref.ln2_finite:
+            h_terms, e_terms = (diff * ref.ln2).tolist()
+        else:
+            moved = diff > 0
+            h_terms, e_terms = (diff[moved] * ref.ln2[:, moved]).tolist()
         h, e = sum_compensated(h_terms), sum_compensated(e_terms)
         self.h_r_error = self.e_r_error = None
         if self.any_bare:
@@ -349,9 +369,7 @@ class _Trial:
             return ()
         pp, qq = self.p.weights[ref.pos], self.q.weights[ref.pos]
         self.dpq = pp - qq
-        xq, xp = qq / ref.rr, pp / ref.rr
-        self.ratio_overflow = not (np.isfinite(xq).all() and np.isfinite(xp).all())
-        return () if self.ratio_overflow else (xq, xp)
+        return qq / ref.rr, pp / ref.rr
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +851,9 @@ class ScanReport:
     ``witness`` embeds the full inputs (family spec, weights, parameters)
     and the offending report, so any entry can be replayed through the
     corresponding ``check_*`` call or the ``bounds`` CLI command.
-    ``violations`` counts evaluated reports with ``holds == False``; it is
-    not part of the JSON payload.
+    ``violations`` counts evaluated reports with ``holds == False``, and
+    ``timings`` maps each mode to its trials and wall seconds; neither is
+    part of the JSON payload.
     """
 
     trials: int
@@ -844,6 +863,7 @@ class ScanReport:
     support_errors: int
     config: ScanConfig
     violations: int = 0
+    timings: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -873,27 +893,31 @@ def _witness(check: Check, t: _Trial, report: BoundReport) -> dict:
 
 class _Aggregator:
     def __init__(self):
-        self.per_bound: dict[str, _BoundStats] = {}
+        # Every bound has its stats from the start; per_bound() keeps those
+        # the scan evaluated.
+        self.stats = {bound_id: _BoundStats() for bound_id in BOUND_IDS}
         self.worst: Optional[float] = None
         self.worst_witness: Optional[dict] = None
         self.support_errors = 0
         self.violations = 0
 
-    def add(self, check: Check, t: _Trial, lhs, rhs) -> Optional[float]:
+    def per_bound(self) -> dict[str, _BoundStats]:
+        return {bound_id: s for bound_id, s in self.stats.items() if s.trials}
+
+    def add(self, check: Check, t: _Trial, lhs: float, rhs: float) -> Optional[float]:
         """Count one evaluated check; return its ratio (None when rhs <= 0).
 
         The report, its digest and the witness are built only when the ratio
         beats the bound's or the scan's worst so far.
         """
-        stats = self.per_bound.get(check.bound_id)
-        if stats is None:
-            stats = self.per_bound[check.bound_id] = _BoundStats()
+        stats = self.stats[check.bound_id]
         stats.trials += 1
-        if not lhs <= rhs + _tol(rhs):
+        # lhs <= rhs implies the tolerant comparison, so most checks skip it.
+        if not lhs <= rhs and not lhs <= rhs + _tol(rhs):
             self.violations += 1
         if not rhs > 0:
             return None
-        ratio = float(lhs / rhs)
+        ratio = lhs / rhs
         worst_bound = stats.worst_ratio is None or ratio > stats.worst_ratio
         worst_scan = self.worst is None or ratio > self.worst
         if worst_bound or worst_scan:
@@ -913,7 +937,8 @@ def _battery(ref: _Reference, p, q, epsilon, rng, agg: _Aggregator) -> Optional[
     if tv == 0.0:
         return None
     delta = condition1_delta(ref.fam, epsilon)
-    lam, mu = rng.uniform(0.0, 1.0, size=2)
+    # The values of rng.uniform(0.0, 1.0, size=2), at a third of its cost.
+    lam, mu = rng.random(), rng.random()
     if abs(lam - mu) * tv > delta:
         # Pull mu toward lam until the segment hypothesis holds; the hard
         # fallback mu = lam guards against absorption when delta/tv is far
@@ -921,7 +946,7 @@ def _battery(ref: _Reference, p, q, epsilon, rng, agg: _Aggregator) -> Optional[
         mu = min(1.0, max(0.0, lam - math.copysign(0.5 * delta / tv, lam - mu)))
         if abs(lam - mu) * tv > delta:
             mu = lam
-    t.evaluate((float(lam), float(mu), epsilon))
+    t.evaluate((lam, mu, epsilon))
 
     best: Optional[float] = None
     support_skip = False
@@ -936,6 +961,21 @@ def _battery(ref: _Reference, p, q, epsilon, rng, agg: _Aggregator) -> Optional[
             support_skip = True
     agg.support_errors += support_skip
     return best
+
+
+def _lap(timings: dict, run: Optional[tuple], mode: Optional[str], done: int) -> tuple:
+    """Close ``run`` = (mode, start time, trials done at its start) into
+    ``timings`` and open the run of ``mode``.
+
+    Slots come in runs of one mode, so the scan reads the clock once per
+    run, not once per trial.
+    """
+    now = time.perf_counter()
+    if run is not None:
+        entry = timings.setdefault(run[0], {"trials": 0, "seconds": 0.0})
+        entry["trials"] += done - run[2]
+        entry["seconds"] += now - run[1]
+    return mode, now, done
 
 
 def _sample_pair(mode, dim, scale, rng):
@@ -955,11 +995,67 @@ def _sample_pair(mode, dim, scale, rng):
 
 
 def _transfer(pdf: Pdf, i: int, j: int, amount: float) -> Pdf:
+    """``pdf`` with up to ``amount`` of mass moved from entry i to entry j.
+
+    The result needs none of the constructor's checks, so it is frozen
+    without them: w[i] - min(amount, w[i]) is exactly 0 or the rounding of a
+    positive difference, never negative, and w[j] + amount stays finite for
+    the scan's pdfs, whose weights sum to about one.
+    """
     w = pdf.weights.copy()
     amount = min(amount, w[i])
     w[i] -= amount
     w[j] += amount
-    return Pdf(w)
+    w.setflags(write=False)
+    out = object.__new__(Pdf)
+    object.__setattr__(out, "weights", w)
+    return out
+
+
+class _StepDraws:
+    """A hill-climb restart's step draws, read from its generator's bit stream.
+
+    ``rng.integers(0, high + 1)`` and ``rng.choice(dim, 2, replace=False)``
+    pay several microseconds of call overhead for one or two small integers.
+    These methods draw the same values from the same stream, one 32-bit word
+    at a time through the bit generator's ctypes interface, at about a
+    quarter of the cost, so the scan's bytes do not change.  They reproduce
+    numpy 2.4's algorithms: the 32-bit bounded draw of Lemire (2019, ACM
+    TOMACS 29(1)) with numpy's rejection threshold, and, for ``choice``,
+    Floyd's sampling of two values followed by numpy's shuffle of the pair.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        iface = rng.bit_generator.ctypes
+        # iface holds raw pointers into the generator's state: keep the
+        # generator alive for as long as they are called.  The calls skip
+        # the bit generator's lock, which is safe because each scan slot
+        # owns its generator.
+        self._rng = rng
+        self._state = iface.state
+        self._next_uint32 = iface.next_uint32
+
+    def bounded(self, high: int) -> int:
+        """An integer in [0, high], for 0 <= high < 2**32 - 1, as ``integers(0, high + 1)``."""
+        if high == 0:
+            return 0
+        span = high + 1
+        m = self._next_uint32(self._state) * span
+        if (m & 0xFFFFFFFF) < span:
+            threshold = (0xFFFFFFFF - high) % span
+            while (m & 0xFFFFFFFF) < threshold:
+                m = self._next_uint32(self._state) * span
+        return m >> 32
+
+    def pair(self, dim: int) -> tuple[int, int]:
+        """Two distinct indices below ``dim >= 2``, as ``choice(dim, 2, replace=False)``."""
+        i = self.bounded(dim - 2)
+        j = self.bounded(dim - 1)
+        if j == i:
+            j = dim - 1
+        if self.bounded(1) == 0:
+            i, j = j, i
+        return i, j
 
 
 def stability_scan(config: ScanConfig) -> ScanReport:
@@ -993,6 +1089,8 @@ def stability_scan(config: ScanConfig) -> ScanReport:
     dims = config.dims
     modes = config.modes
     agg = _Aggregator()
+    timings: dict = {}
+    run = None
 
     done = 0
     slot = 0
@@ -1006,6 +1104,8 @@ def stability_scan(config: ScanConfig) -> ScanReport:
         scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
         epsilon = SCAN_EPSILONS[slot % len(SCAN_EPSILONS)]
         slot += 1
+        if run is None or run[0] != mode:
+            run = _lap(timings, run, mode, done)
 
         if mode == "hillclimb":
             budget = min(HILL_STEPS, config.trials - done)
@@ -1013,15 +1113,14 @@ def stability_scan(config: ScanConfig) -> ScanReport:
             ref = _Reference(fam, dim, r)
             best = _battery(ref, p, q, epsilon, rng, agg)
             done += 1
+            draws = _StepDraws(rng)
             step = 0.1
             used = 1
             while used < budget and step > 1e-9:
-                target_p = bool(rng.integers(0, 2))
-                i, j = rng.choice(dim, size=2, replace=False) if dim > 1 else (0, 0)
+                target_p = draws.bounded(1) == 1
+                i, j = draws.pair(dim) if dim > 1 else (0, 0)
                 cand_p, cand_q = (
-                    (_transfer(p, int(i), int(j), step), q)
-                    if target_p
-                    else (p, _transfer(q, int(i), int(j), step))
+                    (_transfer(p, i, j, step), q) if target_p else (p, _transfer(q, i, j, step))
                 )
                 ratio = _battery(ref, cand_p, cand_q, epsilon, rng, agg)
                 used += 1
@@ -1035,13 +1134,15 @@ def stability_scan(config: ScanConfig) -> ScanReport:
             p, q, r = _sample_pair(mode, dim, scale, rng)
             _battery(_Reference(fam, dim, r), p, q, epsilon, rng, agg)
             done += 1
+    _lap(timings, run, None, done)
 
     return ScanReport(
         trials=done,
         worst_ratio=agg.worst,
         witness=agg.worst_witness,
-        per_bound=agg.per_bound,
+        per_bound=agg.per_bound(),
         support_errors=agg.support_errors,
         config=config,
         violations=agg.violations,
+        timings=timings,
     )

@@ -64,9 +64,13 @@ _EVAL_FNS = {
 }
 
 
+def _json_line(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def _emit(payload: dict, fmt: str):
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_json_line(payload))
     else:
         sys.stdout.write(TABLE_BANNER + "\n")
         _emit_table(payload, prefix="")
@@ -189,6 +193,8 @@ def _cmd_scan(args) -> int:
     )
     report = stability_scan(config)
     _emit(report.to_json(), args.format)
+    if args.timings:
+        sys.stderr.write(_json_line({"timings": report.timings}))
     return 2 if report.violations else 0
 
 
@@ -294,6 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--families", default="default", help="'default' or a JSON array of family specs")
     sp.add_argument("--modes", default="uniform,sparse,neighbor,hillclimb")
+    sp.add_argument(
+        "--timings", action="store_true",
+        help="also print each mode's trials and wall seconds to stderr (stdout is unchanged)",
+    )
     common(sp)
     sp.set_defaults(func=_cmd_scan)
 

@@ -24,10 +24,11 @@ Each kind is one row of the kind table ``_KINDS`` at the end of this module:
 its constructor, its JSON fields with their admissible ranges, and its
 kernels ``ln``, ``drop`` (F(0) - F(x)), ``prime`` and, where ln_phi has a
 closed inverse, ``exp``.  The public functions check their argument's domain
-and call the row's kernel; the wire format, the catalogue and the labels
-read the same row.  To add a kind, write its constructor (validate the
-parameters; compute F(0), the limits of ln_phi and the singularity exponent)
-and its row; ``fields=None`` keeps a kind out of the wire format.
+and call the row's kernel; the wire format, the catalogue, the labels and
+``LogFamily``'s parameter check read the same row.  To add a kind, write its
+constructor (check each parameter with ``_field``, which reads the row's
+ranges; compute F(0), the limits of ln_phi and the singularity exponent) and
+its row; ``fields=None`` keeps a kind out of the wire format.
 
 The numerically load-bearing primitive is ``big_f_drop(x) = F(0) - F(x)``,
 evaluated in cancellation-free form per family.  It equals
@@ -73,8 +74,7 @@ class LogFamily:
     """One deformed logarithm with its cached derived constants.
 
     Instances are immutable; build them with the module-level constructors
-    (:func:`shannon`, :func:`tsallis`, ...), which validate parameters and
-    precompute:
+    (:func:`shannon`, :func:`tsallis`, ...), which precompute:
 
     - ``f_zero``: F(0), equal to ``big_f_drop(1)`` (cached so identities
       like ``omega(1) = 0`` hold exactly in floating point),
@@ -84,6 +84,10 @@ class LogFamily:
       ``ln_sup`` is finite,
     - ``singularity_exponent``: s with ``|ln_phi(x)| = O(x^-s)`` near 0,
       used to grade quadrature meshes.
+
+    Construction raises :class:`ParamError` for a kind the kind table does
+    not define, and for a built-in kind whose parameter is missing, not a
+    finite number in the range its row gives, or one the kind does not take.
     """
 
     kind: str
@@ -96,7 +100,15 @@ class LogFamily:
     ln_sup: float = math.inf
 
     def __post_init__(self):
-        _row(self.kind)  # ParamError for a kind the table does not define
+        fields = _row(self.kind).fields
+        if fields is None:
+            return
+        for name in ("kappa", "base"):
+            value = getattr(self, name)
+            if name in fields:
+                object.__setattr__(self, name, _field(self.kind, name, value))
+            elif value is not None:
+                raise ParamError(f"{self.kind} families take no {name}, got {value!r}")
 
     @property
     def omega_at_zero(self) -> float:
@@ -127,14 +139,7 @@ def tsallis(kappa: float) -> LogFamily:
     ``kappa`` must lie in (-1, 1) and be nonzero.  The deduced logarithm of
     this family is the q-logarithm ``(1/kappa) * (1 - x**-kappa)``.
     """
-    kappa = float(kappa)
-    if kappa == 0.0:
-        raise ParamError(
-            "kappa=0 is excluded for the tsallis family; "
-            "it is the shannon limit, use kind 'shannon' instead"
-        )
-    if not -1.0 < kappa < 1.0:
-        raise ParamError(f"tsallis kappa must lie in (-1, 1), got {kappa}")
+    kappa = _field("tsallis", "kappa", kappa)
     if kappa > 0:
         ln0, lnsup, s = -(1.0 + 1.0 / kappa), math.inf, 0.0
     else:
@@ -155,13 +160,7 @@ def kaniadakis(kappa: float) -> LogFamily:
     Concave only for ``|kappa| < 1``; kappa = 0 is the shannon limit and is
     rejected (use kind 'shannon').  F(0) = 1 / (1 - kappa**2).
     """
-    kappa = float(kappa)
-    if kappa == 0.0:
-        raise ParamError(
-            "kappa=0 is excluded for the kaniadakis family; use kind 'shannon'"
-        )
-    if not -1.0 < kappa < 1.0:
-        raise ParamError(f"kaniadakis kappa must lie in (-1, 1), got {kappa}")
+    kappa = _field("kaniadakis", "kappa", kappa)
     ak = abs(kappa)
     f0 = (1.0 / (2.0 * kappa)) * (1.0 / (1.0 - kappa) - 1.0 / (1.0 + kappa))
     return LogFamily(
@@ -178,9 +177,7 @@ def kappa_maxwell(kappa: float) -> LogFamily:
     Any finite ``kappa > 0`` is accepted.  ``ln_phi`` is bounded above by
     ``kappa``, so the deduced logarithm has a finite limit ``-(1 + kappa)`` at 0.
     """
-    kappa = float(kappa)
-    if not (kappa > 0 and math.isfinite(kappa)):
-        raise ParamError(f"kappa_maxwell requires finite kappa > 0, got {kappa}")
+    kappa = _field("kappa_maxwell", "kappa", kappa)
     return LogFamily(
         kind="kappa_maxwell",
         kappa=kappa,
@@ -206,14 +203,7 @@ def piecewise_linear(base: float) -> LogFamily:
     Requires a finite ``base > 1`` so the knot values increase and the
     interpolant is concave.  F(0) = 1/2 + 1/(base - 1).
     """
-    base = float(base)
-    if not math.isfinite(base):
-        raise ParamError(f"piecewise_linear base must be finite, got {base}")
-    if not base > 1.0:
-        raise ParamError(
-            f"piecewise_linear base must exceed 1 (got {base}); smaller bases "
-            "would make the knot values decreasing"
-        )
+    base = _field("piecewise_linear", "base", base)
     return LogFamily(
         kind="piecewise_linear",
         base=base,
@@ -530,18 +520,34 @@ def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 Kernel = Callable[["LogFamily", np.ndarray], np.ndarray]
 
 
+class _Range(NamedTuple):
+    """A parameter's admissible values: the catalogue's text and its test."""
+
+    text: str
+    admits: Callable[[float], bool]
+    note: str = ""  # appended to the refusal
+
+
+_KAPPA_POWER = _Range(
+    "(-1, 1) excluding 0",
+    lambda v: -1.0 < v < 1.0 and v != 0.0,
+    "; kappa = 0 is the shannon limit, use kind 'shannon'",
+)
+
+
 class _Kind(NamedTuple):
     """One family kind: its constructor, JSON fields and kernels.
 
-    ``fields`` maps each JSON field, passed to ``make`` as the keyword of the
-    same name, to its admissible range; None means no JSON encoding.  The
+    ``fields`` maps each JSON field, which is also a ``LogFamily`` attribute
+    and the keyword of ``make``, to its admissible range; None means no JSON
+    encoding (``custom_family`` checks its own arguments).  The
     kernels take the family and a float ndarray in their function's domain:
     ln_phi, F(0) - F(x), ln_phi', and the inverse of ln_phi (by bisection
     unless the row gives a closed form).
     """
 
     make: Callable[..., LogFamily]
-    fields: Optional[dict[str, str]]
+    fields: Optional[dict[str, _Range]]
     ln: Kernel
     drop: Kernel
     prime: Kernel
@@ -557,14 +563,14 @@ _KINDS = {
         exp=lambda fam, x: np.exp(x),
     ),
     "tsallis": _Kind(
-        make=tsallis, fields={"kappa": "(-1, 1) excluding 0"},
+        make=tsallis, fields={"kappa": _KAPPA_POWER},
         ln=lambda fam, x: (1.0 + 1.0 / fam.kappa) * (x**fam.kappa - 1.0),
         drop=lambda fam, x: (1.0 + 1.0 / fam.kappa) * x - (1.0 / fam.kappa) * x ** (1.0 + fam.kappa),
         prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
         exp=_tsallis_exp,
     ),
     "kaniadakis": _Kind(
-        make=kaniadakis, fields={"kappa": "(-1, 1) excluding 0"},
+        make=kaniadakis, fields={"kappa": _KAPPA_POWER},
         ln=lambda fam, x: (x**fam.kappa - x**-fam.kappa) / (2.0 * fam.kappa),
         drop=lambda fam, x: (
             x ** (1.0 - fam.kappa) / (1.0 - fam.kappa) - x ** (1.0 + fam.kappa) / (1.0 + fam.kappa)
@@ -573,7 +579,7 @@ _KINDS = {
         exp=_kaniadakis_exp,
     ),
     "kappa_maxwell": _Kind(
-        make=kappa_maxwell, fields={"kappa": "> 0"},
+        make=kappa_maxwell, fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
         ln=lambda fam, x: fam.kappa * (1.0 - x ** (-1.0 / (1.0 + fam.kappa))),
         drop=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa / (1.0 + fam.kappa)) - fam.kappa * x,
         prime=lambda fam, x: (fam.kappa / (1.0 + fam.kappa)) * x ** (-(2.0 + fam.kappa) / (1.0 + fam.kappa)),
@@ -589,7 +595,9 @@ _KINDS = {
         exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
     ),
     "piecewise_linear": _Kind(
-        make=piecewise_linear, fields={"base": "> 1"},
+        make=piecewise_linear, fields={
+            "base": _Range("> 1", lambda v: v > 1.0, "; smaller bases make the knot values decreasing")
+        },
         ln=_pw_ln,
         drop=_pw_drop,
         prime=_pw_prime,
@@ -601,6 +609,21 @@ _KINDS = {
         prime=_custom_prime,
     ),
 }
+
+
+def _field(kind: str, name: str, value) -> float:
+    """``value`` as a float, or ParamError unless it is a finite number in the row's range."""
+    rng = _KINDS[kind].fields[name]
+    if value is None:
+        raise ParamError(f"{kind} families need {name}")
+    try:
+        # A bool is no number here; float() also rejects strings it cannot parse.
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and rng.admits(x)):
+        raise ParamError(f"{kind} {name} = {value!r} is outside its range: finite and {rng.text}{rng.note}")
+    return x
 
 
 def _row(kind) -> _Kind:
@@ -652,7 +675,7 @@ def family_from_json(spec: dict) -> LogFamily:
 def builtin_catalogue() -> list[dict]:
     """Describe the built-in families and their admissible parameters."""
     return [
-        {"kind": kind, "params": dict(row.fields)}
+        {"kind": kind, "params": {name: rng.text for name, rng in row.fields.items()}}
         for kind, row in _KINDS.items()
         if row.fields is not None
     ]

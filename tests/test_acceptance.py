@@ -7,6 +7,7 @@ quadrature, closed-form power sums, brute-force enumeration, and hand
 derivations recorded inline.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -16,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy._core._multiarray_umath import __cpu_features__
 
 import phientropy as pe
 from phientropy.bounds import (
@@ -25,6 +27,7 @@ from phientropy.bounds import (
     entropy_min_half,
     stability_scan,
 )
+from phientropy.cli import _json_line
 from phientropy.errors import NonDifferentiableError
 from phientropy.numerics import integrate
 
@@ -41,6 +44,17 @@ def report(num, message):
 
 def random_pair(rng, n):
     return pe.Pdf(rng.dirichlet(np.ones(n))), pe.Pdf(rng.dirichlet(np.ones(n)))
+
+
+# SHA-256 of what ``phientropy scan --trials 100000 --seed 20040`` prints, per
+# numpy SIMD dispatch level (see tests/test_golden.py; the AVX2 digest was
+# captured with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR").
+# Unlike the 1000-trial golden scans, this scan runs hill-climb steps at
+# N = 16 and 64, so it pins the step draws at every dimension of the grid.
+CRITERION_01_SHA256 = {
+    "X86_V4": "0787d3d5c66234f0fbd4f042ac39525694292afa949b452c83e59bbaca3ad94b",
+    "X86_V3": "0787d3d5c66234f0fbd4f042ac39525694292afa949b452c83e59bbaca3ad94b",
+}
 
 
 def test_criterion_01_inequality_theorem_suite():
@@ -61,6 +75,10 @@ def test_criterion_01_inequality_theorem_suite():
         assert stats.worst_ratio is None or stats.worst_ratio <= 1.0 + 1e-9, bid
     assert rep.worst_ratio <= 1.0 + 1e-9
     assert elapsed <= 300.0
+    level = next((lv for lv in CRITERION_01_SHA256 if __cpu_features__.get(lv)), None)
+    if level is not None:
+        digest = hashlib.sha256(_json_line(rep.to_json()).encode()).hexdigest()
+        assert digest == CRITERION_01_SHA256[level]
     report(
         1,
         f"{rep.trials} trials, worst ratio {rep.worst_ratio:.12f}, "

@@ -242,6 +242,26 @@ class TestScan:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_timings_on_stderr_leave_stdout_unchanged(self, capsys):
+        args = ("scan", "--trials", "300", "--seed", "5")
+        code1, out1, err1 = run(capsys, *args)
+        code2, out2, err2 = run(capsys, *args, "--timings")
+        assert code1 == code2 == 0
+        assert out1 == out2 and err1 == ""
+        timings = json.loads(err2)["timings"]
+        assert set(timings) == {"uniform", "sparse", "neighbor", "hillclimb"}
+        assert sum(t["trials"] for t in timings.values()) == json.loads(out1)["trials"]
+        assert all(t["seconds"] >= 0.0 for t in timings.values())
+
+    def test_timings_split_trials_by_mode(self):
+        # 2 families x 1 dim: runs of two slots per mode, the modes cycling.
+        config = bounds.ScanConfig(
+            families=(bounds.shannon(), bounds.tsallis(0.5)), dims=(2,), trials=20,
+            modes=("uniform", "sparse"), seed=3,
+        )
+        timings = bounds.stability_scan(config).timings
+        assert {m: t["trials"] for m, t in timings.items()} == {"uniform": 10, "sparse": 10}
+
     def test_ratio_tol_flag_is_gone(self, capsys):
         assert cli.main(["scan", "--trials", "5", "--ratio-tol", "1e-9"]) == 1
 

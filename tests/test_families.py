@@ -53,6 +53,34 @@ class TestParameterValidation:
                 make(value)
 
     @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "tsallis"},
+            {"kind": "tsallis", "kappa": 5.0},
+            {"kind": "tsallis", "kappa": 0.0},
+            {"kind": "kaniadakis", "kappa": -1.0},
+            {"kind": "kappa_maxwell", "kappa": math.inf},
+            {"kind": "kappa_maxwell", "kappa": math.nan},
+            {"kind": "kappa_maxwell", "kappa": True},
+            {"kind": "piecewise_linear"},
+            {"kind": "piecewise_linear", "base": 1.0},
+            {"kind": "shannon", "kappa": 0.5},
+            {"kind": "sqrt_log", "base": 2.0},
+            {"kind": "tsallis", "kappa": 0.5, "base": 2.0},
+        ],
+        ids=str,
+    )
+    def test_direct_construction_checks_fields(self, fields):
+        # The kind table's ranges, not only the constructors, guard LogFamily.
+        with pytest.raises(ParamError):
+            pe.LogFamily(**fields)
+
+    def test_direct_construction_equals_constructor_fields(self):
+        fam = pe.LogFamily(kind="kappa_maxwell", kappa=2)
+        assert fam.kappa == 2.0 and isinstance(fam.kappa, float)
+        assert pe.LogFamily(kind="tsallis", kappa=0.5).label == pe.tsallis(0.5).label
+
+    @pytest.mark.parametrize(
         "spec",
         ['{"kind":"kappa_maxwell","kappa":1e999}', '{"kind":"kappa_maxwell","kappa":Infinity}',
          '{"kind":"piecewise_linear","base":1e999}', '{"kind":"piecewise_linear","base":Infinity}'],

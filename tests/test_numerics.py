@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from phientropy.errors import BracketError, NoConvergence, ParamError
 from phientropy.numerics import (
@@ -113,3 +115,18 @@ class TestCompensatedSum:
     def test_ndarray_input(self):
         arr = np.full(1000, 0.1)
         assert sum_compensated(arr) == pytest.approx(100.0, abs=1e-12)
+
+    @given(
+        st.lists(st.floats(-1e300, 1e300), max_size=20),
+        st.lists(st.sampled_from([0.0, -0.0]), max_size=20),
+        st.randoms(use_true_random=False),
+    )
+    def test_zero_terms_leave_the_bits_unchanged(self, terms, zeros, random):
+        # The check table sums h_r / e_r terms over all N entries, zeros
+        # included where p and q agree; the sum must not see them.
+        mixed = terms + zeros
+        random.shuffle(mixed)
+        want = sum_compensated(terms)
+        got = sum_compensated(mixed)
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got == want
