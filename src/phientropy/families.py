@@ -613,16 +613,18 @@ _KINDS = {
 
 def _field(kind: str, name: str, value) -> float:
     """``value`` as a float, or ParamError unless it is a finite number in the row's range."""
-    rng = _KINDS[kind].fields[name]
+    allowed = _KINDS[kind].fields[name]
     if value is None:
         raise ParamError(f"{kind} families need {name}")
     try:
         # A bool is no number here; float() also rejects strings it cannot parse.
         x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         x = math.nan
-    if not (math.isfinite(x) and rng.admits(x)):
-        raise ParamError(f"{kind} {name} = {value!r} is outside its range: finite and {rng.text}{rng.note}")
+    if not (math.isfinite(x) and allowed.admits(x)):
+        raise ParamError(
+            f"{kind} {name} = {value!r} is outside its range: finite and {allowed.text}{allowed.note}"
+        )
     return x
 
 

@@ -64,6 +64,7 @@ class TestParameterValidation:
             {"kind": "kappa_maxwell", "kappa": True},
             {"kind": "piecewise_linear"},
             {"kind": "piecewise_linear", "base": 1.0},
+            {"kind": "piecewise_linear", "base": 10**400},
             {"kind": "shannon", "kappa": 0.5},
             {"kind": "sqrt_log", "base": 2.0},
             {"kind": "tsallis", "kappa": 0.5, "base": 2.0},
