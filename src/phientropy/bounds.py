@@ -523,8 +523,12 @@ def _eval_relent_i(t: _Trial):
 
 
 def _eval_relent_d(t: _Trial):
-    # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r).
-    cross = sum_compensated(t.dpq * t.ref.ln_r)
+    # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r), over p != q when ln_phi(r) can be inf.
+    dpq, ln_r = t.dpq, t.ref.ln_r
+    if not t.ref.ln2_finite:
+        moved = dpq != 0
+        dpq, ln_r = dpq[moved], ln_r[moved]
+    cross = sum_compensated(dpq * ln_r)
     if t.any_bare:
         cross += t.fam.ln_at_zero * t.bare_mass
     return abs(t.ent_q - t.ent_p - cross), t.d + t.get_e_r()
@@ -908,7 +912,8 @@ class _Aggregator:
         """Count one evaluated check; return its ratio (None when rhs <= 0).
 
         The report, its digest and the witness are built only when the ratio
-        beats the bound's or the scan's worst so far.
+        beats the bound's or the scan's worst so far, unless both sides lie
+        within ``tol`` of zero: such noise is counted and checked, never a worst.
         """
         stats = self.stats[check.bound_id]
         stats.trials += 1
@@ -921,6 +926,9 @@ class _Aggregator:
         worst_bound = stats.worst_ratio is None or ratio > stats.worst_ratio
         worst_scan = self.worst is None or ratio > self.worst
         if worst_bound or worst_scan:
+            tol = _tol(rhs)
+            if abs(lhs) <= tol and rhs <= tol:  # rounding noise: says nothing of tightness
+                return ratio
             report = _report(check.bound_id, lhs, rhs, _check_digest(check, t))
             witness = _witness(check, t, report)
             if worst_bound:

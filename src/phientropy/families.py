@@ -21,14 +21,15 @@ All evaluation functions accept scalars or ndarrays and are pure, so family
 values can be shared freely across threads.
 
 Each kind is one row of the kind table ``_KINDS`` at the end of this module:
-its constructor, its JSON fields with their admissible ranges, and its
-kernels ``ln``, ``drop`` (F(0) - F(x)), ``prime`` and, where ln_phi has a
-closed inverse, ``exp``.  The public functions check their argument's domain
-and call the row's kernel; the wire format, the catalogue, the labels and
-``LogFamily``'s parameter check read the same row.  To add a kind, write its
-constructor (check each parameter with ``_field``, which reads the row's
-ranges; compute F(0), the limits of ln_phi and the singularity exponent) and
-its row; ``fields=None`` keeps a kind out of the wire format.
+its JSON fields with their admissible ranges, ``derive`` (the singularity
+exponent, F(0) and the limits of ln_phi at 0+ and +inf, from the
+parameters), and its kernels ``ln``, ``drop`` (F(0) - F(x)), ``prime`` and,
+where ln_phi has a closed inverse, ``exp``.  The public functions check
+their argument's domain and call the row's kernel; ``LogFamily``'s
+construction, the wire format, the catalogue and the labels read the same
+row.  To add a kind, write its row and a one-line constructor
+``return LogFamily(kind=..., <param>=<param>)``; ``fields=None`` keeps a
+kind out of the wire format.
 
 The numerically load-bearing primitive is ``big_f_drop(x) = F(0) - F(x)``,
 evaluated in cancellation-free form per family.  It equals
@@ -73,8 +74,9 @@ __all__ = [
 class LogFamily:
     """One deformed logarithm with its cached derived constants.
 
-    Instances are immutable; build them with the module-level constructors
-    (:func:`shannon`, :func:`tsallis`, ...), which precompute:
+    Instances are immutable.  A built-in family is its kind and its
+    parameters (``LogFamily(kind="tsallis", kappa=0.5) == tsallis(0.5)``);
+    its row derives the rest, and :func:`custom_family` supplies it all:
 
     - ``f_zero``: F(0), equal to ``big_f_drop(1)`` (cached so identities
       like ``omega(1) = 0`` hold exactly in floating point),
@@ -86,29 +88,39 @@ class LogFamily:
       used to grade quadrature meshes.
 
     Construction raises :class:`ParamError` for a kind the kind table does
-    not define, and for a built-in kind whose parameter is missing, not a
-    finite number in the range its row gives, or one the kind does not take.
+    not define, for a built-in kind whose parameter is missing, not a finite
+    number in the range its row gives, or one the kind does not take, or
+    which is given ``custom_ln`` or a derived constant, and for a custom
+    kind without a callable ``custom_ln`` and all four constants.
     """
 
     kind: str
     kappa: Optional[float] = None
     base: Optional[float] = None
     custom_ln: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    singularity_exponent: float = 0.0
-    f_zero: float = 1.0
-    ln_at_zero: float = -math.inf
-    ln_sup: float = math.inf
+    singularity_exponent: Optional[float] = None
+    f_zero: Optional[float] = None
+    ln_at_zero: Optional[float] = None
+    ln_sup: Optional[float] = None
 
     def __post_init__(self):
-        fields = _row(self.kind).fields
-        if fields is None:
-            return
+        row = _row(self.kind)
+        fields = row.fields or {}
         for name in ("kappa", "base"):
             value = getattr(self, name)
             if name in fields:
                 object.__setattr__(self, name, _field(self.kind, name, value))
             elif value is not None:
                 raise ParamError(f"{self.kind} families take no {name}, got {value!r}")
+        if row.derive is None:
+            if not callable(self.custom_ln) or any(getattr(self, name) is None for name in _DERIVED):
+                raise ParamError(f"{self.kind} families need a callable custom_ln and {', '.join(_DERIVED)}")
+            return
+        given = [name for name in ("custom_ln", *_DERIVED) if getattr(self, name) is not None]
+        if given:
+            raise ParamError(f"{self.kind} families take only their parameters, got {', '.join(given)}")
+        for name, value in zip(_DERIVED, row.derive(self)):
+            object.__setattr__(self, name, value)
 
     @property
     def omega_at_zero(self) -> float:
@@ -130,7 +142,7 @@ class LogFamily:
 
 def shannon() -> LogFamily:
     """The natural logarithm: phi(y) = y, F(0) = 1."""
-    return LogFamily(kind="shannon", singularity_exponent=0.0, f_zero=1.0)
+    return LogFamily(kind="shannon")
 
 
 def tsallis(kappa: float) -> LogFamily:
@@ -139,19 +151,7 @@ def tsallis(kappa: float) -> LogFamily:
     ``kappa`` must lie in (-1, 1) and be nonzero.  The deduced logarithm of
     this family is the q-logarithm ``(1/kappa) * (1 - x**-kappa)``.
     """
-    kappa = _field("tsallis", "kappa", kappa)
-    if kappa > 0:
-        ln0, lnsup, s = -(1.0 + 1.0 / kappa), math.inf, 0.0
-    else:
-        ln0, lnsup, s = -math.inf, -(1.0 + 1.0 / kappa), -kappa
-    return LogFamily(
-        kind="tsallis",
-        kappa=kappa,
-        singularity_exponent=s,
-        f_zero=(1.0 + 1.0 / kappa) - 1.0 / kappa,  # = g(1), analytically 1
-        ln_at_zero=ln0,
-        ln_sup=lnsup,
-    )
+    return LogFamily(kind="tsallis", kappa=kappa)
 
 
 def kaniadakis(kappa: float) -> LogFamily:
@@ -160,15 +160,7 @@ def kaniadakis(kappa: float) -> LogFamily:
     Concave only for ``|kappa| < 1``; kappa = 0 is the shannon limit and is
     rejected (use kind 'shannon').  F(0) = 1 / (1 - kappa**2).
     """
-    kappa = _field("kaniadakis", "kappa", kappa)
-    ak = abs(kappa)
-    f0 = (1.0 / (2.0 * kappa)) * (1.0 / (1.0 - kappa) - 1.0 / (1.0 + kappa))
-    return LogFamily(
-        kind="kaniadakis",
-        kappa=kappa,
-        singularity_exponent=ak,
-        f_zero=f0,  # analytically 1 / (1 - kappa^2)
-    )
+    return LogFamily(kind="kaniadakis", kappa=kappa)
 
 
 def kappa_maxwell(kappa: float) -> LogFamily:
@@ -177,24 +169,12 @@ def kappa_maxwell(kappa: float) -> LogFamily:
     Any finite ``kappa > 0`` is accepted.  ``ln_phi`` is bounded above by
     ``kappa``, so the deduced logarithm has a finite limit ``-(1 + kappa)`` at 0.
     """
-    kappa = _field("kappa_maxwell", "kappa", kappa)
-    return LogFamily(
-        kind="kappa_maxwell",
-        kappa=kappa,
-        singularity_exponent=1.0 / (1.0 + kappa),
-        f_zero=1.0,
-        ln_sup=kappa,
-    )
+    return LogFamily(kind="kappa_maxwell", kappa=kappa)
 
 
 def sqrt_log() -> LogFamily:
     """The logarithm ``-1 + sqrt(x)``; bounded at 0, F(0) = 1/3."""
-    return LogFamily(
-        kind="sqrt_log",
-        singularity_exponent=0.0,
-        f_zero=1.0 - 2.0 / 3.0,
-        ln_at_zero=-1.0,
-    )
+    return LogFamily(kind="sqrt_log")
 
 
 def piecewise_linear(base: float) -> LogFamily:
@@ -203,13 +183,7 @@ def piecewise_linear(base: float) -> LogFamily:
     Requires a finite ``base > 1`` so the knot values increase and the
     interpolant is concave.  F(0) = 1/2 + 1/(base - 1).
     """
-    base = _field("piecewise_linear", "base", base)
-    return LogFamily(
-        kind="piecewise_linear",
-        base=base,
-        singularity_exponent=0.0,
-        f_zero=0.5 + 1.0 / (base - 1.0),
-    )
+    return LogFamily(kind="piecewise_linear", base=base)
 
 
 def custom_family(
@@ -410,6 +384,14 @@ def _shannon_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
         return np.where(arr > 0, arr - arr * np.log(arr), 0.0)
 
 
+def _tsallis_derive(fam: LogFamily) -> tuple:
+    k = fam.kappa
+    f0 = (1.0 + 1.0 / k) - 1.0 / k  # = g(1), analytically 1
+    if k > 0:
+        return 0.0, f0, -(1.0 + 1.0 / k), math.inf
+    return -k, f0, -math.inf, -(1.0 + 1.0 / k)
+
+
 def _tsallis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     k = fam.kappa
     b = 1.0 + (k / (1.0 + k)) * arr
@@ -535,19 +517,24 @@ _KAPPA_POWER = _Range(
 )
 
 
+# The constants each row's ``derive`` returns, in order.
+_DERIVED = ("singularity_exponent", "f_zero", "ln_at_zero", "ln_sup")
+
+
 class _Kind(NamedTuple):
-    """One family kind: its constructor, JSON fields and kernels.
+    """One family kind: its JSON fields, derived constants and kernels.
 
     ``fields`` maps each JSON field, which is also a ``LogFamily`` attribute
-    and the keyword of ``make``, to its admissible range; None means no JSON
-    encoding (``custom_family`` checks its own arguments).  The
-    kernels take the family and a float ndarray in their function's domain:
-    ln_phi, F(0) - F(x), ln_phi', and the inverse of ln_phi (by bisection
-    unless the row gives a closed form).
+    and keyword, to its admissible range; None means no JSON encoding
+    (``custom_family`` checks its own arguments).  ``derive`` returns the
+    ``_DERIVED`` constants of a family whose parameters are checked; None
+    means the family carries its own.  The kernels take the family and a
+    float ndarray in their function's domain: ln_phi, F(0) - F(x), ln_phi',
+    and the inverse of ln_phi (by bisection unless the row gives a closed form).
     """
 
-    make: Callable[..., LogFamily]
     fields: Optional[dict[str, _Range]]
+    derive: Optional[Callable[["LogFamily"], tuple]]
     ln: Kernel
     drop: Kernel
     prime: Kernel
@@ -556,21 +543,27 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     "shannon": _Kind(
-        make=shannon, fields={},
+        fields={},
+        derive=lambda fam: (0.0, 1.0, -math.inf, math.inf),
         ln=lambda fam, x: np.log(x),
         drop=_shannon_drop,
         prime=lambda fam, x: 1.0 / x,
         exp=lambda fam, x: np.exp(x),
     ),
     "tsallis": _Kind(
-        make=tsallis, fields={"kappa": _KAPPA_POWER},
+        fields={"kappa": _KAPPA_POWER},
+        derive=_tsallis_derive,
         ln=lambda fam, x: (1.0 + 1.0 / fam.kappa) * (x**fam.kappa - 1.0),
         drop=lambda fam, x: (1.0 + 1.0 / fam.kappa) * x - (1.0 / fam.kappa) * x ** (1.0 + fam.kappa),
         prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
         exp=_tsallis_exp,
     ),
     "kaniadakis": _Kind(
-        make=kaniadakis, fields={"kappa": _KAPPA_POWER},
+        fields={"kappa": _KAPPA_POWER},
+        derive=lambda fam: (  # F(0) is analytically 1 / (1 - kappa^2)
+            abs(fam.kappa), (1.0 / (2.0 * fam.kappa)) * (1.0 / (1.0 - fam.kappa) - 1.0 / (1.0 + fam.kappa)),
+            -math.inf, math.inf,
+        ),
         ln=lambda fam, x: (x**fam.kappa - x**-fam.kappa) / (2.0 * fam.kappa),
         drop=lambda fam, x: (
             x ** (1.0 - fam.kappa) / (1.0 - fam.kappa) - x ** (1.0 + fam.kappa) / (1.0 + fam.kappa)
@@ -579,7 +572,8 @@ _KINDS = {
         exp=_kaniadakis_exp,
     ),
     "kappa_maxwell": _Kind(
-        make=kappa_maxwell, fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
+        fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
+        derive=lambda fam: (1.0 / (1.0 + fam.kappa), 1.0, -math.inf, fam.kappa),
         ln=lambda fam, x: fam.kappa * (1.0 - x ** (-1.0 / (1.0 + fam.kappa))),
         drop=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa / (1.0 + fam.kappa)) - fam.kappa * x,
         prime=lambda fam, x: (fam.kappa / (1.0 + fam.kappa)) * x ** (-(2.0 + fam.kappa) / (1.0 + fam.kappa)),
@@ -588,22 +582,23 @@ _KINDS = {
         ),
     ),
     "sqrt_log": _Kind(
-        make=sqrt_log, fields={},
+        fields={},
+        derive=lambda fam: (0.0, 1.0 - 2.0 / 3.0, -1.0, math.inf),
         ln=lambda fam, x: -1.0 + np.sqrt(x),
         drop=lambda fam, x: x - (2.0 / 3.0) * x**1.5,
         prime=lambda fam, x: 0.5 / np.sqrt(x),
         exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
     ),
     "piecewise_linear": _Kind(
-        make=piecewise_linear, fields={
-            "base": _Range("> 1", lambda v: v > 1.0, "; smaller bases make the knot values decreasing")
-        },
+        fields={"base": _Range("> 1", lambda v: v > 1.0, "; smaller bases make the knot values decreasing")},
+        derive=lambda fam: (0.0, 0.5 + 1.0 / (fam.base - 1.0), -math.inf, math.inf),
         ln=_pw_ln,
         drop=_pw_drop,
         prime=_pw_prime,
     ),
     "custom": _Kind(
-        make=custom_family, fields=None,
+        fields=None,
+        derive=None,
         ln=lambda fam, x: fam.custom_ln(x),
         drop=_custom_drop,
         prime=_custom_prime,
@@ -662,16 +657,11 @@ def family_from_json(spec: dict) -> LogFamily:
     given = sorted(set(spec) - {"kind"})
     if given != sorted(row.fields):
         raise ParamError(f"family kind {kind!r} takes fields {sorted(row.fields)}, got {given}")
-    params = {}
     for name in row.fields:
         value = spec[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParamError(f"family field {name!r} must be a JSON number, got {value!r}")
-        try:
-            params[name] = float(value)
-        except OverflowError:
-            raise ParamError(f"family field {name!r} must be finite, got {value}") from None
-    return row.make(**params)
+    return LogFamily(kind=kind, **{name: spec[name] for name in row.fields})
 
 
 def builtin_catalogue() -> list[dict]:

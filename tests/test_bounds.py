@@ -580,6 +580,62 @@ class TestRelentAtTinyReference:
                 pe.h_r(pe.shannon(), *self.inputs(5e-324))
 
 
+class TestRelentDAtSubnormalReference:
+    """relent_D where ln_phi of a subnormal reference weight is -inf.
+
+    tsallis(-0.99) at r = 1e-320 overflows x**kappa, so ln_phi(r) = -inf
+    there; p and q agree on that entry, so its (p - q) ln_phi(r) term is 0.
+    """
+
+    FAM = pe.tsallis(-0.99)
+
+    def inputs(self):
+        p = pe.Pdf([0.5, 0.5, 1e-320])
+        return p, pe.Pdf([0.4, 0.6, 1e-320]), p
+
+    def test_run_bound_checks(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports, skipped = run_bound_checks(self.FAM, *self.inputs())
+        by_id = {rep.bound_id: rep for rep in reports}
+        assert skipped == [] and {"relent_I", "relent_D"} <= set(by_id)
+        for rep in reports:
+            assert math.isfinite(rep.lhs) and rep.holds, rep
+        # With r = p the cross term sum (p - q) ln_phi(r) cancels exactly.
+        assert by_id["relent_D"].lhs == by_id["cont1"].lhs
+
+    def test_check_relent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep_i, rep_d = pe.check_relent(self.FAM, *self.inputs())
+        assert rep_i.holds and rep_d.holds
+        assert math.isfinite(rep_d.lhs) and math.isfinite(rep_d.rhs)
+
+
+class TestNoiseFloor:
+    """A report with both sides within tol of zero never becomes a worst."""
+
+    def test_below_floor_report_is_counted_not_worst(self):
+        agg = bounds._Aggregator()
+        check = bounds._RELENT_I
+        # lhs / rhs > 1, but both are rounding noise, as for p and q ulps apart.
+        assert agg.add(check, None, 3e-16, 2.8e-16) == 3e-16 / 2.8e-16
+        assert agg.stats["relent_I"].trials == 1
+        assert agg.stats["relent_I"].worst_ratio is None and agg.worst is None
+        assert agg.violations == 0
+
+    def test_scan_worst_is_above_floor(self):
+        # Sub-scan seed 713355637 of a default benchmark scan: its worst was a
+        # relent_I report of lhs ~ 3e-16 against rhs ~ 2.8e-16.
+        report = stability_scan(ScanConfig(trials=1000, seed=713355637))
+        assert report.violations == 0
+        assert report.worst_ratio <= 1.0
+        for stats in report.per_bound.values():
+            rep = stats.witness["report"] if stats.witness else None
+            if rep is not None:
+                assert max(rep["lhs"], rep["rhs"]) > rep["tol"], rep
+
+
 class TestStabilityScan:
     def test_violations_counted_outside_payload(self):
         report = stability_scan(ScanConfig(trials=200, seed=3))

@@ -197,6 +197,26 @@ class TestBounds:
         assert proc.stderr.startswith("error: reference weight too small")
         assert "Warning" not in proc.stderr
 
+    def test_subnormal_reference_relent_d_is_finite(self, tmp_path):
+        # ln_phi(1e-320) = -inf for tsallis(-0.99); p and q agree there.
+        p = write_pdf(tmp_path, "p.json", [0.5, 0.5, 1e-320])
+        q = write_pdf(tmp_path, "q.json", [0.4, 0.6, 1e-320])
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phientropy.cli", "bounds", "--family", '{"kind":"tsallis","kappa":-0.99}',
+             "--p", p, "--q", q, "--r", p],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+
+        def refuse(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        payload = json.loads(proc.stdout, parse_constant=refuse)
+        assert payload["all_hold"] is True
+        assert "relent_D" in {rep["bound_id"] for rep in payload["reports"]}
+
     def test_table_format_banner(self, capsys, tmp_path):
         p = write_pdf(tmp_path, "p.json", [0.5, 0.5])
         q = write_pdf(tmp_path, "q.json", [0.25, 0.75])
@@ -216,14 +236,17 @@ class TestScan:
         assert out1 == out2
 
     def test_exit_zero_when_every_report_holds(self, capsys):
-        # The worst report of this scan is a relent_I with lhs ~ 1.2e-15 and
-        # rhs ~ 6.1e-16: ratio ~ 1.95, yet it holds within the tolerance, so
-        # the exit code is 0.  The payload bytes are those of earlier releases.
+        # This scan evaluates a relent_I report with lhs ~ 1.2e-15 and rhs ~
+        # 6.1e-16: ratio ~ 1.95, yet it holds within the tolerance, so the
+        # exit code is 0.  Both sides lie below the noise floor, so it is not
+        # the worst: that is a relent_I report of ratio 0.777.
         code, out, _ = run(capsys, "scan", "--trials", "1000", "--seed", "3898507391")
         assert code == 0
-        assert json.loads(out)["worst_ratio"] > 1.9
+        payload = json.loads(out)
+        assert payload["worst_ratio"] == 0.777190858001277
+        assert payload["witness"]["report"]["bound_id"] == "relent_I"
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "1e54b60b82687385c9502c915041974bb1ceedd7b6a80a23e554be2046b2d922"
+            "56ba9b43d00c2771abdcb78f273ce41cfc9129555234dda7de49762bb48bbfb4"
         )
 
     def test_violation_exit_two(self, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -68,6 +69,8 @@ class TestParameterValidation:
             {"kind": "shannon", "kappa": 0.5},
             {"kind": "sqrt_log", "base": 2.0},
             {"kind": "tsallis", "kappa": 0.5, "base": 2.0},
+            {"kind": "custom", "custom_ln": np.log, "singularity_exponent": 0.0, "f_zero": 1.0,
+             "ln_at_zero": -math.inf, "ln_sup": math.inf, "kappa": 0.5},
         ],
         ids=str,
     )
@@ -80,6 +83,43 @@ class TestParameterValidation:
         fam = pe.LogFamily(kind="kappa_maxwell", kappa=2)
         assert fam.kappa == 2.0 and isinstance(fam.kappa, float)
         assert pe.LogFamily(kind="tsallis", kappa=0.5).label == pe.tsallis(0.5).label
+        # A family is its kind and its parameters: the kind's row derives the rest.
+        p = pe.validate([0.5, 0.3, 0.2])
+        for family in FAMILY_GRID:
+            direct = pe.LogFamily(**pe.family_to_json(family))
+            for field in dataclasses.fields(pe.LogFamily):
+                assert getattr(direct, field.name) == getattr(family, field.name), (family.label, field.name)
+            assert direct.f_zero == pytest.approx(ANALYTIC_F_ZERO[family.kind](family), rel=1e-14)
+            generic = pe.entropy(direct, p, "generic")
+            if family.kind in ("shannon", "tsallis", "kaniadakis"):
+                assert generic == pytest.approx(pe.entropy(family, p, "closed_form"), rel=1e-12)
+            assert generic > 0
+
+    def test_direct_construction_refuses_derived_constants(self):
+        for family in FAMILY_GRID:
+            spec = pe.family_to_json(family)
+            for name in ("custom_ln", "singularity_exponent", "f_zero", "ln_at_zero", "ln_sup"):
+                # Even the value the kind would derive is refused.
+                value = np.log if name == "custom_ln" else getattr(family, name)
+                with pytest.raises(ParamError, match=f"take only their parameters, got {name}$"):
+                    pe.LogFamily(**spec, **{name: value})
+
+    @pytest.mark.parametrize(
+        "drop",
+        ["custom_ln", "singularity_exponent", "f_zero", "ln_at_zero", "ln_sup", "callable"],
+    )
+    def test_custom_kind_needs_logarithm_and_constants(self, drop):
+        fields = dict(
+            kind="custom", custom_ln=np.log, singularity_exponent=0.0, f_zero=1.0,
+            ln_at_zero=-math.inf, ln_sup=math.inf,
+        )
+        assert pe.LogFamily(**fields).f_zero == 1.0
+        if drop == "callable":
+            fields["custom_ln"] = "log"
+        else:
+            del fields[drop]
+        with pytest.raises(ParamError, match="need a callable custom_ln"):
+            pe.LogFamily(**fields)
 
     @pytest.mark.parametrize(
         "spec",
