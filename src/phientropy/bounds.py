@@ -7,14 +7,23 @@ must come back true on every valid input; a violation beyond tolerance
 indicates an implementation bug, which is exactly what
 :func:`stability_scan` hunts for with randomized and hill-climbed inputs.
 
-One ordered table, :data:`CHECKS`, decides which inequalities apply to an
-input and evaluates them: :func:`run_bound_checks` (the ``bounds`` command)
-and :func:`stability_scan` both walk it, and each ``check_*`` function
-evaluates its rows, raising on an input the table would skip.  Every row
-reads one per-input context that checks the pdf lengths once and computes
-the quantities the inequalities share (tv, I(p), I(q), d(p, q), I(p sym q),
-...) once, with a single call of the family kernel; what depends only on the
-family, N and the reference pdf is computed once per reference.
+One ordered table, :data:`CHECKS` (in :mod:`phientropy.table`, re-exported
+here), decides which inequalities apply to an input and evaluates them over
+a batch of inputs: :func:`run_bound_checks` (the ``bounds`` command) and
+each ``check_*`` function evaluate a batch of one, the latter raising on an
+input the table would skip, and :func:`stability_scan` evaluates many.
+
+The scan runs as lanes.  A lane is one slot: a single trial in the
+``uniform``, ``sparse`` and ``neighbor`` modes, or a whole restart in the
+``hillclimb`` mode.  The slots come in blocks of ``len(families) *
+len(dims)``, each of one mode; at each tick the active lanes of a block take
+one trial each, side by side, through one batch.  Every slot draws from its
+own ``SeedSequence(seed, spawn_key=(slot,))`` stream in the sequential
+order (pdfs, then each trial's step and its lam and mu), so the lanes change
+no bit.  When a block's lanes finish, its trials are numbered in slot order,
+those past the budget are dropped, and the block is merged into the report:
+counts add up, and a bound's worst is the largest ratio, the lowest trial
+index winning a tie, as the strict ``>`` of a sequential scan gives.
 
 Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
 holds when ``lhs <= rhs + 1e-10 * (1 + |rhs|)``.
@@ -43,35 +52,48 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .distributions import Pdf, _check_lengths, sample_neighbor, sample_sparse, sample_uniform
-from .errors import (
-    DomainError,
-    FamilyError,
-    IdenticalPdfs,
-    InfeasibleEpsilon,
-    ParamError,
-    RangeError,
-    SupportError,
-)
+from .errors import FamilyError, ParamError, PhiEntropyError, RangeError
 from .families import (
     LogFamily,
     big_f_drop,
-    big_f_drop_unchecked,
     family_to_json,
     kappa_maxwell,
     kaniadakis,
-    ln_phi_unchecked,
     piecewise_linear,
     shannon,
     sqrt_log,
     tsallis,
 )
-from .numerics import bisect_monotone, sum_compensated
+from .numerics import sum_compensated
+from .table import (
+    _CONT1,
+    _CONT2,
+    _FANNES,
+    _IMPROVED,
+    _LB,
+    _LESCHE3,
+    _LESCHE4,
+    _NOT_APPLICABLE,
+    _ONE,
+    _QUIET,
+    _REFUSALS,
+    _RELENT_D,
+    _RELENT_I,
+    _SEGMENT,
+    CHECKS,
+    Check,
+    _applies,
+    _Batch,
+    _Layout,
+    _reason,
+    condition1_delta,
+    entropy_min_half,
+)
 
 __all__ = [
     "TOL_SCALE",
@@ -194,185 +216,6 @@ def _report(bound_id, lhs, rhs, digest) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# per-input context
-
-_OVERFLOW = "reference weight too small: a ratio to r overflows"
-_BARE = "r has zero weight where p and q differ"
-
-
-class _Reference:
-    """What a check-table input shares with every input of its family, N and r.
-
-    I_max(N) = omega(N), the left side of ``lb``, and, given a reference pdf
-    r, its zero pattern and ln_phi(r), ln_phi(1/r) where r > 0.  The scan
-    builds one per hill-climb restart and reuses it for every step.  Each
-    value has the arithmetic of the public function it stands for.
-    """
-
-    def __init__(self, fam: LogFamily, n: int, r: Pdf | None = None):
-        f0 = fam.f_zero
-        self.fam, self.n, self.r = fam, n, r
-        self.i_max = n * float(big_f_drop_unchecked(fam, np.asarray(1.0 / n))) - f0
-        if r is None:
-            self.lb_lhs = -f0 - float(ln_phi_unchecked(fam, np.asarray(0.5)))
-            return
-        rw = r.weights
-        self.zero = rw == 0
-        self.any_zero = bool(self.zero.any())
-        self.pos = ~self.zero if self.any_zero else slice(None)
-        self.rr = rr = rw[self.pos]
-        # 1/r overflows only where r is subnormal.  Such entries get
-        # ln_phi(1) = 0 here, and h_r raises wherever p and q differ on one.
-        with np.errstate(over="ignore"):
-            inv = 1.0 / rr
-        over = np.isinf(inv)
-        self.inv_inf = None
-        if over.any():
-            self.inv_inf = np.zeros(n, dtype=bool)
-            self.inv_inf[self.pos] = over
-            inv[over] = 1.0
-        ln = ln_phi_unchecked(fam, np.concatenate(((0.5,), rr, inv)))
-        self.lb_lhs = -f0 - float(ln[0])
-        self.ln_r = ln[1 : rr.size + 1]
-        # Rows ln_phi(1/r), ln_phi(r) over all N entries, 0 where r = 0.
-        self.ln2 = np.zeros((2, n))
-        self.ln2[0, self.pos] = ln[rr.size + 1 :]
-        self.ln2[1, self.pos] = self.ln_r
-        # ln_phi of a subnormal r can be infinite.
-        self.ln2_finite = _all_finite(self.ln2)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    # Half the cost of np.isfinite(a).all() on the few-element arrays of a scan.
-    return np.count_nonzero(np.isfinite(a)) == a.size
-
-
-class _Trial:
-    """One input of the check table: every shared value computed once.
-
-    A :class:`Pdf` has finite, nonnegative weights and :func:`_trial` checks
-    the lengths, so the constructor only forms |p - q| and tv; :meth:`evaluate`
-    computes everything the table reads, passing all ``big_f_drop`` arguments
-    (p, q, |p - q|, the symmetric difference, the mixtures of the segment, the
-    omega(N / tv) and min(tv, 1) arguments and relent_I's q/r and p/r) through
-    one kernel call.  Each value keeps the arithmetic of the public function
-    it stands for.  An error a value's public function would raise (a ratio
-    to r, or F at one, that overflows, an unsupported limit, omega at an
-    infinite x) is recorded here and raised by the evaluator that reads the
-    value, so errors still come in table order.
-    ``segment`` holds (lam, mu, epsilon) for the segment check, or None.
-    """
-
-    def __init__(self, ref: _Reference, p: Pdf, q: Pdf):
-        self.ref, self.fam, self.r = ref, ref.fam, ref.r
-        self.p, self.q = p, q
-        self.diff = np.abs(p.weights - q.weights)
-        self.tv = sum_compensated(self.diff)
-        self.segment = None
-
-    def evaluate(self, segment=None):
-        fam, ref, tv, diff = self.fam, self.ref, self.tv, self.diff
-        f0, n = fam.f_zero, ref.n
-        pw, qw = self.p.weights, self.q.weights
-        self.segment = segment
-        # Arguments whose entropy terms big_f_drop(w) - w * F(0) are summed
-        # come first, then |p - q|, the scalars and the relent_I ratios.
-        ents = [pw, qw]
-        scalars = ()
-        mixed = False
-        if tv > 0:
-            ents.append(diff / tv)
-            if segment is not None and _mix_weights_ok(segment[0], segment[1]):
-                lam, mu = segment[0], segment[1]
-                ents += [lam * pw + (1.0 - lam) * qw, mu * pw + (1.0 - mu) * qw]
-                mixed = True
-            # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
-            self.x_cont2 = n / tv
-            scalars = (1.0 / self.x_cont2, min(tv, 1.0))
-        ratios = self._relent_setup() if self.r is not None else ()
-        args = np.concatenate((*ents, diff, scalars, *ratios))
-        m = len(ents) * n
-        if ratios:
-            # A ratio to a tiny r that overflows is kept out of the kernel.
-            end = m + n + len(scalars)
-            self.ratio_overflow = not _all_finite(args[end:])
-            if self.ratio_overflow:
-                ratios, args = (), args[:end]
-        g = big_f_drop_unchecked(fam, args)
-        terms = (g[:m] - args[:m] * f0).tolist()
-        rest = g[m : m + n + len(scalars)].tolist()
-        self.ent_p = sum_compensated(terms[:n])
-        self.ent_q = sum_compensated(terms[n : 2 * n])
-        self.gap = abs(self.ent_p - self.ent_q)
-        self.d = sum_compensated(rest[:n])
-        if tv > 0:
-            self.ent_sym = sum_compensated(terms[2 * n : 3 * n])
-            if mixed:
-                self.ent_mix = (
-                    sum_compensated(terms[3 * n : 4 * n]),
-                    sum_compensated(terms[4 * n :]),
-                )
-            self.g_cont2, self.g_improved = rest[n], rest[n + 1]
-        if ratios:
-            self.g_ratios = g[m + n + len(scalars) :]
-            self.ratio_overflow = not _all_finite(self.g_ratios)
-        return self
-
-    def get_h_r(self) -> float:
-        if self.h_r_error is not None:
-            raise self.h_r_error
-        return self.h_r
-
-    def get_e_r(self) -> float:
-        if self.e_r_error is not None:
-            raise self.e_r_error
-        return self.e_r
-
-    def _relent_setup(self) -> tuple:
-        """Support, h_r, e_r and the q/r, p/r arguments (empty if not needed).
-
-        The caller keeps the ratios out of the kernel call if one overflows.
-        """
-        fam, ref, diff = self.fam, self.ref, self.diff
-        self.any_bare = False
-        if ref.any_zero:
-            bare = (diff > 0) & ref.zero
-            self.any_bare = bool(bare.any())
-        self.relent_supported = not self.any_bare or (
-            fam.omega_at_zero_finite and math.isfinite(fam.ln_at_zero)
-        )
-        # Where p and q differ, bare coordinates and r > 0 partition the
-        # support of diff (x - y == 0 exactly when x == y in floating point).
-        # ln2 is 0 where r = 0, and diff is 0 where p and q agree: a finite
-        # ln2 makes those terms zeros, which leave the sums' bits unchanged
-        # (see sum_compensated).  An infinite ln2 would make them NaN.
-        if ref.ln2_finite:
-            h_terms, e_terms = (diff * ref.ln2).tolist()
-        else:
-            moved = diff > 0
-            h_terms, e_terms = (diff[moved] * ref.ln2[:, moved]).tolist()
-        h, e = sum_compensated(h_terms), sum_compensated(e_terms)
-        self.h_r_error = self.e_r_error = None
-        if self.any_bare:
-            self.bare_mass = sum_compensated(self.p.weights[bare] - self.q.weights[bare])
-            bare_abs = sum_compensated(diff[bare])
-            h += fam.ln_sup * bare_abs
-            e += fam.ln_at_zero * bare_abs
-            if not math.isfinite(fam.ln_sup):
-                self.h_r_error = SupportError(_BARE)
-            if not math.isfinite(fam.ln_at_zero):
-                self.e_r_error = SupportError(_BARE)
-        if self.h_r_error is None and ref.inv_inf is not None and (diff[ref.inv_inf] > 0).any():
-            self.h_r_error = DomainError(_OVERFLOW)
-        self.h_r, self.e_r = h, -e
-        if not self.relent_supported:
-            return ()
-        pp, qq = self.p.weights[ref.pos], self.q.weights[ref.pos]
-        self.dpq = pp - qq
-        return qq / ref.rr, pp / ref.rr
-
-
-# ---------------------------------------------------------------------------
 # distances
 
 
@@ -398,7 +241,11 @@ def h_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Nonnegative since ``r_k <= 1``; a metric in (p, q) for fixed r.
     """
-    return _trial(fam, p, q, r).get_h_r()
+    with np.errstate(**_QUIET):
+        b = _input(fam, p, q, r)
+    if b.h_error:
+        raise b.h_error[0]
+    return float(b.h[0])
 
 
 def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
@@ -406,209 +253,39 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Coincides with :func:`h_r` for the natural logarithm.
     """
-    return _trial(fam, p, q, r).get_e_r()
+    with np.errstate(**_QUIET):
+        b = _input(fam, p, q, r)
+    if b.e_error:
+        raise b.e_error[0]
+    return float(b.e[0])
 
 
-# ---------------------------------------------------------------------------
-# the check table
-#
-# A precondition returns None when its check applies, _NOT_APPLICABLE when
-# the check does not concern the input (wrong family, no reference, no
-# segment), or a skip reason, which ``run_bound_checks`` lists as skipped.
-# The ``check_*`` functions raise on any reason, with the error type below
-# (RangeError for the reasons not listed).
-
-_NOT_APPLICABLE = "not applicable"
-_SUPPORT = "r vanishes where p and q differ"
-_IDENTICAL = "identical pdfs"
-_REFUSALS = {_NOT_APPLICABLE: FamilyError, _SUPPORT: SupportError, _IDENTICAL: IdenticalPdfs}
-
-
-def _pre_always(t: _Trial) -> Optional[str]:
-    return None
-
-
-def _pre_distinct(t: _Trial) -> Optional[str]:
-    return None if t.tv > 0 else _IDENTICAL
-
-
-def _pre_improved(t: _Trial) -> Optional[str]:
-    if t.tv == 0:
-        return _IDENTICAL
-    return "tv > 1" if t.tv > 1.0 else None
-
-
-def _pre_lesche3(t: _Trial) -> Optional[str]:
-    return None if t.fam.kind == "tsallis" else _NOT_APPLICABLE
-
-
-def _pre_lesche4(t: _Trial) -> Optional[str]:
-    return None if t.fam.kind == "shannon" else _NOT_APPLICABLE
-
-
-def _pre_fannes(t: _Trial) -> Optional[str]:
-    if t.fam.kind != "shannon":
-        return _NOT_APPLICABLE
-    return "tv > 1/3" if t.tv > 1.0 / 3.0 else None
-
-
-def _pre_relent(t: _Trial) -> Optional[str]:
-    if t.r is None:
-        return _NOT_APPLICABLE
-    return None if t.relent_supported else _SUPPORT
-
-
-def _mix_weights_ok(lam: float, mu: float) -> bool:
-    return 0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0
-
-
-def _pre_segment(t: _Trial) -> Optional[str]:
-    if t.segment is None:
-        return _NOT_APPLICABLE
-    lam, mu, epsilon = t.segment
-    if not _mix_weights_ok(lam, mu):
-        raise ParamError("lam and mu must lie in [0, 1]")
-    if t.tv == 0.0:
-        return _IDENTICAL
-    delta = condition1_delta(t.fam, epsilon)
-    if abs(lam - mu) * t.tv > delta * (1.0 + 1e-12):
-        return f"hypothesis violated: |lam-mu|*tv = {abs(lam - mu) * t.tv} > delta = {delta}"
-    return None
-
-
-def _eval_cont1(t: _Trial):
-    return t.gap, t.d
-
-
-def _eval_lb(t: _Trial):
-    return t.ref.lb_lhs, t.ent_sym
-
-
-def _eval_cont2(t: _Trial):
-    x, f0 = t.x_cont2, t.fam.f_zero
-    if not x < math.inf:
-        raise DomainError("omega_phi requires finite x > 0")
-    return t.gap, t.tv * (f0 + (x * t.g_cont2 - f0))
-
-
-def _eval_improved(t: _Trial):
-    f0 = t.fam.f_zero
-    return t.gap, (t.g_improved / f0) * (f0 + t.ent_sym)
-
-
-def _eval_lesche3(t: _Trial):
-    k, tv = t.fam.kappa, t.tv
-    return t.gap, (1.0 + 1.0 / k) * tv + (t.ref.i_max - 1.0 / k) * tv ** (1.0 + k)
-
-
-def _eval_lesche4(t: _Trial):
-    tv = t.tv
-    return t.gap, (1.0 + t.ref.i_max) * tv - (tv * math.log(tv) if tv > 0 else 0.0)
-
-
-def _eval_fannes(t: _Trial):
-    tv = t.tv
-    return t.gap, t.ref.i_max * tv - (tv * math.log(tv) if tv > 0 else 0.0)
-
-
-def _eval_relent_i(t: _Trial):
-    # The per-coordinate integral form keeps full precision when p ~ q.
-    if t.ratio_overflow:
-        raise DomainError(_OVERFLOW)
-    g, k = t.g_ratios, t.ref.rr.size
-    lhs = sum_compensated(t.dpq * t.fam.f_zero + t.ref.rr * (g[:k] - g[k:]))
-    if t.any_bare:
-        lhs += -t.fam.omega_at_zero * t.bare_mass
-    return abs(lhs), t.d + t.get_h_r()
-
-
-def _eval_relent_d(t: _Trial):
-    # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r), over p != q when ln_phi(r) can be inf.
-    dpq, ln_r = t.dpq, t.ref.ln_r
-    if not t.ref.ln2_finite:
-        moved = dpq != 0
-        dpq, ln_r = dpq[moved], ln_r[moved]
-    cross = sum_compensated(dpq * ln_r)
-    if t.any_bare:
-        cross += t.fam.ln_at_zero * t.bare_mass
-    return abs(t.ent_q - t.ent_p - cross), t.d + t.get_e_r()
-
-
-def _eval_segment(t: _Trial):
-    mix_lam, mix_mu = t.ent_mix
-    return abs(mix_lam - mix_mu), t.segment[2] * t.ent_sym
-
-
-@dataclass(frozen=True)
-class Check:
-    """One row of the check table.
-
-    ``precondition`` says whether the bound applies to a context (see above);
-    ``evaluate`` returns its (lhs, rhs).  ``with_r`` / ``with_params`` put
-    the reference pdf / the segment's (lam, mu, epsilon) into the digest and
-    the scan witness.
-    """
-
-    bound_id: str
-    precondition: Callable[[_Trial], Optional[str]]
-    evaluate: Callable[[_Trial], tuple]
-    with_r: bool = False
-    with_params: bool = False
-
-
-_CONT1 = Check("cont1", _pre_always, _eval_cont1)
-_LB = Check("lb", _pre_distinct, _eval_lb)
-_CONT2 = Check("cont2", _pre_distinct, _eval_cont2)
-_IMPROVED = Check("improved", _pre_improved, _eval_improved)
-_LESCHE3 = Check("lesche3", _pre_lesche3, _eval_lesche3)
-_LESCHE4 = Check("lesche4", _pre_lesche4, _eval_lesche4)
-_FANNES = Check("fannes", _pre_fannes, _eval_fannes)
-_RELENT_I = Check("relent_I", _pre_relent, _eval_relent_i, with_r=True)
-_RELENT_D = Check("relent_D", _pre_relent, _eval_relent_d, with_r=True)
-_SEGMENT = Check("condition1_segment", _pre_segment, _eval_segment, with_params=True)
-
-CHECKS = (
-    _CONT1,
-    _LB,
-    _CONT2,
-    _IMPROVED,
-    _LESCHE3,
-    _LESCHE4,
-    _FANNES,
-    _RELENT_I,
-    _RELENT_D,
-    _SEGMENT,
-)
-
-
-def _trial(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> _Trial:
-    """Check one check-table input's lengths and evaluate its shared values.
-
-    Kernels overflow on purpose at tiny reference weights and the evaluators
-    raise on the results, so numpy's overflow warnings are off here (not in
-    the scan, which skips this wrapper and its ``np.errstate`` per trial).
-    """
+def _input(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> _Batch:
+    """Check one check-table input's lengths and evaluate it as a batch of one lane."""
     _check_lengths(p, q)
     if r is not None:
         _check_lengths(p, r)
-    with np.errstate(over="ignore"):
-        return _Trial(_Reference(fam, p.n, r), p, q).evaluate(segment)
+    return _Batch(_Layout((fam,), (p.n,), (r,)), (p,), (q,)).evaluate((segment,))
 
 
-def _check_digest(check: Check, t: _Trial) -> str:
+def _check_digest(check: Check, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:
     return _digest(
         check.bound_id,
-        t.fam,
-        t.p,
-        t.q,
-        t.r if check.with_r else None,
-        params=t.segment if check.with_params else (),
+        fam,
+        p,
+        q,
+        r if check.with_r else None,
+        params=segment if check.with_params else (),
     )
 
 
-def _evaluate(check: Check, t: _Trial) -> BoundReport:
-    lhs, rhs = check.evaluate(t)
-    return _report(check.bound_id, lhs, rhs, _check_digest(check, t))
+def _evaluate(check: Check, b: _Batch) -> BoundReport:
+    """The report of ``check`` on a batch of one; raise the lane's error if it has one."""
+    lhs, rhs = check.evaluate(b, _ONE)
+    if b.errors[0] is not None:
+        raise b.errors[0]
+    digest = _check_digest(check, b.layout.fams[0], b.p[0], b.q[0], b.layout.rs[0], b.segment[0])
+    return _report(check.bound_id, float(lhs[0]), float(rhs[0]), digest)
 
 
 def run_bound_checks(
@@ -628,15 +305,16 @@ def run_bound_checks(
     for witness replay.
     """
     segment = None if epsilon is None else (mix_lambda, mix_mu, epsilon)
-    t = _trial(fam, p, q, r, segment)
     reports: list[BoundReport] = []
     skipped: list[str] = []
-    for check in CHECKS:
-        reason = check.precondition(t)
-        if reason is None:
-            reports.append(_evaluate(check, t))
-        elif reason != _NOT_APPLICABLE:
-            skipped.append(check.bound_id)
+    with np.errstate(**_QUIET):
+        b = _input(fam, p, q, r, segment)
+        for check in CHECKS:
+            reason = _reason(check.precondition(b), 0)
+            if reason is None:
+                reports.append(_evaluate(check, b))
+            elif reason != _NOT_APPLICABLE:
+                skipped.append(check.bound_id)
     return reports, skipped
 
 
@@ -646,12 +324,13 @@ def run_bound_checks(
 
 def _checked(checks, fam, p, q, r=None, segment=None) -> tuple[BoundReport, ...]:
     """Evaluate table rows on one input; raise if the table would not evaluate one."""
-    t = _trial(fam, p, q, r, segment)
-    for check in checks:
-        reason = check.precondition(t)
-        if reason is not None:
-            raise _REFUSALS.get(reason, RangeError)(f"{check.bound_id}: {reason}")
-    return tuple(_evaluate(check, t) for check in checks)
+    with np.errstate(**_QUIET):
+        b = _input(fam, p, q, r, segment)
+        for check in checks:
+            reason = _reason(check.precondition(b), 0)
+            if reason is not None:
+                raise _REFUSALS.get(reason, RangeError)(f"{check.bound_id}: {reason}")
+        return tuple(_evaluate(check, b) for check in checks)
 
 
 def check_cont1(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -736,49 +415,6 @@ def check_condition1_segment(
     The endpoint case lam=1, mu=0 is the continuity condition itself.
     """
     return _checked((_SEGMENT,), fam, p, q, segment=(lam, mu, epsilon))[0]
-
-
-def entropy_min_half(fam: LogFamily) -> float:
-    """Minimum entropy over pdfs with all entries <= 1/2: ``F(0) - 2 F(1/2)``.
-
-    A concave functional is minimized at an extreme point of the polytope;
-    here every extreme point is a permutation of (1/2, 1/2, 0, ..., 0).
-    """
-    return 2.0 * float(big_f_drop_unchecked(fam, np.asarray(0.5))) - fam.f_zero
-
-
-@lru_cache(maxsize=4096)
-def condition1_delta(fam: LogFamily, epsilon: float) -> float:
-    """Constructive radius for the uniform-continuity condition.
-
-    Returns ``delta`` such that every pair ``p != q`` with
-    ``tv_norm(p, q) <= delta`` satisfies
-    ``|I(p) - I(q)| <= epsilon * I(p sym q)``.
-
-    From the factorized bound, the coefficient in front of ``I(p sym q)``
-    is at most ``c(delta) = [g(delta)/F(0)] * [F(0) + I_min] / I_min`` where
-    ``I_min = F(0) - 2 F(1/2)`` is the symmetric-difference entropy floor
-    (see :func:`entropy_min_half`); ``c`` is increasing, so ``delta`` is
-    found by monotone bisection, saturating at the hypothesis boundary 1.
-    """
-    if not epsilon > 0:
-        raise ParamError("epsilon must be positive")
-    f0 = fam.f_zero
-    i_min = entropy_min_half(fam)
-    if not (f0 > 0 and i_min > 0):
-        raise InfeasibleEpsilon("family admits no positive entropy floor")
-    amp = (f0 + i_min) / i_min
-
-    # The bisection keeps delta in [0, 1], inside big_f_drop's domain.
-    def coeff(delta: float) -> float:
-        return float(big_f_drop_unchecked(fam, np.asarray(delta))) / f0 * amp
-
-    if coeff(1.0) <= epsilon:
-        return 1.0
-    # coeff(0) = 0 < epsilon, so [0, 1] is a certified bracket; for families
-    # whose logarithm is heavy at the origin the radius can be very small
-    # (e.g. ~1e-14 for tsallis kappa = -0.9), which plain bisection handles.
-    return bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -880,22 +516,26 @@ class ScanReport:
         }
 
 
-def _witness(check: Check, t: _Trial, report: BoundReport) -> dict:
+def _witness(check: Check, record: tuple) -> dict:
+    """The scan witness of ``record`` = (fam, p, q, r, segment, lhs, rhs) for ``check``."""
+    fam, p, q, r, segment, lhs, rhs = record
     w = {
-        "family": family_to_json(t.fam),
-        "p": t.p.weights.tolist(),
-        "q": t.q.weights.tolist(),
+        "family": family_to_json(fam),
+        "p": p.weights.tolist(),
+        "q": q.weights.tolist(),
     }
     if check.with_r:
-        w["r"] = t.r.weights.tolist()
+        w["r"] = r.weights.tolist()
     if check.with_params:
-        lam, mu, epsilon = t.segment
+        lam, mu, epsilon = segment
         w["params"] = {"lam": lam, "mu": mu, "epsilon": epsilon}
-    w["report"] = report.to_json()
+    w["report"] = _report(check.bound_id, lhs, rhs, _check_digest(check, fam, p, q, r, segment)).to_json()
     return w
 
 
 class _Aggregator:
+    """Merges parts in slot order: counts add up, and a later worst must be strictly greater."""
+
     def __init__(self):
         # Every bound has its stats from the start; per_bound() keeps those
         # the scan evaluated.
@@ -908,67 +548,42 @@ class _Aggregator:
     def per_bound(self) -> dict[str, _BoundStats]:
         return {bound_id: s for bound_id, s in self.stats.items() if s.trials}
 
-    def add(self, check: Check, t: _Trial, lhs: float, rhs: float) -> Optional[float]:
-        """Count one evaluated check; return its ratio (None when rhs <= 0).
-
-        The report, its digest and the witness are built only when the ratio
-        beats the bound's or the scan's worst so far, unless both sides lie
-        within ``tol`` of zero: such noise is counted and checked, never a worst.
-        """
-        stats = self.stats[check.bound_id]
-        stats.trials += 1
-        # lhs <= rhs implies the tolerant comparison, so most checks skip it.
-        if not lhs <= rhs and not lhs <= rhs + _tol(rhs):
-            self.violations += 1
-        if not rhs > 0:
-            return None
-        ratio = lhs / rhs
-        worst_bound = stats.worst_ratio is None or ratio > stats.worst_ratio
-        worst_scan = self.worst is None or ratio > self.worst
-        if worst_bound or worst_scan:
-            tol = _tol(rhs)
-            if abs(lhs) <= tol and rhs <= tol:  # rounding noise: says nothing of tightness
-                return ratio
-            report = _report(check.bound_id, lhs, rhs, _check_digest(check, t))
-            witness = _witness(check, t, report)
-            if worst_bound:
-                stats.worst_ratio, stats.witness = ratio, witness
-            if worst_scan:
+    def merge(self, part: "_Log") -> None:
+        for check, count in zip(CHECKS, part.counts.tolist()):
+            self.stats[check.bound_id].trials += count
+        self.violations += part.violations
+        self.support_errors += part.support_errors
+        witnesses = {}
+        for row, (ratio, record) in part.worst.items():
+            stats = self.stats[CHECKS[row].bound_id]
+            if stats.worst_ratio is None or ratio > stats.worst_ratio:
+                witnesses[row] = _witness(CHECKS[row], record)
+                stats.worst_ratio, stats.witness = ratio, witnesses[row]
+        if part.scan_worst is not None:
+            ratio, row = part.scan_worst
+            if self.worst is None or ratio > self.worst:
+                witness = witnesses.get(row) or _witness(CHECKS[row], part.worst[row][1])
                 self.worst, self.worst_witness = ratio, witness
-        return ratio
 
 
-def _battery(ref: _Reference, p, q, epsilon, rng, agg: _Aggregator) -> Optional[float]:
-    """Run every applicable check; return the trial's max ratio (or None)."""
-    t = _Trial(ref, p, q)
-    tv = t.tv
-    if tv == 0.0:
-        return None
-    delta = condition1_delta(ref.fam, epsilon)
-    # The values of rng.uniform(0.0, 1.0, size=2), at a third of its cost.
-    lam, mu = rng.random(), rng.random()
-    if abs(lam - mu) * tv > delta:
-        # Pull mu toward lam until the segment hypothesis holds; the hard
-        # fallback mu = lam guards against absorption when delta/tv is far
-        # below lam's magnitude.
-        mu = min(1.0, max(0.0, lam - math.copysign(0.5 * delta / tv, lam - mu)))
-        if abs(lam - mu) * tv > delta:
-            mu = lam
-    t.evaluate((lam, mu, epsilon))
+def _ratios(lhs: np.ndarray, rhs: np.ndarray, applied: np.ndarray) -> tuple:
+    """Violations, each trial's max ratio, and the ratios that may become a worst.
 
-    best: Optional[float] = None
-    support_skip = False
-    for check in CHECKS:
-        reason = check.precondition(t)
-        if reason is None:
-            lhs, rhs = check.evaluate(t)
-            ratio = agg.add(check, t, lhs, rhs)
-            if ratio is not None and (best is None or ratio > best):
-                best = ratio
-        elif reason == _SUPPORT:
-            support_skip = True
-    agg.support_errors += support_skip
-    return best
+    A report whose ratio is undefined (rhs <= 0) has none.  A report whose
+    sides both lie within ``tol`` of zero is counted and checked, and its
+    ratio counts towards the trial's max, which steers the hill climb, but
+    it never becomes a worst: such noise says nothing of tightness.
+    """
+    ratio = np.where(applied & (rhs > 0), lhs / rhs, math.nan)
+    best = [None if x != x else x for x in np.fmax.reduce(ratio, axis=0).tolist()]
+    # lhs <= rhs implies the tolerant comparison, and rhs >= 1e-9 exceeds
+    # tol, so most batches need no tolerance at all.
+    violated = applied & ~(lhs <= rhs)
+    if violated.any() or (applied & (rhs < 1e-9)).any():
+        tol = TOL_SCALE * (1.0 + np.abs(rhs))
+        violated &= ~(lhs <= rhs + tol)
+        ratio = np.where((np.abs(lhs) <= tol) & (rhs <= tol), math.nan, ratio)
+    return violated, best, ratio
 
 
 def _lap(timings: dict, run: Optional[tuple], mode: Optional[str], done: int) -> tuple:
@@ -1066,6 +681,241 @@ class _StepDraws:
         return i, j
 
 
+# The scan's lanes: each block of len(families) * len(dims) consecutive
+# slots has one mode.  A one-trial block runs all its slots side by side; a
+# hill-climb block runs up to _LANES restarts side by side, launching the
+# next one as a lane finishes.  Chosen by measurement (see BENCH_10.json).
+_LANES = 52
+
+
+# A fresh restart's step 0.1 needs this many halvings to fall to 1e-9 or
+# below (halving is exact, so 0.1 * 0.5**k is the step after k of them), so
+# a restart lasts at least _HALVINGS + 1 trials.  A step is rejected, and
+# the step halved, about every other trial.
+_HALVINGS = next(k for k in range(64) if not 0.1 * 0.5**k > 1e-9)
+_STEPS_PER_HALVING = 2
+
+
+class _Lane:
+    """One slot of a scan: a single trial, or a whole hill-climb restart.
+
+    The slot's generator draws, in order, the pdfs, then each trial's step
+    (after the first) and its lam and mu, exactly as a sequential scan does.
+    ``used`` counts the trials run; the scan keeps those within its budget.
+    """
+
+    def __init__(self, config: ScanConfig, slot: int, mode: str, index: int):
+        fams, dims = config.families, config.dims
+        self.index, self.fam_index = index, slot % len(fams)
+        self.fam, self.dim = fams[self.fam_index], dims[(slot // len(fams)) % len(dims)]
+        self.epsilon = SCAN_EPSILONS[slot % len(SCAN_EPSILONS)]
+        # Slot-indexed seed split: slot s always gets the same stream, so any
+        # schedule of the slots reproduces the report.
+        self.rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(slot,)))
+        self.hill = mode == "hillclimb"
+        scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
+        self.p, self.q, self.r = _sample_pair("uniform" if self.hill else mode, self.dim, scale, self.rng)
+        self.draws = _StepDraws(self.rng) if self.hill else None
+        self.step, self.halvings, self.used, self.best, self.delta = 0.1, 0, 0, None, None
+        self.done, self.error, self.rows = False, None, None
+
+    def length(self, steps_per_halving: int) -> int:
+        """Trials this lane runs in all (once done), or at least (1 step per
+        halving still needed), or as expected (_STEPS_PER_HALVING)."""
+        if self.done or not self.hill:
+            return self.used if self.done else 1
+        return min(HILL_STEPS, self.used + steps_per_halving * (_HALVINGS - self.halvings))
+
+    def candidate(self) -> tuple:
+        """The next trial's (p, q): the sampled pair, then one mass transfer per step."""
+        if self.used == 0:
+            return self.p, self.q
+        target_p = self.draws.bounded(1) == 1
+        i, j = self.draws.pair(self.dim) if self.dim > 1 else (0, 0)
+        if target_p:
+            return _transfer(self.p, i, j, self.step), self.q
+        return self.p, _transfer(self.q, i, j, self.step)
+
+    def segment(self, tv: float) -> Optional[tuple]:
+        """The trial's (lam, mu, epsilon), drawn only for distinct pdfs."""
+        if tv == 0.0:
+            return None
+        if self.delta is None:
+            self.delta = condition1_delta(self.fam, self.epsilon)
+        delta = self.delta
+        # The values of rng.uniform(0.0, 1.0, size=2), at a third of its cost.
+        lam, mu = self.rng.random(), self.rng.random()
+        if abs(lam - mu) * tv > delta:
+            # Pull mu toward lam until the segment hypothesis holds; the hard
+            # fallback mu = lam guards against absorption when delta/tv is far
+            # below lam's magnitude.
+            mu = min(1.0, max(0.0, lam - math.copysign(0.5 * delta / tv, lam - mu)))
+            if abs(lam - mu) * tv > delta:
+                mu = lam
+        return lam, mu, self.epsilon
+
+    def advance(self, cand: tuple, ratio: Optional[float]) -> None:
+        """Record a trial whose max ratio is ``ratio``: accept or halve the step."""
+        self.used += 1
+        if self.used == 1 or not self.hill:
+            self.best = ratio
+        elif ratio is not None and (self.best is None or ratio > self.best):
+            self.best = ratio
+            self.p, self.q = cand
+        else:
+            self.step *= 0.5
+            self.halvings += 1
+        self.done = not self.hill or self.used >= HILL_STEPS or not self.step > 1e-9 or self.error is not None
+        if self.done:  # what only a running lane needs
+            self.rng = self.draws = self.p = self.q = self.r = None
+
+
+class _Log:
+    """The trials a block of slots ran, and what they add to a scan.
+
+    Per lane and row, ``top`` holds the largest above-floor ratio so far,
+    and ``records`` the trials that raised one, with their inputs: only
+    those can be a row's worst, since an earlier trial of a lane is kept
+    whenever a later one is, and wins a tie.  :meth:`finish` sets
+    ``trials``, the trials within the budget; ``counts``, the evaluated
+    reports per row of :data:`CHECKS`; ``violations`` and
+    ``support_errors``; ``worst``, each row's worst report as (ratio,
+    record), where a record is what :func:`_witness` reads, the first trial
+    winning a tie; ``scan_worst`` = (ratio, row), the worst of them all,
+    the first (trial, row) winning a tie; and ``discarded``, the trials the
+    lanes ran past the budget.
+    """
+
+    def __init__(self, size: int):
+        self.lane, self.pos, self.applied, self.violated, self.unsupported = [], [], [], [], []
+        self.top, self.records = np.full((len(CHECKS), size), -math.inf), []
+
+    def add(self, lanes, cands, segments, applied, lhs, rhs, unsupported) -> list:
+        """Log one trial of each lane; return each trial's max ratio."""
+        violated, best, ratio = _ratios(lhs, rhs, applied)
+        index = [lane.index for lane in lanes]
+        top = self.top[:, index]
+        for i in (ratio > top).any(axis=0).nonzero()[0].tolist():
+            lane = lanes[i]
+            inputs = (lane.fam, *cands[i], lane.r, segments[i])
+            self.records.append((lane.index, lane.used, ratio[:, i], lhs[:, i], rhs[:, i], inputs))
+        self.top[:, index] = np.fmax(top, ratio)
+        self.lane += index
+        self.pos += [lane.used for lane in lanes]
+        self.applied.append(applied)
+        self.violated.append(violated.sum(axis=0))
+        self.unsupported.append(unsupported)
+        return best
+
+    def finish(self, lanes: list, trials: int) -> "_Log":
+        """Keep each lane's trials within the budget, numbered in slot order."""
+        kept, start, base = [], [], 0
+        for lane in lanes:
+            start.append(base)
+            kept.append(min(lane.used, max(0, trials - base)))
+            base += lane.used
+            # The error of the lowest trial comes first.
+            if lane.error is not None and lane.used <= kept[-1]:
+                raise lane.error
+        lane_of = np.array(self.lane)
+        keep = np.array(self.pos) < np.array(kept)[lane_of]
+        applied = np.concatenate(self.applied, axis=1) & keep
+        self.trials, self.counts, self.discarded = sum(kept), applied.sum(axis=1), base - sum(kept)
+        self.violations = int(np.concatenate(self.violated)[keep].sum())
+        # cont1 applies to every trial of distinct pdfs.
+        self.support_errors = int((applied[0] & np.concatenate(self.unsupported)).sum())
+        self.worst, self.scan_worst = {}, None
+        kept_records = [(start[i] + pos, rec) for i, pos, *rec in self.records if pos < kept[i]]
+        records = sorted(kept_records, key=lambda record: record[0])
+        for _, (ratio, lhs, rhs, inputs) in records:
+            for row, x in enumerate(ratio.tolist()):
+                if x == x and (row not in self.worst or x > self.worst[row][0]):
+                    self.worst[row] = (x, (*inputs, float(lhs[row]), float(rhs[row])))
+                    if self.scan_worst is None or x > self.scan_worst[0]:
+                        self.scan_worst = (x, row)
+        return self
+
+
+def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
+    """Run one trial of each lane, side by side, and log it."""
+    cands = [lane.candidate() for lane in lanes]
+    b = _Batch(layout, [c[0] for c in cands], [c[1] for c in cands])
+    segments = []
+    for lane, tv in zip(lanes, b.tv_list):
+        try:
+            segments.append(lane.segment(tv))
+        except PhiEntropyError as exc:
+            lane.error = exc
+            segments.append(None)
+    b.evaluate(segments, [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)])
+    applied, lhs, rhs = [], [], []
+    for check in CHECKS:
+        on = _applies(check.precondition(b), layout.size)
+        row_lhs, row_rhs = check.evaluate(b, on)
+        applied.append(on)
+        lhs.append(row_lhs)
+        rhs.append(row_rhs)
+    # A trial of identical pdfs evaluates no bound.
+    applied = np.array(applied) & ~b.identical
+    unsupported = ~(b.supported | layout.no_r)
+    best = log.add(lanes, cands, segments, applied, np.array(lhs), np.array(rhs), unsupported)
+    for i, lane in enumerate(lanes):
+        lane.error = lane.error or b.errors[i]
+        lane.advance(cands[i], best[i])
+
+
+def _scan_block(config: ScanConfig, block: int, trials: int) -> _Log:
+    """Run block ``block`` of the slots as lanes, keeping at most ``trials`` trials.
+
+    Trial indices are assigned in slot order after the lanes finish, and
+    trials past the budget are dropped.  A lane stops once its trials reach
+    the room that the earlier lanes' lower bounds leave it, which can only
+    shrink.  A restart is launched only while the lanes' expected lengths
+    leave room, so that few trials fall past the budget; a launch held back
+    comes later, as lanes finish.  Errors are raised after the block, the
+    one of the lowest trial first.
+    """
+    size = len(config.families) * len(config.dims)
+    mode = config.modes[block % len(config.modes)]
+    slots = iter(range(block * size, (block + 1) * size))
+    width = _LANES if mode == "hillclimb" else size
+    lanes: list[_Lane] = []
+    log, layout, key = _Log(size), None, None
+    with np.errstate(**_QUIET):
+        while True:
+            active, base, expected, failed = [], 0, 0, False
+            for lane in lanes:
+                if failed or lane.used >= trials - base:
+                    lane.done = True  # its trials reach the room left to it
+                if not lane.done:
+                    active.append(lane)
+                failed = failed or lane.error is not None
+                base += lane.length(1)
+                expected += lane.length(_STEPS_PER_HALVING)
+            launched = []
+            while len(active) + len(launched) < width and expected < trials and not failed:
+                slot = next(slots, None)
+                if slot is None:
+                    break
+                launched.append(_Lane(config, slot, mode, len(lanes)))
+                lanes.append(launched[-1])
+                expected += launched[-1].length(_STEPS_PER_HALVING)
+            if not (active or launched):
+                return log.finish(lanes, trials)
+            # Lanes of one family next to each other share kernel calls.
+            if launched:
+                launched.sort(key=lambda lane: lane.fam_index)
+                new = _Layout([x.fam for x in launched], [x.dim for x in launched], [x.r for x in launched])
+                for i, lane in enumerate(launched):
+                    lane.rows = (new, i)
+            active = sorted(active + launched, key=lambda lane: lane.fam_index)
+            if key != [lane.index for lane in active]:
+                key = [lane.index for lane in active]
+                layout = _Layout([x.fam for x in active], [x.dim for x in active], [x.r for x in active],
+                                 [x.rows for x in active])
+            _tick(active, layout, log)
+
+
 def stability_scan(config: ScanConfig) -> ScanReport:
     """Adversarially probe every inequality over seeded random inputs.
 
@@ -1073,9 +923,10 @@ def stability_scan(config: ScanConfig) -> ScanReport:
     at total-variation scales down to 1e-6, and ``hillclimb`` restarts that
     greedily transfer mass between coordinate pairs (geometrically shrinking
     steps, accepting only ratio increases, at most :data:`HILL_STEPS` steps per
-    restart).  Every evaluated input counts as one trial.  The trial-to-seed
+    restart).  Every evaluated input counts as one trial.  The slot-to-seed
     mapping is a deterministic split of the root seed, so the report is
-    identical regardless of scheduling.  A bad config raises before any trial.
+    identical regardless of scheduling; slots run side by side as lanes (see
+    the module docstring).  A bad config raises before any trial.
     """
     if config.trials < 1:
         raise ParamError("trials must be at least 1")
@@ -1093,55 +944,19 @@ def stability_scan(config: ScanConfig) -> ScanReport:
                 "and scan witnesses must replay through JSON"
             ) from None
 
-    fams = config.families
-    dims = config.dims
-    modes = config.modes
     agg = _Aggregator()
     timings: dict = {}
     run = None
-
     done = 0
-    slot = 0
+    block = 0
     while done < config.trials:
-        # Slot-indexed seed split: slot s always gets the same stream, so a
-        # parallel scheduler partitioning slots reproduces this report.
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(slot,)))
-        fam = fams[slot % len(fams)]
-        dim = dims[(slot // len(fams)) % len(dims)]
-        mode = modes[(slot // (len(fams) * len(dims))) % len(modes)]
-        scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
-        epsilon = SCAN_EPSILONS[slot % len(SCAN_EPSILONS)]
-        slot += 1
+        mode = config.modes[block % len(config.modes)]
         if run is None or run[0] != mode:
             run = _lap(timings, run, mode, done)
-
-        if mode == "hillclimb":
-            budget = min(HILL_STEPS, config.trials - done)
-            p, q, r = _sample_pair("uniform", dim, scale, rng)
-            ref = _Reference(fam, dim, r)
-            best = _battery(ref, p, q, epsilon, rng, agg)
-            done += 1
-            draws = _StepDraws(rng)
-            step = 0.1
-            used = 1
-            while used < budget and step > 1e-9:
-                target_p = draws.bounded(1) == 1
-                i, j = draws.pair(dim) if dim > 1 else (0, 0)
-                cand_p, cand_q = (
-                    (_transfer(p, i, j, step), q) if target_p else (p, _transfer(q, i, j, step))
-                )
-                ratio = _battery(ref, cand_p, cand_q, epsilon, rng, agg)
-                used += 1
-                done += 1
-                if ratio is not None and (best is None or ratio > best):
-                    best = ratio
-                    p, q = cand_p, cand_q
-                else:
-                    step *= 0.5
-        else:
-            p, q, r = _sample_pair(mode, dim, scale, rng)
-            _battery(_Reference(fam, dim, r), p, q, epsilon, rng, agg)
-            done += 1
+        part = _scan_block(config, block, config.trials - done)
+        agg.merge(part)
+        done += part.trials
+        block += 1
     _lap(timings, run, None, done)
 
     return ScanReport(

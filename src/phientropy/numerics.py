@@ -139,32 +139,61 @@ def integrate(
     )
 
 
+# Levels of the bisection tree that bisect_monotone evaluates per call of f,
+# and the points the tree spans: both ends and its 2**6 - 1 midpoints.
+_BISECT_LEVELS = 6
+_TREE = 2**_BISECT_LEVELS
+
+
+def _bisection_tree(lo: float, hi: float) -> list[float]:
+    """The bracket [lo, hi] cut by the next _BISECT_LEVELS levels of midpoints.
+
+    Entry 0 is lo and entry _TREE is hi.  The brackets of level k span
+    w = _TREE >> k entries, and the midpoint of the bracket from entry i to
+    entry i + w sits at entry i + w // 2: it is 0.5 * (lo' + hi') of its own
+    bracket, as the sequential loop forms it.  (Python floats: for 63 points
+    this is cheaper than numpy's per-call overhead.)
+    """
+    tree = [lo] * (_TREE + 1)
+    tree[_TREE] = hi
+    for k in range(_BISECT_LEVELS):
+        w = _TREE >> k
+        for i in range(0, _TREE, w):
+            tree[i + w // 2] = 0.5 * (tree[i] + tree[i + w])
+    return tree
+
+
 def bisect_monotone(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     target: float,
     lo_hint: float,
     hi_hint: float,
     tol: float = 1e-12,
     x_rel_tol: Optional[float] = None,
 ) -> float:
-    """Solve ``f(x) = target`` for a strictly increasing ``f``.
+    """Solve ``f(x) = target`` for a strictly increasing, vectorized ``f``.
 
     The initial bracket ``[lo_hint, hi_hint]`` is expanded outward, doubling
     its width, up to 64 times on each side.  Returns ``x`` with
     ``|f(x) - target| <= tol * (1 + |target|)``; when ``x_rel_tol`` is given
     the bracket is additionally narrowed to that relative width.
+
+    ``f`` maps a float ndarray to the ndarray of its values, element by
+    element.  Each call evaluates the next six levels of the bisection tree,
+    63 midpoints, and the walk down the tree takes the path, and the exit,
+    of plain one-point-at-a-time bisection, so the result is the same.
     """
     lo, hi = float(lo_hint), float(hi_hint)
     if hi < lo:
         lo, hi = hi, lo
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = (float(v) for v in f(np.array([lo, hi])))
     width = max(hi - lo, 1e-12)
     for _ in range(64):
         if flo <= target:
             break
         width *= 2.0
         lo -= width
-        flo = f(lo)
+        flo = float(f(np.array([lo]))[0])
     else:
         raise BracketError(f"target {target} below reachable range of f")
     for _ in range(64):
@@ -172,23 +201,31 @@ def bisect_monotone(
             break
         width *= 2.0
         hi += width
-        fhi = f(hi)
+        fhi = float(f(np.array([hi]))[0])
     else:
         raise BracketError(f"target {target} above reachable range of f")
 
     f_tol = tol * (1.0 + abs(target))
     mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - target) <= f_tol and (
-            x_rel_tol is None or hi - lo <= x_rel_tol * max(1.0, abs(mid))
-        ):
-            return mid
-        if fm < target:
-            lo = mid
-        else:
-            hi = mid
+    steps = 0
+    while steps < 200:
+        points = _bisection_tree(lo, hi)
+        values = f(np.array(points[1:_TREE])).tolist()
+        at, half = _TREE // 2, _TREE // 4
+        for _ in range(_BISECT_LEVELS):
+            mid, fm = points[at], values[at - 1]
+            steps += 1
+            if abs(fm - target) <= f_tol and (
+                x_rel_tol is None or hi - lo <= x_rel_tol * max(1.0, abs(mid))
+            ):
+                return mid
+            if fm < target:
+                lo, at = mid, at + half
+            else:
+                hi, at = mid, at - half
+            half //= 2
+            if steps == 200:
+                break
     return mid
 
 

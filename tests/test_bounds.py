@@ -1,5 +1,6 @@
 import json
 import math
+import types
 import warnings
 
 import numpy as np
@@ -419,9 +420,11 @@ class TestCondition1:
         delta = condition1_delta(fam, 0.5)
         amp = (1.0 + math.log(2.0)) / math.log(2.0)
         assert (delta - delta * math.log(delta)) * amp == pytest.approx(0.5, abs=1e-10)
-        oracle = bisect_monotone(
-            lambda d: (d - d * math.log(d)) * amp if d > 0 else 0.0, 0.5, 0.0, 1.0, tol=1e-12
-        )
+        def drop(d):
+            safe = np.where(d > 0, d, 1.0)
+            return np.where(d > 0, (d - d * np.log(safe)) * amp, 0.0)
+
+        oracle = bisect_monotone(drop, 0.5, 0.0, 1.0, tol=1e-12)
         assert delta == pytest.approx(oracle, rel=1e-8)
 
     def test_monotone_in_epsilon(self, family):
@@ -616,10 +619,20 @@ class TestNoiseFloor:
     """A report with both sides within tol of zero never becomes a worst."""
 
     def test_below_floor_report_is_counted_not_worst(self):
+        # One trial whose only evaluated report is relent_I with lhs / rhs > 1,
+        # but both sides rounding noise, as for p and q ulps apart; it goes
+        # through the scan's own log, reduction and merge.
+        row = bounds.CHECKS.index(bounds._RELENT_I)
+        applied = np.zeros((len(bounds.CHECKS), 1), dtype=bool)
+        lhs, rhs = np.zeros((len(bounds.CHECKS), 1)), np.zeros((len(bounds.CHECKS), 1))
+        applied[row], lhs[row], rhs[row] = True, 3e-16, 2.8e-16
+        lane = types.SimpleNamespace(index=0, used=0, fam=None, r=None, error=None)
+        log = bounds._Log(1)
+        # The ratio still steers the hill climb.
+        assert log.add([lane], [(None, None)], [None], applied, lhs, rhs, np.zeros(1, dtype=bool)) == [3e-16 / 2.8e-16]
+        lane.used = 1
         agg = bounds._Aggregator()
-        check = bounds._RELENT_I
-        # lhs / rhs > 1, but both are rounding noise, as for p and q ulps apart.
-        assert agg.add(check, None, 3e-16, 2.8e-16) == 3e-16 / 2.8e-16
+        agg.merge(log.finish([lane], trials=1))
         assert agg.stats["relent_I"].trials == 1
         assert agg.stats["relent_I"].worst_ratio is None and agg.worst is None
         assert agg.violations == 0

@@ -31,8 +31,8 @@ TSALLIS = '{"kind":"tsallis","kappa":0.5}'
 
 def break_cont1(monkeypatch):
     """Make the check table's cont1 row report lhs = rhs + 1, a violation."""
-    def broken(t):
-        _, rhs = real(t)
+    def broken(b, lanes):
+        _, rhs = real(b, lanes)
         return rhs + 1.0, rhs
 
     rows = []
@@ -53,6 +53,13 @@ class TestFamilies:
 
 
 class TestEval:
+    @pytest.mark.parametrize("kind", ["tsallis", "kaniadakis"])
+    def test_tiny_kappa_is_an_input_error(self, capsys, kind):
+        spec = json.dumps({"kind": kind, "kappa": 1e-6})
+        code, out, err = run(capsys, "eval", "--family", spec, "--fn", "ln", "--x", "0.3")
+        assert code == 1 and out == ""
+        assert "use kind 'shannon'" in err
+
     def test_ln_shannon(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", SHANNON, "--fn", "ln", "--x", str(math.e))
         assert code == 0

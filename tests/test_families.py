@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 import phientropy as pe
 from phientropy.errors import DomainError, FamilyError, NonDifferentiableError, ParamError
 from phientropy.families import builtin_catalogue
-from phientropy.numerics import central_diff, integrate
+from phientropy.numerics import central_diff
 
-from conftest import ANALYTIC_F_ZERO, FAMILY_GRID
+from conftest import ANALYTIC_F_ZERO, FAMILY_GRID, mp_f_drop
 
 
 def quad_f_drop(fam, x):
-    """Quadrature oracle for F(0) - F(x) = -integral_0^x ln_phi."""
-    f = lambda t: float(np.asarray(pe.ln_phi(fam, t)))
-    return -integrate(f, 0.0, x, singular_at_a=fam.singularity_exponent)
+    """Quadrature oracle for F(0) - F(x) = -integral_0^x ln_phi (mpmath, 50 digits)."""
+    return float(mp_f_drop(fam, x))
 
 
 class TestParameterValidation:
@@ -36,6 +35,25 @@ class TestParameterValidation:
             pe.kaniadakis(0.0)
         with pytest.raises(ParamError):
             pe.kaniadakis(1.5)
+
+    @pytest.mark.parametrize("kind", ["tsallis", "kaniadakis"])
+    @pytest.mark.parametrize("kappa", [9.999999999999999e-05, -5e-5, 1e-8, -1e-15, 5e-324])
+    def test_tiny_kappa_refused_naming_shannon(self, kind, kappa):
+        # The kernels and F(0) cancel as kappa -> 0 (tsallis(1e-15) gave an
+        # entropy of 0.75 for (.5, .5) instead of ln 2).
+        with pytest.raises(ParamError, match="shannon"):
+            getattr(pe, kind)(kappa)
+        with pytest.raises(ParamError, match="shannon"):
+            pe.LogFamily(kind=kind, kappa=kappa)
+        with pytest.raises(ParamError, match="shannon"):
+            pe.family_from_json({"kind": kind, "kappa": kappa})
+
+    @pytest.mark.parametrize("kind", ["tsallis", "kaniadakis"])
+    @pytest.mark.parametrize("kappa", [1e-4, -1e-4])
+    def test_smallest_kappa_accepted_and_round_trips(self, kind, kappa):
+        fam = getattr(pe, kind)(kappa)
+        assert pe.family_from_json(pe.family_to_json(fam)) == fam
+        assert pe.entropy(fam, pe.validate([0.5, 0.5])) == pytest.approx(math.log(2.0), rel=1e-3)
 
     @pytest.mark.parametrize("kappa", [0.0, -0.5])
     def test_kappa_maxwell_requires_positive(self, kappa):
@@ -264,11 +282,11 @@ class TestBigF:
         assert np.all(f_mid <= lam * f[:-1] + (1.0 - lam) * f[1:] + 1e-10)
 
     def test_closed_form_vs_quadrature_on_log_grid(self, family):
-        # the cross-module golden test
+        # the cross-module golden test, against mpmath's quadrature
         for x in np.logspace(-6, 1, 15):
             closed = pe.big_f(family, float(x))
             quad = family.f_zero - quad_f_drop(family, float(x))
-            assert abs(closed - quad) <= 1e-8
+            assert abs(closed - quad) <= 1e-12
 
     def test_tangent_inequality(self, family, rng):
         # convexity of F: F(x) >= F(a) + (x - a) ln_phi(a)

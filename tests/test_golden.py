@@ -168,6 +168,83 @@ def test_scan_bytes(capsys, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == pinned[seed]
 
 
+# Scans whose trial budget ends inside a hill-climb restart or inside a run
+# of one mode, and scans of one family, one dim or one mode.  Captured on the
+# release before the scan ran slots as lanes (Python 3.11.7, numpy 2.4.6),
+# by running ``phientropy scan <argv>`` and taking the SHA-256 of its stdout,
+# at default dispatch and with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+# AVX512_SPR" for the X86_V3 set.
+BUDGET_SCANS = {
+    'trials=1 seed=7': ['--trials', '1', '--seed', '7'],
+    'trials=52 seed=7': ['--trials', '52', '--seed', '7'],
+    'trials=157 seed=7': ['--trials', '157', '--seed', '7'],
+    'trials=200 seed=7': ['--trials', '200', '--seed', '7'],
+    'trials=1001 seed=7': ['--trials', '1001', '--seed', '7'],
+    'trials=5000 seed=7': ['--trials', '5000', '--seed', '7'],
+    'trials=1 seed=20040': ['--trials', '1', '--seed', '20040'],
+    'trials=52 seed=20040': ['--trials', '52', '--seed', '20040'],
+    'trials=157 seed=20040': ['--trials', '157', '--seed', '20040'],
+    'trials=200 seed=20040': ['--trials', '200', '--seed', '20040'],
+    'trials=1001 seed=20040': ['--trials', '1001', '--seed', '20040'],
+    'trials=5000 seed=20040': ['--trials', '5000', '--seed', '20040'],
+    'one family': ['--trials', '1500', '--seed', '11', '--families', '[{"kind":"tsallis","kappa":0.5}]'],
+    'dims 64': ['--trials', '1500', '--seed', '12', '--dims', '64'],
+    'hillclimb only': ['--trials', '2500', '--seed', '13', '--modes', 'hillclimb'],
+    'sparse only': ['--trials', '300', '--seed', '14', '--modes', 'sparse'],
+    'hillclimb first': ['--trials', '900', '--seed', '15', '--modes', 'hillclimb,neighbor', '--dims', '4,16', '--families', '[{"kind":"shannon"},{"kind":"kaniadakis","kappa":0.5},{"kind":"piecewise_linear","base":2.0}]'],
+}
+BUDGET_SCAN_SHA256 = {
+    "X86_V4": {
+        'trials=1 seed=7': "1e1200e4616fe783a21732a8a41e2fd86d9c2c7fb055c96d40bf762939880b42",
+        'trials=52 seed=7': "44c7e458a9783a366b7a5574e40bcb1a10464bcf9a5308afc6270581670a8424",
+        'trials=157 seed=7': "88a9fb4bdf2c3b2c2c38cb1f5f53dc104aea6ce902bb769989a280e03e596ff9",
+        'trials=200 seed=7': "faffb8eae6dd4183d21edd630dbb1f18b4a3d8ea64df059e5e0a78cf4ffb1e08",
+        'trials=1001 seed=7': "7c078fe7dc1f414dd86625ecf1aa9c44226e151b6851cbd1983919c0f605bc78",
+        'trials=5000 seed=7': "9fce88b4abd9cd6a30f27b1727dd4da7817562da8e6007bb5157faa7b19af804",
+        'trials=1 seed=20040': "b3b6b3188223719cf148b45797b6bf2688d39dd7c95ce7c9789e7f31c0b48104",
+        'trials=52 seed=20040': "01f394b412756df0675c99ee512e32c3080a1713710297c960fbb9d0a7e45358",
+        'trials=157 seed=20040': "149af8464b022a5cd68fddb6173f204071161fa19bbbcc7daa7db21ae6749c68",
+        'trials=200 seed=20040': "5621cb63f6116704675fbe0558f82f9d66b8debaf9b324e8daa4ea4152464577",
+        'trials=1001 seed=20040': "116a92b4a2f50da0b2ecdc807325f1f1f30e86d2a8d819b975605c1c554a7573",
+        'trials=5000 seed=20040': "e8aad8214bce6489acd0aeb25a9149c3bf51cde6d9e4cd6e2273a0f286a0b300",
+        'one family': "c63096b6677ddf1ec28cd81e9c0047c9c98399d46b8632209282aa6335ae7913",
+        'dims 64': "c5d901175fe14c923164dbba0efbc20be7d863e451cf85d7757ebdae206f7edd",
+        'hillclimb only': "721e0367d99bf1629df36438f54ba1c1ba0bb7b2623b79459738c02c227f8ce4",
+        'sparse only': "0abd4fe2c66e7017093d787413b2f866a3a783c2f0b3bdc1daaae10110360d0a",
+        'hillclimb first': "29a4a66158a9bd2250e364d80b3d71dc561cace96e1f63ff80ff4bbb10896b60",
+    },
+    "X86_V3": {
+        'trials=1 seed=7': "1e1200e4616fe783a21732a8a41e2fd86d9c2c7fb055c96d40bf762939880b42",
+        'trials=52 seed=7': "44c7e458a9783a366b7a5574e40bcb1a10464bcf9a5308afc6270581670a8424",
+        'trials=157 seed=7': "88a9fb4bdf2c3b2c2c38cb1f5f53dc104aea6ce902bb769989a280e03e596ff9",
+        'trials=200 seed=7': "faffb8eae6dd4183d21edd630dbb1f18b4a3d8ea64df059e5e0a78cf4ffb1e08",
+        'trials=1001 seed=7': "7c078fe7dc1f414dd86625ecf1aa9c44226e151b6851cbd1983919c0f605bc78",
+        'trials=5000 seed=7': "9fce88b4abd9cd6a30f27b1727dd4da7817562da8e6007bb5157faa7b19af804",
+        'trials=1 seed=20040': "b3b6b3188223719cf148b45797b6bf2688d39dd7c95ce7c9789e7f31c0b48104",
+        'trials=52 seed=20040': "beb521aeb40a5a16e80c18d3269c162734379fae523a44325531d67dbaa88b2b",
+        'trials=157 seed=20040': "dd740ca640f161ddec8aedf40f1414e0a017695f00b67ffa75be9fbf7691bfed",
+        'trials=200 seed=20040': "d07b2d30ab622fe9296d60e10c7280c6e9a4538f48e51d7b1e3ece6fedf0d1ea",
+        'trials=1001 seed=20040': "33292248f24e891d49a915ba1e0a586e3ef67446f4545fc601f596345fff8df9",
+        'trials=5000 seed=20040': "433747fe19a0c8446cae0fc767632c2e2675b6f9e035c33870c2f3e0e9be5658",
+        'one family': "ca5dbd07bde95efc1a504081895e1d7768b2f29bc4cfb0a75dfe19b5f3b4533d",
+        'dims 64': "c5d901175fe14c923164dbba0efbc20be7d863e451cf85d7757ebdae206f7edd",
+        'hillclimb only': "721e0367d99bf1629df36438f54ba1c1ba0bb7b2623b79459738c02c227f8ce4",
+        'sparse only': "0abd4fe2c66e7017093d787413b2f866a3a783c2f0b3bdc1daaae10110360d0a",
+        'hillclimb first': "29a4a66158a9bd2250e364d80b3d71dc561cace96e1f63ff80ff4bbb10896b60",
+    },
+}
+
+
+@pytest.mark.parametrize("case", BUDGET_SCANS)
+def test_budget_scan_bytes(capsys, case):
+    pinned = BUDGET_SCAN_SHA256.get(_dispatch())
+    if pinned is None:
+        pytest.skip(f"no scan digests pinned for numpy SIMD dispatch {_dispatch()}")
+    code, out = _stdout(capsys, ["scan", *BUDGET_SCANS[case]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned[case]
+
+
 @pytest.mark.parametrize("case", sorted(BOUNDS_CASES))
 def test_bounds_bytes(capsys, tmp_path, case):
     family, p, q, r, extra, want = BOUNDS_CASES[case]

@@ -67,25 +67,51 @@ class TestIntegrate:
         assert integrate(f, 0.0, 2.0) == integrate(f, 0.0, 2.0)
 
 
+def _sequential_bisection(f, target, lo, hi, tol, x_rel_tol):
+    """One midpoint per call of a scalar f: the loop bisect_monotone's tree walk must reproduce."""
+    f_tol = tol * (1.0 + abs(target))
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm - target) <= f_tol and (x_rel_tol is None or hi - lo <= x_rel_tol * max(1.0, abs(mid))):
+            return mid
+        if fm < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 class TestBisect:
     def test_identity(self):
         assert bisect_monotone(lambda x: x, 3.0, 0.0, 1.0) == pytest.approx(3.0, abs=1e-11)
 
     def test_log_inverse(self):
-        got = bisect_monotone(math.log, 1.0, 0.5, 2.0)
+        got = bisect_monotone(np.log, 1.0, 0.5, 2.0)
         assert got == pytest.approx(math.e, rel=1e-10)
 
     def test_natural_log_at_zero_target(self):
         # the deduced logarithm of the natural-log family is log itself
-        assert bisect_monotone(math.log, 0.0, 0.25, 4.0) == pytest.approx(1.0, abs=1e-10)
+        assert bisect_monotone(np.log, 0.0, 0.25, 4.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_bracket_expansion(self):
         got = bisect_monotone(lambda x: x**3, 1000.0, 0.0, 1.0)
         assert got == pytest.approx(10.0, rel=1e-9)
 
+    @pytest.mark.parametrize("target", [0.0, 0.3, 1.0, 2.5, 7.0])
+    @pytest.mark.parametrize("x_rel_tol", [None, 1e-12])
+    def test_tree_walk_matches_sequential_bisection(self, target, x_rel_tol):
+        # f(x) = x**3 - x on a bracket where it is increasing; tol 1e-15 makes
+        # the walk cross several six-level trees before it stops.
+        f = lambda x: x**3 - x
+        want = _sequential_bisection(lambda x: float(f(np.asarray(x))), target, 1.0, 3.0, 1e-15, x_rel_tol)
+        got = bisect_monotone(f, target, 1.0, 3.0, tol=1e-15, x_rel_tol=x_rel_tol)
+        assert got.hex() == want.hex()
+
     def test_unreachable_target(self):
         with pytest.raises(BracketError):
-            bisect_monotone(math.atan, 4.0, -1.0, 1.0)  # atan < pi/2 < 4
+            bisect_monotone(np.arctan, 4.0, -1.0, 1.0)  # atan < pi/2 < 4
 
 
 class TestDiff:

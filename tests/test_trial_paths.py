@@ -28,7 +28,7 @@ from phientropy.errors import (
     SupportError,
 )
 from phientropy.families import big_f_drop, ln_phi, omega_phi
-from phientropy.numerics import bisect_monotone, sum_compensated
+from phientropy.numerics import sum_compensated
 
 GRID = pe.default_family_grid()
 DIMS = (2, 4, 16, 64)
@@ -226,6 +226,23 @@ def test_edge_cases_raise_domain_error(case, message):
         assert str(info.value) == message
 
 
+def _sequential_bisection(f, target, lo, hi, tol):
+    """Plain bisection, one point per call, kept here so the oracle does not
+    share ``numerics.bisect_monotone``, which evaluates a tree of midpoints per call."""
+    f_tol = tol * (1.0 + abs(target))
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm - target) <= f_tol:
+            return mid
+        if fm < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def _delta_by_public_bisection(fam, epsilon):
     f0 = fam.f_zero
     i_min = 2.0 * big_f_drop(fam, 0.5) - f0
@@ -236,7 +253,8 @@ def _delta_by_public_bisection(fam, epsilon):
 
     if coeff(1.0) <= epsilon:
         return 1.0
-    return bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
+    # coeff(0) = 0 < epsilon <= coeff(1): [0, 1] is a bracket, no expansion.
+    return _sequential_bisection(coeff, epsilon, 0.0, 1.0, 1e-12)
 
 
 @pytest.mark.parametrize("epsilon", SCAN_EPSILONS)
