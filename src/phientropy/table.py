@@ -32,7 +32,8 @@ from .errors import (
     SupportError,
 )
 from .families import LogFamily, big_f_drop_unchecked, ln_phi_unchecked
-from .numerics import bisect_monotone, sum_compensated
+from . import numerics
+from .numerics import sum_compensated
 
 
 # ---------------------------------------------------------------------------
@@ -533,4 +534,5 @@ def condition1_delta(fam: LogFamily, epsilon: float) -> float:
     # coeff(0) = 0 < epsilon, so [0, 1] is a certified bracket; for families
     # whose logarithm is heavy at the origin the radius can be very small
     # (e.g. ~1e-14 for tsallis kappa = -0.9), which plain bisection handles.
-    return bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
+    # Through the module, where tracing tools patch it.
+    return numerics.bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
