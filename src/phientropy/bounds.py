@@ -9,9 +9,11 @@ indicates an implementation bug, which is exactly what
 
 One ordered table, :data:`CHECKS` (in :mod:`phientropy.table`, re-exported
 here), decides which inequalities apply to an input and evaluates them over
-a batch of inputs: :func:`run_bound_checks` (the ``bounds`` command) and
-each ``check_*`` function evaluate a batch of one, the latter raising on an
-input the table would skip, and :func:`stability_scan` evaluates many.
+a batch of inputs, through :func:`phientropy.table.walk`; this module checks
+the inputs before and picks the results after.  :func:`run_bound_checks`
+(the ``bounds`` command) and each ``check_*`` function evaluate a batch of
+one, the latter raising on an input the table would skip, and
+:func:`stability_scan` evaluates many.
 
 The scan runs as lanes.  A lane is one slot: a single trial in the
 ``uniform``, ``sparse`` and ``neighbor`` modes, or a whole restart in the
@@ -57,7 +59,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import Pdf, _check_lengths, sample_neighbor, sample_sparse, sample_uniform
-from .errors import FamilyError, ParamError, PhiEntropyError, RangeError
+from .errors import FamilyError, ParamError, PhiEntropyError
 from .families import (
     LogFamily,
     big_f_drop,
@@ -70,30 +72,7 @@ from .families import (
     tsallis,
 )
 from .numerics import sum_compensated
-from .table import (
-    _CONT1,
-    _CONT2,
-    _FANNES,
-    _IMPROVED,
-    _LB,
-    _LESCHE3,
-    _LESCHE4,
-    _NOT_APPLICABLE,
-    _ONE,
-    _QUIET,
-    _REFUSALS,
-    _RELENT_D,
-    _RELENT_I,
-    _SEGMENT,
-    CHECKS,
-    Check,
-    _applies,
-    _Batch,
-    _Layout,
-    _reason,
-    condition1_delta,
-    entropy_min_half,
-)
+from .table import _QUIET, CHECKS, Check, _Batch, _Layout, condition1_delta, entropy_min_half, walk
 
 __all__ = [
     "TOL_SCALE",
@@ -180,38 +159,37 @@ def _family_key(fam: LogFamily) -> bytes:
     return json.dumps(family_to_json(fam), sort_keys=True).encode()
 
 
-def _digest(bound_id: str, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, params: tuple = ()) -> str:
+def _digest(check: Check, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:
+    """The ``inputs_digest`` of ``check``'s report; r and the segment enter where the check reads them."""
     h = hashlib.sha256()
-    h.update(bound_id.encode())
+    h.update(check.bound_id.encode())
     h.update(b"|")
     h.update(_family_key(fam))
     h.update(b"|")
     h.update(p.weights.tobytes())
     h.update(b"|")
     h.update(q.weights.tobytes())
-    if r is not None:
+    if check.with_r:
         h.update(b"|")
         h.update(r.weights.tobytes())
-    for v in params:
+    for v in segment if check.with_params else ():
         h.update(struct.pack("<d", v))
     return h.hexdigest()[:16]
 
 
-def _tol(rhs) -> float:
-    return TOL_SCALE * (1.0 + abs(rhs))
-
-
-def _report(bound_id, lhs, rhs, digest) -> BoundReport:
-    tol = _tol(rhs)
+def _report(check: Check, record: tuple) -> BoundReport:
+    """The report of ``check`` on ``record`` = (fam, p, q, r, segment, lhs, rhs)."""
+    *inputs, lhs, rhs = record
+    tol = TOL_SCALE * (1.0 + abs(rhs))
     ratio = lhs / rhs if rhs > 0 else None
     return BoundReport(
-        bound_id=bound_id,
+        bound_id=check.bound_id,
         lhs=float(lhs),
         rhs=float(rhs),
         ratio=None if ratio is None else float(ratio),
         holds=bool(lhs <= rhs + tol),
         tol=tol,
-        inputs_digest=digest,
+        inputs_digest=_digest(check, *inputs),
     )
 
 
@@ -241,11 +219,7 @@ def h_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Nonnegative since ``r_k <= 1``; a metric in (p, q) for fixed r.
     """
-    with np.errstate(**_QUIET):
-        b = _input(fam, p, q, r)
-    if b.h_error:
-        raise b.h_error[0]
-    return float(b.h[0])
+    return _at_r(fam, p, q, r, lambda b: (b.h_error, b.h))
 
 
 def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
@@ -253,39 +227,49 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Coincides with :func:`h_r` for the natural logarithm.
     """
+    return _at_r(fam, p, q, r, lambda b: (b.e_error, b.e))
+
+
+def _at_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf, pick) -> float:
+    """The value that ``pick(batch)`` = (errors, values) reads from one input, or its error."""
     with np.errstate(**_QUIET):
         b = _input(fam, p, q, r)
-    if b.e_error:
-        raise b.e_error[0]
-    return float(b.e[0])
+    errors, values = pick(b)
+    if errors:
+        raise errors[0]
+    return float(values[0])
 
 
 def _input(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> _Batch:
-    """Check one check-table input's lengths and evaluate it as a batch of one lane."""
+    """Check one check-table input and evaluate it as a batch of one lane.
+
+    Checks the lengths and that the segment's lam and mu lie in [0, 1], and
+    looks up the segment's radius where the pdfs differ.
+    """
     _check_lengths(p, q)
     if r is not None:
         _check_lengths(p, r)
-    return _Batch(_Layout((fam,), (p.n,), (r,)), (p,), (q,)).evaluate((segment,))
+    b = _Batch(_Layout((fam,), (p.n,), (r,)), (p,), (q,))
+    delta = math.inf
+    if segment is not None:
+        lam, mu, epsilon = segment
+        if not (0.0 <= lam <= 1.0 and 0.0 <= mu <= 1.0):
+            raise ParamError("lam and mu must lie in [0, 1]")
+        if b.tv_list[0] > 0.0:
+            delta = condition1_delta(fam, epsilon)
+    return b.evaluate((segment,), (delta,))
 
 
-def _check_digest(check: Check, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:
-    return _digest(
-        check.bound_id,
-        fam,
-        p,
-        q,
-        r if check.with_r else None,
-        params=segment if check.with_params else (),
-    )
-
-
-def _evaluate(check: Check, b: _Batch) -> BoundReport:
-    """The report of ``check`` on a batch of one; raise the lane's error if it has one."""
-    lhs, rhs = check.evaluate(b, _ONE)
+def _reports(rows: tuple, b: _Batch, applied, lhs, rhs) -> list[BoundReport]:
+    """The reports of the walked ``rows`` that apply to a batch of one; raise its error if it has one."""
     if b.errors[0] is not None:
         raise b.errors[0]
-    digest = _check_digest(check, b.layout.fams[0], b.p[0], b.q[0], b.layout.rs[0], b.segment[0])
-    return _report(check.bound_id, float(lhs[0]), float(rhs[0]), digest)
+    inputs = (b.layout.fams[0], b.p[0], b.q[0], b.layout.rs[0], b.segment[0])
+    return [
+        _report(check, (*inputs, float(lhs[k, 0]), float(rhs[k, 0])))
+        for k, check in enumerate(rows)
+        if applied[k, 0]
+    ]
 
 
 def run_bound_checks(
@@ -305,37 +289,38 @@ def run_bound_checks(
     for witness replay.
     """
     segment = None if epsilon is None else (mix_lambda, mix_mu, epsilon)
-    reports: list[BoundReport] = []
-    skipped: list[str] = []
     with np.errstate(**_QUIET):
         b = _input(fam, p, q, r, segment)
-        for check in CHECKS:
-            reason = _reason(check.precondition(b), 0)
-            if reason is None:
-                reports.append(_evaluate(check, b))
-            elif reason != _NOT_APPLICABLE:
-                skipped.append(check.bound_id)
-    return reports, skipped
+        skips, applied, lhs, rhs = walk(b, CHECKS)
+    # A FamilyError refusal: the bound does not concern the input.
+    refusals = [skip(0) for skip in skips]
+    skipped = [c.bound_id for c, e in zip(CHECKS, refusals) if e is not None and not isinstance(e, FamilyError)]
+    return _reports(CHECKS, b, applied, lhs, rhs), skipped
 
 
 # ---------------------------------------------------------------------------
 # inequality checks, one bound each
 
 
-def _checked(checks, fam, p, q, r=None, segment=None) -> tuple[BoundReport, ...]:
-    """Evaluate table rows on one input; raise if the table would not evaluate one."""
+def _checked(bound_ids, fam, p, q, r=None, segment=None) -> tuple[BoundReport, ...]:
+    """Evaluate the named table rows on one input; raise if the table would not evaluate one.
+
+    Refusals come first, in table order, then the input's error.
+    """
+    rows = tuple(check for check in CHECKS if check.bound_id in bound_ids)
     with np.errstate(**_QUIET):
         b = _input(fam, p, q, r, segment)
-        for check in checks:
-            reason = _reason(check.precondition(b), 0)
-            if reason is not None:
-                raise _REFUSALS.get(reason, RangeError)(f"{check.bound_id}: {reason}")
-        return tuple(_evaluate(check, b) for check in checks)
+        skips, applied, lhs, rhs = walk(b, rows)
+    for skip in skips:
+        refusal = skip(0)
+        if refusal is not None:
+            raise refusal
+    return tuple(_reports(rows, b, applied, lhs, rhs))
 
 
 def check_cont1(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     """|I(p) - I(q)| <= d(p, q)."""
-    return _checked((_CONT1,), fam, p, q)[0]
+    return _checked(("cont1",), fam, p, q)[0]
 
 
 def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, BoundReport]:
@@ -349,7 +334,7 @@ def check_relent(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> tuple[BoundReport, B
     for D) so they keep full precision when p and q are close.  Taking
     q = r turns the first bound into an upper bound for I(p|q) itself.
     """
-    return _checked((_RELENT_I, _RELENT_D), fam, p, q, r)
+    return _checked(("relent_I", "relent_D"), fam, p, q, r)
 
 
 def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -358,7 +343,7 @@ def check_improved(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= [(F(0) - F(tv)) / F(0)] * [F(0) + I(p sym q)],
     which reduces to ``cont1`` when tv = 1.
     """
-    return _checked((_IMPROVED,), fam, p, q)[0]
+    return _checked(("improved",), fam, p, q)[0]
 
 
 def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -366,7 +351,7 @@ def check_lb(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
 
     -F(0) - ln_phi(1/2) <= I(p sym q); the left side may well be negative.
     """
-    return _checked((_LB,), fam, p, q)[0]
+    return _checked(("lb",), fam, p, q)[0]
 
 
 def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -375,7 +360,7 @@ def check_cont2(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     A relaxation of ``cont1`` (its right side dominates d(p, q)) whose merit
     is the explicit dependence on N.
     """
-    return _checked((_CONT2,), fam, p, q)[0]
+    return _checked(("cont2",), fam, p, q)[0]
 
 
 def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -384,7 +369,7 @@ def check_lesche3(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= (1 + 1/kappa) tv + [I_max(N) - 1/kappa] tv^(1+kappa);
     an exact rewrite of ``cont2`` using the q-logarithm rescaling identity.
     """
-    return _checked((_LESCHE3,), fam, p, q)[0]
+    return _checked(("lesche3",), fam, p, q)[0]
 
 
 def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -392,7 +377,7 @@ def check_lesche4(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
 
     |I(p) - I(q)| <= (1 + I_max(N)) tv - tv ln(tv).
     """
-    return _checked((_LESCHE4,), fam, p, q)[0]
+    return _checked(("lesche4",), fam, p, q)[0]
 
 
 def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
@@ -401,7 +386,7 @@ def check_fannes(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:
     |I(p) - I(q)| <= I_max(N) tv - tv ln(tv); one tv weaker than lesche4's
     right side, hence always below it.
     """
-    return _checked((_FANNES,), fam, p, q)[0]
+    return _checked(("fannes",), fam, p, q)[0]
 
 
 def check_condition1_segment(
@@ -414,7 +399,7 @@ def check_condition1_segment(
     |I(lam p + (1-lam) q) - I(mu p + (1-mu) q)| <= epsilon * I(p sym q).
     The endpoint case lam=1, mu=0 is the continuity condition itself.
     """
-    return _checked((_SEGMENT,), fam, p, q, segment=(lam, mu, epsilon))[0]
+    return _checked(("condition1_segment",), fam, p, q, segment=(lam, mu, epsilon))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +434,40 @@ HILL_STEPS = 200
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Configuration for :func:`stability_scan`; fully determines the run."""
+    """Configuration for :func:`stability_scan`; fully determines the run.
+
+    Checked at construction: ``trials`` and every dim are ints >= 1 and
+    ``seed`` an int >= 0 (``type(x) is int``, so no bool), at least one
+    family, dim and mode is given, every mode is known, and every family has
+    a JSON encoding.  Anything else raises :class:`ParamError`.
+    """
 
     families: tuple[LogFamily, ...] = field(default_factory=default_family_grid)
     dims: tuple[int, ...] = (2, 4, 16, 64)
     trials: int = 1000
     seed: int = 271828
     modes: tuple[str, ...] = ("uniform", "sparse", "neighbor", "hillclimb")
+
+    def __post_init__(self):
+        if not (type(self.trials) is int and self.trials >= 1):
+            raise ParamError(f"trials must be an integer >= 1, not {self.trials!r}")
+        if not (type(self.seed) is int and self.seed >= 0):
+            raise ParamError(f"seed must be an integer >= 0, not {self.seed!r}")
+        if not (self.families and self.modes and self.dims):
+            raise ParamError("the scan needs a family, a mode and a dim")
+        if not all(type(dim) is int and dim >= 1 for dim in self.dims):
+            raise ParamError(f"every dim must be an integer >= 1, not {self.dims!r}")
+        for m in self.modes:
+            if m not in ("uniform", "sparse", "neighbor", "hillclimb"):
+                raise ParamError(f"unknown scan mode {m!r}")
+        for fam in self.families:
+            try:
+                family_to_json(fam)
+            except FamilyError:
+                raise ParamError(
+                    f"cannot scan family {fam.label!r}: it has no JSON encoding, "
+                    "and scan witnesses must replay through JSON"
+                ) from None
 
     def to_json(self) -> dict:
         return {
@@ -518,7 +530,7 @@ class ScanReport:
 
 def _witness(check: Check, record: tuple) -> dict:
     """The scan witness of ``record`` = (fam, p, q, r, segment, lhs, rhs) for ``check``."""
-    fam, p, q, r, segment, lhs, rhs = record
+    fam, p, q, r, segment, _, _ = record
     w = {
         "family": family_to_json(fam),
         "p": p.weights.tolist(),
@@ -529,41 +541,58 @@ def _witness(check: Check, record: tuple) -> dict:
     if check.with_params:
         lam, mu, epsilon = segment
         w["params"] = {"lam": lam, "mu": mu, "epsilon": epsilon}
-    w["report"] = _report(check.bound_id, lhs, rhs, _check_digest(check, fam, p, q, r, segment)).to_json()
+    w["report"] = _report(check, record).to_json()
     return w
 
 
 class _Aggregator:
-    """Merges parts in slot order: counts add up, and a later worst must be strictly greater."""
+    """Merges the parts of a scan in slot order into its report.
+
+    Counts add up.  Walking each part's kept records in trial order, a
+    bound's worst (``worst[row]`` = (ratio, record)) and the scan's
+    (``scan_worst`` = (ratio, row)) change only to a strictly greater ratio,
+    so the first trial wins a tie, and the first row within a trial.  The
+    scan's worst is always its row's worst.  Witnesses are built once, by
+    :meth:`report`.
+    """
 
     def __init__(self):
-        # Every bound has its stats from the start; per_bound() keeps those
-        # the scan evaluated.
-        self.stats = {bound_id: _BoundStats() for bound_id in BOUND_IDS}
-        self.worst: Optional[float] = None
-        self.worst_witness: Optional[dict] = None
-        self.support_errors = 0
-        self.violations = 0
-
-    def per_bound(self) -> dict[str, _BoundStats]:
-        return {bound_id: s for bound_id, s in self.stats.items() if s.trials}
+        self.trials = self.support_errors = self.violations = 0
+        self.counts = np.zeros(len(CHECKS), dtype=np.int64)
+        self.worst: dict[int, tuple] = {}
+        self.scan_worst: Optional[tuple] = None
 
     def merge(self, part: "_Log") -> None:
-        for check, count in zip(CHECKS, part.counts.tolist()):
-            self.stats[check.bound_id].trials += count
+        self.trials += part.trials
+        self.counts += part.counts
         self.violations += part.violations
         self.support_errors += part.support_errors
-        witnesses = {}
-        for row, (ratio, record) in part.worst.items():
-            stats = self.stats[CHECKS[row].bound_id]
-            if stats.worst_ratio is None or ratio > stats.worst_ratio:
-                witnesses[row] = _witness(CHECKS[row], record)
-                stats.worst_ratio, stats.witness = ratio, witnesses[row]
-        if part.scan_worst is not None:
-            ratio, row = part.scan_worst
-            if self.worst is None or ratio > self.worst:
-                witness = witnesses.get(row) or _witness(CHECKS[row], part.worst[row][1])
-                self.worst, self.worst_witness = ratio, witness
+        for ratio, lhs, rhs, inputs in part.kept:
+            for row, x in enumerate(ratio.tolist()):
+                if x == x and (row not in self.worst or x > self.worst[row][0]):
+                    self.worst[row] = (x, (*inputs, float(lhs[row]), float(rhs[row])))
+                    if self.scan_worst is None or x > self.scan_worst[0]:
+                        self.scan_worst = (x, row)
+
+    def report(self, config: ScanConfig, timings: Optional[dict] = None) -> ScanReport:
+        """The scan's report, with the bounds it evaluated, in table order."""
+        per_bound = {}
+        for row, (check, count) in enumerate(zip(CHECKS, self.counts.tolist())):
+            if count:
+                ratio, record = self.worst.get(row, (None, None))
+                witness = None if record is None else _witness(check, record)
+                per_bound[check.bound_id] = _BoundStats(count, ratio, witness)
+        worst, row = self.scan_worst or (None, None)
+        return ScanReport(
+            trials=self.trials,
+            worst_ratio=worst,
+            witness=None if row is None else per_bound[CHECKS[row].bound_id].witness,
+            per_bound=per_bound,
+            support_errors=self.support_errors,
+            config=config,
+            violations=self.violations,
+            timings=timings or {},
+        )
 
 
 def _ratios(lhs: np.ndarray, rhs: np.ndarray, applied: np.ndarray) -> tuple:
@@ -574,7 +603,7 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray, applied: np.ndarray) -> tuple:
     ratio counts towards the trial's max, which steers the hill climb, but
     it never becomes a worst: such noise says nothing of tightness.
     """
-    ratio = np.where(applied & (rhs > 0), lhs / rhs, math.nan)
+    ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, math.nan), where=applied & (rhs > 0))
     best = [None if x != x else x for x in np.fmax.reduce(ratio, axis=0).tolist()]
     # lhs <= rhs implies the tolerant comparison, and rhs >= 1e-9 exceeds
     # tol, so most batches need no tolerance at all.
@@ -586,35 +615,12 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray, applied: np.ndarray) -> tuple:
     return violated, best, ratio
 
 
-def _lap(timings: dict, run: Optional[tuple], mode: Optional[str], done: int) -> tuple:
-    """Close ``run`` = (mode, start time, trials done at its start) into
-    ``timings`` and open the run of ``mode``.
-
-    Slots come in runs of one mode, so the scan reads the clock once per
-    run, not once per trial.
-    """
-    now = time.perf_counter()
-    if run is not None:
-        entry = timings.setdefault(run[0], {"trials": 0, "seconds": 0.0})
-        entry["trials"] += done - run[2]
-        entry["seconds"] += now - run[1]
-    return mode, now, done
-
-
 def _sample_pair(mode, dim, scale, rng):
-    if mode == "uniform":
-        p = sample_uniform(dim, rng)
-        q = sample_uniform(dim, rng)
-        r = sample_uniform(dim, rng)
-    elif mode == "sparse":
-        p = sample_sparse(dim, rng)
-        q = sample_sparse(dim, rng)
-        r = sample_sparse(dim, rng)
-    else:  # neighbor
-        p = sample_uniform(dim, rng)
-        q = sample_neighbor(p, scale, rng)
-        r = sample_uniform(dim, rng)
-    return p, q, r
+    """A slot's p, q and r, drawn in that order; a hill climb starts from uniform pdfs."""
+    sample = sample_sparse if mode == "sparse" else sample_uniform
+    p = sample(dim, rng)
+    q = sample_neighbor(p, scale, rng) if mode == "neighbor" else sample(dim, rng)
+    return p, q, sample(dim, rng)
 
 
 def _transfer(pdf: Pdf, i: int, j: int, amount: float) -> Pdf:
@@ -697,7 +703,8 @@ _STEPS_PER_HALVING = 2
 
 
 class _Lane:
-    """One slot of a scan: a single trial, or a whole hill-climb restart.
+    """One slot of a scan: a hill-climb restart of at most ``steps`` =
+    :data:`HILL_STEPS` trials, or a single trial, a lane whose ``steps`` is 1.
 
     The slot's generator draws, in order, the pdfs, then each trial's step
     (after the first) and its lam and mu, exactly as a sequential scan does.
@@ -712,19 +719,19 @@ class _Lane:
         # Slot-indexed seed split: slot s always gets the same stream, so any
         # schedule of the slots reproduces the report.
         self.rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(slot,)))
-        self.hill = mode == "hillclimb"
+        self.steps = HILL_STEPS if mode == "hillclimb" else 1
         scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
-        self.p, self.q, self.r = _sample_pair("uniform" if self.hill else mode, self.dim, scale, self.rng)
-        self.draws = _StepDraws(self.rng) if self.hill else None
+        self.p, self.q, self.r = _sample_pair(mode, self.dim, scale, self.rng)
+        self.draws = _StepDraws(self.rng) if self.steps > 1 else None
         self.step, self.halvings, self.used, self.best, self.delta = 0.1, 0, 0, None, None
         self.done, self.error, self.rows = False, None, None
 
     def length(self, steps_per_halving: int) -> int:
         """Trials this lane runs in all (once done), or at least (1 step per
         halving still needed), or as expected (_STEPS_PER_HALVING)."""
-        if self.done or not self.hill:
-            return self.used if self.done else 1
-        return min(HILL_STEPS, self.used + steps_per_halving * (_HALVINGS - self.halvings))
+        if self.done:
+            return self.used
+        return min(self.steps, self.used + steps_per_halving * (_HALVINGS - self.halvings))
 
     def candidate(self) -> tuple:
         """The next trial's (p, q): the sampled pair, then one mass transfer per step."""
@@ -757,7 +764,7 @@ class _Lane:
     def advance(self, cand: tuple, ratio: Optional[float]) -> None:
         """Record a trial whose max ratio is ``ratio``: accept or halve the step."""
         self.used += 1
-        if self.used == 1 or not self.hill:
+        if self.used == 1:
             self.best = ratio
         elif ratio is not None and (self.best is None or ratio > self.best):
             self.best = ratio
@@ -765,7 +772,7 @@ class _Lane:
         else:
             self.step *= 0.5
             self.halvings += 1
-        self.done = not self.hill or self.used >= HILL_STEPS or not self.step > 1e-9 or self.error is not None
+        self.done = self.used >= self.steps or not self.step > 1e-9 or self.error is not None
         if self.done:  # what only a running lane needs
             self.rng = self.draws = self.p = self.q = self.r = None
 
@@ -779,11 +786,9 @@ class _Log:
     whenever a later one is, and wins a tie.  :meth:`finish` sets
     ``trials``, the trials within the budget; ``counts``, the evaluated
     reports per row of :data:`CHECKS`; ``violations`` and
-    ``support_errors``; ``worst``, each row's worst report as (ratio,
-    record), where a record is what :func:`_witness` reads, the first trial
-    winning a tie; ``scan_worst`` = (ratio, row), the worst of them all,
-    the first (trial, row) winning a tie; and ``discarded``, the trials the
-    lanes ran past the budget.
+    ``support_errors``; ``kept``, the records within the budget in trial
+    order, each as (ratios, lhs, rhs, inputs) per row; and ``discarded``,
+    the trials the lanes ran past the budget.
     """
 
     def __init__(self, size: int):
@@ -824,15 +829,8 @@ class _Log:
         self.violations = int(np.concatenate(self.violated)[keep].sum())
         # cont1 applies to every trial of distinct pdfs.
         self.support_errors = int((applied[0] & np.concatenate(self.unsupported)).sum())
-        self.worst, self.scan_worst = {}, None
         kept_records = [(start[i] + pos, rec) for i, pos, *rec in self.records if pos < kept[i]]
-        records = sorted(kept_records, key=lambda record: record[0])
-        for _, (ratio, lhs, rhs, inputs) in records:
-            for row, x in enumerate(ratio.tolist()):
-                if x == x and (row not in self.worst or x > self.worst[row][0]):
-                    self.worst[row] = (x, (*inputs, float(lhs[row]), float(rhs[row])))
-                    if self.scan_worst is None or x > self.scan_worst[0]:
-                        self.scan_worst = (x, row)
+        self.kept = [rec for _, rec in sorted(kept_records, key=lambda record: record[0])]
         return self
 
 
@@ -848,17 +846,11 @@ def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
             lane.error = exc
             segments.append(None)
     b.evaluate(segments, [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)])
-    applied, lhs, rhs = [], [], []
-    for check in CHECKS:
-        on = _applies(check.precondition(b), layout.size)
-        row_lhs, row_rhs = check.evaluate(b, on)
-        applied.append(on)
-        lhs.append(row_lhs)
-        rhs.append(row_rhs)
+    _, applied, lhs, rhs = walk(b, CHECKS)
     # A trial of identical pdfs evaluates no bound.
-    applied = np.array(applied) & ~b.identical
+    applied &= ~b.identical
     unsupported = ~(b.supported | layout.no_r)
-    best = log.add(lanes, cands, segments, applied, np.array(lhs), np.array(rhs), unsupported)
+    best = log.add(lanes, cands, segments, applied, lhs, rhs, unsupported)
     for i, lane in enumerate(lanes):
         lane.error = lane.error or b.errors[i]
         lane.advance(cands[i], best[i])
@@ -926,46 +918,17 @@ def stability_scan(config: ScanConfig) -> ScanReport:
     restart).  Every evaluated input counts as one trial.  The slot-to-seed
     mapping is a deterministic split of the root seed, so the report is
     identical regardless of scheduling; slots run side by side as lanes (see
-    the module docstring).  A bad config raises before any trial.
+    the module docstring).  The config checked itself at construction.
     """
-    if config.trials < 1:
-        raise ParamError("trials must be at least 1")
-    if not (config.families and config.modes and config.dims and min(config.dims) >= 1):
-        raise ParamError("the scan needs a family, a mode and a dim, and every dim >= 1")
-    for m in config.modes:
-        if m not in ("uniform", "sparse", "neighbor", "hillclimb"):
-            raise ParamError(f"unknown scan mode {m!r}")
-    for fam in config.families:
-        try:
-            family_to_json(fam)
-        except FamilyError:
-            raise ParamError(
-                f"cannot scan family {fam.label!r}: it has no JSON encoding, "
-                "and scan witnesses must replay through JSON"
-            ) from None
-
-    agg = _Aggregator()
-    timings: dict = {}
-    run = None
-    done = 0
-    block = 0
-    while done < config.trials:
-        mode = config.modes[block % len(config.modes)]
-        if run is None or run[0] != mode:
-            run = _lap(timings, run, mode, done)
-        part = _scan_block(config, block, config.trials - done)
+    agg, timings = _Aggregator(), {}
+    block, last = 0, time.perf_counter()
+    while agg.trials < config.trials:
+        part = _scan_block(config, block, config.trials - agg.trials)
         agg.merge(part)
-        done += part.trials
-        block += 1
-    _lap(timings, run, None, done)
-
-    return ScanReport(
-        trials=done,
-        worst_ratio=agg.worst,
-        witness=agg.worst_witness,
-        per_bound=agg.per_bound(),
-        support_errors=agg.support_errors,
-        config=config,
-        violations=agg.violations,
-        timings=timings,
-    )
+        # The clock is read once per block, whose slots share one mode.
+        now = time.perf_counter()
+        entry = timings.setdefault(config.modes[block % len(config.modes)], {"trials": 0, "seconds": 0.0})
+        entry["trials"] += part.trials
+        entry["seconds"] += now - last
+        block, last = block + 1, now
+    return agg.report(config, timings)

@@ -275,10 +275,27 @@ def _in_domain(x, name: str, allow_zero: bool = False):
     return arr, scalar
 
 
+_QUIET = {"over": "ignore", "divide": "ignore"}
+
+
+def _quiet(fam: LogFamily, kernel: Kernel, arr: np.ndarray) -> np.ndarray:
+    """``kernel(fam, arr)``; where a built-in kernel overflows or underflows,
+    the result is inf or 0, and numpy prints no warning.
+
+    A custom family's kernels call its logarithm point by point and run as
+    they are: every numpy call costs a few percent more under a non-default
+    errstate, and a quadrature makes thousands.
+    """
+    if fam.kind == "custom":
+        return kernel(fam, arr)
+    with np.errstate(**_QUIET):
+        return kernel(fam, arr)
+
+
 def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
     """Evaluate the deformed logarithm at ``x > 0``."""
     arr, scalar = _in_domain(x, "ln_phi")
-    return _ret(ln_phi_unchecked(fam, arr), scalar)
+    return _ret(_quiet(fam, _KINDS[fam.kind].ln, arr), scalar)
 
 
 def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -299,7 +316,7 @@ def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
     built from.
     """
     arr, scalar = _in_domain(x, "big_f_drop", allow_zero=True)
-    return _ret(big_f_drop_unchecked(fam, arr), scalar)
+    return _ret(_quiet(fam, _KINDS[fam.kind].drop, arr), scalar)
 
 
 def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -336,7 +353,7 @@ def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
     :class:`NonDifferentiableError`.
     """
     arr, scalar = _in_domain(x, "ln_phi_prime")
-    return _ret(_KINDS[fam.kind].prime(fam, arr), scalar)
+    return _ret(_quiet(fam, _KINDS[fam.kind].prime, arr), scalar)
 
 
 def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
@@ -347,7 +364,7 @@ def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
     custom) fall back to monotone bisection at 1e-12 relative tolerance.
     """
     arr, scalar = _as_array(x)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(**_QUIET):
         out = _KINDS[fam.kind].exp(fam, arr)
     return _ret(out, scalar)
 
@@ -434,10 +451,11 @@ def _pw_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     a = fam.base
     m, am, u = _pw_panels(np.where(arr > 0, arr, 1.0), a)
-    with np.errstate(over="ignore"):
+    # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide
+    # first there.  The branch np.where drops may be inf / inf.
+    with np.errstate(over="ignore", invalid="ignore"):
         uu, den = u * u, 2.0 * am * (a - 1.0)
-    # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide first there.
-    half_uu = np.where((uu >= _TINY) & (uu < math.inf), uu / den, u * (u / den))
+        half_uu = np.where((uu >= _TINY) & (uu < math.inf), uu / den, u * (u / den))
     val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + half_uu)
     return np.where(arr > 0, val, 0.0)
 

@@ -1,16 +1,17 @@
 """The check table: which inequalities apply to an input, and their two sides.
 
 :data:`CHECKS` is the single ordered table of rows ``(bound_id,
-precondition, evaluate)``; :mod:`phientropy.bounds` walks it for the
-``bounds`` command, the ``check_*`` functions and the stability scan.  A row
-reads a :class:`_Batch`: inputs side by side, one lane each, whose shared
-quantities (tv, I(p), I(q), d(p, q), I(p sym q), h_r, ...) are computed once
-for all lanes, passing the ``big_f_drop`` arguments of each family's lanes
-through one kernel call.  What depends only on the family, N and the
-reference pdf sits in a :class:`_Layout`, which the scan keeps for a
-hill-climb restart.  Rows evaluate over arrays of lanes; a single input is a
-batch of one.  :func:`condition1_delta`, the segment row's radius, lives
-here too.
+precondition, evaluate)``, and :func:`walk` the one place that evaluates
+them: :mod:`phientropy.bounds` calls it for the ``bounds`` command, the
+``check_*`` functions and the stability scan, checks the inputs before and
+picks the results after.  A row reads a :class:`_Batch`: inputs side by
+side, one lane each, whose shared quantities (tv, I(p), I(q), d(p, q),
+I(p sym q), h_r, ...) are computed once for all lanes, passing the
+``big_f_drop`` arguments of each family's lanes through one kernel call.
+What depends only on the family, N and the reference pdf sits in a
+:class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
+evaluate over arrays of lanes; a single input is a batch of one.
+:func:`condition1_delta`, the segment row's radius, lives here too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +30,8 @@ from .errors import (
     IdenticalPdfs,
     InfeasibleEpsilon,
     ParamError,
+    PhiEntropyError,
+    RangeError,
     SupportError,
 )
 from .families import LogFamily, big_f_drop_unchecked, ln_phi_unchecked
@@ -172,12 +175,14 @@ class _Batch:
             if lanes[i] and self.errors[i] is None:
                 self.errors[i] = error
 
-    def evaluate(self, segments, deltas=None) -> "_Batch":
+    def evaluate(self, segments, deltas) -> "_Batch":
         """Compute the table's shared values.
 
-        ``segments[i]`` is lane i's (lam, mu, epsilon) or None, and
-        ``deltas[i]``, if given, the radius condition1_delta(fam, epsilon)
-        of a lane with a segment and distinct pdfs.
+        ``segments[i]`` is lane i's (lam, mu, epsilon), lam and mu in
+        [0, 1], or None, and ``deltas[i]`` the radius
+        condition1_delta(fam, epsilon) of a lane with a segment and
+        distinct pdfs (any value elsewhere).  The caller checks and looks
+        up both.
         """
         lay, tv, pw, qw, diff = self.layout, self.tv, self.pw, self.qw, self.diff
         self.segment, self.delta = segments, deltas
@@ -185,16 +190,10 @@ class _Batch:
         # Columns lam, mu, epsilon; a lane without a segment reads zeros.
         seg = np.array([(0.0, 0.0, 0.0) if s is None else s for s in segments])
         self.lam, self.mu, self.epsilon = seg.T
-        mix_ok = [s is None or (0.0 <= s[0] <= 1.0 and 0.0 <= s[1] <= 1.0) for s in segments]
-        self.mix_refused = not all(mix_ok)
         self.identical = tv == 0.0
         tv_div = np.where(self.identical, 1.0, tv)
-        # The mixtures lam p + (1 - lam) q and mu p + (1 - mu) q, where a
-        # lane's segment has weights in [0, 1] and its pdfs are distinct.
-        mixed = self.has_segment & ~self.identical
-        if self.mix_refused:
-            mixed &= np.array(mix_ok)
-        weights = np.where(mixed[:, None], seg[:, :2], 0.0)[lay.lane_of_row]
+        # The mixtures lam p + (1 - lam) q and mu p + (1 - mu) q.
+        weights = seg[lay.lane_of_row, :2]
         mixtures = weights * pw[:, None] + (1.0 - weights) * qw[:, None]
         columns = (pw, qw, diff / tv_div[lay.lane_of_row], mixtures, diff, qw / lay.rdiv, pw / lay.rdiv)
         args = np.concatenate([c.reshape(pw.size, -1) for c in columns], axis=1)
@@ -293,12 +292,12 @@ class _Batch:
 # the check table
 #
 # A precondition returns (lanes, reason) pairs, in priority order: the check
-# skips the lanes of a mask for its reason.  _NOT_APPLICABLE means the check
-# does not concern the input (wrong family, no reference, no segment); any
-# other reason ``run_bound_checks`` lists as skipped.  A reason is a string
-# or a function of the lane.  The ``check_*`` functions raise on any reason,
-# with the error type below (RangeError for the reasons not listed).  An
-# evaluator returns the (lhs, rhs) arrays of every lane, meaningful where
+# skips the lanes of a mask for its reason.  A reason is a string or a
+# function of the lane.  A skip refuses the lane with the error type below
+# (RangeError for the reasons not listed): _NOT_APPLICABLE, a FamilyError,
+# means the check does not concern the input (wrong family, no reference, no
+# segment), and ``run_bound_checks`` lists every other refusal as skipped.
+# An evaluator returns the (lhs, rhs) arrays of every lane, meaningful where
 # the check applies.
 
 _NOT_APPLICABLE = "not applicable"
@@ -336,17 +335,7 @@ def _pre_relent(b: _Batch) -> tuple:
 
 
 def _pre_segment(b: _Batch) -> tuple:
-    if b.mix_refused:
-        raise ParamError("lam and mu must lie in [0, 1]")
-    delta = b.delta
-    if delta is None:
-        delta = [
-            condition1_delta(fam, epsilon) if on else math.inf
-            for fam, epsilon, on in zip(
-                b.layout.fams, b.epsilon.tolist(), (b.has_segment & ~b.identical).tolist()
-            )
-        ]
-    delta = np.array(delta)
+    delta = np.array(b.delta)
     spread = np.abs(b.lam - b.mu) * b.tv
 
     def hypothesis(i: int) -> str:
@@ -444,28 +433,17 @@ class Check:
     with_params: bool = False
 
 
-_CONT1 = Check("cont1", _pre_always, _eval_cont1)
-_LB = Check("lb", _pre_distinct, _eval_lb)
-_CONT2 = Check("cont2", _pre_distinct, _eval_cont2)
-_IMPROVED = Check("improved", _pre_improved, _eval_improved)
-_LESCHE3 = Check("lesche3", _pre_lesche3, _eval_lesche3)
-_LESCHE4 = Check("lesche4", _pre_lesche4, _eval_lesche4)
-_FANNES = Check("fannes", _pre_fannes, _eval_fannes)
-_RELENT_I = Check("relent_I", _pre_relent, _eval_relent_i, with_r=True)
-_RELENT_D = Check("relent_D", _pre_relent, _eval_relent_d, with_r=True)
-_SEGMENT = Check("condition1_segment", _pre_segment, _eval_segment, with_params=True)
-
 CHECKS = (
-    _CONT1,
-    _LB,
-    _CONT2,
-    _IMPROVED,
-    _LESCHE3,
-    _LESCHE4,
-    _FANNES,
-    _RELENT_I,
-    _RELENT_D,
-    _SEGMENT,
+    Check("cont1", _pre_always, _eval_cont1),
+    Check("lb", _pre_distinct, _eval_lb),
+    Check("cont2", _pre_distinct, _eval_cont2),
+    Check("improved", _pre_improved, _eval_improved),
+    Check("lesche3", _pre_lesche3, _eval_lesche3),
+    Check("lesche4", _pre_lesche4, _eval_lesche4),
+    Check("fannes", _pre_fannes, _eval_fannes),
+    Check("relent_I", _pre_relent, _eval_relent_i, with_r=True),
+    Check("relent_D", _pre_relent, _eval_relent_d, with_r=True),
+    Check("condition1_segment", _pre_segment, _eval_segment, with_params=True),
 )
 
 
@@ -479,19 +457,36 @@ def _applies(skips: tuple, size: int) -> np.ndarray:
     return ~skipped
 
 
-def _reason(skips: tuple, i: int) -> Optional[str]:
-    """Why the check skips lane i, or None when it applies."""
+def _refusal(bound_id: str, skips: tuple, i: int) -> Optional[PhiEntropyError]:
+    """The error with which a check whose precondition gave ``skips`` refuses lane i, or None."""
     for lanes, reason in skips:
         if lanes[i]:
-            return reason(i) if callable(reason) else reason
+            text = reason(i) if callable(reason) else reason
+            return _REFUSALS.get(text, RangeError)(f"{bound_id}: {text}")
     return None
+
+
+def walk(b: _Batch, rows: tuple) -> tuple:
+    """Evaluate ``rows`` of :data:`CHECKS` over an evaluated batch.
+
+    Returns (skips, applied, lhs, rhs): per row, a function that gives the
+    error with which the row refuses a lane, or None where it applies; and
+    the (rows, lanes) arrays of where each row applies and of its two sides.
+    An error a row's value raises is recorded in ``b.errors``.
+    """
+    walked = []
+    for check in rows:
+        pairs = check.precondition(b)
+        on = _applies(pairs, b.layout.size)
+        walked.append((partial(_refusal, check.bound_id, pairs), on, *check.evaluate(b, on)))
+    skips, applied, lhs, rhs = zip(*walked)
+    return skips, np.array(applied), np.array(lhs), np.array(rhs)
 
 
 # Kernels overflow on purpose at tiny reference weights and the evaluators
 # raise on the results; a lane that does not meet a row's precondition holds
 # values the row never reports.  Neither may print a numpy warning.
 _QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
-_ONE = np.ones(1, dtype=bool)
 
 
 def entropy_min_half(fam: LogFamily) -> float:

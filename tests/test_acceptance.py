@@ -25,6 +25,7 @@ from phientropy.bounds import (
     condition1_delta,
     default_family_grid,
     entropy_min_half,
+    run_bound_checks,
     stability_scan,
 )
 from phientropy.cli import _json_line
@@ -79,10 +80,25 @@ def test_criterion_01_inequality_theorem_suite():
     if level is not None:
         digest = hashlib.sha256(_json_line(rep.to_json()).encode()).hexdigest()
         assert digest == CRITERION_01_SHA256[level]
+    # Every witness replays to its report, and the scan's is one of them.
+    witnesses = [stats.witness for stats in rep.per_bound.values() if stats.witness is not None]
+    for wit in witnesses:
+        bid, params = wit["report"]["bound_id"], wit.get("params") or {}
+        reports, _ = run_bound_checks(
+            pe.family_from_json(wit["family"]),
+            pe.validate(wit["p"]),
+            pe.validate(wit["q"]),
+            pe.validate(wit["r"]) if "r" in wit else None,
+            mix_lambda=params.get("lam", 1.0),
+            mix_mu=params.get("mu", 0.0),
+            epsilon=params.get("epsilon"),
+        )
+        assert [r.to_json() for r in reports if r.bound_id == bid] == [wit["report"]], bid
+    assert len(witnesses) == len(ALL_BOUND_IDS) and rep.witness in witnesses
     report(
         1,
         f"{rep.trials} trials, worst ratio {rep.worst_ratio:.12f}, "
-        f"{rep.support_errors} support skips, {elapsed:.1f}s",
+        f"{rep.support_errors} support skips, {len(witnesses)} witnesses replayed, {elapsed:.1f}s",
     )
 
 

@@ -622,7 +622,7 @@ class TestNoiseFloor:
         # One trial whose only evaluated report is relent_I with lhs / rhs > 1,
         # but both sides rounding noise, as for p and q ulps apart; it goes
         # through the scan's own log, reduction and merge.
-        row = bounds.CHECKS.index(bounds._RELENT_I)
+        row = bounds.BOUND_IDS.index("relent_I")
         applied = np.zeros((len(bounds.CHECKS), 1), dtype=bool)
         lhs, rhs = np.zeros((len(bounds.CHECKS), 1)), np.zeros((len(bounds.CHECKS), 1))
         applied[row], lhs[row], rhs[row] = True, 3e-16, 2.8e-16
@@ -633,9 +633,10 @@ class TestNoiseFloor:
         lane.used = 1
         agg = bounds._Aggregator()
         agg.merge(log.finish([lane], trials=1))
-        assert agg.stats["relent_I"].trials == 1
-        assert agg.stats["relent_I"].worst_ratio is None and agg.worst is None
-        assert agg.violations == 0
+        report = agg.report(ScanConfig(trials=1))
+        assert report.per_bound["relent_I"].trials == 1
+        assert report.per_bound["relent_I"].worst_ratio is None and report.worst_ratio is None
+        assert report.violations == 0
 
     def test_scan_worst_is_above_floor(self):
         # Sub-scan seed 713355637 of a default benchmark scan: its worst was a
@@ -680,15 +681,32 @@ class TestStabilityScan:
 
         monkeypatch.setattr(bounds, "_sample_pair", no_trial)
         monkeypatch.setattr(bounds, "sample_uniform", no_trial)
-        config = ScanConfig(trials=5, **fields)
         with pytest.raises(ParamError):
-            stability_scan(config)
+            stability_scan(ScanConfig(trials=5, **fields))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"trials": math.inf},
+            {"trials": 2.5},
+            {"trials": True},
+            {"dims": (True,)},
+            {"dims": (2.5,)},
+            {"seed": -1},
+            {"seed": 1.5},
+        ],
+        ids=["trials-inf", "trials-float", "trials-bool", "dim-bool", "dim-float", "seed-negative", "seed-float"],
+    )
+    def test_config_rejected_at_construction(self, fields):
+        # Before the check, trials=inf scanned forever, a bool printed as
+        # true in the config JSON, and the rest failed inside numpy.
+        with pytest.raises(ParamError):
+            ScanConfig(**fields)
 
     def test_custom_family_rejected_before_any_trial(self):
         custom = pe.custom_family(np.log, singularity_exponent=0.0)
-        config = ScanConfig(families=(pe.shannon(), custom), trials=5)
         with pytest.raises(ParamError, match="'custom'.*witnesses must replay through JSON"):
-            stability_scan(config)
+            stability_scan(ScanConfig(families=(pe.shannon(), custom), trials=5))
 
     def test_deterministic(self):
         cfg = ScanConfig(trials=600, seed=31)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -355,6 +356,17 @@ class TestOmega:
         # the finite limits match small-x evaluation (approach is O(x^s))
         for fam in (pe.tsallis(-0.5), pe.kappa_maxwell(2.0)):
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e300])
+def test_public_functions_print_no_numpy_warning(family, x):
+    # Kernels overflow or underflow here (x**(1 + kappa) at 1e300, and
+    # omega's big_f_drop(1 / x) at 1e-300); the results are inf or 0.
+    assert {fam.kind for fam in FAMILY_GRID} == {row["kind"] for row in builtin_catalogue()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (pe.ln_phi, pe.big_f, pe.big_f_drop, pe.omega_phi, pe.ln_phi_prime, pe.exp_phi):
+            fn(family, x)
 
 
 class TestLnPhiPrime:

@@ -1,7 +1,7 @@
 """The scan's lanes: slot ranges run apart and merged give the sequential bytes.
 
 ``stability_scan`` runs each block of ``len(families) * len(dims)`` slots as
-lanes and merges the blocks in slot order with ``_Aggregator.merge``.  Since
+lanes and merges the blocks in slot order with ``_Aggregator``.  Since
 every slot draws from its own ``SeedSequence(seed, spawn_key=(slot,))``
 stream, blocks run separately, in any order, and merged with that same code
 must reproduce the sequential report byte for byte; a block that the trial
@@ -16,7 +16,7 @@ import pytest
 
 import phientropy as pe
 from phientropy import bounds
-from phientropy.bounds import ScanConfig, ScanReport, stability_scan
+from phientropy.bounds import ScanConfig, stability_scan
 
 
 def _payload(report) -> str:
@@ -27,16 +27,7 @@ def _merged(config, parts) -> str:
     agg = bounds._Aggregator()
     for part in parts:
         agg.merge(part)
-    report = ScanReport(
-        trials=sum(part.trials for part in parts),
-        worst_ratio=agg.worst,
-        witness=agg.worst_witness,
-        per_bound=agg.per_bound(),
-        support_errors=agg.support_errors,
-        config=config,
-        violations=agg.violations,
-    )
-    return _payload(report)
+    return _payload(agg.report(config))
 
 
 # Scan fields, and the number of blocks to run: the last one climbs hills.
@@ -85,7 +76,7 @@ def _one_row(row, lhs, rhs):
 def test_tie_goes_to_the_lower_trial_index():
     # Lanes 0 and 1 (trials 0 and 1) report the same cont1 ratio in one tick,
     # listed in batch order 1, 0, as lanes of different families can be.
-    row = bounds.CHECKS.index(bounds._CONT1)
+    row = bounds.BOUND_IDS.index("cont1")
     fam = pe.shannon()
     lanes = [_lane(1, fam), _lane(0, fam)]
     pdfs = [
@@ -96,25 +87,26 @@ def test_tie_goes_to_the_lower_trial_index():
     log.add(lanes, pdfs, [None, None], *_one_row(row, [0.25, 0.25], [0.5, 0.5]), np.zeros(2, dtype=bool))
     for lane in lanes:
         lane.used = 1
-    part = log.finish(sorted(lanes, key=lambda lane: lane.index), trials=2)
-    assert part.worst[row][0] == 0.5 and part.scan_worst == (0.5, row)
+    agg = bounds._Aggregator()
+    agg.merge(log.finish(sorted(lanes, key=lambda lane: lane.index), trials=2))
+    assert agg.worst[row][0] == 0.5 and agg.scan_worst == (0.5, row)
     # Trial 0 is lane 0, whose pdfs are the second pair.
-    assert part.worst[row][1][1] is pdfs[1][0]
+    assert agg.worst[row][1][1] is pdfs[1][0]
 
     # Across blocks: a later block's equal ratio does not replace the worst.
-    agg = bounds._Aggregator()
-    agg.merge(part)
-    first = agg.stats["cont1"].witness
+    config = ScanConfig(families=(fam,), dims=(2,), trials=3)
+    first = agg.report(config).per_bound["cont1"].witness
     later = bounds._Log(1)
     later.add([_lane(0, fam)], pdfs[:1], [None], *_one_row(row, [0.25], [0.5]), np.zeros(1, dtype=bool))
     agg.merge(later.finish([_lane(0, fam, used=1)], trials=1))
-    assert agg.stats["cont1"].witness is first and agg.worst_witness is first
+    report = agg.report(config)
+    assert report.per_bound["cont1"].witness == first and report.witness == first
 
 
 def test_only_a_lanes_raised_maxima_are_kept():
     # A lane's later trial that does not raise its running max for any row
     # can never be a worst: the earlier trial is kept whenever it is.
-    row = bounds.CHECKS.index(bounds._CONT1)
+    row = bounds.BOUND_IDS.index("cont1")
     lane = _lane(0, pe.shannon())
     pair = (pe.validate([0.5, 0.5]), pe.validate([0.6, 0.4]))
     log = bounds._Log(1)
@@ -123,10 +115,14 @@ def test_only_a_lanes_raised_maxima_are_kept():
         log.add([lane], [pair], [None], *_one_row(row, [lhs], [1.0]), np.zeros(1, dtype=bool))
     assert [pos for _, pos, *_ in log.records] == [0, 2]
     lane.used = 4
-    assert log.finish([lane], trials=4).worst[row][0] == 0.3
+    agg = bounds._Aggregator()
+    agg.merge(log.finish([lane], trials=4))
+    assert agg.worst[row][0] == 0.3
     # Cut before the raise: the prefix's worst.
     log_cut = log.finish([types.SimpleNamespace(used=4, error=None)], trials=2)
-    assert log_cut.worst[row][0] == 0.2 and log_cut.trials == 2 and log_cut.discarded == 2
+    agg_cut = bounds._Aggregator()
+    agg_cut.merge(log_cut)
+    assert agg_cut.worst[row][0] == 0.2 and log_cut.trials == 2 and log_cut.discarded == 2
 
 
 def test_error_of_the_lowest_trial_is_raised():
