@@ -275,27 +275,16 @@ def _in_domain(x, name: str, allow_zero: bool = False):
     return arr, scalar
 
 
+# Where a kernel overflows or underflows the result is inf or 0; the public
+# functions evaluate under this errstate so numpy prints no warning there.
 _QUIET = {"over": "ignore", "divide": "ignore"}
-
-
-def _quiet(fam: LogFamily, kernel: Kernel, arr: np.ndarray) -> np.ndarray:
-    """``kernel(fam, arr)``; where a built-in kernel overflows or underflows,
-    the result is inf or 0, and numpy prints no warning.
-
-    A custom family's kernels call its logarithm point by point and run as
-    they are: every numpy call costs a few percent more under a non-default
-    errstate, and a quadrature makes thousands.
-    """
-    if fam.kind == "custom":
-        return kernel(fam, arr)
-    with np.errstate(**_QUIET):
-        return kernel(fam, arr)
 
 
 def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
     """Evaluate the deformed logarithm at ``x > 0``."""
     arr, scalar = _in_domain(x, "ln_phi")
-    return _ret(_quiet(fam, _KINDS[fam.kind].ln, arr), scalar)
+    with np.errstate(**_QUIET):
+        return _ret(ln_phi_unchecked(fam, arr), scalar)
 
 
 def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -316,7 +305,8 @@ def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
     built from.
     """
     arr, scalar = _in_domain(x, "big_f_drop", allow_zero=True)
-    return _ret(_quiet(fam, _KINDS[fam.kind].drop, arr), scalar)
+    with np.errstate(**_QUIET):
+        return _ret(big_f_drop_unchecked(fam, arr), scalar)
 
 
 def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -353,7 +343,8 @@ def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
     :class:`NonDifferentiableError`.
     """
     arr, scalar = _in_domain(x, "ln_phi_prime")
-    return _ret(_quiet(fam, _KINDS[fam.kind].prime, arr), scalar)
+    with np.errstate(**_QUIET):
+        return _ret(_KINDS[fam.kind].prime(fam, arr), scalar)
 
 
 def exp_phi(fam: LogFamily, x) -> float | np.ndarray:

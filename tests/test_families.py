@@ -358,11 +358,16 @@ class TestOmega:
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
 
 
-@pytest.mark.parametrize("x", [1e-300, 1e300])
-def test_public_functions_print_no_numpy_warning(family, x):
+@pytest.mark.parametrize("x", [1e-300, 1e300, 1e-308, 1e308])
+def test_public_functions_print_no_numpy_warning(request, family, x):
     # Kernels overflow or underflow here (x**(1 + kappa) at 1e300, and
-    # omega's big_f_drop(1 / x) at 1e-300); the results are inf or 0.
+    # omega's big_f_drop(1 / x) at 1e-300; kappa_maxwell's kappa * x and
+    # piecewise_linear's panel sums at 1e308); the results are inf or 0.
     assert {fam.kind for fam in FAMILY_GRID} == {row["kind"] for row in builtin_catalogue()}
+    if x in (1e-308, 1e308) and family.kind == "tsallis" and family.kappa > 0:
+        # big_f_drop's two terms both overflow at 1e308, inf - inf is NaN, and
+        # numpy warns about the invalid value (a known defect, not fixed yet).
+        request.applymarker(pytest.mark.xfail(raises=RuntimeWarning, strict=True))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (pe.ln_phi, pe.big_f, pe.big_f_drop, pe.omega_phi, pe.ln_phi_prime, pe.exp_phi):
