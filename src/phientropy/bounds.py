@@ -53,7 +53,7 @@ import json
 import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -108,18 +108,7 @@ __all__ = [
 TOL_SCALE = 1e-10
 
 # Every bound, in the order the check table evaluates and reports them.
-BOUND_IDS = (
-    "cont1",
-    "lb",
-    "cont2",
-    "improved",
-    "lesche3",
-    "lesche4",
-    "fannes",
-    "relent_I",
-    "relent_D",
-    "condition1_segment",
-)
+BOUND_IDS = tuple(check.bound_id for check in CHECKS)
 
 
 @dataclass(frozen=True)
@@ -142,15 +131,7 @@ class BoundReport:
     inputs_digest: str
 
     def to_json(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "holds": self.holds,
-            "tol": self.tol,
-            "inputs_digest": self.inputs_digest,
-        }
+        return asdict(self)
 
 
 def _family_key(fam: LogFamily) -> bytes:
@@ -425,8 +406,10 @@ def default_family_grid() -> tuple[LogFamily, ...]:
     )
 
 
-# The scan cycles through these neighbor-pair tv radii and segment epsilons,
-# and runs at most HILL_STEPS trials per hill-climb restart.
+# The scan's modes (a default scan runs them all, in this order); it cycles
+# through these neighbor-pair tv radii and segment epsilons, and runs at most
+# HILL_STEPS trials per hill-climb restart.
+_MODES = ("uniform", "sparse", "neighbor", "hillclimb")
 NEIGHBOR_SCALES = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 SCAN_EPSILONS = (0.1, 0.5, 1.0)
 HILL_STEPS = 200
@@ -446,7 +429,7 @@ class ScanConfig:
     dims: tuple[int, ...] = (2, 4, 16, 64)
     trials: int = 1000
     seed: int = 271828
-    modes: tuple[str, ...] = ("uniform", "sparse", "neighbor", "hillclimb")
+    modes: tuple[str, ...] = _MODES
 
     def __post_init__(self):
         if not (type(self.trials) is int and self.trials >= 1):
@@ -458,7 +441,7 @@ class ScanConfig:
         if not all(type(dim) is int and dim >= 1 for dim in self.dims):
             raise ParamError(f"every dim must be an integer >= 1, not {self.dims!r}")
         for m in self.modes:
-            if m not in ("uniform", "sparse", "neighbor", "hillclimb"):
+            if m not in _MODES:
                 raise ParamError(f"unknown scan mode {m!r}")
         for fam in self.families:
             try:
@@ -489,11 +472,7 @@ class _BoundStats:
     witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "worst_ratio": self.worst_ratio,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -687,13 +666,6 @@ class _StepDraws:
         return i, j
 
 
-# The scan's lanes: each block of len(families) * len(dims) consecutive
-# slots has one mode.  A one-trial block runs all its slots side by side; a
-# hill-climb block runs up to _LANES restarts side by side, launching the
-# next one as a lane finishes.  Chosen by measurement (see BENCH_10.json).
-_LANES = 52
-
-
 # A fresh restart's step 0.1 needs this many halvings to fall to 1e-9 or
 # below (halving is exact, so 0.1 * 0.5**k is the step after k of them), so
 # a restart lasts at least _HALVINGS + 1 trials.  A step is rejected, and
@@ -862,15 +834,14 @@ def _scan_block(config: ScanConfig, block: int, trials: int) -> _Log:
     Trial indices are assigned in slot order after the lanes finish, and
     trials past the budget are dropped.  A lane stops once its trials reach
     the room that the earlier lanes' lower bounds leave it, which can only
-    shrink.  A restart is launched only while the lanes' expected lengths
-    leave room, so that few trials fall past the budget; a launch held back
-    comes later, as lanes finish.  Errors are raised after the block, the
-    one of the lowest trial first.
+    shrink.  A slot is launched only while the lanes' expected lengths
+    leave room, up to all of the block's, so that few trials fall past the
+    budget; a launch held back comes later, as lanes finish.  Errors are
+    raised after the block, the one of the lowest trial first.
     """
     size = len(config.families) * len(config.dims)
     mode = config.modes[block % len(config.modes)]
     slots = iter(range(block * size, (block + 1) * size))
-    width = _LANES if mode == "hillclimb" else size
     lanes: list[_Lane] = []
     log, layout, key = _Log(size), None, None
     with np.errstate(**_QUIET):
@@ -885,7 +856,7 @@ def _scan_block(config: ScanConfig, block: int, trials: int) -> _Log:
                 base += lane.length(1)
                 expected += lane.length(_STEPS_PER_HALVING)
             launched = []
-            while len(active) + len(launched) < width and expected < trials and not failed:
+            while expected < trials and not failed:
                 slot = next(slots, None)
                 if slot is None:
                     break

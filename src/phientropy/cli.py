@@ -52,7 +52,6 @@ from .fisher import (
 )
 from .functionals import divergence, entropy, rel_entropy, resolve_method
 
-DEFAULT_SEED = 271828
 TABLE_BANNER = "# human-readable output; not for parsing (use --format json)"
 
 _EVAL_FNS = {
@@ -295,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("scan", help="randomized stability scan")
-    sp.add_argument("--trials", type=int, default=1000)
-    sp.add_argument("--dims", default="2,4,16,64")
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    sp.add_argument("--trials", type=int, default=ScanConfig.trials)
+    sp.add_argument("--dims", default=",".join(map(str, ScanConfig.dims)))
+    sp.add_argument("--seed", type=int, default=ScanConfig.seed)
     sp.add_argument("--families", default="default", help="'default' or a JSON array of family specs")
-    sp.add_argument("--modes", default="uniform,sparse,neighbor,hillclimb")
+    sp.add_argument("--modes", default=",".join(ScanConfig.modes))
     sp.add_argument(
         "--timings", action="store_true",
         help="also print each mode's trials and wall seconds to stderr (stdout is unchanged)",

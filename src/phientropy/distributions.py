@@ -211,9 +211,7 @@ def sample_neighbor(p: Pdf, eps: float, rng: np.random.Generator) -> Pdf:
     lam = eps / abs_sum
     neg = v < 0
     if np.any(neg):
-        with np.errstate(divide="ignore"):
-            cap = np.min(p.weights[neg] / -v[neg])
-        lam = min(lam, cap)
+        lam = min(lam, np.min(p.weights[neg] / -v[neg]))
     return Pdf(np.maximum(p.weights + lam * v, 0.0))
 
 

@@ -36,6 +36,11 @@ evaluated in cancellation-free form per family.  It equals
 ``-integral_0^x ln_phi`` and is increasing and concave on ``[0, 1]`` with
 ``big_f_drop(0) = 0``; entropies, metrics and ``omega`` are all assembled
 from it so that small inputs keep full relative precision.
+
+Error state: the public functions set numpy's and the kernels none.  Kernels
+that overflow or underflow return inf, -inf or 0, so overflow and divide are
+ignored; invalid stays on, as a NaN is a wrong value (where F overflows,
+``big_f_drop`` is -inf, not inf - inf).  Callers of ``*_unchecked`` set it.
 """
 
 from __future__ import annotations
@@ -251,7 +256,7 @@ def custom_family(
 # evaluation
 
 
-_TINY = np.finfo(float).tiny
+_TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 
 
 def _as_array(x):
@@ -275,8 +280,6 @@ def _in_domain(x, name: str, allow_zero: bool = False):
     return arr, scalar
 
 
-# Where a kernel overflows or underflows the result is inf or 0; the public
-# functions evaluate under this errstate so numpy prints no warning there.
 _QUIET = {"over": "ignore", "divide": "ignore"}
 
 
@@ -388,11 +391,6 @@ def _per_point(fn: Callable[[float], float], arr: np.ndarray) -> np.ndarray:
     return np.array([fn(float(v)) for v in np.atleast_1d(arr)]).reshape(arr.shape)
 
 
-def _shannon_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(arr > 0, arr - arr * np.log(arr), 0.0)
-
-
 def _tsallis_derive(fam: LogFamily) -> tuple:
     k = fam.kappa
     f0 = (1.0 + 1.0 / k) - 1.0 / k  # = g(1), analytically 1
@@ -443,11 +441,13 @@ def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     a = fam.base
     m, am, u = _pw_panels(np.where(arr > 0, arr, 1.0), a)
     # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide
-    # first there.  The branch np.where drops may be inf / inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        uu, den = u * u, 2.0 * am * (a - 1.0)
-        half_uu = np.where((uu >= _TINY) & (uu < math.inf), uu / den, u * (u / den))
-    val = -(am * (m - 0.5) - am / (a - 1.0) + m * u + half_uu)
+    # first there.  Zeros keep inf / inf out of the branch np.where drops.
+    uu, den = u * u, 2.0 * am * (a - 1.0)
+    plain = (uu >= _TINY) & (uu < math.inf)
+    half_uu = np.where(plain, np.where(plain, uu, 0.0) / den, u * (u / den))
+    # am * (m - 0.5) overflows wherever am / (a - 1) does, and F(x) with it:
+    # capping the second term makes that -inf, not inf - inf.
+    val = -(am * (m - 0.5) - np.minimum(am / (a - 1.0), _MAX) + m * u + half_uu)
     return np.where(arr > 0, val, 0.0)
 
 
@@ -559,7 +559,7 @@ _KINDS = {
         fields={},
         derive=lambda fam: (0.0, 1.0, -math.inf, math.inf),
         ln=lambda fam, x: np.log(x),
-        drop=_shannon_drop,
+        drop=lambda fam, x: x - x * np.log(np.where(x > 0, x, 1.0)),
         prime=lambda fam, x: 1.0 / x,
         exp=lambda fam, x: np.exp(x),
     ),
@@ -567,7 +567,12 @@ _KINDS = {
         fields={"kappa": _KAPPA_POWER},
         derive=_tsallis_derive,
         ln=lambda fam, x: (1.0 + 1.0 / fam.kappa) * (x**fam.kappa - 1.0),
-        drop=lambda fam, x: (1.0 + 1.0 / fam.kappa) * x - (1.0 / fam.kappa) * x ** (1.0 + fam.kappa),
+        # Both terms overflow only where F(x) does or nearly does: the caps
+        # make the drop -inf there, not inf - inf.
+        drop=lambda fam, x: (
+            np.minimum((1.0 + 1.0 / fam.kappa) * x, _MAX)
+            - np.maximum((1.0 / fam.kappa) * x ** (1.0 + fam.kappa), -_MAX)
+        ),
         prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
         exp=_tsallis_exp,
     ),

@@ -54,11 +54,6 @@ def resolve_method(fam: LogFamily, functional: str, method: str) -> str:
     return method
 
 
-def _xlogx(w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(w > 0, w * np.log(np.where(w > 0, w, 1.0)), 0.0)
-
-
 def entropy(fam: LogFamily, p: Pdf, method: str = "auto") -> float:
     """Entropy ``I(p) >= 0``; zero exactly for a point mass.
 
@@ -77,7 +72,7 @@ def entropy(fam: LogFamily, p: Pdf, method: str = "auto") -> float:
     if method == "closed_form":
         k = fam.kappa
         if fam.kind == "shannon":
-            return -sum_compensated(_xlogx(w))
+            return -sum_compensated(w * np.log(np.where(w > 0, w, 1.0)))
         if fam.kind == "tsallis":
             return (1.0 - sum_compensated(w ** (1.0 + k))) / k
         if fam.kind == "kaniadakis":
@@ -150,8 +145,7 @@ def _rel_entropy_closed(fam: LogFamily, pw: np.ndarray, qw: np.ndarray) -> float
     if fam.kind == "shannon":
         return sum_compensated(pp * np.log(pp / qq))
     if fam.kind == "tsallis":
-        with np.errstate(divide="ignore"):
-            ratio = np.where(qq > 0, pp / np.where(qq > 0, qq, 1.0), math.inf)
+        ratio = np.where(qq > 0, pp / np.where(qq > 0, qq, 1.0), math.inf)
         if k > 0:
             terms = pp * (ratio**k - 1.0)
         else:

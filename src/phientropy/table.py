@@ -524,10 +524,12 @@ def condition1_delta(fam: LogFamily, epsilon: float) -> float:
     def coeff(delta: np.ndarray) -> np.ndarray:
         return big_f_drop_unchecked(fam, delta) / f0 * amp
 
-    if float(coeff(np.asarray(1.0))) <= epsilon:
-        return 1.0
-    # coeff(0) = 0 < epsilon, so [0, 1] is a certified bracket; for families
-    # whose logarithm is heavy at the origin the radius can be very small
-    # (e.g. ~1e-14 for tsallis kappa = -0.9), which plain bisection handles.
-    # Through the module, where tracing tools patch it.
-    return numerics.bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
+    # A kernel may overflow at delta = 1 (piecewise_linear with a huge base).
+    with np.errstate(**_QUIET):
+        if float(coeff(np.asarray(1.0))) <= epsilon:
+            return 1.0
+        # coeff(0) = 0 < epsilon, so [0, 1] is a certified bracket; for families
+        # whose logarithm is heavy at the origin the radius can be very small
+        # (e.g. ~1e-14 for tsallis kappa = -0.9), which plain bisection handles.
+        # Through the module, where tracing tools patch it.
+        return numerics.bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import types
@@ -431,6 +432,13 @@ class TestCondition1:
         deltas = [condition1_delta(family, eps) for eps in (0.05, 0.1, 0.5, 1.0, 3.0)]
         assert all(a <= b + 1e-15 for a, b in zip(deltas, deltas[1:]))
 
+    def test_kernel_overflow_prints_no_numpy_warning(self):
+        # piecewise_linear's drop at 1 forms 2 * (base - 1), inf for this base.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            delta = condition1_delta(pe.piecewise_linear(1e308), 0.5)
+        assert delta == condition1_delta(pe.piecewise_linear(1e300), 0.5)
+
     def test_rejects_bad_epsilon(self, family):
         with pytest.raises(ParamError):
             condition1_delta(family, 0.0)
@@ -500,6 +508,16 @@ class TestBoundReportShape:
         a = pe.check_cont1(family, P(), Q()).inputs_digest
         b = pe.check_cont1(family, Q(), P()).inputs_digest
         assert a != b
+
+    def test_custom_family_digest_keys_on_exponent_and_f_zero(self):
+        # A custom family enters the digest only through (s, F(0)).
+        digest = lambda fam: pe.check_cont1(fam, P(), Q()).inputs_digest
+        custom_ln = pe.custom_family(np.log, singularity_exponent=0.0)
+        # tsallis(0.5)'s logarithm, also with s = 0 and F(0) = 1
+        other_ln = dataclasses.replace(custom_ln, custom_ln=lambda x: 3.0 * (np.sqrt(x) - 1.0))
+        assert digest(other_ln) == digest(custom_ln)
+        assert digest(dataclasses.replace(custom_ln, singularity_exponent=0.5)) != digest(custom_ln)
+        assert digest(pe.shannon()) != digest(custom_ln)
 
 
 class TestInputValidation:

@@ -11,6 +11,7 @@ import pytest
 
 import phientropy.bounds as bounds
 import phientropy.cli as cli
+from phientropy.errors import InfeasibleEpsilon
 
 
 def run(capsys, *argv):
@@ -291,6 +292,28 @@ class TestScan:
         )
         timings = bounds.stability_scan(config).timings
         assert {m: t["trials"] for m, t in timings.items()} == {"uniform": 10, "sparse": 10}
+
+    def test_defaults_are_scan_config_defaults(self, capsys):
+        code, out, _ = run(capsys, "scan")
+        assert code == 0
+        assert out == cli._json_line(bounds.stability_scan(bounds.ScanConfig()).to_json())
+
+    def test_radius_lookup_error_fails_the_scan(self, capsys, monkeypatch):
+        # No applicable check is dropped silently: a trial whose segment
+        # radius cannot be looked up fails the scan with that error.
+        real = bounds.condition1_delta
+
+        def delta(fam, epsilon):
+            if fam == bounds.tsallis(0.5):
+                raise InfeasibleEpsilon("no radius for this family")
+            return real(fam, epsilon)
+
+        monkeypatch.setattr(bounds, "condition1_delta", delta)
+        with pytest.raises(InfeasibleEpsilon, match="^no radius for this family$"):
+            bounds.stability_scan(bounds.ScanConfig(trials=100))
+        code, out, err = run(capsys, "scan", "--trials", "100")
+        assert code == 1 and out == ""
+        assert err.startswith("error: no radius for this family\n")
 
     def test_ratio_tol_flag_is_gone(self, capsys):
         assert cli.main(["scan", "--trials", "5", "--ratio-tol", "1e-9"]) == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from phientropy.distributions import (
     sample_simplex,
     sample_sparse,
     sample_uniform,
+    validate,
 )
 from phientropy.errors import (
     DomainError,
@@ -35,6 +38,25 @@ class TestPdf:
     def test_does_not_check_the_sum(self):
         assert pe.Pdf([0.5, 0.2]).weights.tolist() == [0.5, 0.2]
         assert pe.Pdf([-0.0, 1.0]).n == 2
+
+    def test_len(self):
+        assert len(pe.validate([0.2, 0.3, 0.5])) == 3
+
+    def test_allclose(self):
+        p = pe.validate([0.25, 0.75])
+        near = pe.Pdf([0.25 + 1e-12, 0.75 - 1e-12])
+        assert p.allclose(pe.Pdf([0.25, 0.75]))
+        assert not p.allclose(near)
+        assert p.allclose(near, tol=1e-11)
+        assert not p.allclose(near, tol=1e-13)
+        # Pdfs of different lengths are never close, even padded with zeros.
+        assert not p.allclose(pe.Pdf([0.25, 0.75, 0.0]), tol=1.0)
+
+    def test_to_json_round_trips_through_validate(self):
+        p = pe.validate([0.1, 0.2, 0.7])
+        payload = json.loads(json.dumps(p.to_json()))
+        assert payload == {"weights": [0.1, 0.2, 0.7]}
+        assert validate(**payload).weights.tobytes() == p.weights.tobytes()
 
     def test_normalize_keeps_its_own_negative_weight_error(self):
         with pytest.raises(NegativeWeight) as exc:

@@ -359,19 +359,21 @@ class TestOmega:
 
 
 @pytest.mark.parametrize("x", [1e-300, 1e300, 1e-308, 1e308])
-def test_public_functions_print_no_numpy_warning(request, family, x):
+@pytest.mark.parametrize(
+    "family", [*FAMILY_GRID, pe.piecewise_linear(1.01), pe.piecewise_linear(1.1)], ids=lambda f: f.label
+)
+def test_public_functions_print_no_numpy_warning(family, x):
     # Kernels overflow or underflow here (x**(1 + kappa) at 1e300, and
     # omega's big_f_drop(1 / x) at 1e-300; kappa_maxwell's kappa * x and
     # piecewise_linear's panel sums at 1e308); the results are inf or 0.
+    # Both terms of tsallis' drop (kappa > 0) overflow at 1e308, and both
+    # panel terms of piecewise_linear(1.01) and (1.1): F overflows there, so
+    # big_f_drop is -inf, not inf - inf = NaN.
     assert {fam.kind for fam in FAMILY_GRID} == {row["kind"] for row in builtin_catalogue()}
-    if x in (1e-308, 1e308) and family.kind == "tsallis" and family.kappa > 0:
-        # big_f_drop's two terms both overflow at 1e308, inf - inf is NaN, and
-        # numpy warns about the invalid value (a known defect, not fixed yet).
-        request.applymarker(pytest.mark.xfail(raises=RuntimeWarning, strict=True))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn in (pe.ln_phi, pe.big_f, pe.big_f_drop, pe.omega_phi, pe.ln_phi_prime, pe.exp_phi):
-            fn(family, x)
+            assert not math.isnan(fn(family, x)), fn.__name__
 
 
 class TestLnPhiPrime:
@@ -472,6 +474,22 @@ class TestCustomFamily:
             assert pe.omega_phi(fam, float(x)) == pytest.approx(
                 pe.omega_phi(ref, float(x)), rel=1e-6, abs=1e-8
             )
+
+    @pytest.mark.parametrize(
+        "ln, s, twin",
+        [
+            (np.log, 0.0, pe.shannon()),
+            (lambda x: 3.0 * (x**0.5 - 1.0), 0.0, pe.tsallis(0.5)),
+            (lambda x: -(x**-0.5 - 1.0), 0.5, pe.tsallis(-0.5)),
+            (lambda x: (x**0.3 - x**-0.3) / 0.6, 0.3, pe.kaniadakis(0.3)),
+        ],
+        ids=["shannon", "tsallis(0.5)", "tsallis(-0.5)", "kaniadakis(0.3)"],
+    )
+    def test_ln_phi_prime_matches_builtin_twin(self, ln, s, twin):
+        # The custom derivative is a Richardson difference of ln.
+        fam = pe.custom_family(ln, singularity_exponent=s)
+        xs = np.logspace(-3.0, math.log10(40.0), 30)
+        np.testing.assert_allclose(pe.ln_phi_prime(fam, xs), pe.ln_phi_prime(twin, xs), rtol=1e-7, atol=0)
 
     def test_exp_by_bisection_round_trip(self):
         fam = pe.custom_family(self._kan_like(0.3), singularity_exponent=0.3)

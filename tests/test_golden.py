@@ -173,7 +173,9 @@ def test_scan_bytes(capsys, seed):
 # release before the scan ran slots as lanes (Python 3.11.7, numpy 2.4.6),
 # by running ``phientropy scan <argv>`` and taking the SHA-256 of its stdout,
 # at default dispatch and with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-# AVX512_SPR" for the X86_V3 set.
+# AVX512_SPR" for the X86_V3 set.  The "hillclimb 104 slots" scan, whose
+# hill-climb blocks have 104 slots, was captured the same way on the release
+# that ran at most 52 hill-climb lanes at once.
 BUDGET_SCANS = {
     'trials=1 seed=7': ['--trials', '1', '--seed', '7'],
     'trials=52 seed=7': ['--trials', '52', '--seed', '7'],
@@ -192,6 +194,7 @@ BUDGET_SCANS = {
     'hillclimb only': ['--trials', '2500', '--seed', '13', '--modes', 'hillclimb'],
     'sparse only': ['--trials', '300', '--seed', '14', '--modes', 'sparse'],
     'hillclimb first': ['--trials', '900', '--seed', '15', '--modes', 'hillclimb,neighbor', '--dims', '4,16', '--families', '[{"kind":"shannon"},{"kind":"kaniadakis","kappa":0.5},{"kind":"piecewise_linear","base":2.0}]'],
+    'hillclimb 104 slots': ['--dims', '2,3,4,5,8,16,32,64', '--modes', 'hillclimb', '--trials', '10000', '--seed', '7'],
 }
 BUDGET_SCAN_SHA256 = {
     "X86_V4": {
@@ -212,6 +215,7 @@ BUDGET_SCAN_SHA256 = {
         'hillclimb only': "721e0367d99bf1629df36438f54ba1c1ba0bb7b2623b79459738c02c227f8ce4",
         'sparse only': "0abd4fe2c66e7017093d787413b2f866a3a783c2f0b3bdc1daaae10110360d0a",
         'hillclimb first': "29a4a66158a9bd2250e364d80b3d71dc561cace96e1f63ff80ff4bbb10896b60",
+        'hillclimb 104 slots': "1d925d59e2e97fc1e5c64f806365cfc6f65061864ffc2952e7748735c6d706a7",
     },
     "X86_V3": {
         'trials=1 seed=7': "1e1200e4616fe783a21732a8a41e2fd86d9c2c7fb055c96d40bf762939880b42",
@@ -231,6 +235,7 @@ BUDGET_SCAN_SHA256 = {
         'hillclimb only': "721e0367d99bf1629df36438f54ba1c1ba0bb7b2623b79459738c02c227f8ce4",
         'sparse only': "0abd4fe2c66e7017093d787413b2f866a3a783c2f0b3bdc1daaae10110360d0a",
         'hillclimb first': "29a4a66158a9bd2250e364d80b3d71dc561cace96e1f63ff80ff4bbb10896b60",
+        'hillclimb 104 slots': "1d925d59e2e97fc1e5c64f806365cfc6f65061864ffc2952e7748735c6d706a7",
     },
 }
 
@@ -259,7 +264,20 @@ def test_bounds_bytes(capsys, tmp_path, case):
 
 
 def test_table_is_in_bound_id_order():
-    assert tuple(check.bound_id for check in CHECKS) == BOUND_IDS
+    order = (
+        "cont1",
+        "lb",
+        "cont2",
+        "improved",
+        "lesche3",
+        "lesche4",
+        "fannes",
+        "relent_I",
+        "relent_D",
+        "condition1_segment",
+    )
+    assert tuple(check.bound_id for check in CHECKS) == order
+    assert BOUND_IDS == order
 
 
 def _applicable(fam, with_r: bool, with_epsilon: bool) -> set:
