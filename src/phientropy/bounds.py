@@ -53,12 +53,12 @@ import json
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .distributions import Pdf, _check_lengths, sample_neighbor, sample_sparse, sample_uniform
+from .distributions import Pdf, _check_lengths, _frozen, sample_neighbor, sample_sparse, sample_uniform
 from .errors import FamilyError, ParamError, PhiEntropyError
 from .families import (
     LogFamily,
@@ -72,7 +72,18 @@ from .families import (
     tsallis,
 )
 from .numerics import sum_compensated
-from .table import _QUIET, CHECKS, Check, _Batch, _Layout, condition1_delta, entropy_min_half, walk
+from .table import (
+    _QUIET,
+    CHECKS,
+    Check,
+    _Batch,
+    _Layout,
+    _refusal,
+    condition1_delta,
+    condition1_radii,
+    entropy_min_half,
+    walk,
+)
 
 __all__ = [
     "TOL_SCALE",
@@ -131,7 +142,7 @@ class BoundReport:
     inputs_digest: str
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _family_key(fam: LogFamily) -> bytes:
@@ -274,7 +285,7 @@ def run_bound_checks(
         b = _input(fam, p, q, r, segment)
         skips, applied, lhs, rhs = walk(b, CHECKS)
     # A FamilyError refusal: the bound does not concern the input.
-    refusals = [skip(0) for skip in skips]
+    refusals = [_refusal(c.bound_id, pairs, 0) for c, pairs in zip(CHECKS, skips)]
     skipped = [c.bound_id for c, e in zip(CHECKS, refusals) if e is not None and not isinstance(e, FamilyError)]
     return _reports(CHECKS, b, applied, lhs, rhs), skipped
 
@@ -292,8 +303,8 @@ def _checked(bound_ids, fam, p, q, r=None, segment=None) -> tuple[BoundReport, .
     with np.errstate(**_QUIET):
         b = _input(fam, p, q, r, segment)
         skips, applied, lhs, rhs = walk(b, rows)
-    for skip in skips:
-        refusal = skip(0)
+    for check, pairs in zip(rows, skips):
+        refusal = _refusal(check.bound_id, pairs, 0)
         if refusal is not None:
             raise refusal
     return tuple(_reports(rows, b, applied, lhs, rhs))
@@ -472,7 +483,7 @@ class _BoundStats:
     witness: Optional[dict] = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -587,7 +598,7 @@ def _ratios(lhs: np.ndarray, rhs: np.ndarray, applied: np.ndarray) -> tuple:
     # lhs <= rhs implies the tolerant comparison, and rhs >= 1e-9 exceeds
     # tol, so most batches need no tolerance at all.
     violated = applied & ~(lhs <= rhs)
-    if violated.any() or (applied & (rhs < 1e-9)).any():
+    if np.count_nonzero(violated) or np.count_nonzero(applied & (rhs < 1e-9)):
         tol = TOL_SCALE * (1.0 + np.abs(rhs))
         violated &= ~(lhs <= rhs + tol)
         ratio = np.where((np.abs(lhs) <= tol) & (rhs <= tol), math.nan, ratio)
@@ -605,19 +616,16 @@ def _sample_pair(mode, dim, scale, rng):
 def _transfer(pdf: Pdf, i: int, j: int, amount: float) -> Pdf:
     """``pdf`` with up to ``amount`` of mass moved from entry i to entry j.
 
-    The result needs none of the constructor's checks, so it is frozen
-    without them: w[i] - min(amount, w[i]) is exactly 0 or the rounding of a
-    positive difference, never negative, and w[j] + amount stays finite for
-    the scan's pdfs, whose weights sum to about one.
+    The result needs none of the constructor's checks: w[i] - min(amount,
+    w[i]) is exactly 0 or the rounding of a positive difference, never
+    negative, and w[j] + amount stays finite for the scan's pdfs, whose
+    weights sum to about one.
     """
     w = pdf.weights.copy()
     amount = min(amount, w[i])
     w[i] -= amount
     w[j] += amount
-    w.setflags(write=False)
-    out = object.__new__(Pdf)
-    object.__setattr__(out, "weights", w)
-    return out
+    return _frozen(w)
 
 
 class _StepDraws:
@@ -715,12 +723,19 @@ class _Lane:
             return _transfer(self.p, i, j, self.step), self.q
         return self.p, _transfer(self.q, i, j, self.step)
 
-    def segment(self, tv: float) -> Optional[tuple]:
-        """The trial's (lam, mu, epsilon), drawn only for distinct pdfs."""
+    def segment(self, tv: float, radii: dict) -> Optional[tuple]:
+        """The trial's (lam, mu, epsilon), drawn only for distinct pdfs.
+
+        ``radii`` maps (family, epsilon) to the radius, or to the error
+        that its lookup raises.
+        """
         if tv == 0.0:
             return None
         if self.delta is None:
-            self.delta = condition1_delta(self.fam, self.epsilon)
+            radius = radii[self.fam, self.epsilon]
+            if isinstance(radius, PhiEntropyError):
+                raise radius
+            self.delta = radius
         delta = self.delta
         # The values of rng.uniform(0.0, 1.0, size=2), at a third of its cost.
         lam, mu = self.rng.random(), self.rng.random()
@@ -772,7 +787,7 @@ class _Log:
         violated, best, ratio = _ratios(lhs, rhs, applied)
         index = [lane.index for lane in lanes]
         top = self.top[:, index]
-        for i in (ratio > top).any(axis=0).nonzero()[0].tolist():
+        for i in np.logical_or.reduce(ratio > top, axis=0).nonzero()[0].tolist():
             lane = lanes[i]
             inputs = (lane.fam, *cands[i], lane.r, segments[i])
             self.records.append((lane.index, lane.used, ratio[:, i], lhs[:, i], rhs[:, i], inputs))
@@ -780,7 +795,7 @@ class _Log:
         self.lane += index
         self.pos += [lane.used for lane in lanes]
         self.applied.append(applied)
-        self.violated.append(violated.sum(axis=0))
+        self.violated.append(np.add.reduce(violated, axis=0))
         self.unsupported.append(unsupported)
         return best
 
@@ -806,14 +821,24 @@ class _Log:
         return self
 
 
-def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
-    """Run one trial of each lane, side by side, and log it."""
+def _tick(lanes: list, layout: _Layout, log: _Log, radii: dict) -> None:
+    """Run one trial of each lane, side by side, and log it.
+
+    The radii that the lanes miss in the scan's ``radii`` are solved
+    together, once per scan.
+    """
     cands = [lane.candidate() for lane in lanes]
     b = _Batch(layout, [c[0] for c in cands], [c[1] for c in cands])
+    missing = dict.fromkeys(
+        pair for lane, tv in zip(lanes, b.tv_list)
+        if tv > 0.0 and lane.delta is None and (pair := (lane.fam, lane.epsilon)) not in radii
+    )
+    if missing:
+        radii.update(zip(missing, condition1_radii(list(missing))))
     segments = []
     for lane, tv in zip(lanes, b.tv_list):
         try:
-            segments.append(lane.segment(tv))
+            segments.append(lane.segment(tv, radii))
         except PhiEntropyError as exc:
             lane.error = exc
             segments.append(None)
@@ -828,7 +853,7 @@ def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
         lane.advance(cands[i], best[i])
 
 
-def _scan_block(config: ScanConfig, block: int, trials: int) -> _Log:
+def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Log:
     """Run block ``block`` of the slots as lanes, keeping at most ``trials`` trials.
 
     Trial indices are assigned in slot order after the lanes finish, and
@@ -837,7 +862,8 @@ def _scan_block(config: ScanConfig, block: int, trials: int) -> _Log:
     shrink.  A slot is launched only while the lanes' expected lengths
     leave room, up to all of the block's, so that few trials fall past the
     budget; a launch held back comes later, as lanes finish.  Errors are
-    raised after the block, the one of the lowest trial first.
+    raised after the block, the one of the lowest trial first.  ``radii``
+    is the scan's memo of segment radii (see :func:`_tick`).
     """
     size = len(config.families) * len(config.dims)
     mode = config.modes[block % len(config.modes)]
@@ -872,11 +898,18 @@ def _scan_block(config: ScanConfig, block: int, trials: int) -> _Log:
                 for i, lane in enumerate(launched):
                     lane.rows = (new, i)
             active = sorted(active + launched, key=lambda lane: lane.fam_index)
-            if key != [lane.index for lane in active]:
-                key = [lane.index for lane in active]
-                layout = _Layout([x.fam for x in active], [x.dim for x in active], [x.r for x in active],
-                                 [x.rows for x in active])
-            _tick(active, layout, log)
+            order = [lane.index for lane in active]
+            if order != key:
+                # Lanes launched with no lane running tick on their launch's layout.
+                if len(active) == len(launched):
+                    layout = new
+                else:
+                    layout = _Layout([x.fam for x in active], [x.dim for x in active], [x.r for x in active],
+                                     [x.rows for x in active])
+                for i, lane in enumerate(active):
+                    lane.rows = (layout, i)
+                key = order
+            _tick(active, layout, log, radii)
 
 
 def stability_scan(config: ScanConfig) -> ScanReport:
@@ -891,10 +924,11 @@ def stability_scan(config: ScanConfig) -> ScanReport:
     identical regardless of scheduling; slots run side by side as lanes (see
     the module docstring).  The config checked itself at construction.
     """
-    agg, timings = _Aggregator(), {}
+    # The scan's segment radii, by (family, epsilon): solved once, kept for this scan only.
+    agg, timings, radii = _Aggregator(), {}, {}
     block, last = 0, time.perf_counter()
     while agg.trials < config.trials:
-        part = _scan_block(config, block, config.trials - agg.trials)
+        part = _scan_block(config, block, config.trials - agg.trials, radii)
         agg.merge(part)
         # The clock is read once per block, whose slots share one mode.
         now = time.perf_counter()

@@ -82,6 +82,18 @@ class Pdf:
         return {"weights": self.weights.tolist()}
 
 
+def _frozen(w: np.ndarray) -> Pdf:
+    """A :class:`Pdf` of ``w`` without the constructor's checks and copy.
+
+    For weights finite, nonnegative and one-dimensional by construction, in
+    an array that no one writes to afterwards: it is frozen in place.
+    """
+    w.setflags(write=False)
+    out = object.__new__(Pdf)
+    object.__setattr__(out, "weights", w)
+    return out
+
+
 def validate(weights: Sequence[float], tol: float = DEFAULT_VALIDATION_TOL) -> Pdf:
     """Check nonnegativity and unit sum, then freeze into a :class:`Pdf`.
 
@@ -173,7 +185,7 @@ def _flat_dirichlet(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_uniform(n: int, rng: np.random.Generator) -> Pdf:
     """Draw from the flat Dirichlet measure on the n-simplex."""
-    return Pdf(_flat_dirichlet(n, rng))
+    return _frozen(_flat_dirichlet(n, rng))
 
 
 def sample_sparse(n: int, rng: np.random.Generator) -> Pdf:
@@ -189,7 +201,7 @@ def sample_sparse(n: int, rng: np.random.Generator) -> Pdf:
             base[int(rng.integers(0, n))] = 1.0
         else:
             base /= total
-    return Pdf(base)
+    return _frozen(base)
 
 
 def sample_neighbor(p: Pdf, eps: float, rng: np.random.Generator) -> Pdf:
@@ -212,7 +224,7 @@ def sample_neighbor(p: Pdf, eps: float, rng: np.random.Generator) -> Pdf:
     neg = v < 0
     if np.any(neg):
         lam = min(lam, np.min(p.weights[neg] / -v[neg]))
-    return Pdf(np.maximum(p.weights + lam * v, 0.0))
+    return _frozen(np.maximum(p.weights + lam * v, 0.0))
 
 
 def sample_simplex(n: int, seed: int, mode: str = "uniform", *, p: Pdf | None = None, eps: float | None = None) -> Pdf:

@@ -139,28 +139,64 @@ def integrate(
     )
 
 
-# Levels of the bisection tree that bisect_monotone evaluates per call of f,
-# and the points the tree spans: both ends and its 2**6 - 1 midpoints.
-_BISECT_LEVELS = 6
-_TREE = 2**_BISECT_LEVELS
+# Levels of the bisection tree that a walk evaluates per round, and its cap
+# on the steps of plain bisection.
+BISECT_LEVELS = 6
+_MAX_STEPS = 200
 
 
-def _bisection_tree(lo: float, hi: float) -> list[float]:
-    """The bracket [lo, hi] cut by the next _BISECT_LEVELS levels of midpoints.
+def bisection_trees(lo: np.ndarray, hi: np.ndarray, levels: int = BISECT_LEVELS) -> np.ndarray:
+    """The brackets [lo[i], hi[i]] cut by ``levels`` levels of midpoints, one row each.
 
-    Entry 0 is lo and entry _TREE is hi.  The brackets of level k span
-    w = _TREE >> k entries, and the midpoint of the bracket from entry i to
-    entry i + w sits at entry i + w // 2: it is 0.5 * (lo' + hi') of its own
-    bracket, as the sequential loop forms it.  (Python floats: for 63 points
-    this is cheaper than numpy's per-call overhead.)
+    Entry 0 of a row is lo and entry 2**levels is hi.  The brackets of level
+    k span w = 2**(levels - k) entries, and the midpoint of the bracket from
+    entry j to entry j + w sits at entry j + w // 2: it is 0.5 * (lo' + hi')
+    of its own bracket, as plain bisection forms it.
     """
-    tree = [lo] * (_TREE + 1)
-    tree[_TREE] = hi
-    for k in range(_BISECT_LEVELS):
-        w = _TREE >> k
-        for i in range(0, _TREE, w):
-            tree[i + w // 2] = 0.5 * (tree[i] + tree[i + w])
+    size = 1 << levels
+    tree = np.empty((len(lo), size + 1))
+    tree[:, 0], tree[:, size] = lo, hi
+    for k in range(levels):
+        w = size >> k
+        tree[:, w // 2 :: w] = 0.5 * (tree[:, :size:w] + tree[:, w::w])
     return tree
+
+
+class BisectionWalk:
+    """Plain bisection toward ``f(x) = target`` in ``[lo, hi]``, ``levels`` levels per round.
+
+    Each round the caller evaluates f at the midpoints of the bracket's tree
+    (:func:`bisection_trees`), and :meth:`descend` walks down the tree as
+    one-point-at-a-time bisection would, taking its path and its exit: at
+    ``|f(mid) - target| <= tol * (1 + |target|)`` (and, with ``x_rel_tol``,
+    a bracket of at most that relative width), or after 200 steps.
+    ``result`` is None until then.
+    """
+
+    def __init__(self, lo: float, hi: float, target: float, tol: float,
+                 x_rel_tol: Optional[float] = None, levels: int = BISECT_LEVELS):
+        self.lo, self.hi, self.target, self.levels = lo, hi, target, levels
+        self.f_tol, self.x_rel_tol = tol * (1.0 + abs(target)), x_rel_tol
+        self.steps, self.result = 0, None
+
+    def descend(self, tree: list, values: list) -> None:
+        """Walk this round's tree; ``values[k - 1]`` is f at ``tree[k]``."""
+        at = 1 << (self.levels - 1)
+        half = at // 2
+        for _ in range(self.levels):
+            mid, fm = tree[at], values[at - 1]
+            self.steps += 1
+            converged = abs(fm - self.target) <= self.f_tol and (
+                self.x_rel_tol is None or self.hi - self.lo <= self.x_rel_tol * max(1.0, abs(mid))
+            )
+            if converged or self.steps == _MAX_STEPS:
+                self.result = mid
+                return
+            if fm < self.target:
+                self.lo, at = mid, at + half
+            else:
+                self.hi, at = mid, at - half
+            half //= 2
 
 
 def bisect_monotone(
@@ -180,8 +216,9 @@ def bisect_monotone(
 
     ``f`` maps a float ndarray to the ndarray of its values, element by
     element.  Each call evaluates the next six levels of the bisection tree,
-    63 midpoints, and the walk down the tree takes the path, and the exit,
-    of plain one-point-at-a-time bisection, so the result is the same.
+    63 midpoints, and the walk down the tree (:class:`BisectionWalk`) takes
+    the path, and the exit, of plain one-point-at-a-time bisection, so the
+    result is the same.
     """
     lo, hi = float(lo_hint), float(hi_hint)
     if hi < lo:
@@ -205,28 +242,11 @@ def bisect_monotone(
     else:
         raise BracketError(f"target {target} above reachable range of f")
 
-    f_tol = tol * (1.0 + abs(target))
-    mid = 0.5 * (lo + hi)
-    steps = 0
-    while steps < 200:
-        points = _bisection_tree(lo, hi)
-        values = f(np.array(points[1:_TREE])).tolist()
-        at, half = _TREE // 2, _TREE // 4
-        for _ in range(_BISECT_LEVELS):
-            mid, fm = points[at], values[at - 1]
-            steps += 1
-            if abs(fm - target) <= f_tol and (
-                x_rel_tol is None or hi - lo <= x_rel_tol * max(1.0, abs(mid))
-            ):
-                return mid
-            if fm < target:
-                lo, at = mid, at + half
-            else:
-                hi, at = mid, at - half
-            half //= 2
-            if steps == 200:
-                break
-    return mid
+    walk = BisectionWalk(lo, hi, target, tol, x_rel_tol)
+    while walk.result is None:
+        tree = bisection_trees([walk.lo], [walk.hi])[0]
+        walk.descend(tree.tolist(), f(tree[1:-1]).tolist())
+    return walk.result
 
 
 def central_diff(f: Callable[[float], float], x: float, h: float) -> float:

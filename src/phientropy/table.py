@@ -11,7 +11,8 @@ I(p sym q), h_r, ...) are computed once for all lanes, passing the
 What depends only on the family, N and the reference pdf sits in a
 :class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
 evaluate over arrays of lanes; a single input is a batch of one.
-:func:`condition1_delta`, the segment row's radius, lives here too.
+:func:`condition1_radii` solves the segment row's radii, and
+:func:`condition1_delta` is its cached one-pair call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,16 +63,18 @@ class _Layout:
     with its zeros set to 1 (and 1 without r), ``zero`` marks r = 0, and
     ``ln2`` holds ln_phi(1/r), ln_phi(r), 0 where r = 0; per lane, ``lb_lhs``
     is the left side of ``lb`` and ``i_max`` = omega(N).  ``rows`` gives
-    each lane's rows as (layout, lane) of a layout that computed them, so
-    that the scan computes a hill-climb restart's reference values once.
-    Lanes of one family next to each other share kernel calls.
+    each lane's rows as (layout, lane) of a layout that holds them, so that
+    the scan computes a hill-climb restart's reference values once; one
+    index array picks them.  Lanes of one family next to each other share
+    kernel calls.
     """
 
     def __init__(self, fams, ns, rs, rows=None):
         self.fams, self.ns, self.rs, self.size = fams, ns, rs, len(fams)
         sizes = [n + 1 for n in ns]
         self.off = off = [0, *itertools.accumulate(sizes)]
-        self.spans = [(a, b - 1) for a, b in zip(off, off[1:])]
+        # Each lane's pdf-entry rows, which its sums read.
+        self.entries = [slice(a, b - 1) for a, b in zip(off, off[1:])]
         self.scalar_rows = np.array(off[1:]) - 1
         self.lane_of_row = np.repeat(np.arange(self.size), sizes)
         self.n = np.array(ns, dtype=float)
@@ -91,16 +94,20 @@ class _Layout:
         if rows is None:
             self._reference_values()
         else:
-            pick = lambda a, x, i: a[..., x.off[i] : x.off[i + 1]]
+            # The rows of the source layouts one after another, and where each lane's start.
+            sources = list(dict.fromkeys(x for x, _ in rows))
+            first = dict(zip(sources, itertools.accumulate((x.off[-1] for x in sources), initial=0)))
+            starts = np.array([first[x] + x.off[i] for x, i in rows])
+            pick = np.repeat(starts - off[:-1], sizes) + np.arange(off[-1])
             for name in ("rdiv", "zero", "ln2", "over"):
-                setattr(self, name, np.concatenate([pick(getattr(x, name), x, i) for x, i in rows], axis=-1))
+                setattr(self, name, np.concatenate([getattr(x, name) for x in sources], axis=-1)[..., pick])
             self.lb_lhs = np.array([x.lb_lhs[i] for x, i in rows])
             self.i_max = [x.i_max[i] for x, i in rows]
         finite = np.isfinite(self.ln2)
         # ln_phi of a subnormal r can be infinite: such a lane sums over the
         # entries where p and q differ (see _Batch._odd_lane).
         self.ln2_rows = self.ln2 if finite.all() else np.where(finite, self.ln2, 0.0)
-        self.any_zero = bool(self.zero.any())
+        self.any_zero = np.count_nonzero(self.zero) > 0
         # Lanes whose relative-entropy values need more than the plain sums:
         # r with zeros, an infinite ln_phi(r) or an overflowing 1/r.
         odd = self.zero | ~finite.all(axis=0) | self.over
@@ -165,7 +172,7 @@ class _Batch:
         # math.fsum is what sum_compensated does with a list; the per-lane
         # sums call it directly, since the wrapper's type check costs about
         # a third of their time.
-        self.tv_list = [math.fsum(diff[a:b]) for a, b in layout.spans]
+        self.tv_list = list(map(math.fsum, map(diff.__getitem__, layout.entries)))
         self.tv = np.array(self.tv_list)
         self.errors = [None] * layout.size
 
@@ -191,7 +198,7 @@ class _Batch:
         seg = np.array([(0.0, 0.0, 0.0) if s is None else s for s in segments])
         self.lam, self.mu, self.epsilon = seg.T
         self.identical = tv == 0.0
-        tv_div = np.where(self.identical, 1.0, tv)
+        tv_div = tv + self.identical  # tv, and 1 where it is 0
         # The mixtures lam p + (1 - lam) q and mu p + (1 - mu) q.
         weights = seg[lay.lane_of_row, :2]
         mixtures = weights * pw[:, None] + (1.0 - weights) * qw[:, None]
@@ -238,7 +245,7 @@ class _Batch:
         relent += dpq * lay.f0_rows
         if lay.any_zero:
             relent[lay.zero] = 0.0
-        sums = [[math.fsum(col[a:b]) for a, b in lay.spans] for col in summands.tolist()]
+        sums = [list(map(math.fsum, map(col.__getitem__, lay.entries))) for col in summands.tolist()]
         (self.ent_p, self.ent_q, self.ent_sym, self.mix_lam, self.mix_mu,
          self.d, self.h, e, self.cross, self.relent) = np.array(sums)
         self.e = -e
@@ -250,18 +257,18 @@ class _Batch:
         return self
 
     def _flag_overflow(self, finite: np.ndarray) -> None:
-        for i, (a, b) in enumerate(self.layout.spans):
-            if not finite[a:b].all():
+        for i, entries in enumerate(self.layout.entries):
+            if not finite[entries].all():
                 self.overflow[i] = DomainError(_OVERFLOW)
 
     def _odd_lane(self, i: int) -> None:
         """Support, h_r, e_r and the relative-entropy sums of lane i, from its own entries."""
         lay, fam = self.layout, self.layout.fams[i]
-        a, b = lay.spans[i]
-        pw, qw, diff = self.pw[a:b], self.qw[a:b], self.diff[a:b]
-        zero, ln2, over = lay.zero[a:b], lay.ln2[:, a:b], lay.over[a:b]
+        at = lay.entries[i]
+        pw, qw, diff = self.pw[at], self.qw[at], self.diff[at]
+        zero, ln2, over = lay.zero[at], lay.ln2[:, at], lay.over[at]
         bare = (diff > 0) & zero
-        any_bare = bool(bare.any())
+        any_bare = np.count_nonzero(bare) > 0
         self.supported[i] = not any_bare or (fam.omega_at_zero_finite and math.isfinite(fam.ln_at_zero))
         h, e, cross = self.h[i], -self.e[i], self.cross[i]
         if not _all_finite(ln2):
@@ -283,7 +290,7 @@ class _Batch:
                 self.h_error[i] = SupportError(_BARE)
             if not math.isfinite(fam.ln_at_zero):
                 self.e_error[i] = SupportError(_BARE)
-        if i not in self.h_error and (diff[over] > 0).any():
+        if i not in self.h_error and np.count_nonzero(diff[over] > 0):
             self.h_error[i] = DomainError(_OVERFLOW)
         self.h[i], self.e[i], self.cross[i] = h, -e, cross
 
@@ -359,7 +366,7 @@ def _eval_lb(b: _Batch, lanes):
 def _eval_cont2(b: _Batch, lanes):
     x, f0 = b.x_cont2, b.layout.f0
     infinite = lanes & ~(x < math.inf)
-    if infinite.any():
+    if np.count_nonzero(infinite):
         lanes_at = infinite.nonzero()[0].tolist()
         b.fail(infinite, {i: DomainError("omega_phi requires finite x > 0") for i in lanes_at})
     return b.gap, b.tv * (f0 + (x * b.g_cont2 - f0))
@@ -469,18 +476,20 @@ def _refusal(bound_id: str, skips: tuple, i: int) -> Optional[PhiEntropyError]:
 def walk(b: _Batch, rows: tuple) -> tuple:
     """Evaluate ``rows`` of :data:`CHECKS` over an evaluated batch.
 
-    Returns (skips, applied, lhs, rhs): per row, a function that gives the
-    error with which the row refuses a lane, or None where it applies; and
-    the (rows, lanes) arrays of where each row applies and of its two sides.
-    An error a row's value raises is recorded in ``b.errors``.
+    Returns (skips, applied, lhs, rhs): per row, the (lanes, reason) pairs
+    of its precondition, from which :func:`_refusal` gives the error with
+    which the row refuses a lane; and the (rows, lanes) arrays of where each
+    row applies and of its two sides.  An error a row's value raises is
+    recorded in ``b.errors``.
     """
-    walked = []
-    for check in rows:
-        pairs = check.precondition(b)
-        on = _applies(pairs, b.layout.size)
-        walked.append((partial(_refusal, check.bound_id, pairs), on, *check.evaluate(b, on)))
-    skips, applied, lhs, rhs = zip(*walked)
-    return skips, np.array(applied), np.array(lhs), np.array(rhs)
+    skips, size = [], b.layout.size
+    applied = np.empty((len(rows), size), dtype=bool)
+    lhs, rhs = np.empty((2, len(rows), size))
+    for k, check in enumerate(rows):
+        skips.append(check.precondition(b))
+        applied[k] = _applies(skips[k], size)
+        lhs[k], rhs[k] = check.evaluate(b, applied[k])
+    return skips, applied, lhs, rhs
 
 
 # Kernels overflow on purpose at tiny reference weights and the evaluators
@@ -498,6 +507,66 @@ def entropy_min_half(fam: LogFamily) -> float:
     return 2.0 * float(big_f_drop_unchecked(fam, np.asarray(0.5))) - fam.f_zero
 
 
+def condition1_radii(pairs: list) -> list:
+    """:func:`condition1_delta` of each (family, epsilon) pair, or the error it raises.
+
+    The radii are solved in lockstep.  Each family's F(0), its entropy floor
+    I_min and its coefficient at 1 come from one kernel call.  Each round
+    then builds the trees of every unfinished bisection in one array and
+    evaluates each family's in one kernel call (:class:`numerics.BisectionWalk`,
+    one level per round where a kernel call is one quadrature per point, six
+    otherwise).  Every walk takes the path of plain bisection, so a radius
+    has the bits of a lone one.
+    """
+    out, by_family = [None] * len(pairs), {}
+    for k, (fam, epsilon) in enumerate(pairs):
+        if epsilon > 0:
+            by_family.setdefault(fam, []).append(k)
+        else:
+            out[k] = ParamError("epsilon must be positive")
+    # Per family: the family, F(0) and (F(0) + I_min) / I_min; per unfinished
+    # walk: its family's index, the walk and its pair's index, each family's together.
+    scales, live = [], []
+    # A kernel may overflow at delta = 1 (piecewise_linear with a huge base).
+    with np.errstate(**_QUIET):
+        for fam, ks in by_family.items():
+            f0 = fam.f_zero
+            half, one = big_f_drop_unchecked(fam, np.array([0.5, 1.0])).tolist()
+            i_min = 2.0 * half - f0  # as entropy_min_half forms it
+            if not (f0 > 0 and i_min > 0):
+                for k in ks:
+                    out[k] = InfeasibleEpsilon("family admits no positive entropy floor")
+                continue
+            # c(delta) = g(delta) / F(0) * amp increases from c(0) = 0, so
+            # the radius saturates at 1 or lies in [0, 1].
+            amp = (f0 + i_min) / i_min
+            levels = 1 if fam.kind == "custom" else numerics.BISECT_LEVELS
+            for k in ks:
+                epsilon = pairs[k][1]
+                if one / f0 * amp <= epsilon:
+                    out[k] = 1.0
+                else:
+                    live.append((len(scales), numerics.BisectionWalk(0.0, 1.0, epsilon, 1e-12, levels=levels), k))
+            scales.append((fam, f0, amp))
+        while live:
+            for levels in sorted({w.levels for _, w, _ in live}):
+                group = [x for x in live if x[1].levels == levels]
+                trees = numerics.bisection_trees([w.lo for _, w, _ in group], [w.hi for _, w, _ in group], levels)
+                values = np.empty((len(group), trees.shape[1] - 2))
+                first = 0
+                for i, run in itertools.groupby(group, key=lambda x: x[0]):
+                    fam, f0, amp = scales[i]
+                    end = first + sum(1 for _ in run)
+                    mids = trees[first:end, 1:-1].ravel()
+                    values[first:end] = (big_f_drop_unchecked(fam, mids) / f0 * amp).reshape(end - first, -1)
+                    first = end
+                for (_, w, k), tree, row in zip(group, trees.tolist(), values.tolist()):
+                    w.descend(tree, row)
+                    out[k] = w.result
+            live = [x for x in live if x[1].result is None]
+    return out
+
+
 @lru_cache(maxsize=4096)
 def condition1_delta(fam: LogFamily, epsilon: float) -> float:
     """Constructive radius for the uniform-continuity condition.
@@ -511,25 +580,11 @@ def condition1_delta(fam: LogFamily, epsilon: float) -> float:
     ``I_min = F(0) - 2 F(1/2)`` is the symmetric-difference entropy floor
     (see :func:`entropy_min_half`); ``c`` is increasing, so ``delta`` is
     found by monotone bisection, saturating at the hypothesis boundary 1.
+    For families whose logarithm is heavy at the origin the radius can be
+    very small (about 1e-14 for tsallis kappa = -0.9).  The cache serves
+    single calls; a scan solves its radii with :func:`condition1_radii`.
     """
-    if not epsilon > 0:
-        raise ParamError("epsilon must be positive")
-    f0 = fam.f_zero
-    i_min = entropy_min_half(fam)
-    if not (f0 > 0 and i_min > 0):
-        raise InfeasibleEpsilon("family admits no positive entropy floor")
-    amp = (f0 + i_min) / i_min
-
-    # The bisection keeps delta in [0, 1], inside big_f_drop's domain.
-    def coeff(delta: np.ndarray) -> np.ndarray:
-        return big_f_drop_unchecked(fam, delta) / f0 * amp
-
-    # A kernel may overflow at delta = 1 (piecewise_linear with a huge base).
-    with np.errstate(**_QUIET):
-        if float(coeff(np.asarray(1.0))) <= epsilon:
-            return 1.0
-        # coeff(0) = 0 < epsilon, so [0, 1] is a certified bracket; for families
-        # whose logarithm is heavy at the origin the radius can be very small
-        # (e.g. ~1e-14 for tsallis kappa = -0.9), which plain bisection handles.
-        # Through the module, where tracing tools patch it.
-        return numerics.bisect_monotone(coeff, epsilon, 0.0, 1.0, tol=1e-12)
+    (radius,) = condition1_radii([(fam, epsilon)])
+    if isinstance(radius, PhiEntropyError):
+        raise radius
+    return radius

@@ -300,15 +300,18 @@ class TestScan:
 
     def test_radius_lookup_error_fails_the_scan(self, capsys, monkeypatch):
         # No applicable check is dropped silently: a trial whose segment
-        # radius cannot be looked up fails the scan with that error.
-        real = bounds.condition1_delta
+        # radius cannot be looked up fails the scan with that error.  The
+        # scan solves its radii through condition1_radii, which gives the
+        # error of a pair in place of its radius.
+        real = bounds.condition1_radii
 
-        def delta(fam, epsilon):
-            if fam == bounds.tsallis(0.5):
-                raise InfeasibleEpsilon("no radius for this family")
-            return real(fam, epsilon)
+        def radii(pairs):
+            return [
+                InfeasibleEpsilon("no radius for this family") if fam == bounds.tsallis(0.5) else radius
+                for (fam, _), radius in zip(pairs, real(pairs))
+            ]
 
-        monkeypatch.setattr(bounds, "condition1_delta", delta)
+        monkeypatch.setattr(bounds, "condition1_radii", radii)
         with pytest.raises(InfeasibleEpsilon, match="^no radius for this family$"):
             bounds.stability_scan(bounds.ScanConfig(trials=100))
         code, out, err = run(capsys, "scan", "--trials", "100")

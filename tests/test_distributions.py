@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phientropy as pe
+from phientropy import distributions
 from phientropy.distributions import (
     Pdf,
     normalize,
@@ -221,11 +222,15 @@ class TestSampling:
             assert got.bit_generator.state == want.bit_generator.state
 
     def test_sparse_builds_one_pdf(self, monkeypatch):
-        built = []
-        post_init = Pdf.__post_init__
-        monkeypatch.setattr(Pdf, "__post_init__", lambda self: (built.append(1), post_init(self)))
-        sample_sparse(8, rng_for_seed(1))
-        assert len(built) == 1
+        # One pdf, frozen without the constructor's checks: the sampler's
+        # weights are finite, nonnegative and one-dimensional by construction.
+        built, checked = [], []
+        frozen, post_init = distributions._frozen, Pdf.__post_init__
+        monkeypatch.setattr(distributions, "_frozen", lambda w: (built.append(1), frozen(w))[1])
+        monkeypatch.setattr(Pdf, "__post_init__", lambda self: (checked.append(1), post_init(self)))
+        pdf = sample_sparse(8, rng_for_seed(1))
+        assert len(built) == 1 and not checked
+        assert not pdf.weights.flags.writeable
 
     def test_sparse_needs_a_coordinate(self):
         with pytest.raises(ParamError):

@@ -358,9 +358,28 @@ class TestOmega:
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
 
 
+@pytest.mark.parametrize("kappa", [1e6, 1e12, 1e20, 1e100, 1e308])
+def test_kappa_maxwell_keeps_its_digits_at_large_kappa(kappa):
+    # The plain forms, evaluated in mpmath with enough digits to resolve
+    # their cancellation of two terms of size kappa * x.
+    fam = pe.kappa_maxwell(kappa)
+    with mpmath.workdps(int(math.log10(kappa)) + 40):
+        k = mpmath.mpf(kappa)
+        for x in (1e-300, 1e-5, 0.3, 2.0, 50.0, 1e300):
+            t = mpmath.mpf(x)
+            drop = float((1 + k) * t ** (k / (1 + k)) - k * t)
+            ln = float(k * (1 - t ** (-1 / (1 + k))))
+            assert pe.big_f_drop(fam, x) == pytest.approx(drop, rel=1e-12, abs=0.0), x
+            assert pe.ln_phi(fam, x) == pytest.approx(ln, rel=1e-12, abs=0.0), x
+    assert pe.big_f_drop(fam, 0.0) == 0.0
+
+
 @pytest.mark.parametrize("x", [1e-300, 1e300, 1e-308, 1e308])
 @pytest.mark.parametrize(
-    "family", [*FAMILY_GRID, pe.piecewise_linear(1.01), pe.piecewise_linear(1.1)], ids=lambda f: f.label
+    "family",
+    [*FAMILY_GRID, pe.piecewise_linear(1.01), pe.piecewise_linear(1.1), pe.kappa_maxwell(200.0),
+     pe.kappa_maxwell(1e308)],
+    ids=lambda f: f.label,
 )
 def test_public_functions_print_no_numpy_warning(family, x):
     # Kernels overflow or underflow here (x**(1 + kappa) at 1e300, and
@@ -368,7 +387,9 @@ def test_public_functions_print_no_numpy_warning(family, x):
     # piecewise_linear's panel sums at 1e308); the results are inf or 0.
     # Both terms of tsallis' drop (kappa > 0) overflow at 1e308, and both
     # panel terms of piecewise_linear(1.01) and (1.1): F overflows there, so
-    # big_f_drop is -inf, not inf - inf = NaN.
+    # big_f_drop is -inf, not inf - inf = NaN.  kappa_maxwell's plain drop
+    # would be inf - inf at 1e308 from kappa = 142 on, and at kappa = 1e308
+    # everywhere.
     assert {fam.kind for fam in FAMILY_GRID} == {row["kind"] for row in builtin_catalogue()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -46,7 +46,7 @@ def test_partition_reproduces_the_sequential_scan(name):
     fields, blocks = CONFIGS[name]
     probe = ScanConfig(trials=1, **fields)
     # Every block run on its own, last block first, with no budget to cut it.
-    parts = [bounds._scan_block(probe, block, 10**9) for block in reversed(range(blocks))][::-1]
+    parts = [bounds._scan_block(probe, block, 10**9, {}) for block in reversed(range(blocks))][::-1]
     total = sum(part.trials for part in parts)
     config = ScanConfig(trials=total, **fields)
     assert _merged(config, parts) == _payload(stability_scan(config))
@@ -56,7 +56,7 @@ def test_partition_reproduces_the_sequential_scan(name):
     assert parts[-1].trials > 60
     for cut in (1, 29, parts[-1].trials // 2, parts[-1].trials - 1):
         config = ScanConfig(trials=total - parts[-1].trials + cut, **fields)
-        last = bounds._scan_block(config, blocks - 1, cut)
+        last = bounds._scan_block(config, blocks - 1, cut, {})
         assert last.trials == cut
         assert _merged(config, parts[:-1] + [last]) == _payload(stability_scan(config))
 

@@ -17,11 +17,13 @@ import pytest
 
 import phientropy as pe
 import phientropy.bounds as bounds
+from phientropy import families
 from phientropy.bounds import BOUND_IDS, SCAN_EPSILONS, condition1_delta, e_r, h_r, run_bound_checks
 from phientropy.errors import (
     DomainError,
     FamilyError,
     IdenticalPdfs,
+    InfeasibleEpsilon,
     ParamError,
     PhiEntropyError,
     RangeError,
@@ -262,6 +264,52 @@ def _delta_by_public_bisection(fam, epsilon):
 def test_condition1_delta_matches_public_bisection(fam, epsilon):
     condition1_delta.cache_clear()
     assert _bits(condition1_delta(fam, epsilon)) == _bits(_delta_by_public_bisection(fam, epsilon))
+
+
+def test_lockstep_radii_match_lone_radii_and_public_bisection():
+    # One lockstep solve of the scan's pairs and of edge cases: each radius,
+    # or error, is the lone condition1_delta's, bit for bit, and each radius
+    # is the public bisection's.
+    no_floor = pe.LogFamily(  # constants that put I_min = 2 * 0.375 - 1 below 0
+        kind="custom", custom_ln=lambda x: x - 1.0, singularity_exponent=0.0,
+        f_zero=1.0, ln_at_zero=-1.0, ln_sup=math.inf,
+    )
+    pairs = [(fam, epsilon) for fam in GRID for epsilon in SCAN_EPSILONS] + [
+        (pe.shannon(), 1e3),  # saturates at 1
+        (pe.piecewise_linear(1e300), 0.5),
+        (pe.piecewise_linear(1e308), 0.5),  # the kernel overflows at 1
+        (no_floor, 0.5),
+        (pe.tsallis(0.5), 0.0),
+        (no_floor, math.nan),
+    ]
+    radii = bounds.condition1_radii(pairs)
+    saturated = 0
+    for (fam, epsilon), radius in zip(pairs, radii):
+        condition1_delta.cache_clear()
+        want, error = _outcome(condition1_delta, fam, epsilon)
+        if error is not None:
+            assert isinstance(radius, PhiEntropyError) and (type(radius), str(radius)) == error
+            continue
+        assert _bits(radius) == _bits(want) == _bits(_delta_by_public_bisection(fam, epsilon))
+        saturated += radius == 1.0
+    errors = [type(radius) for radius in radii if isinstance(radius, PhiEntropyError)]
+    assert errors == [InfeasibleEpsilon, ParamError, ParamError] and saturated >= 1
+
+
+def test_custom_radius_walks_one_level_per_quadrature(monkeypatch):
+    # A custom family's kernel is one quadrature per point: its radius walks
+    # one level per kernel call, so it integrates exactly as often as plain
+    # bisection does, and gets the same bits.
+    fam = pe.custom_family(np.log, singularity_exponent=0.0)
+    calls = []
+    real = families.integrate
+    monkeypatch.setattr(families, "integrate", lambda *args, **kw: (calls.append(1), real(*args, **kw))[1])
+    condition1_delta.cache_clear()
+    radius = condition1_delta(fam, 0.5)
+    solved = len(calls)
+    want = _delta_by_public_bisection(fam, 0.5)
+    assert _bits(radius) == _bits(want)
+    assert solved == len(calls) - solved < 60
 
 
 # Each check_* function, its bound ids and the run_bound_checks arguments
