@@ -82,6 +82,7 @@ from .table import (
     condition1_delta,
     condition1_radii,
     entropy_min_half,
+    reads,
     walk,
 )
 
@@ -151,12 +152,13 @@ def _family_key(fam: LogFamily) -> bytes:
     return json.dumps(family_to_json(fam), sort_keys=True).encode()
 
 
-def _digest(check: Check, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:
-    """The ``inputs_digest`` of ``check``'s report; r and the segment enter where the check reads them."""
+def _digest(check: Check, key: bytes, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:
+    """The ``inputs_digest`` of ``check``'s report on a family of :func:`_family_key` ``key``;
+    r and the segment enter where the check reads them."""
     h = hashlib.sha256()
     h.update(check.bound_id.encode())
     h.update(b"|")
-    h.update(_family_key(fam))
+    h.update(key)
     h.update(b"|")
     h.update(p.weights.tobytes())
     h.update(b"|")
@@ -169,9 +171,12 @@ def _digest(check: Check, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None, segment
     return h.hexdigest()[:16]
 
 
-def _report(check: Check, record: tuple) -> BoundReport:
-    """The report of ``check`` on ``record`` = (fam, p, q, r, segment, lhs, rhs)."""
-    *inputs, lhs, rhs = record
+def _report(check: Check, record: tuple, key: bytes) -> BoundReport:
+    """The report of ``check`` on ``record`` = (fam, p, q, r, segment, lhs, rhs).
+
+    ``key`` is fam's :func:`_family_key`, which the caller forms once for its reports.
+    """
+    _, *inputs, lhs, rhs = record
     tol = TOL_SCALE * (1.0 + abs(rhs))
     ratio = lhs / rhs if rhs > 0 else None
     return BoundReport(
@@ -181,7 +186,7 @@ def _report(check: Check, record: tuple) -> BoundReport:
         ratio=None if ratio is None else float(ratio),
         holds=bool(lhs <= rhs + tol),
         tol=tol,
-        inputs_digest=_digest(check, *inputs),
+        inputs_digest=_digest(check, key, *inputs),
     )
 
 
@@ -211,7 +216,7 @@ def h_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Nonnegative since ``r_k <= 1``; a metric in (p, q) for fixed r.
     """
-    return _at_r(fam, p, q, r, lambda b: (b.h_error, b.h))
+    return _at_r(fam, p, q, r, "h")
 
 
 def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
@@ -219,21 +224,21 @@ def e_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:
 
     Coincides with :func:`h_r` for the natural logarithm.
     """
-    return _at_r(fam, p, q, r, lambda b: (b.e_error, b.e))
+    return _at_r(fam, p, q, r, "e")
 
 
-def _at_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf, pick) -> float:
-    """The value that ``pick(batch)`` = (errors, values) reads from one input, or its error."""
+def _at_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf, name: str) -> float:
+    """The batch value ``name``, ``"h"`` or ``"e"``, of one input, or the error it carries."""
     with np.errstate(**_QUIET):
-        b = _input(fam, p, q, r)
-    errors, values = pick(b)
+        b = _input(fam, p, q, r, values=(name,))
+    errors = getattr(b, f"{name}_error")
     if errors:
         raise errors[0]
-    return float(values[0])
+    return float(getattr(b, name)[0])
 
 
-def _input(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> _Batch:
-    """Check one check-table input and evaluate it as a batch of one lane.
+def _input(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None, values=()) -> _Batch:
+    """Check one check-table input and evaluate the named values of it as a batch of one lane.
 
     Checks the lengths and that the segment's lam and mu lie in [0, 1], and
     looks up the segment's radius where the pdfs differ.
@@ -249,7 +254,7 @@ def _input(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -
             raise ParamError("lam and mu must lie in [0, 1]")
         if b.tv_list[0] > 0.0:
             delta = condition1_delta(fam, epsilon)
-    return b.evaluate((segment,), (delta,))
+    return b.evaluate((segment,), (delta,), values)
 
 
 def _reports(rows: tuple, b: _Batch, applied, lhs, rhs) -> list[BoundReport]:
@@ -257,8 +262,9 @@ def _reports(rows: tuple, b: _Batch, applied, lhs, rhs) -> list[BoundReport]:
     if b.errors[0] is not None:
         raise b.errors[0]
     inputs = (b.layout.fams[0], b.p[0], b.q[0], b.layout.rs[0], b.segment[0])
+    key = _family_key(inputs[0])
     return [
-        _report(check, (*inputs, float(lhs[k, 0]), float(rhs[k, 0])))
+        _report(check, (*inputs, float(lhs[k, 0]), float(rhs[k, 0])), key)
         for k, check in enumerate(rows)
         if applied[k, 0]
     ]
@@ -282,10 +288,10 @@ def run_bound_checks(
     """
     segment = None if epsilon is None else (mix_lambda, mix_mu, epsilon)
     with np.errstate(**_QUIET):
-        b = _input(fam, p, q, r, segment)
-        skips, applied, lhs, rhs = walk(b, CHECKS)
+        b = _input(fam, p, q, r, segment, reads(CHECKS))
+        masks, applied, lhs, rhs = walk(b, CHECKS)
     # A FamilyError refusal: the bound does not concern the input.
-    refusals = [_refusal(c.bound_id, pairs, 0) for c, pairs in zip(CHECKS, skips)]
+    refusals = [_refusal(b, c, masks, 0) for c in CHECKS]
     skipped = [c.bound_id for c, e in zip(CHECKS, refusals) if e is not None and not isinstance(e, FamilyError)]
     return _reports(CHECKS, b, applied, lhs, rhs), skipped
 
@@ -301,10 +307,10 @@ def _checked(bound_ids, fam, p, q, r=None, segment=None) -> tuple[BoundReport, .
     """
     rows = tuple(check for check in CHECKS if check.bound_id in bound_ids)
     with np.errstate(**_QUIET):
-        b = _input(fam, p, q, r, segment)
-        skips, applied, lhs, rhs = walk(b, rows)
-    for check, pairs in zip(rows, skips):
-        refusal = _refusal(check.bound_id, pairs, 0)
+        b = _input(fam, p, q, r, segment, reads(rows))
+        masks, applied, lhs, rhs = walk(b, rows)
+    for check in rows:
+        refusal = _refusal(b, check, masks, 0)
         if refusal is not None:
             raise refusal
     return tuple(_reports(rows, b, applied, lhs, rhs))
@@ -531,7 +537,7 @@ def _witness(check: Check, record: tuple) -> dict:
     if check.with_params:
         lam, mu, epsilon = segment
         w["params"] = {"lam": lam, "mu": mu, "epsilon": epsilon}
-    w["report"] = _report(check, record).to_json()
+    w["report"] = _report(check, record, _family_key(fam)).to_json()
     return w
 
 
@@ -842,12 +848,11 @@ def _tick(lanes: list, layout: _Layout, log: _Log, radii: dict) -> None:
         except PhiEntropyError as exc:
             lane.error = exc
             segments.append(None)
-    b.evaluate(segments, [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)])
-    _, applied, lhs, rhs = walk(b, CHECKS)
+    deltas = [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)]
+    b.evaluate(segments, deltas, reads(CHECKS))
     # A trial of identical pdfs evaluates no bound.
-    applied &= ~b.identical
-    unsupported = ~(b.supported | layout.no_r)
-    best = log.add(lanes, cands, segments, applied, lhs, rhs, unsupported)
+    masks, applied, lhs, rhs = walk(b, CHECKS, also=("identical pdfs",))
+    best = log.add(lanes, cands, segments, applied, lhs, rhs, masks["unsupported r"])
     for i, lane in enumerate(lanes):
         lane.error = lane.error or b.errors[i]
         lane.advance(cands[i], best[i])

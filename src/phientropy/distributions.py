@@ -175,12 +175,20 @@ def rng_for_seed(seed: int) -> np.random.Generator:
 
 
 def _flat_dirichlet(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Weights of a flat Dirichlet draw on the n-simplex; n = 1 draws nothing."""
+    """Weights of a flat Dirichlet draw on the n-simplex; n = 1 draws nothing.
+
+    Normalized standard exponential variates (Devroye 1986, *Non-Uniform
+    Random Variate Generation*, ch. XI), summed in order and scaled by the
+    reciprocal of the sum: the values, and the draws taken from ``rng``, of
+    ``rng.dirichlet(np.ones(n))``, without its checks of the constant alpha.
+    """
     if n < 1:
         raise ParamError("n must be at least 1")
     if n == 1:
         return np.array([1.0])
-    return rng.dirichlet(np.ones(n))
+    w = rng.standard_exponential(n)
+    w *= 1.0 / np.add.accumulate(w)[-1]
+    return w
 
 
 def sample_uniform(n: int, rng: np.random.Generator) -> Pdf:

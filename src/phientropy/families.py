@@ -331,10 +331,17 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
 
     Computed as ``x * big_f_drop(1/x) - f_zero`` - the same expression with
     the two F(0) terms combined - which stays accurate for large ``x`` and
-    makes ``omega(1) = 0`` exact.
+    makes ``omega(1) = 0`` exact.  Where ``big_f_drop(1/x)`` overflows
+    although omega is finite (tsallis with kappa > 0 at tiny x, kappa_maxwell
+    at x near 1e-308), a kind's closed form of omega gives the value; every
+    finite plain value is kept as it is.
     """
     arr, scalar = _in_domain(x, "omega_phi")
     out = arr * np.asarray(big_f_drop(fam, 1.0 / arr)) - fam.f_zero
+    closed = _KINDS[fam.kind].omega
+    if closed is not None and not np.all(np.isfinite(out)):
+        with np.errstate(**_QUIET):
+            out = np.where(np.isfinite(out), out, closed(fam, arr))
     return _ret(out, scalar)
 
 
@@ -571,6 +578,8 @@ class _Kind(NamedTuple):
     means the family carries its own.  The kernels take the family and a
     float ndarray in their function's domain: ln_phi, F(0) - F(x), ln_phi',
     and the inverse of ln_phi (by bisection unless the row gives a closed form).
+    ``omega`` is a closed form of omega_phi, if the row gives one: it stands
+    in where the plain x * big_f_drop(1/x) - F(0) overflows.
     """
 
     fields: Optional[dict[str, _Range]]
@@ -579,6 +588,7 @@ class _Kind(NamedTuple):
     drop: Kernel
     prime: Kernel
     exp: Kernel = _exp_by_bisection
+    omega: Optional[Kernel] = None
 
 
 _KINDS = {
@@ -602,6 +612,7 @@ _KINDS = {
         ),
         prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
         exp=_tsallis_exp,
+        omega=lambda fam, x: (1.0 / fam.kappa) * (1.0 - x**-fam.kappa),
     ),
     "kaniadakis": _Kind(
         fields={"kappa": _KAPPA_POWER},
@@ -625,6 +636,8 @@ _KINDS = {
         exp=lambda fam, x: np.where(
             x < fam.kappa, np.maximum(1.0 - x / fam.kappa, 1e-300) ** (-(1.0 + fam.kappa)), math.inf
         ),
+        # (1 + kappa)(x**(1/(1 + kappa)) - 1), through expm1 to keep its digits at large kappa.
+        omega=lambda fam, x: (1.0 + fam.kappa) * np.expm1(np.log(x) / (1.0 + fam.kappa)),
     ),
     "sqrt_log": _Kind(
         fields={},

@@ -1,15 +1,16 @@
 """The check table: which inequalities apply to an input, and their two sides.
 
-:data:`CHECKS` is the single ordered table of rows ``(bound_id,
-precondition, evaluate)``, and :func:`walk` the one place that evaluates
-them: :mod:`phientropy.bounds` calls it for the ``bounds`` command, the
-``check_*`` functions and the stability scan, checks the inputs before and
-picks the results after.  A row reads a :class:`_Batch`: inputs side by
-side, one lane each, whose shared quantities (tv, I(p), I(q), d(p, q),
-I(p sym q), h_r, ...) are computed once for all lanes, passing the
-``big_f_drop`` arguments of each family's lanes through one kernel call.
-What depends only on the family, N and the reference pdf sits in a
-:class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
+:data:`CHECKS` is the single ordered table of rows, each a bound id, the
+names of its skip masks and the names of the values its two sides read,
+and :func:`walk` the one place that evaluates them: :mod:`phientropy.bounds`
+calls it for the ``bounds`` command, the ``check_*`` functions and the
+stability scan, checks the inputs before and picks the results after.  A
+row reads a :class:`_Batch`: inputs side by side, one lane each, whose
+shared quantities (tv, I(p), I(q), d(p, q), I(p sym q), h_r, ...) are
+computed once for all lanes, and only where a value asked for reads them,
+passing the ``big_f_drop`` arguments of each family's lanes through one
+kernel call.  What depends only on the family, N and the reference pdf sits
+in a :class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
 evaluate over arrays of lanes; a single input is a batch of one.
 :func:`condition1_radii` solves the segment row's radii, and
 :func:`condition1_delta` is its cached one-pair call.
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,20 +54,40 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+class _kept:
+    """An attribute that the method it decorates forms when it is first read.
+
+    ``functools.cached_property`` without its lock, which costs more than
+    what a scan's layouts form.
+    """
+
+    def __init__(self, method):
+        self.method = method
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class _Layout:
     """The inputs of a :class:`_Batch` but for their pdfs p and q, one lane each.
 
     Lane i has family ``fams[i]``, length ``ns[i]`` and reference pdf
     ``rs[i]`` (or None), and owns rows ``off[i]`` to ``off[i + 1] - 1`` of
     the batch's flat arrays: one row per pdf entry, then one row that
-    carries the lane's two scalar kernel arguments.  Per row, ``rdiv`` is r
-    with its zeros set to 1 (and 1 without r), ``zero`` marks r = 0, and
-    ``ln2`` holds ln_phi(1/r), ln_phi(r), 0 where r = 0; per lane, ``lb_lhs``
-    is the left side of ``lb`` and ``i_max`` = omega(N).  ``rows`` gives
-    each lane's rows as (layout, lane) of a layout that holds them, so that
-    the scan computes a hill-climb restart's reference values once; one
-    index array picks them.  Lanes of one family next to each other share
-    kernel calls.
+    carries the lane's two scalar kernel arguments.  A layout with r has
+    its reference values: per row, ``rdiv`` is r with its zeros set to 1
+    (and 1 without r), ``zero`` marks r = 0, and ``ln2`` holds
+    ln_phi(1/r), ln_phi(r), 0 where r = 0.  Per lane, ``lb_lhs`` is the
+    left side of ``lb`` and ``i_max`` = omega(N); each is computed when
+    first read, but for ``lb_lhs`` in a layout with r, which shares the
+    reference values' kernel call.  ``rows`` gives each lane's rows as
+    (layout, lane) of a layout that holds them, so that the scan computes a
+    hill-climb restart's reference values once; one index array picks them.
+    Lanes of one family next to each other share kernel calls.
     """
 
     def __init__(self, fams, ns, rs, rows=None):
@@ -75,15 +96,9 @@ class _Layout:
         self.off = off = [0, *itertools.accumulate(sizes)]
         # Each lane's pdf-entry rows, which its sums read.
         self.entries = [slice(a, b - 1) for a, b in zip(off, off[1:])]
-        self.scalar_rows = np.array(off[1:]) - 1
-        self.lane_of_row = np.repeat(np.arange(self.size), sizes)
-        self.n = np.array(ns, dtype=float)
         self.f0 = np.array([fam.f_zero for fam in fams])
-        self.f0_rows = self.f0[self.lane_of_row]
-        self.no_r = np.array([r is None for r in rs])
-        kinds = [fam.kind for fam in fams]
-        self.tsallis = np.array([k == "tsallis" for k in kinds])
-        self.shannon = np.array([k == "shannon" for k in kinds])
+        self.f0_rows = np.repeat(self.f0, sizes)
+        self.has_r = any(r is not None for r in rs)
         # Runs of lanes with one family: [family, first lane, end lane].
         self.groups = []
         for i, fam in enumerate(fams):
@@ -91,9 +106,8 @@ class _Layout:
                 self.groups[-1][2] = i + 1
             else:
                 self.groups.append([fam, i, i + 1])
-        if rows is None:
-            self._reference_values()
-        else:
+        self.odd, self.any_zero = [], False
+        if rows is not None:
             # The rows of the source layouts one after another, and where each lane's start.
             sources = list(dict.fromkeys(x for x, _ in rows))
             first = dict(zip(sources, itertools.accumulate((x.off[-1] for x in sources), initial=0)))
@@ -103,6 +117,10 @@ class _Layout:
                 setattr(self, name, np.concatenate([getattr(x, name) for x in sources], axis=-1)[..., pick])
             self.lb_lhs = np.array([x.lb_lhs[i] for x, i in rows])
             self.i_max = [x.i_max[i] for x, i in rows]
+        elif self.has_r:
+            self._reference_values()
+        if not self.has_r:
+            return
         finite = np.isfinite(self.ln2)
         # ln_phi of a subnormal r can be infinite: such a lane sums over the
         # entries where p and q differ (see _Batch._odd_lane).
@@ -125,23 +143,81 @@ class _Layout:
         self.over = np.isinf(inv)
         inv[self.over] = 1.0
         self.ln2 = np.empty((2, w.size))
-        self.lb_lhs, self.i_max = np.empty(self.size), []
+        self.lb_lhs = np.empty(self.size)
         for fam, first, end in self.groups:
             a, b = self.off[first], self.off[end]
             ln = ln_phi_unchecked(fam, np.concatenate(((0.5,), inv[a:b], self.rdiv[a:b])))
             self.ln2[:, a:b] = ln[1:].reshape(2, b - a)
             self.lb_lhs[first:end] = -fam.f_zero - float(ln[0])
-            ns = self.ns[first:end]
-            drops = big_f_drop_unchecked(fam, 1.0 / np.array(ns, dtype=float)).tolist()
-            self.i_max += [n * g - fam.f_zero for n, g in zip(ns, drops)]
         self.ln2[:, self.zero] = 0.0
 
+    # What only some values and masks read, formed when first read.
 
-# Columns of a batch's kernel arguments, one row per pdf entry: p, q, the
-# symmetric difference |p - q| / tv, the segment mixtures, |p - q|, and
-# relent_I's q/r and p/r.  A lane's scalar row holds omega(N / tv)'s
-# argument tv / N in column P and min(tv, 1) in column Q.
-_P, _Q, _SYM, _MIX_LAM, _MIX_MU, _DIFF, _Q_R, _P_R = range(8)
+    @_kept
+    def lane_of_row(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size), [n + 1 for n in self.ns])
+
+    @_kept
+    def scalar_rows(self) -> np.ndarray:
+        return np.array(self.off[1:]) - 1
+
+    @_kept
+    def n(self) -> np.ndarray:
+        return np.array(self.ns, dtype=float)
+
+    @_kept
+    def no_r(self) -> np.ndarray:
+        return np.array([r is None for r in self.rs])
+
+    @_kept
+    def tsallis(self) -> np.ndarray:
+        return np.array([fam.kind == "tsallis" for fam in self.fams])
+
+    @_kept
+    def shannon(self) -> np.ndarray:
+        return np.array([fam.kind == "shannon" for fam in self.fams])
+
+    @_kept
+    def lb_lhs(self) -> np.ndarray:
+        out = np.empty(self.size)
+        for fam, first, end in self.groups:
+            out[first:end] = -fam.f_zero - float(ln_phi_unchecked(fam, np.array([0.5]))[0])
+        return out
+
+    @_kept
+    def i_max(self) -> list:
+        # omega(N) as omega_phi forms it: N * big_f_drop(1 / N) - F(0).
+        out = []
+        for fam, first, end in self.groups:
+            ns = self.ns[first:end]
+            drops = big_f_drop_unchecked(fam, 1.0 / np.array(ns, dtype=float)).tolist()
+            out += [n * g - fam.f_zero for n, g in zip(ns, drops)]
+        return out
+
+
+# The kernel-argument columns a batch can form, one row per pdf entry: p, q,
+# the symmetric difference |p - q| / tv, the segment mixtures
+# lam p + (1 - lam) q and mu p + (1 - mu) q, |p - q|, and relent_I's q/r and
+# p/r.  A lane's scalar row holds omega(N / tv)'s argument tv / N in column
+# p where a value reads "omega", and min(tv, 1) in column q where one reads
+# "g_tv".  Each of the first five columns gives an entropy sum, named here.
+_COLUMNS = ("p", "q", "sym", "lam", "mu", "diff", "q/r", "p/r")
+_ENTROPIES = ("ent_p", "ent_q", "ent_sym", "mix_lam", "mix_mu")
+
+
+@lru_cache(maxsize=64)
+def _reads(values: tuple, has_r: bool) -> tuple:
+    """What :meth:`_Batch.evaluate` forms for ``values``: the set of what they
+    read, the kernel-argument columns in order, the number of entropy
+    columns among them (which come first), and the sums in summand-row order."""
+    reads = set().union(*(_VALUES[v].reads for v in values))
+    if not has_r:
+        reads -= {"r", "q/r", "p/r"}
+    cols = [c for c in _COLUMNS if c in reads]
+    sums = [_ENTROPIES[_COLUMNS.index(c)] for c in cols if c in _COLUMNS[:5]]
+    m = len(sums)
+    sums += ["d"] * ("diff" in reads) + ["h", "e", "cross"] * ("r" in reads) + ["relent"] * ("q/r" in reads)
+    return reads, cols, m, sums
 
 
 class _Batch:
@@ -149,18 +225,18 @@ class _Batch:
 
     The constructor forms |p - q| and tv for every lane (a :class:`Pdf` has
     finite, nonnegative weights, and the caller has checked the lengths).
-    :meth:`evaluate` then computes everything the table reads: it passes all
-    ``big_f_drop`` arguments of the lanes of one family through one kernel
-    call, forms the shared arrays once for all lanes, and sums each lane's
-    slice with ``math.fsum``, as ``sum_compensated`` does.  Each value keeps
-    the arithmetic of the public function it stands for; + - * / and
-    comparisons are correctly
-    rounded in numpy as in Python, so forming them over arrays of lanes
-    changes no bit, and a lane's value does not depend on the other lanes.
+    :meth:`evaluate` then computes what the values asked for read: it
+    passes the ``big_f_drop`` arguments of the lanes of one family through
+    one kernel call, forms the shared arrays once for all lanes, and sums
+    each lane's slice with ``math.fsum``, as ``sum_compensated`` does.  Each
+    value keeps the arithmetic of the public function it stands for;
+    + - * / and comparisons are correctly rounded in numpy as in Python, so
+    forming them over arrays of lanes changes no bit, and a lane's value
+    depends neither on the other lanes nor on the other values asked for.
     An error a value's public function would raise (a ratio to r, or F at
     one, that overflows, an unsupported limit, omega at an infinite x) is
-    kept per lane and recorded by the row that reads the value, so errors
-    still come in table order.
+    kept per lane and recorded by the first row that reads the value where
+    it applies, so errors still come in table order.
     """
 
     def __init__(self, layout: _Layout, ps, qs):
@@ -182,78 +258,106 @@ class _Batch:
             if lanes[i] and self.errors[i] is None:
                 self.errors[i] = error
 
-    def evaluate(self, segments, deltas) -> "_Batch":
-        """Compute the table's shared values.
+    def evaluate(self, segments, deltas, values) -> "_Batch":
+        """Compute what the named :data:`_VALUES` read.
 
         ``segments[i]`` is lane i's (lam, mu, epsilon), lam and mu in
         [0, 1], or None, and ``deltas[i]`` the radius
         condition1_delta(fam, epsilon) of a lane with a segment and
         distinct pdfs (any value elsewhere).  The caller checks and looks
-        up both.
+        up both.  A layout without r forms nothing that reads r: the values
+        that do read zeros there, where the rows that read them never apply.
         """
         lay, tv, pw, qw, diff = self.layout, self.tv, self.pw, self.qw, self.diff
-        self.segment, self.delta = segments, deltas
-        self.has_segment = np.array([seg is not None for seg in segments])
-        # Columns lam, mu, epsilon; a lane without a segment reads zeros.
-        seg = np.array([(0.0, 0.0, 0.0) if s is None else s for s in segments])
-        self.lam, self.mu, self.epsilon = seg.T
+        self.segment, self.deltas = segments, deltas
+        # Rows lam, mu and epsilon over the lanes; a lane without a segment reads zeros.
+        self.seg = np.array([(0.0, 0.0, 0.0) if s is None else s for s in segments]).T
         self.identical = tv == 0.0
         tv_div = tv + self.identical  # tv, and 1 where it is 0
-        # The mixtures lam p + (1 - lam) q and mu p + (1 - mu) q.
-        weights = seg[lay.lane_of_row, :2]
-        mixtures = weights * pw[:, None] + (1.0 - weights) * qw[:, None]
-        columns = (pw, qw, diff / tv_div[lay.lane_of_row], mixtures, diff, qw / lay.rdiv, pw / lay.rdiv)
-        args = np.concatenate([c.reshape(pw.size, -1) for c in columns], axis=1)
-        # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
-        self.x_cont2 = lay.n / tv_div
-        args[lay.scalar_rows, _P] = 1.0 / self.x_cont2
-        args[lay.scalar_rows, _Q] = np.minimum(tv, 1.0)
+        reads, cols, m, names = _reads(tuple(values), lay.has_r)
+        k = len(cols)
+        formed = {"p": pw, "q": qw, "diff": diff}
+        if "sym" in reads:
+            formed["sym"] = diff / tv_div[lay.lane_of_row]
+        if "lam" in reads or "mu" in reads:
+            w = self.seg[:2, lay.lane_of_row]
+            formed["lam"], formed["mu"] = w * pw + (1.0 - w) * qw
+        if "q/r" in reads:
+            formed["q/r"], formed["p/r"] = qw / lay.rdiv, pw / lay.rdiv
+        if k:
+            # One row per column, then one column per column, as the kernel's flat slices read them.
+            columns = np.array([formed[c] for c in cols])
+            args = columns.T.copy()
+        if "omega" in reads:
+            # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
+            self.x_cont2 = lay.n / tv_div
+            args[lay.scalar_rows, cols.index("p")] = 1.0 / self.x_cont2
+            infinite = (self.x_cont2 == math.inf).nonzero()[0].tolist()
+            self.omega_error = {i: DomainError("omega_phi requires finite x > 0") for i in infinite} if infinite else {}
+        if "g_tv" in reads:
+            args[lay.scalar_rows, cols.index("q")] = np.minimum(tv, 1.0)
         # A ratio to a tiny r that overflows is kept out of the kernel.
         self.overflow = {}
-        ratios = args[:, _Q_R:]
-        if not _all_finite(ratios):
-            finite = np.isfinite(ratios)
-            self._flag_overflow(finite)
-            ratios[~finite] = 1.0
-        flat = args.reshape(-1)
-        g = np.concatenate([
-            big_f_drop_unchecked(fam, flat[8 * lay.off[first] : 8 * lay.off[end]])
-            for fam, first, end in lay.groups
-        ]).reshape(args.shape)
-        if not _all_finite(g[:, _Q_R:]):
-            self._flag_overflow(np.isfinite(g[:, _Q_R:]))
-        self.g_cont2, self.g_improved = g[lay.scalar_rows, :2].T
+        if "q/r" in reads:
+            ratios = args[:, -2:]
+            if not _all_finite(ratios):
+                finite = np.isfinite(ratios)
+                self._flag_overflow(finite)
+                ratios[~finite] = 1.0
+        if k:
+            flat = args.reshape(-1)
+            parts = [
+                big_f_drop_unchecked(fam, flat[k * lay.off[first] : k * lay.off[end]])
+                for fam, first, end in lay.groups
+            ]
+            g = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(args.shape)
+            if "q/r" in reads and not _all_finite(g[:, -2:]):
+                self._flag_overflow(np.isfinite(g[:, -2:]))
+            if "omega" in reads or "g_tv" in reads:
+                scalars = g[lay.scalar_rows]
+                if "omega" in reads:
+                    self.g_cont2 = scalars[:, cols.index("p")]
+                if "g_tv" in reads:
+                    self.g_tv = scalars[:, cols.index("q")]
         # The summands, one row each: the entropy terms big_f_drop(w) - w F(0)
-        # of p, q, the symmetric difference and the two mixtures; d's terms;
-        # h_r's and e_r's; relent_D's cross terms (p - q) ln_phi(r); and
-        # relent_I's per-coordinate integral form (p - q) F(0) + r (g(q/r) - g(p/r)).
+        # of the formed entropy columns; d's terms; h_r's and e_r's;
+        # relent_D's cross terms (p - q) ln_phi(r); and relent_I's
+        # per-coordinate integral form (p - q) F(0) + r (g(q/r) - g(p/r)).
         # Where p and q differ, bare coordinates and r > 0 partition the
         # support of diff (x - y == 0 exactly when x == y in floating point).
         # ln2 is 0 where r = 0, and diff is 0 where p and q agree: a finite
         # ln2 makes those terms zeros, which leave the sums' bits unchanged
         # (see sum_compensated).  The odd lanes are summed again below.
-        dpq = pw - qw
-        summands = np.empty((10, pw.size))
-        np.multiply(args[:, :_DIFF].T, lay.f0_rows, out=summands[:5])
-        np.subtract(g[:, :_DIFF].T, summands[:5], out=summands[:5])
-        summands[5] = g[:, _DIFF]
-        np.multiply(diff, lay.ln2_rows, out=summands[6:8])
-        np.multiply(dpq, lay.ln2_rows[1], out=summands[8])
-        relent = summands[9]
-        np.subtract(g[:, _Q_R], g[:, _P_R], out=relent)
-        relent *= lay.rdiv
-        relent += dpq * lay.f0_rows
-        if lay.any_zero:
-            relent[lay.zero] = 0.0
+        summands = np.empty((len(names), pw.size))
+        if m:
+            np.multiply(columns[:m], lay.f0_rows, out=summands[:m])
+            np.subtract(g[:, :m].T, summands[:m], out=summands[:m])
+        if "diff" in reads:
+            summands[m] = g[:, cols.index("diff")]
+        dpq = pw - qw if "r" in reads else None
+        if "r" in reads:
+            at = names.index("h")
+            np.multiply(diff, lay.ln2_rows, out=summands[at : at + 2])
+            np.multiply(dpq, lay.ln2_rows[1], out=summands[at + 2])
+        if "q/r" in reads:
+            relent = summands[-1]
+            np.subtract(g[:, -2], g[:, -1], out=relent)
+            relent *= lay.rdiv
+            relent += dpq * lay.f0_rows
+            if lay.any_zero:
+                relent[lay.zero] = 0.0
         sums = [list(map(math.fsum, map(col.__getitem__, lay.entries))) for col in summands.tolist()]
-        (self.ent_p, self.ent_q, self.ent_sym, self.mix_lam, self.mix_mu,
-         self.d, self.h, e, self.cross, self.relent) = np.array(sums)
-        self.e = -e
-        self.gap = np.abs(self.ent_p - self.ent_q)
+        # Each sum is the attribute of its name.
+        self.__dict__.update(zip(names, np.array(sums).reshape(len(names), lay.size)))
+        self.sums = names
         self.supported = np.ones(lay.size, dtype=bool)
         self.h_error, self.e_error = {}, {}
-        for i in lay.odd:
-            self._odd_lane(i)
+        if "r" in reads:
+            self.e = -self.e
+            for i in lay.odd:
+                self._odd_lane(i)
+        elif not lay.has_r:
+            self.h = self.e = self.cross = self.relent = np.zeros(lay.size)
         return self
 
     def _flag_overflow(self, finite: np.ndarray) -> None:
@@ -285,7 +389,8 @@ class _Batch:
             h += fam.ln_sup * bare_abs
             e += fam.ln_at_zero * bare_abs
             cross += fam.ln_at_zero * mass
-            self.relent[i] += -fam.omega_at_zero * mass
+            if "relent" in self.sums:
+                self.relent[i] += -fam.omega_at_zero * mass
             if not math.isfinite(fam.ln_sup):
                 self.h_error[i] = SupportError(_BARE)
             if not math.isfinite(fam.ln_at_zero):
@@ -298,14 +403,13 @@ class _Batch:
 # ---------------------------------------------------------------------------
 # the check table
 #
-# A precondition returns (lanes, reason) pairs, in priority order: the check
-# skips the lanes of a mask for its reason.  A reason is a string or a
-# function of the lane.  A skip refuses the lane with the error type below
-# (RangeError for the reasons not listed): _NOT_APPLICABLE, a FamilyError,
-# means the check does not concern the input (wrong family, no reference, no
-# segment), and ``run_bound_checks`` lists every other refusal as skipped.
-# An evaluator returns the (lhs, rhs) arrays of every lane, meaningful where
-# the check applies.
+# A row names its skip masks and the values its two sides read.  A mask
+# gives the lanes of a batch the row skips, and the reason a skipped lane is
+# refused for: a string, or a function of the batch and the lane.  A skip
+# refuses the lane with the error type below (RangeError for the reasons not
+# listed): _NOT_APPLICABLE, a FamilyError, means the check does not concern
+# the input (wrong family, no reference, no segment), and
+# ``run_bound_checks`` lists every other refusal as skipped.
 
 _NOT_APPLICABLE = "not applicable"
 _SUPPORT = "r vanishes where p and q differ"
@@ -313,183 +417,197 @@ _IDENTICAL = "identical pdfs"
 _REFUSALS = {_NOT_APPLICABLE: FamilyError, _SUPPORT: SupportError, _IDENTICAL: IdenticalPdfs}
 
 
-def _pre_always(b: _Batch) -> tuple:
-    return ()
+def _hypothesis(b: _Batch, i: int) -> str:
+    spread = abs(float(b.seg[0, i]) - float(b.seg[1, i])) * b.tv_list[i]
+    return f"hypothesis violated: |lam-mu|*tv = {spread} > delta = {float(b.deltas[i])}"
 
 
-def _pre_distinct(b: _Batch) -> tuple:
-    return ((b.identical, _IDENTICAL),)
-
-
-def _pre_improved(b: _Batch) -> tuple:
-    return ((b.identical, _IDENTICAL), (b.tv > 1.0, "tv > 1"))
-
-
-def _pre_lesche3(b: _Batch) -> tuple:
-    return ((~b.layout.tsallis, _NOT_APPLICABLE),)
-
-
-def _pre_lesche4(b: _Batch) -> tuple:
-    return ((~b.layout.shannon, _NOT_APPLICABLE),)
-
-
-def _pre_fannes(b: _Batch) -> tuple:
-    return ((~b.layout.shannon, _NOT_APPLICABLE), (b.tv > 1.0 / 3.0, "tv > 1/3"))
-
-
-def _pre_relent(b: _Batch) -> tuple:
-    return ((b.layout.no_r, _NOT_APPLICABLE), (~b.supported, _SUPPORT))
-
-
-def _pre_segment(b: _Batch) -> tuple:
-    delta = np.array(b.delta)
-    spread = np.abs(b.lam - b.mu) * b.tv
-
-    def hypothesis(i: int) -> str:
-        return f"hypothesis violated: |lam-mu|*tv = {float(spread[i])} > delta = {float(delta[i])}"
-
-    return (
-        (~b.has_segment, _NOT_APPLICABLE),
-        (b.identical, _IDENTICAL),
-        (spread > delta * (1.0 + 1e-12), hypothesis),
-    )
-
-
-def _eval_cont1(b: _Batch, lanes):
-    return b.gap, b.d
-
-
-def _eval_lb(b: _Batch, lanes):
-    return b.layout.lb_lhs, b.ent_sym
-
-
-def _eval_cont2(b: _Batch, lanes):
-    x, f0 = b.x_cont2, b.layout.f0
-    infinite = lanes & ~(x < math.inf)
-    if np.count_nonzero(infinite):
-        lanes_at = infinite.nonzero()[0].tolist()
-        b.fail(infinite, {i: DomainError("omega_phi requires finite x > 0") for i in lanes_at})
-    return b.gap, b.tv * (f0 + (x * b.g_cont2 - f0))
-
-
-def _eval_improved(b: _Batch, lanes):
-    f0 = b.layout.f0
-    return b.gap, (b.g_improved / f0) * (f0 + b.ent_sym)
+_MASKS = {
+    "identical pdfs": (lambda b: b.identical, _IDENTICAL),
+    "tv > 1": (lambda b: b.tv > 1.0, "tv > 1"),
+    "tv > 1/3": (lambda b: b.tv > 1.0 / 3.0, "tv > 1/3"),
+    "not tsallis": (lambda b: ~b.layout.tsallis, _NOT_APPLICABLE),
+    "not shannon": (lambda b: ~b.layout.shannon, _NOT_APPLICABLE),
+    "no r": (lambda b: b.layout.no_r, _NOT_APPLICABLE),
+    "unsupported r": (lambda b: ~b.supported, _SUPPORT),
+    "no segment": (lambda b: np.array([s is None for s in b.segment]), _NOT_APPLICABLE),
+    # |lam - mu| * tv beyond the radius
+    "segment hypothesis": (
+        lambda b: np.abs(b.seg[0] - b.seg[1]) * b.tv > np.array(b.deltas) * (1.0 + 1e-12), _hypothesis
+    ),
+}
 
 
 # The rows below raise tv to a power or take its logarithm: libm and
 # numpy's SIMD loops may round those differently, so they stay per lane.
 
 
-def _per_lane(b: _Batch, lanes, rhs: Callable[[float, int], float]):
+def _per_lane(b: _Batch, lanes, rhs: Callable[[float, int], float]) -> np.ndarray:
     out = np.zeros(b.layout.size)
     for i in lanes.nonzero()[0].tolist():
         out[i] = rhs(b.tv_list[i], i)
-    return b.gap, out
+    return out
 
 
-def _eval_lesche3(b: _Batch, lanes):
+def _lesche3(b: _Batch, lanes) -> np.ndarray:
+    fams, i_max = b.layout.fams, b.layout.i_max
+
     def rhs(tv, i):
-        k, i_max = b.layout.fams[i].kappa, b.layout.i_max[i]
-        return (1.0 + 1.0 / k) * tv + (i_max - 1.0 / k) * tv ** (1.0 + k)
+        k = fams[i].kappa
+        return (1.0 + 1.0 / k) * tv + (i_max[i] - 1.0 / k) * tv ** (1.0 + k)
 
     return _per_lane(b, lanes, rhs)
 
 
-def _eval_lesche4(b: _Batch, lanes):
+def _fannes(b: _Batch, lanes, extra: float) -> np.ndarray:
     i_max = b.layout.i_max
-    return _per_lane(b, lanes, lambda tv, i: (1.0 + i_max[i]) * tv - (tv * math.log(tv) if tv > 0 else 0.0))
+    return _per_lane(b, lanes, lambda tv, i: (extra + i_max[i]) * tv - (tv * math.log(tv) if tv > 0 else 0.0))
 
 
-def _eval_fannes(b: _Batch, lanes):
-    i_max = b.layout.i_max
-    return _per_lane(b, lanes, lambda tv, i: i_max[i] * tv - (tv * math.log(tv) if tv > 0 else 0.0))
+class _Value(NamedTuple):
+    """A batch value: what it reads (kernel-argument columns, "omega" and
+    "g_tv" for the scalar arguments, "r" for h_r's, e_r's and the cross
+    sums), its array over the lanes, and the name of the batch's per-lane
+    errors it carries, if any.  A value computed lane by lane gets the lanes
+    where a row that reads it applies; the others get None."""
+
+    reads: tuple
+    compute: Callable[[_Batch, np.ndarray], np.ndarray]
+    errors: Optional[str] = None
+    per_lane: bool = False
 
 
-def _eval_relent_i(b: _Batch, lanes):
+_VALUES = {
+    "gap": _Value(("p", "q"), lambda b, lanes: np.abs(b.ent_p - b.ent_q)),
+    "d": _Value(("diff",), lambda b, lanes: b.d),
+    "ent_sym": _Value(("sym",), lambda b, lanes: b.ent_sym),
+    "lb_lhs": _Value((), lambda b, lanes: b.layout.lb_lhs),
+    "cont2": _Value(
+        ("p", "omega"),
+        lambda b, lanes: b.tv * (b.layout.f0 + (b.x_cont2 * b.g_cont2 - b.layout.f0)),
+        "omega_error",
+    ),
+    "improved": _Value(
+        ("q", "g_tv", "sym"), lambda b, lanes: (b.g_tv / b.layout.f0) * (b.layout.f0 + b.ent_sym)
+    ),
+    "lesche3": _Value((), _lesche3, per_lane=True),
+    "lesche4": _Value((), lambda b, lanes: _fannes(b, lanes, 1.0), per_lane=True),
+    "fannes": _Value((), lambda b, lanes: _fannes(b, lanes, 0.0), per_lane=True),
     # The per-coordinate integral form keeps full precision when p ~ q.
-    b.fail(lanes, b.overflow)
-    b.fail(lanes, b.h_error)
-    return np.abs(b.relent), b.d + b.h
-
-
-def _eval_relent_d(b: _Batch, lanes):
+    "relent_I": _Value(("q/r", "p/r", "r"), lambda b, lanes: np.abs(b.relent), "overflow"),
+    "d + h": _Value(("diff", "r"), lambda b, lanes: b.d + b.h, "h_error"),
     # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r), over p != q when ln_phi(r) can be inf.
-    b.fail(lanes, b.e_error)
-    return np.abs(b.ent_q - b.ent_p - b.cross), b.d + b.e
+    "relent_D": _Value(("p", "q", "r"), lambda b, lanes: np.abs(b.ent_q - b.ent_p - b.cross)),
+    "d + e": _Value(("diff", "r"), lambda b, lanes: b.d + b.e, "e_error"),
+    "segment": _Value(("lam", "mu"), lambda b, lanes: np.abs(b.mix_lam - b.mix_mu)),
+    "epsilon ent_sym": _Value(("sym",), lambda b, lanes: b.seg[2] * b.ent_sym),
+    "h": _Value(("r",), lambda b, lanes: b.h, "h_error"),
+    "e": _Value(("r",), lambda b, lanes: b.e, "e_error"),
+}
 
 
-def _eval_segment(b: _Batch, lanes):
-    return np.abs(b.mix_lam - b.mix_mu), b.epsilon * b.ent_sym
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Check:
     """One row of the check table.
 
-    ``precondition`` gives the lanes of a batch the bound skips, and why
-    (see above); ``evaluate`` returns its (lhs, rhs) arrays, given the lanes
-    it applies to.  ``with_r`` / ``with_params`` put the reference pdf / the
-    segment's (lam, mu, epsilon) into the digest and the scan witness.
+    ``skips`` names the :data:`_MASKS` of the lanes the bound skips, in
+    priority order: a skipped lane is refused for the first that holds.
+    ``sides`` names the :data:`_VALUES` its lhs and rhs read.
+    ``with_r`` / ``with_params`` put the reference pdf / the segment's (lam,
+    mu, epsilon) into the digest and the scan witness.  A row is equal only
+    to itself, so that a tuple of rows hashes fast as the key of its plan.
     """
 
     bound_id: str
-    precondition: Callable[[_Batch], tuple]
-    evaluate: Callable[[_Batch, np.ndarray], tuple]
+    skips: tuple
+    sides: tuple
     with_r: bool = False
     with_params: bool = False
 
 
 CHECKS = (
-    Check("cont1", _pre_always, _eval_cont1),
-    Check("lb", _pre_distinct, _eval_lb),
-    Check("cont2", _pre_distinct, _eval_cont2),
-    Check("improved", _pre_improved, _eval_improved),
-    Check("lesche3", _pre_lesche3, _eval_lesche3),
-    Check("lesche4", _pre_lesche4, _eval_lesche4),
-    Check("fannes", _pre_fannes, _eval_fannes),
-    Check("relent_I", _pre_relent, _eval_relent_i, with_r=True),
-    Check("relent_D", _pre_relent, _eval_relent_d, with_r=True),
-    Check("condition1_segment", _pre_segment, _eval_segment, with_params=True),
+    Check("cont1", (), ("gap", "d")),
+    Check("lb", ("identical pdfs",), ("lb_lhs", "ent_sym")),
+    Check("cont2", ("identical pdfs",), ("gap", "cont2")),
+    Check("improved", ("identical pdfs", "tv > 1"), ("gap", "improved")),
+    Check("lesche3", ("not tsallis",), ("gap", "lesche3")),
+    Check("lesche4", ("not shannon",), ("gap", "lesche4")),
+    Check("fannes", ("not shannon", "tv > 1/3"), ("gap", "fannes")),
+    Check("relent_I", ("no r", "unsupported r"), ("relent_I", "d + h"), with_r=True),
+    Check("relent_D", ("no r", "unsupported r"), ("relent_D", "d + e"), with_r=True),
+    Check(
+        "condition1_segment",
+        ("no segment", "identical pdfs", "segment hypothesis"),
+        ("segment", "epsilon ent_sym"),
+        with_params=True,
+    ),
 )
 
 
-def _applies(skips: tuple, size: int) -> np.ndarray:
-    """The lanes a precondition's (lanes, reason) pairs leave to the check."""
-    if not skips:
-        return np.ones(size, dtype=bool)
-    skipped = skips[0][0]
-    for lanes, _ in skips[1:]:
-        skipped = skipped | lanes
-    return ~skipped
+class _Plan(NamedTuple):
+    """What :func:`walk` needs of its rows, worked out once per rows tuple."""
+
+    masks: list  # every mask a row names
+    skips: np.ndarray  # (rows, masks): the masks each row skips
+    values: tuple  # every value a side reads
+    readers: Optional[np.ndarray]  # (values, rows): the rows that read each value, if one is per lane
+    lhs: np.ndarray  # each row's lhs and rhs, as indices into values
+    rhs: np.ndarray
+    errors: list  # (row, value) of each side whose value carries errors, in table order
 
 
-def _refusal(bound_id: str, skips: tuple, i: int) -> Optional[PhiEntropyError]:
-    """The error with which a check whose precondition gave ``skips`` refuses lane i, or None."""
-    for lanes, reason in skips:
-        if lanes[i]:
-            text = reason(i) if callable(reason) else reason
-            return _REFUSALS.get(text, RangeError)(f"{bound_id}: {text}")
+@lru_cache(maxsize=64)
+def _plan(rows: tuple, also: tuple = ()) -> _Plan:
+    masks = list(dict.fromkeys(m for c in rows for m in (*c.skips, *also)))
+    values = tuple(dict.fromkeys(v for c in rows for v in c.sides))
+    skips = np.array([[m in c.skips or m in also for m in masks] for c in rows], dtype=bool)
+    readers = np.array([[v in c.sides for c in rows] for v in values], dtype=bool)
+    side = [np.array([values.index(c.sides[j]) for c in rows], dtype=np.intp) for j in (0, 1)]
+    return _Plan(
+        masks, skips.reshape(len(rows), len(masks)), values,
+        readers if any(_VALUES[v].per_lane for v in values) else None, *side,
+        [(k, v) for k, c in enumerate(rows) for v in c.sides if _VALUES[v].errors],
+    )
+
+
+def reads(rows: tuple) -> tuple:
+    """The names of the values ``rows`` read, for :meth:`_Batch.evaluate`."""
+    return _plan(rows).values
+
+
+def _refusal(b: _Batch, check: Check, masks: dict, i: int) -> Optional[PhiEntropyError]:
+    """The error with which ``check`` refuses lane i of a walked batch, or None."""
+    for name in check.skips:
+        if masks[name][i]:
+            reason = _MASKS[name][1]
+            text = reason(b, i) if callable(reason) else reason
+            return _REFUSALS.get(text, RangeError)(f"{check.bound_id}: {text}")
     return None
 
 
-def walk(b: _Batch, rows: tuple) -> tuple:
-    """Evaluate ``rows`` of :data:`CHECKS` over an evaluated batch.
+def walk(b: _Batch, rows: tuple, also: tuple = ()) -> tuple:
+    """Evaluate ``rows`` of :data:`CHECKS` over a batch evaluated for ``reads(rows)``.
 
-    Returns (skips, applied, lhs, rhs): per row, the (lanes, reason) pairs
-    of its precondition, from which :func:`_refusal` gives the error with
-    which the row refuses a lane; and the (rows, lanes) arrays of where each
-    row applies and of its two sides.  An error a row's value raises is
+    Every row skips the masks ``also`` names as well.  Returns (masks,
+    applied, lhs, rhs): each mask named, by name, from which
+    :func:`_refusal` gives the error with which a row refuses a lane; and
+    the (rows, lanes) arrays of where each row applies and of its two
+    sides, meaningful where it applies.  An error a row's value raises is
     recorded in ``b.errors``.
     """
-    skips, size = [], b.layout.size
-    applied = np.empty((len(rows), size), dtype=bool)
-    lhs, rhs = np.empty((2, len(rows), size))
-    for k, check in enumerate(rows):
-        skips.append(check.precondition(b))
-        applied[k] = _applies(skips[k], size)
-        lhs[k], rhs[k] = check.evaluate(b, applied[k])
-    return skips, applied, lhs, rhs
+    plan, size = _plan(rows, also), b.layout.size
+    if plan.masks:
+        stacked = np.array([_MASKS[name][0](b) for name in plan.masks])
+        applied = ~(plan.skips @ stacked)
+    else:
+        stacked, applied = (), np.ones((len(rows), size), dtype=bool)
+    lanes = [None] * len(plan.values) if plan.readers is None else plan.readers @ applied
+    values = np.array([_VALUES[name].compute(b, at) for name, at in zip(plan.values, lanes)])
+    for k, name in plan.errors:
+        errors = getattr(b, _VALUES[name].errors)
+        if errors:
+            b.fail(applied[k], errors)
+    return dict(zip(plan.masks, stacked)), applied, values[plan.lhs], values[plan.rhs]
 
 
 # Kernels overflow on purpose at tiny reference weights and the evaluators

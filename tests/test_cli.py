@@ -11,6 +11,7 @@ import pytest
 
 import phientropy.bounds as bounds
 import phientropy.cli as cli
+import phientropy.table as table
 from phientropy.errors import InfeasibleEpsilon
 
 
@@ -31,17 +32,13 @@ TSALLIS = '{"kind":"tsallis","kappa":0.5}'
 
 
 def break_cont1(monkeypatch):
-    """Make the check table's cont1 row report lhs = rhs + 1, a violation."""
-    def broken(b, lanes):
-        _, rhs = real(b, lanes)
-        return rhs + 1.0, rhs
+    """Make the check table's cont1 row report lhs = rhs + 1, a violation.
 
-    rows = []
-    for check in bounds.CHECKS:
-        if check.bound_id == "cont1":
-            real = check.evaluate
-            check = dataclasses.replace(check, evaluate=broken)
-        rows.append(check)
+    The row's left side reads a batch value "d + 1", registered for the test.
+    """
+    d = table._VALUES["d"]
+    monkeypatch.setitem(table._VALUES, "d + 1", d._replace(compute=lambda b, lanes: d.compute(b, lanes) + 1.0))
+    rows = [dataclasses.replace(c, sides=("d + 1", "d")) if c.bound_id == "cont1" else c for c in bounds.CHECKS]
     monkeypatch.setattr(bounds, "CHECKS", tuple(rows))
 
 

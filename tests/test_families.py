@@ -357,6 +357,29 @@ class TestOmega:
         for fam in (pe.tsallis(-0.5), pe.kappa_maxwell(2.0)):
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
 
+    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-308])
+    @pytest.mark.parametrize(
+        "fam",
+        [pe.tsallis(0.1), pe.tsallis(0.5), pe.tsallis(0.9), pe.kappa_maxwell(0.5), pe.kappa_maxwell(2.0),
+         pe.kappa_maxwell(200.0)],
+        ids=lambda f: f.label,
+    )
+    def test_finite_where_the_plain_form_overflows(self, fam, x):
+        # omega's plain form x * big_f_drop(1/x) - F(0), evaluated in mpmath
+        # at 50 digits; in floats big_f_drop(1/x) overflows at tiny x for
+        # tsallis (x**(1 + kappa) at 1/x) and kappa_maxwell (kappa / x).
+        with mpmath.workdps(50):
+            k, t = mpmath.mpf(fam.kappa), 1 / mpmath.mpf(x)
+            if fam.kind == "tsallis":
+                drop = (1 + 1 / k) * t - t ** (1 + k) / k
+            else:
+                drop = (1 + k) * t ** (k / (1 + k)) - k * t
+            want = float(drop / t - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pe.omega_phi(fam, x)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 @pytest.mark.parametrize("kappa", [1e6, 1e12, 1e20, 1e100, 1e308])
 def test_kappa_maxwell_keeps_its_digits_at_large_kappa(kappa):

@@ -1,13 +1,17 @@
-"""Counts that pin the default scan's fixed costs, whatever the host's speed.
+"""Counts that pin the check table's and the scan's costs, whatever the host's speed.
 
 A scan solves the radii of its (family, epsilon) pairs once, in lockstep
 (``condition1_radii``); the samplers freeze the weights they build without
-the ``Pdf`` constructor's checks; and a block of one-trial slots builds the
-batch layout of its lanes once.
+the ``Pdf`` constructor's checks, and draw them without ``dirichlet``'s
+checks; and a block of one-trial slots builds the batch layout of its lanes
+once.  A single input computes only what the rows it asks for read.
 """
 
+import numpy as np
+import pytest
+
 import phientropy as pe
-from phientropy import bounds, distributions, table
+from phientropy import bounds, distributions, families, table
 from phientropy.bounds import SCAN_EPSILONS, ScanConfig, stability_scan
 
 
@@ -50,3 +54,81 @@ def test_one_trial_block_builds_one_layout(monkeypatch):
         built.clear()
         bounds._scan_block(config, block, config.trials, {})
         assert len(built) == 1, mode
+
+
+def _kernel_calls(monkeypatch) -> dict:
+    """Record the number of points of each kernel call the check table makes, and each quadrature."""
+    drop = _counting(monkeypatch, table, "big_f_drop_unchecked")
+    ln = _counting(monkeypatch, table, "ln_phi_unchecked")
+    quadratures = _counting(monkeypatch, families, "integrate")
+    return {"drop": drop, "ln": ln, "integrate": quadratures}
+
+
+def _points(calls: dict) -> dict:
+    return {name: [np.size(args[1]) for args in record] for name, record in calls.items() if name != "integrate"}
+
+
+def _pdfs(n: int, count: int, seed: int) -> list:
+    rng = np.random.default_rng(seed)
+    return [pe.Pdf(rng.dirichlet(np.ones(n))) for _ in range(count)]
+
+
+def test_single_checks_compute_only_what_their_rows_read(monkeypatch):
+    # Every input used to pay for the whole table: two drop calls of 73
+    # points in all and an ln_phi call of 19 at N = 8.
+    fam = pe.tsallis(0.5)
+    p, q, r = _pdfs(8, 3, seed=3)
+    calls = _kernel_calls(monkeypatch)
+    pe.check_cont1(fam, p, q)
+    points = _points(calls)
+    assert points["ln"] == [] and len(points["drop"]) == 1 and points["drop"][0] <= 27
+    for fn in (pe.h_r, pe.e_r):
+        calls["drop"].clear()
+        fn(fam, p, q, r)
+        assert calls["drop"] == [], fn.__name__
+
+
+def test_run_bound_checks_keeps_its_kernel_calls(monkeypatch):
+    fam = pe.tsallis(0.5)
+    p, q, r = _pdfs(8, 3, seed=3)
+    pe.condition1_delta(fam, 0.5)  # the radius is looked up, not solved, below
+    calls = _kernel_calls(monkeypatch)
+    bounds.run_bound_checks(fam, p, q, r, 0.3, 0.6, 0.5)
+    # The batch's columns and omega(N)'s argument; 0.5, 1/r and r.
+    points = _points(calls)
+    assert sorted(points["drop"]) == [1, 72] and points["ln"] == [19]
+
+
+def test_custom_family_single_checks_integrate_only_what_they_read(monkeypatch):
+    # A kaniadakis(0.3)-like custom family: one quadrature per nonzero point.
+    # check_cont1 and h_r each ran 19 quadratures when every input paid for
+    # the whole table.
+    fam = pe.custom_family(lambda x: (x**0.3 - x**-0.3) / 0.6, singularity_exponent=0.3)
+    p, q, r = _pdfs(2, 3, seed=5)
+    calls = _kernel_calls(monkeypatch)
+    pe.check_cont1(fam, p, q)
+    assert len(calls["integrate"]) <= 6
+    calls["integrate"].clear()
+    pe.h_r(fam, p, q, r)
+    assert calls["integrate"] == []
+
+
+def test_default_scan_keeps_its_kernel_calls(monkeypatch):
+    # The scan asks for every row: as many calls, and points, as before.
+    calls = _kernel_calls(monkeypatch)
+    stability_scan(ScanConfig(seed=400))
+    points = _points(calls)
+    assert (len(points["drop"]), sum(points["drop"])) == (864, 70152)
+    assert (len(points["ln"]), sum(points["ln"])) == (53, 7191)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_flat_dirichlet_draws_what_dirichlet_draws(n):
+    # The same values and the same generator state as rng.dirichlet(np.ones(n)),
+    # which n = 1 does not call: it draws nothing.
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = distributions._flat_dirichlet(n, rng)
+        want = ref.dirichlet(np.ones(n)) if n > 1 else np.array([1.0])
+        assert got.tobytes() == want.tobytes(), (n, seed)
+        assert rng.random() == ref.random(), (n, seed)

@@ -329,7 +329,11 @@ REFUSALS = (FamilyError, SupportError, IdenticalPdfs, RangeError, ParamError)
 
 
 def _assert_checks_agree_with_table(monkeypatch, fam, p, q, r, lam, mu, epsilon):
-    """check_X returns the table's report for X, and raises where the table reports no X."""
+    """check_X returns the table's report for X, and raises where the table reports no X.
+
+    A batch evaluates only what the rows asked for read: the rows' subset
+    reports what the whole table reports for them, bit for bit.
+    """
     assert {b for _, ids, _, _ in PUBLIC_CHECKS for b in ids} == set(BOUND_IDS)
     for fn, ids, with_r, with_segment in PUBLIC_CHECKS:
         args = (fam, p, q) + ((r,) if with_r else ()) + ((lam, mu, epsilon) if with_segment else ())
@@ -337,6 +341,9 @@ def _assert_checks_agree_with_table(monkeypatch, fam, p, q, r, lam, mu, epsilon)
         with monkeypatch.context() as m:
             m.setattr(bounds, "CHECKS", tuple(c for c in bounds.CHECKS if c.bound_id in ids))
             want, want_error = _outcome(run_bound_checks, *table_args)
+        full, full_error = _outcome(run_bound_checks, *table_args)
+        if want_error is None and full_error is None:
+            assert [rep for rep in full[0] if rep.bound_id in ids] == want[0], ids
         got, got_error = _outcome(fn, *args)
         if want_error is not None:
             assert got_error == want_error, ids
