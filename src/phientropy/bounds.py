@@ -703,8 +703,9 @@ class _Lane:
         self.fam, self.dim = fams[self.fam_index], dims[(slot // len(fams)) % len(dims)]
         self.epsilon = SCAN_EPSILONS[slot % len(SCAN_EPSILONS)]
         # Slot-indexed seed split: slot s always gets the same stream, so any
-        # schedule of the slots reproduces the report.
-        self.rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(slot,)))
+        # schedule of the slots reproduces the report.  The generator is the
+        # one default_rng builds from a SeedSequence, without its argument checks.
+        self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(slot,))))
         self.steps = HILL_STEPS if mode == "hillclimb" else 1
         scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
         self.p, self.q, self.r = _sample_pair(mode, self.dim, scale, self.rng)
@@ -881,11 +882,14 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
             for lane in lanes:
                 if failed or lane.used >= trials - base:
                     lane.done = True  # its trials reach the room left to it
-                if not lane.done:
-                    active.append(lane)
                 failed = failed or lane.error is not None
-                base += lane.length(1)
-                expected += lane.length(_STEPS_PER_HALVING)
+                if lane.done:  # its length, without the call
+                    base += lane.used
+                    expected += lane.used
+                else:
+                    active.append(lane)
+                    base += lane.length(1)
+                    expected += lane.length(_STEPS_PER_HALVING)
             launched = []
             while expected < trials and not failed:
                 slot = next(slots, None)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -54,24 +54,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
-class _kept:
-    """An attribute that the method it decorates forms when it is first read.
-
-    ``functools.cached_property`` without its lock, which costs more than
-    what a scan's layouts form.
-    """
-
-    def __init__(self, method):
-        self.method = method
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
-
-
 class _Layout:
     """The inputs of a :class:`_Batch` but for their pdfs p and q, one lane each.
 
@@ -96,9 +78,16 @@ class _Layout:
         self.off = off = [0, *itertools.accumulate(sizes)]
         # Each lane's pdf-entry rows, which its sums read.
         self.entries = [slice(a, b - 1) for a, b in zip(off, off[1:])]
+        self.scalar_rows = np.array(off[1:]) - 1
+        self.lane_of_row = np.repeat(np.arange(self.size), sizes)
+        self.n = np.array(ns, dtype=float)
         self.f0 = np.array([fam.f_zero for fam in fams])
-        self.f0_rows = np.repeat(self.f0, sizes)
-        self.has_r = any(r is not None for r in rs)
+        self.f0_rows = self.f0[self.lane_of_row]
+        self.no_r = np.array([r is None for r in rs])
+        self.has_r = not self.no_r.all()
+        kinds = [fam.kind for fam in fams]
+        self.tsallis = np.array([k == "tsallis" for k in kinds])
+        self.shannon = np.array([k == "shannon" for k in kinds])
         # Runs of lanes with one family: [family, first lane, end lane].
         self.groups = []
         for i, fam in enumerate(fams):
@@ -151,40 +140,14 @@ class _Layout:
             self.lb_lhs[first:end] = -fam.f_zero - float(ln[0])
         self.ln2[:, self.zero] = 0.0
 
-    # What only some values and masks read, formed when first read.
-
-    @_kept
-    def lane_of_row(self) -> np.ndarray:
-        return np.repeat(np.arange(self.size), [n + 1 for n in self.ns])
-
-    @_kept
-    def scalar_rows(self) -> np.ndarray:
-        return np.array(self.off[1:]) - 1
-
-    @_kept
-    def n(self) -> np.ndarray:
-        return np.array(self.ns, dtype=float)
-
-    @_kept
-    def no_r(self) -> np.ndarray:
-        return np.array([r is None for r in self.rs])
-
-    @_kept
-    def tsallis(self) -> np.ndarray:
-        return np.array([fam.kind == "tsallis" for fam in self.fams])
-
-    @_kept
-    def shannon(self) -> np.ndarray:
-        return np.array([fam.kind == "shannon" for fam in self.fams])
-
-    @_kept
+    @cached_property
     def lb_lhs(self) -> np.ndarray:
         out = np.empty(self.size)
         for fam, first, end in self.groups:
             out[first:end] = -fam.f_zero - float(ln_phi_unchecked(fam, np.array([0.5]))[0])
         return out
 
-    @_kept
+    @cached_property
     def i_max(self) -> list:
         # omega(N) as omega_phi forms it: N * big_f_drop(1 / N) - F(0).
         out = []
@@ -275,7 +238,6 @@ class _Batch:
         self.identical = tv == 0.0
         tv_div = tv + self.identical  # tv, and 1 where it is 0
         reads, cols, m, names = _reads(tuple(values), lay.has_r)
-        k = len(cols)
         formed = {"p": pw, "q": qw, "diff": diff}
         if "sym" in reads:
             formed["sym"] = diff / tv_div[lay.lane_of_row]
@@ -284,28 +246,25 @@ class _Batch:
             formed["lam"], formed["mu"] = w * pw + (1.0 - w) * qw
         if "q/r" in reads:
             formed["q/r"], formed["p/r"] = qw / lay.rdiv, pw / lay.rdiv
-        if k:
-            # One row per column, then one column per column, as the kernel's flat slices read them.
+        self.overflow = {}
+        if cols:
+            # One column per kernel argument, as the kernel's flat slices read them.
             columns = np.array([formed[c] for c in cols])
             args = columns.T.copy()
-        if "omega" in reads:
-            # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
-            self.x_cont2 = lay.n / tv_div
-            args[lay.scalar_rows, cols.index("p")] = 1.0 / self.x_cont2
-            infinite = (self.x_cont2 == math.inf).nonzero()[0].tolist()
-            self.omega_error = {i: DomainError("omega_phi requires finite x > 0") for i in infinite} if infinite else {}
-        if "g_tv" in reads:
-            args[lay.scalar_rows, cols.index("q")] = np.minimum(tv, 1.0)
-        # A ratio to a tiny r that overflows is kept out of the kernel.
-        self.overflow = {}
-        if "q/r" in reads:
-            ratios = args[:, -2:]
-            if not _all_finite(ratios):
-                finite = np.isfinite(ratios)
+            if "omega" in reads:
+                # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
+                self.x_cont2 = lay.n / tv_div
+                args[lay.scalar_rows, cols.index("p")] = 1.0 / self.x_cont2
+                infinite = (self.x_cont2 == math.inf).nonzero()[0].tolist()
+                self.omega_error = {i: DomainError("omega_phi requires finite x > 0") for i in infinite}
+            if "g_tv" in reads:
+                args[lay.scalar_rows, cols.index("q")] = np.minimum(tv, 1.0)
+            # A ratio to a tiny r that overflows is kept out of the kernel.
+            if "q/r" in reads and not _all_finite(args[:, -2:]):
+                finite = np.isfinite(args[:, -2:])
                 self._flag_overflow(finite)
-                ratios[~finite] = 1.0
-        if k:
-            flat = args.reshape(-1)
+                args[:, -2:][~finite] = 1.0
+            k, flat = len(cols), args.reshape(-1)
             parts = [
                 big_f_drop_unchecked(fam, flat[k * lay.off[first] : k * lay.off[end]])
                 for fam, first, end in lay.groups
@@ -313,12 +272,10 @@ class _Batch:
             g = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(args.shape)
             if "q/r" in reads and not _all_finite(g[:, -2:]):
                 self._flag_overflow(np.isfinite(g[:, -2:]))
-            if "omega" in reads or "g_tv" in reads:
-                scalars = g[lay.scalar_rows]
-                if "omega" in reads:
-                    self.g_cont2 = scalars[:, cols.index("p")]
-                if "g_tv" in reads:
-                    self.g_tv = scalars[:, cols.index("q")]
+            if "omega" in reads:
+                self.g_cont2 = g[lay.scalar_rows, cols.index("p")]
+            if "g_tv" in reads:
+                self.g_tv = g[lay.scalar_rows, cols.index("q")]
         # The summands, one row each: the entropy terms big_f_drop(w) - w F(0)
         # of the formed entropy columns; d's terms; h_r's and e_r's;
         # relent_D's cross terms (p - q) ln_phi(r); and relent_I's
@@ -334,9 +291,8 @@ class _Batch:
             np.subtract(g[:, :m].T, summands[:m], out=summands[:m])
         if "diff" in reads:
             summands[m] = g[:, cols.index("diff")]
-        dpq = pw - qw if "r" in reads else None
-        if "r" in reads:
-            at = names.index("h")
+        if "r" in reads:  # which every value that reads q/r reads too
+            dpq, at = pw - qw, names.index("h")
             np.multiply(diff, lay.ln2_rows, out=summands[at : at + 2])
             np.multiply(dpq, lay.ln2_rows[1], out=summands[at + 2])
         if "q/r" in reads:
