@@ -203,7 +203,7 @@ def sample_sparse(n: int, rng: np.random.Generator) -> Pdf:
         keep = max(1, int(rng.integers(1, n + 1)))
         zero_idx = rng.permutation(n)[keep:]
         base[zero_idx] = 0.0
-        total = base.sum()
+        total = np.add.reduce(base)
         if total <= 0:  # all surviving mass zeroed; keep a point mass
             base[:] = 0.0
             base[int(rng.integers(0, n))] = 1.0
@@ -223,15 +223,17 @@ def sample_neighbor(p: Pdf, eps: float, rng: np.random.Generator) -> Pdf:
     n = p.n
     if n == 1:
         return p
+    # The ufuncs' reductions, which the mean, sum, any and min methods wrap
+    # (the same values, at a fraction of a draw's cost).
     v = rng.standard_normal(n)
-    v -= v.mean()
-    abs_sum = np.abs(v).sum()
+    v -= np.add.reduce(v) / n
+    abs_sum = np.add.reduce(np.abs(v))
     if abs_sum == 0.0:
         return p
     lam = eps / abs_sum
     neg = v < 0
-    if np.any(neg):
-        lam = min(lam, np.min(p.weights[neg] / -v[neg]))
+    if np.count_nonzero(neg):
+        lam = min(lam, np.minimum.reduce(p.weights[neg] / -v[neg]))
     return _frozen(np.maximum(p.weights + lam * v, 0.0))
 
 

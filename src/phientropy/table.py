@@ -394,7 +394,7 @@ _MASKS = {
 }
 
 
-# The rows below raise tv to a power or take its logarithm: libm and
+# The values below raise tv to a power or take its logarithm: libm and
 # numpy's SIMD loops may round those differently, so they stay per lane.
 
 
