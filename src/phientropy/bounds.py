@@ -883,7 +883,7 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
                 if failed or lane.used >= trials - base:
                     lane.done = True  # its trials reach the room left to it
                 failed = failed or lane.error is not None
-                if lane.done:  # its length, without the call
+                if lane.done:  # a finished lane's length is its trials
                     base += lane.used
                     expected += lane.used
                 else:

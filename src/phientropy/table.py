@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -54,6 +54,24 @@ def _all_finite(a: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(a)) == a.size
 
 
+class _kept:
+    """An attribute that the method it decorates forms when it is first read.
+
+    ``functools.cached_property`` without its lock, which costs more than
+    what a single check's layout and batch form.
+    """
+
+    def __init__(self, method):
+        self.method = method
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class _Layout:
     """The inputs of a :class:`_Batch` but for their pdfs p and q, one lane each.
 
@@ -78,16 +96,9 @@ class _Layout:
         self.off = off = [0, *itertools.accumulate(sizes)]
         # Each lane's pdf-entry rows, which its sums read.
         self.entries = [slice(a, b - 1) for a, b in zip(off, off[1:])]
-        self.scalar_rows = np.array(off[1:]) - 1
-        self.lane_of_row = np.repeat(np.arange(self.size), sizes)
-        self.n = np.array(ns, dtype=float)
         self.f0 = np.array([fam.f_zero for fam in fams])
-        self.f0_rows = self.f0[self.lane_of_row]
-        self.no_r = np.array([r is None for r in rs])
-        self.has_r = not self.no_r.all()
-        kinds = [fam.kind for fam in fams]
-        self.tsallis = np.array([k == "tsallis" for k in kinds])
-        self.shannon = np.array([k == "shannon" for k in kinds])
+        self.f0_rows = np.repeat(self.f0, sizes)
+        self.has_r = any(r is not None for r in rs)
         # Runs of lanes with one family: [family, first lane, end lane].
         self.groups = []
         for i, fam in enumerate(fams):
@@ -140,14 +151,40 @@ class _Layout:
             self.lb_lhs[first:end] = -fam.f_zero - float(ln[0])
         self.ln2[:, self.zero] = 0.0
 
-    @cached_property
+    # What only some values and masks read, formed when first read.
+
+    @_kept
+    def lane_of_row(self) -> np.ndarray:
+        return np.repeat(np.arange(self.size), [n + 1 for n in self.ns])
+
+    @_kept
+    def scalar_rows(self) -> np.ndarray:
+        return np.array(self.off[1:]) - 1
+
+    @_kept
+    def n(self) -> np.ndarray:
+        return np.array(self.ns, dtype=float)
+
+    @_kept
+    def no_r(self) -> np.ndarray:
+        return np.array([r is None for r in self.rs])
+
+    @_kept
+    def tsallis(self) -> np.ndarray:
+        return np.array([fam.kind == "tsallis" for fam in self.fams])
+
+    @_kept
+    def shannon(self) -> np.ndarray:
+        return np.array([fam.kind == "shannon" for fam in self.fams])
+
+    @_kept
     def lb_lhs(self) -> np.ndarray:
         out = np.empty(self.size)
         for fam, first, end in self.groups:
             out[first:end] = -fam.f_zero - float(ln_phi_unchecked(fam, np.array([0.5]))[0])
         return out
 
-    @cached_property
+    @_kept
     def i_max(self) -> list:
         # omega(N) as omega_phi forms it: N * big_f_drop(1 / N) - F(0).
         out = []
@@ -233,11 +270,10 @@ class _Batch:
         """
         lay, tv, pw, qw, diff = self.layout, self.tv, self.pw, self.qw, self.diff
         self.segment, self.deltas = segments, deltas
-        # Rows lam, mu and epsilon over the lanes; a lane without a segment reads zeros.
-        self.seg = np.array([(0.0, 0.0, 0.0) if s is None else s for s in segments]).T
         self.identical = tv == 0.0
-        tv_div = tv + self.identical  # tv, and 1 where it is 0
         reads, cols, m, names = _reads(tuple(values), lay.has_r)
+        if "sym" in reads or "omega" in reads:
+            tv_div = tv + self.identical  # tv, and 1 where it is 0
         formed = {"p": pw, "q": qw, "diff": diff}
         if "sym" in reads:
             formed["sym"] = diff / tv_div[lay.lane_of_row]
@@ -306,15 +342,25 @@ class _Batch:
         # Each sum is the attribute of its name.
         self.__dict__.update(zip(names, np.array(sums).reshape(len(names), lay.size)))
         self.sums = names
-        self.supported = np.ones(lay.size, dtype=bool)
         self.h_error, self.e_error = {}, {}
         if "r" in reads:
+            self.supported = np.ones(lay.size, dtype=bool)
             self.e = -self.e
             for i in lay.odd:
                 self._odd_lane(i)
         elif not lay.has_r:
             self.h = self.e = self.cross = self.relent = np.zeros(lay.size)
         return self
+
+    @_kept
+    def seg(self) -> np.ndarray:
+        """Rows lam, mu and epsilon over the lanes; a lane without a segment reads zeros."""
+        return np.array([(0.0, 0.0, 0.0) if s is None else s for s in self.segment]).T
+
+    @_kept
+    def supported(self) -> np.ndarray:
+        """The lanes whose relative-entropy values exist (all, unless evaluated for r)."""
+        return np.ones(self.layout.size, dtype=bool)
 
     def _flag_overflow(self, finite: np.ndarray) -> None:
         for i, entries in enumerate(self.layout.entries):
