@@ -146,10 +146,14 @@ class BoundReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# json.dumps(..., sort_keys=True) builds this encoder on every call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _family_key(fam: LogFamily) -> bytes:
     if fam.kind == "custom":
         return f"custom:s={fam.singularity_exponent!r}:f0={fam.f_zero!r}".encode()
-    return json.dumps(family_to_json(fam), sort_keys=True).encode()
+    return _KEY_ENCODER.encode(family_to_json(fam)).encode()
 
 
 def _digest(check: Check, key: bytes, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:

@@ -122,14 +122,16 @@ class _Layout:
         if not self.has_r:
             return
         finite = np.isfinite(self.ln2)
+        all_finite = np.count_nonzero(finite) == finite.size
         # ln_phi of a subnormal r can be infinite: such a lane sums over the
         # entries where p and q differ (see _Batch._odd_lane).
-        self.ln2_rows = self.ln2 if finite.all() else np.where(finite, self.ln2, 0.0)
+        self.ln2_rows = self.ln2 if all_finite else np.where(finite, self.ln2, 0.0)
         self.any_zero = np.count_nonzero(self.zero) > 0
         # Lanes whose relative-entropy values need more than the plain sums:
         # r with zeros, an infinite ln_phi(r) or an overflowing 1/r.
-        odd = self.zero | ~finite.all(axis=0) | self.over
-        self.odd = [i for i in np.add.reduceat(odd, off[:-1]).nonzero()[0].tolist() if rs[i] is not None]
+        if self.any_zero or not all_finite or np.count_nonzero(self.over):
+            odd = self.zero | ~finite.all(axis=0) | self.over
+            self.odd = [i for i in np.add.reduceat(odd, off[:-1]).nonzero()[0].tolist() if rs[i] is not None]
 
     def _reference_values(self):
         # Each lane's r, or ones without one, then a row of one.
