@@ -68,6 +68,8 @@ class _kept:
         self.name = name
 
     def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
         value = obj.__dict__[self.name] = self.method(obj)
         return value
 
