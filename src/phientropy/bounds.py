@@ -699,6 +699,7 @@ class _Lane:
     The slot's generator draws, in order, the pdfs, then each trial's step
     (after the first) and its lam and mu, exactly as a sequential scan does.
     ``used`` counts the trials run; the scan keeps those within its budget.
+    ``delta``, set at launch, is the segment radius or its solve's error.
     """
 
     def __init__(self, config: ScanConfig, slot: int, mode: str, index: int):
@@ -714,14 +715,12 @@ class _Lane:
         scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
         self.p, self.q, self.r = _sample_pair(mode, self.dim, scale, self.rng)
         self.draws = _StepDraws(self.rng) if self.steps > 1 else None
-        self.step, self.halvings, self.used, self.best, self.delta = 0.1, 0, 0, None, None
+        self.step, self.halvings, self.used, self.best = 0.1, 0, 0, None
         self.done, self.error, self.rows = False, None, None
 
     def length(self, steps_per_halving: int) -> int:
-        """Trials this lane runs in all (once done), or at least (1 step per
-        halving still needed), or as expected (_STEPS_PER_HALVING)."""
-        if self.done:
-            return self.used
+        """Trials this running lane runs at least (1 step per halving still
+        needed), or as expected (_STEPS_PER_HALVING)."""
         return min(self.steps, self.used + steps_per_halving * (_HALVINGS - self.halvings))
 
     def candidate(self) -> tuple:
@@ -734,29 +733,23 @@ class _Lane:
             return _transfer(self.p, i, j, self.step), self.q
         return self.p, _transfer(self.q, i, j, self.step)
 
-    def segment(self, tv: float, radii: dict) -> Optional[tuple]:
+    def segment(self, tv: float) -> Optional[tuple]:
         """The trial's (lam, mu, epsilon), drawn only for distinct pdfs.
 
-        ``radii`` maps (family, epsilon) to the radius, or to the error
-        that its lookup raises.
+        Raises the lane's ``delta`` if its solve returned an error.
         """
         if tv == 0.0:
             return None
-        if self.delta is None:
-            radius = radii[self.fam, self.epsilon]
-            if isinstance(radius, PhiEntropyError):
-                raise radius
-            self.delta = radius
         delta = self.delta
+        if isinstance(delta, PhiEntropyError):
+            raise delta
         # The values of rng.uniform(0.0, 1.0, size=2), at a third of its cost.
         lam, mu = self.rng.random(), self.rng.random()
         if abs(lam - mu) * tv > delta:
-            # Pull mu toward lam until the segment hypothesis holds; the hard
-            # fallback mu = lam guards against absorption when delta/tv is far
-            # below lam's magnitude.
+            # Pull mu toward lam, to h = 0.5 * delta / tv: rounding adds at most
+            # h (lam is a float too) and clamping shortens, so the hypothesis
+            # holds for every radius the solver returns (>= 2**-200, normal).
             mu = min(1.0, max(0.0, lam - math.copysign(0.5 * delta / tv, lam - mu)))
-            if abs(lam - mu) * tv > delta:
-                mu = lam
         return lam, mu, self.epsilon
 
     def advance(self, cand: tuple, ratio: Optional[float]) -> None:
@@ -832,24 +825,15 @@ class _Log:
         return self
 
 
-def _tick(lanes: list, layout: _Layout, log: _Log, radii: dict) -> None:
-    """Run one trial of each lane, side by side, and log it.
-
-    The radii that the lanes miss in the scan's ``radii`` are solved
-    together, once per scan.
-    """
+def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
+    """Run one trial of each lane, side by side, and log it; a lane whose radius
+    solve returned an error fails at its first trial of distinct pdfs."""
     cands = [lane.candidate() for lane in lanes]
     b = _Batch(layout, [c[0] for c in cands], [c[1] for c in cands])
-    missing = dict.fromkeys(
-        pair for lane, tv in zip(lanes, b.tv_list)
-        if tv > 0.0 and lane.delta is None and (pair := (lane.fam, lane.epsilon)) not in radii
-    )
-    if missing:
-        radii.update(zip(missing, condition1_radii(list(missing))))
     segments = []
     for lane, tv in zip(lanes, b.tv_list):
         try:
-            segments.append(lane.segment(tv, radii))
+            segments.append(lane.segment(tv))
         except PhiEntropyError as exc:
             lane.error = exc
             segments.append(None)
@@ -873,7 +857,7 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
     leave room, up to all of the block's, so that few trials fall past the
     budget; a launch held back comes later, as lanes finish.  Errors are
     raised after the block, the one of the lowest trial first.  ``radii``
-    is the scan's memo of segment radii (see :func:`_tick`).
+    is the scan's memo of segment radii by (family, epsilon), which launches fill.
     """
     size = len(config.families) * len(config.dims)
     mode = config.modes[block % len(config.modes)]
@@ -904,12 +888,15 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
                 expected += launched[-1].length(_STEPS_PER_HALVING)
             if not (active or launched):
                 return log.finish(lanes, trials)
-            # Lanes of one family next to each other share kernel calls.
             if launched:
+                missing = [pair for pair in dict.fromkeys((x.fam, x.epsilon) for x in launched) if pair not in radii]
+                if missing:
+                    radii.update(zip(missing, condition1_radii(missing)))
+                # Lanes of one family next to each other share kernel calls.
                 launched.sort(key=lambda lane: lane.fam_index)
                 new = _Layout([x.fam for x in launched], [x.dim for x in launched], [x.r for x in launched])
                 for i, lane in enumerate(launched):
-                    lane.rows = (new, i)
+                    lane.rows, lane.delta = (new, i), radii[lane.fam, lane.epsilon]
             active = sorted(active + launched, key=lambda lane: lane.fam_index)
             order = [lane.index for lane in active]
             if order != key:
@@ -922,7 +909,7 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
                 for i, lane in enumerate(active):
                     lane.rows = (layout, i)
                 key = order
-            _tick(active, layout, log, radii)
+            _tick(active, layout, log)
 
 
 def stability_scan(config: ScanConfig) -> ScanReport:

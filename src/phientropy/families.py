@@ -332,16 +332,26 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
     Computed as ``x * big_f_drop(1/x) - f_zero`` - the same expression with
     the two F(0) terms combined - which stays accurate for large ``x`` and
     makes ``omega(1) = 0`` exact.  Where ``big_f_drop(1/x)`` overflows
-    although omega is finite (tsallis with kappa > 0 at tiny x, kappa_maxwell
-    at x near 1e-308), a kind's closed form of omega gives the value; every
-    finite plain value is kept as it is.
+    although omega is finite (tiny x, for most kinds), or 1/x itself does
+    (subnormal x), a kind's closed form of omega gives the value; every
+    finite plain value is kept as it is.  A kind without a closed form
+    (piecewise_linear, custom) raises :class:`DomainError` where 1/x
+    overflows.
     """
     arr, scalar = _in_domain(x, "omega_phi")
-    out = arr * np.asarray(big_f_drop(fam, 1.0 / arr)) - fam.f_zero
     closed = _KINDS[fam.kind].omega
-    if closed is not None and not np.all(np.isfinite(out)):
+    with np.errstate(**_QUIET):
+        inv = 1.0 / arr
+    over = np.isinf(inv)
+    if np.count_nonzero(over):
+        if closed is None:
+            raise DomainError(f"omega_phi requires x whose reciprocal is finite for {fam.kind} families")
+        inv = np.where(over, 1.0, inv)
+    out = arr * np.asarray(big_f_drop(fam, inv)) - fam.f_zero
+    plain = np.isfinite(out) & ~over
+    if closed is not None and not np.all(plain):
         with np.errstate(**_QUIET):
-            out = np.where(np.isfinite(out), out, closed(fam, arr))
+            out = np.where(plain, out, closed(fam, arr))
     return _ret(out, scalar)
 
 
@@ -579,7 +589,7 @@ class _Kind(NamedTuple):
     float ndarray in their function's domain: ln_phi, F(0) - F(x), ln_phi',
     and the inverse of ln_phi (by bisection unless the row gives a closed form).
     ``omega`` is a closed form of omega_phi, if the row gives one: it stands
-    in where the plain x * big_f_drop(1/x) - F(0) overflows.
+    in where the plain x * big_f_drop(1/x) - F(0), or 1/x, overflows.
     """
 
     fields: Optional[dict[str, _Range]]
@@ -599,6 +609,7 @@ _KINDS = {
         drop=lambda fam, x: x - x * np.log(np.where(x > 0, x, 1.0)),
         prime=lambda fam, x: 1.0 / x,
         exp=lambda fam, x: np.exp(x),
+        omega=lambda fam, x: np.log(x),
     ),
     "tsallis": _Kind(
         fields={"kappa": _KAPPA_POWER},
@@ -626,6 +637,9 @@ _KINDS = {
         ) / (2.0 * fam.kappa),
         prime=lambda fam, x: 0.5 * (x ** (fam.kappa - 1.0) + x ** (-fam.kappa - 1.0)),
         exp=_kaniadakis_exp,
+        omega=lambda fam, x: (
+            (x**fam.kappa - 1.0) / (1.0 - fam.kappa) - (x**-fam.kappa - 1.0) / (1.0 + fam.kappa)
+        ) / (2.0 * fam.kappa),
     ),
     "kappa_maxwell": _Kind(
         fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
@@ -646,6 +660,7 @@ _KINDS = {
         drop=lambda fam, x: x - (2.0 / 3.0) * x**1.5,
         prime=lambda fam, x: 0.5 / np.sqrt(x),
         exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
+        omega=lambda fam, x: 2.0 / 3.0 - (2.0 / 3.0) / np.sqrt(x),
     ),
     "piecewise_linear": _Kind(
         fields={"base": _Range("> 1", lambda v: v > 1.0, "; smaller bases make the knot values decreasing")},

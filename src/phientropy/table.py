@@ -78,11 +78,11 @@ class _Layout:
     """The inputs of a :class:`_Batch` but for their pdfs p and q, one lane each.
 
     Lane i has family ``fams[i]``, length ``ns[i]`` and reference pdf
-    ``rs[i]`` (or None), and owns rows ``off[i]`` to ``off[i + 1] - 1`` of
-    the batch's flat arrays: one row per pdf entry, then one row that
-    carries the lane's two scalar kernel arguments.  A layout with r has
-    its reference values: per row, ``rdiv`` is r with its zeros set to 1
-    (and 1 without r), ``zero`` marks r = 0, and ``ln2`` holds
+    ``rs[i]`` (None in every lane or in none), and owns rows ``off[i]`` to
+    ``off[i + 1] - 1`` of the batch's flat arrays: one row per pdf entry,
+    then one row that carries the lane's two scalar kernel arguments.  A
+    layout with r has its reference values: per row, ``rdiv`` is r with its
+    zeros set to 1, ``zero`` marks r = 0, and ``ln2`` holds
     ln_phi(1/r), ln_phi(r), 0 where r = 0.  Per lane, ``lb_lhs`` is the
     left side of ``lb`` and ``i_max`` = omega(N); each is computed when
     first read, but for ``lb_lhs`` in a layout with r, which shares the
@@ -100,7 +100,7 @@ class _Layout:
         self.entries = [slice(a, b - 1) for a, b in zip(off, off[1:])]
         self.f0 = np.array([fam.f_zero for fam in fams])
         self.f0_rows = np.repeat(self.f0, sizes)
-        self.has_r = any(r is not None for r in rs)
+        self.has_r = rs[0] is not None
         # Runs of lanes with one family: [family, first lane, end lane].
         self.groups = []
         for i, fam in enumerate(fams):
@@ -133,12 +133,11 @@ class _Layout:
         # r with zeros, an infinite ln_phi(r) or an overflowing 1/r.
         if self.any_zero or not all_finite or np.count_nonzero(self.over):
             odd = self.zero | ~finite.all(axis=0) | self.over
-            self.odd = [i for i in np.add.reduceat(odd, off[:-1]).nonzero()[0].tolist() if rs[i] is not None]
+            self.odd = np.add.reduceat(odd, off[:-1]).nonzero()[0].tolist()
 
     def _reference_values(self):
-        # Each lane's r, or ones without one, then a row of one.
-        rs = zip(self.ns, self.rs)
-        w = np.concatenate([x for n, r in rs for x in (np.ones(n) if r is None else r.weights, _UNIT)])
+        # Each lane's r, then a row of one.
+        w = np.concatenate([x for r in self.rs for x in (r.weights, _UNIT)])
         self.zero = w == 0
         self.rdiv = np.where(self.zero, 1.0, w)
         # 1/r overflows only where r is subnormal.  Such entries get
@@ -168,10 +167,6 @@ class _Layout:
     @_kept
     def n(self) -> np.ndarray:
         return np.array(self.ns, dtype=float)
-
-    @_kept
-    def no_r(self) -> np.ndarray:
-        return np.array([r is None for r in self.rs])
 
     @_kept
     def tsallis(self) -> np.ndarray:
@@ -348,7 +343,6 @@ class _Batch:
         self.sums = names
         self.h_error, self.e_error = {}, {}
         if "r" in reads:
-            self.supported = np.ones(lay.size, dtype=bool)
             self.e = -self.e
             for i in lay.odd:
                 self._odd_lane(i)
@@ -363,7 +357,7 @@ class _Batch:
 
     @_kept
     def supported(self) -> np.ndarray:
-        """The lanes whose relative-entropy values exist (all, unless evaluated for r)."""
+        """The lanes whose relative-entropy values exist: all but those :meth:`_odd_lane` refuses."""
         return np.ones(self.layout.size, dtype=bool)
 
     def _flag_overflow(self, finite: np.ndarray) -> None:
@@ -434,7 +428,7 @@ _MASKS = {
     "tv > 1/3": (lambda b: b.tv > 1.0 / 3.0, "tv > 1/3"),
     "not tsallis": (lambda b: ~b.layout.tsallis, _NOT_APPLICABLE),
     "not shannon": (lambda b: ~b.layout.shannon, _NOT_APPLICABLE),
-    "no r": (lambda b: b.layout.no_r, _NOT_APPLICABLE),
+    "no r": (lambda b: np.full(b.layout.size, not b.layout.has_r), _NOT_APPLICABLE),
     "unsupported r": (lambda b: ~b.supported, _SUPPORT),
     "no segment": (lambda b: np.array([s is None for s in b.segment]), _NOT_APPLICABLE),
     # |lam - mu| * tv beyond the radius
@@ -518,17 +512,17 @@ class Check:
 
     ``skips`` names the :data:`_MASKS` of the lanes the bound skips, in
     priority order: a skipped lane is refused for the first that holds.
-    ``sides`` names the :data:`_VALUES` its lhs and rhs read.
-    ``with_r`` / ``with_params`` put the reference pdf / the segment's (lam,
-    mu, epsilon) into the digest and the scan witness.  A row is equal only
-    to itself, so that a tuple of rows hashes fast as the key of its plan.
+    ``sides`` names the :data:`_VALUES` its lhs and rhs read.  A row that
+    skips "no r" / "no segment" puts r / the segment's (lam, mu, epsilon)
+    into the digest and the scan witness.  A row is equal only to itself,
+    so that a tuple of rows hashes fast as the key of its plan.
     """
 
     bound_id: str
     skips: tuple
     sides: tuple
-    with_r: bool = False
-    with_params: bool = False
+    with_r = property(lambda self: "no r" in self.skips)
+    with_params = property(lambda self: "no segment" in self.skips)
 
 
 CHECKS = (
@@ -539,13 +533,10 @@ CHECKS = (
     Check("lesche3", ("not tsallis",), ("gap", "lesche3")),
     Check("lesche4", ("not shannon",), ("gap", "lesche4")),
     Check("fannes", ("not shannon", "tv > 1/3"), ("gap", "fannes")),
-    Check("relent_I", ("no r", "unsupported r"), ("relent_I", "d + h"), with_r=True),
-    Check("relent_D", ("no r", "unsupported r"), ("relent_D", "d + e"), with_r=True),
+    Check("relent_I", ("no r", "unsupported r"), ("relent_I", "d + h")),
+    Check("relent_D", ("no r", "unsupported r"), ("relent_D", "d + e")),
     Check(
-        "condition1_segment",
-        ("no segment", "identical pdfs", "segment hypothesis"),
-        ("segment", "epsilon ent_sym"),
-        with_params=True,
+        "condition1_segment", ("no segment", "identical pdfs", "segment hypothesis"), ("segment", "epsilon ent_sym")
     ),
 )
 
@@ -638,9 +629,9 @@ def condition1_radii(pairs: list) -> list:
     I_min and its coefficient at 1 come from one kernel call.  Each round
     then builds the trees of every unfinished bisection in one array and
     evaluates each family's in one kernel call (:class:`numerics.BisectionWalk`,
-    one level per round where a kernel call is one quadrature per point, six
-    otherwise).  Every walk takes the path of plain bisection, so a radius
-    has the bits of a lone one.
+    one level per round if a family is custom, whose kernel call is one
+    quadrature per point, six otherwise; no caller mixes them).  Every walk
+    takes the path of plain bisection, so a radius has the bits of a lone one.
     """
     out, by_family = [None] * len(pairs), {}
     for k, (fam, epsilon) in enumerate(pairs):
@@ -648,6 +639,7 @@ def condition1_radii(pairs: list) -> list:
             by_family.setdefault(fam, []).append(k)
         else:
             out[k] = ParamError("epsilon must be positive")
+    levels = 1 if any(fam.kind == "custom" for fam in by_family) else numerics.BISECT_LEVELS
     # Per family: the family, F(0) and (F(0) + I_min) / I_min; per unfinished
     # walk: its family's index, the walk and its pair's index, each family's together.
     scales, live = [], []
@@ -664,7 +656,6 @@ def condition1_radii(pairs: list) -> list:
             # c(delta) = g(delta) / F(0) * amp increases from c(0) = 0, so
             # the radius saturates at 1 or lies in [0, 1].
             amp = (f0 + i_min) / i_min
-            levels = 1 if fam.kind == "custom" else numerics.BISECT_LEVELS
             for k in ks:
                 epsilon = pairs[k][1]
                 if one / f0 * amp <= epsilon:
@@ -673,20 +664,18 @@ def condition1_radii(pairs: list) -> list:
                     live.append((len(scales), numerics.BisectionWalk(0.0, 1.0, epsilon, 1e-12, levels=levels), k))
             scales.append((fam, f0, amp))
         while live:
-            for levels in sorted({w.levels for _, w, _ in live}):
-                group = [x for x in live if x[1].levels == levels]
-                trees = numerics.bisection_trees([w.lo for _, w, _ in group], [w.hi for _, w, _ in group], levels)
-                values = np.empty((len(group), trees.shape[1] - 2))
-                first = 0
-                for i, run in itertools.groupby(group, key=lambda x: x[0]):
-                    fam, f0, amp = scales[i]
-                    end = first + sum(1 for _ in run)
-                    mids = trees[first:end, 1:-1].ravel()
-                    values[first:end] = (big_f_drop_unchecked(fam, mids) / f0 * amp).reshape(end - first, -1)
-                    first = end
-                for (_, w, k), tree, row in zip(group, trees.tolist(), values.tolist()):
-                    w.descend(tree, row)
-                    out[k] = w.result
+            trees = numerics.bisection_trees([w.lo for _, w, _ in live], [w.hi for _, w, _ in live], levels)
+            values = np.empty((len(live), trees.shape[1] - 2))
+            first = 0
+            for i, run in itertools.groupby(live, key=lambda x: x[0]):
+                fam, f0, amp = scales[i]
+                end = first + sum(1 for _ in run)
+                mids = trees[first:end, 1:-1].ravel()
+                values[first:end] = (big_f_drop_unchecked(fam, mids) / f0 * amp).reshape(end - first, -1)
+                first = end
+            for (_, w, k), tree, row in zip(live, trees.tolist(), values.tolist()):
+                w.descend(tree, row)
+                out[k] = w.result
             live = [x for x in live if x[1].result is None]
     return out
 

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import phientropy as pe
 import phientropy.bounds as bounds
@@ -493,6 +495,53 @@ class TestCondition1Segment:
             mu = max(0.0, lam - span * float(rng.uniform(0, 1)))
             rep = pe.check_condition1_segment(family, p, q, lam, mu, eps)
             assert rep.holds
+
+
+def _scan_segment(lam, mu, tv, delta):
+    """The segment a scan lane with radius ``delta`` draws at tv, its generator giving lam, mu."""
+    draws = iter((lam, mu))
+    lane = types.SimpleNamespace(delta=delta, epsilon=0.5, rng=types.SimpleNamespace(random=draws.__next__))
+    return bounds._Lane.segment(lane, tv)
+
+
+# rng.random() draws, and every float in [0, 1), subnormals included.
+_DRAWS = st.one_of(
+    st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
+    st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True),
+)
+
+
+class TestScanSegmentPull:
+    """A scan trial pulls mu toward lam until the segment hypothesis holds.
+
+    With h = 0.5 * delta / tv, the rounding of lam -+ h is no farther from
+    lam -+ h than lam is, so |lam - mu| <= 2 h, and the hypothesis holds to
+    the last bit; the first three examples are rounding ties, where
+    |lam - mu| is 2 h exactly, and the last has a subnormal lam.  The
+    solver's radii are bisection midpoints of [0, 1], at least 2**-200;
+    radii from 2**-1020 up are tested.  A subnormal radius can miss by an
+    ulp, since 0.5 * delta then rounds: lam = 0.5 + 2**-53, mu = 0,
+    tv = 2**-1019 and delta = 3 * 2**-1074 pull mu to 0.5, and
+    |lam - mu| * tv is 4 * 2**-1074.
+    """
+
+    @settings(max_examples=1000)
+    @given(
+        lam=_DRAWS,
+        mu=_DRAWS,
+        tv=st.floats(0.0, 2.0, exclude_min=True, allow_subnormal=True),
+        delta=st.floats(2.0**-1020, 1.0),
+    )
+    @example(lam=0.5 + 2.0**-53, mu=0.0, tv=1.0, delta=2.0**-53)
+    @example(lam=1.0 - 2.0**-53, mu=0.0, tv=1.5, delta=1.5 * 2.0**-53)
+    @example(lam=0.5 - 2.0**-54, mu=0.999, tv=1.0, delta=2.0**-54)
+    @example(lam=2.0**-1040, mu=0.75, tv=2.0, delta=2.0**-1020)
+    def test_the_hypothesis_holds_after_the_pull(self, lam, mu, tv, delta):
+        got_lam, got_mu, epsilon = _scan_segment(lam, mu, tv, delta)
+        assert got_lam == lam and epsilon == 0.5 and 0.0 <= got_mu <= 1.0
+        assert abs(lam - got_mu) * tv <= delta
+        if abs(lam - mu) * tv <= delta:
+            assert got_mu == mu
 
 
 class TestBoundReportShape:

@@ -95,6 +95,14 @@ class TestEntropy:
         assert code == 0
         assert json.loads(out)["entropy"] == pytest.approx(math.log(2), rel=1e-12)
 
+    def test_csv_without_header(self, capsys, tmp_path):
+        # Every line a number: the first is a weight, not a header.
+        path = tmp_path / "p.csv"
+        path.write_text("0.25\n\n0.75\n")
+        code, out, _ = run(capsys, "entropy", "--family", SHANNON, "--pdf", str(path))
+        assert code == 0
+        assert json.loads(out)["entropy"] == pytest.approx(-0.25 * math.log(0.25) - 0.75 * math.log(0.75), rel=1e-12)
+
     def test_invalid_pdf_is_input_error(self, capsys, tmp_path):
         pdf = write_pdf(tmp_path, "bad.json", [0.5, 0.4])
         code, out, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", pdf)

@@ -161,9 +161,12 @@ class TestLnPhi:
         assert pe.ln_phi(family, 1.0) == 0.0
 
     def test_piecewise_knot_values_exact(self):
-        fam = pe.piecewise_linear(2.0)
-        for n in range(-6, 7):
-            assert pe.ln_phi(fam, 2.0**n) == float(n)
+        # At every knot base**n that is a float, including those where
+        # floor(log(x) / log(base)) misrounds (see TestPiecewiseKnots).
+        for base, lowest, highest in ((2.0, -60, 60), (3.0, 0, 33), (10.0, 0, 22)):
+            fam = pe.piecewise_linear(base)
+            for n in range(lowest, highest + 1):
+                assert pe.ln_phi(fam, base**n) == float(n), (base, n)
 
     def test_sqrt_log_at_four(self):
         assert pe.ln_phi(pe.sqrt_log(), 4.0) == pytest.approx(1.0, abs=1e-15)
@@ -357,28 +360,37 @@ class TestOmega:
         for fam in (pe.tsallis(-0.5), pe.kappa_maxwell(2.0)):
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
 
-    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-308])
+    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-308, 1e-310])
     @pytest.mark.parametrize(
         "fam",
-        [pe.tsallis(0.1), pe.tsallis(0.5), pe.tsallis(0.9), pe.kappa_maxwell(0.5), pe.kappa_maxwell(2.0),
-         pe.kappa_maxwell(200.0)],
+        [pe.shannon(), pe.tsallis(0.1), pe.tsallis(0.5), pe.tsallis(0.9), pe.tsallis(-0.5), pe.kaniadakis(0.5),
+         pe.kaniadakis(-0.5), pe.kappa_maxwell(0.5), pe.kappa_maxwell(2.0), pe.kappa_maxwell(200.0),
+         pe.sqrt_log()],
         ids=lambda f: f.label,
     )
     def test_finite_where_the_plain_form_overflows(self, fam, x):
         # omega's plain form x * big_f_drop(1/x) - F(0), evaluated in mpmath
         # at 50 digits; in floats big_f_drop(1/x) overflows at tiny x for
-        # tsallis (x**(1 + kappa) at 1/x) and kappa_maxwell (kappa / x).
+        # shannon (1/x * ln(1/x) at 1e-308), tsallis (x**(1 + kappa) at
+        # 1/x), kaniadakis and sqrt_log (x**1.5 at 1/x) and kappa_maxwell
+        # (kappa / x), and 1/x itself overflows at the subnormal 1e-310.
         with mpmath.workdps(50):
-            k, t = mpmath.mpf(fam.kappa), 1 / mpmath.mpf(x)
-            if fam.kind == "tsallis":
-                drop = (1 + 1 / k) * t - t ** (1 + k) / k
-            else:
-                drop = (1 + k) * t ** (k / (1 + k)) - k * t
-            want = float(drop / t - 1)
+            t = 1 / mpmath.mpf(x)
+            want = float(exact_kernels(fam, t)[1] / t - ANALYTIC_F_ZERO[fam.kind](fam))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = pe.omega_phi(fam, x)
+            assert pe.omega_phi(fam, np.array([x, 2.0]))[0] == got
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("fam", [pe.piecewise_linear(2.0), pe.piecewise_linear(1.01)], ids=lambda f: f.label)
+    def test_without_a_closed_form_refused_where_the_reciprocal_overflows(self, fam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^omega_phi requires"):
+                pe.omega_phi(fam, 1e-310)
+            with pytest.raises(DomainError, match="^omega_phi requires"):
+                pe.omega_phi(fam, np.array([2.0, 5e-324]))
 
 
 @pytest.mark.parametrize("kappa", [1e6, 1e12, 1e20, 1e100, 1e308])
@@ -707,3 +719,38 @@ def test_monotonicity_property(x, y):
         return
     lo, hi = sorted((x, y))
     assert pe.ln_phi(fam, lo) < pe.ln_phi(fam, hi)
+
+
+class TestPiecewiseKnots:
+    """``_pw_panels`` corrects floor(log(x) / log(base)) where it misrounds next to a knot.
+
+    piecewise_linear(10) at 1e3 takes the "high" correction, since
+    log(1e3) / ln 10 = 2.9999999999999996, and piecewise_linear(2) just
+    below 4 the "low" one, where the quotient rounds up to 2.
+    """
+
+    BASES = (2.0, 3.0, 10.0, 1.5, 1.1)
+
+    def test_both_corrections_run_and_every_value_holds(self):
+        corrected = {"low": 0, "high": 0}
+        for base in self.BASES:
+            fam = pe.piecewise_linear(base)
+            for n in range(-40, 41):
+                knot = float(np.power(base, float(n)))
+                for x in (np.nextafter(knot, 0.0), knot, np.nextafter(knot, math.inf)):
+                    # The panel index as _pw_panels first estimates it.
+                    guess = np.power(base, np.floor(np.log(np.array([x])) / math.log(base)))[0]
+                    corrected["low"] += x < guess
+                    corrected["high"] += x >= guess * base
+                    assert pe.ln_phi(fam, x) == pytest.approx(float(exact_kernels(fam, x)[0]), rel=1e-15, abs=1e-15)
+        assert corrected["low"] > 0 and corrected["high"] > 0, corrected
+
+    @pytest.mark.parametrize(
+        "base, x",
+        [(2.0, 3.9999999999999996), (2.0, 9.536743164062499e-07), (2.0, 1.8626451492309574e-09), (10.0, 1e3),
+         (10.0, 1000.0000000000001)],
+    )
+    def test_drop_next_to_a_knot_matches_quadrature(self, base, x):
+        # The panels below base**-200 hold less than 1e-40 of the integral.
+        fam = pe.piecewise_linear(base)
+        assert pe.big_f_drop(fam, x) == pytest.approx(float(mp_f_drop(fam, x, knots_below=200)), rel=1e-12, abs=0.0)

@@ -58,6 +58,14 @@ class TestIntegrate:
         with pytest.raises(NoConvergence):
             integrate(lambda x: 1.0 / x, 0.0, 1.0, singular_at_a=0.5)
 
+    def test_exhausted_graded_mesh_raises_with_its_estimate(self):
+        # Near a = 1 the graded panels fall below the spacing of the floats
+        # after about 13 levels, long before (x - 1)**-0.5 decays enough.
+        with pytest.raises(NoConvergence, match="exhausted floating-point resolution") as err:
+            integrate(lambda x: (x - 1.0) ** -0.5, 1.0, 1.0 + 2.0**-40, singular_at_a=0.5)
+        assert err.value.estimate == pytest.approx(2.0**-19, rel=0.05)  # the integral, 2 sqrt(b - a)
+        assert 0.0 < err.value.error < 0.05 * 2.0**-19
+
     def test_bad_exponent(self):
         with pytest.raises(ParamError):
             integrate(lambda x: x, 0.0, 1.0, singular_at_a=1.0)
@@ -110,8 +118,28 @@ class TestBisect:
         assert got.hex() == want.hex()
 
     def test_unreachable_target(self):
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError, match="above reachable range"):
             bisect_monotone(np.arctan, 4.0, -1.0, 1.0)  # atan < pi/2 < 4
+
+    def test_swapped_hints_give_the_same_root(self):
+        f = lambda x: x**3 - x
+        assert bisect_monotone(f, 2.5, 3.0, 1.0).hex() == bisect_monotone(f, 2.5, 1.0, 3.0).hex()
+
+    def test_bracket_expands_downward(self):
+        # f(0) = 0 lies above the target: lo steps down by doubling widths, to -14.
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return x**3
+
+        got = bisect_monotone(f, -1000.0, 0.0, 1.0)
+        assert got == pytest.approx(-10.0, rel=1e-9)
+        assert calls[:4] == [2, 1, 1, 1]
+
+    def test_target_below_the_range(self):
+        with pytest.raises(BracketError, match="below reachable range"):
+            bisect_monotone(np.arctan, -4.0, -1.0, 1.0)  # atan > -pi/2 > -4
 
 
 class TestDiff:
