@@ -20,9 +20,9 @@ The scan runs as lanes.  A lane is one slot: a single trial in the
 ``hillclimb`` mode.  The slots come in blocks of ``len(families) *
 len(dims)``, each of one mode; at each tick the active lanes of a block take
 one trial each, side by side, through one batch.  Every slot draws from its
-own ``SeedSequence(seed, spawn_key=(slot,))`` stream in the sequential
-order (pdfs, then each trial's step and its lam and mu), so the lanes change
-no bit.  When a block's lanes finish, its trials are numbered in slot order,
+own ``SeedSequence(seed, spawn_key=(slot,))`` stream, at launch (its pdfs,
+then one block of variates, a row per trial; see :class:`_Lane`), so the
+lanes change no bit.  When a block's lanes finish, its trials are numbered in slot order,
 those past the budget are dropped, and the block is merged into the report:
 counts add up, and a bound's worst is the largest ratio, the lowest trial
 index winning a tie, as the strict ``>`` of a sequential scan gives.
@@ -638,52 +638,6 @@ def _transfer(pdf: Pdf, i: int, j: int, amount: float) -> Pdf:
     return _frozen(w)
 
 
-class _StepDraws:
-    """A hill-climb restart's step draws, read from its generator's bit stream.
-
-    ``rng.integers(0, high + 1)`` and ``rng.choice(dim, 2, replace=False)``
-    pay several microseconds of call overhead for one or two small integers.
-    These methods draw the same values from the same stream, one 32-bit word
-    at a time through the bit generator's ctypes interface, at about a
-    quarter of the cost, so the scan's bytes do not change.  They reproduce
-    numpy 2.4's algorithms: the 32-bit bounded draw of Lemire (2019, ACM
-    TOMACS 29(1)) with numpy's rejection threshold, and, for ``choice``,
-    Floyd's sampling of two values followed by numpy's shuffle of the pair.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        iface = rng.bit_generator.ctypes
-        # iface holds raw pointers into the generator's state: keep the
-        # generator alive for as long as they are called.  The calls skip
-        # the bit generator's lock, which is safe because each scan slot
-        # owns its generator.
-        self._rng = rng
-        self._state = iface.state
-        self._next_uint32 = iface.next_uint32
-
-    def bounded(self, high: int) -> int:
-        """An integer in [0, high], for 0 <= high < 2**32 - 1, as ``integers(0, high + 1)``."""
-        if high == 0:
-            return 0
-        span = high + 1
-        m = self._next_uint32(self._state) * span
-        if (m & 0xFFFFFFFF) < span:
-            threshold = (0xFFFFFFFF - high) % span
-            while (m & 0xFFFFFFFF) < threshold:
-                m = self._next_uint32(self._state) * span
-        return m >> 32
-
-    def pair(self, dim: int) -> tuple[int, int]:
-        """Two distinct indices below ``dim >= 2``, as ``choice(dim, 2, replace=False)``."""
-        i = self.bounded(dim - 2)
-        j = self.bounded(dim - 1)
-        if j == i:
-            j = dim - 1
-        if self.bounded(1) == 0:
-            i, j = j, i
-        return i, j
-
-
 # A fresh restart's step 0.1 needs this many halvings to fall to 1e-9 or
 # below (halving is exact, so 0.1 * 0.5**k is the step after k of them), so
 # a restart lasts at least _HALVINGS + 1 trials.  A step is rejected, and
@@ -696,10 +650,14 @@ class _Lane:
     """One slot of a scan: a hill-climb restart of at most ``steps`` =
     :data:`HILL_STEPS` trials, or a single trial, a lane whose ``steps`` is 1.
 
-    The slot's generator draws, in order, the pdfs, then each trial's step
-    (after the first) and its lam and mu, exactly as a sequential scan does.
-    ``used`` counts the trials run; the scan keeps those within its budget.
-    ``delta``, set at launch, is the segment radius or its solve's error.
+    The slot's generator draws the pdfs, then ``draws``, one
+    ``random((steps, 5))`` block whose row k is trial k's (flip, a, b, lam,
+    mu).  Step k >= 1 moves mass in p if flip < 0.5, else in q, from entry
+    i = int(a * dim) to entry j = int(b * (dim - 1)), plus one if j >= i
+    (entry 0 to itself at dim 1); a trial of distinct pdfs takes its
+    segment's lam and mu.  ``used`` counts the trials run; the scan keeps
+    those within its budget.  ``delta``, set at launch, is the segment
+    radius or its solve's error.
     """
 
     def __init__(self, config: ScanConfig, slot: int, mode: str, index: int):
@@ -710,11 +668,11 @@ class _Lane:
         # Slot-indexed seed split: slot s always gets the same stream, so any
         # schedule of the slots reproduces the report.  The generator is the
         # one default_rng builds from a SeedSequence, without its argument checks.
-        self.rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(slot,))))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed, spawn_key=(slot,))))
         self.steps = HILL_STEPS if mode == "hillclimb" else 1
         scale = NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)]
-        self.p, self.q, self.r = _sample_pair(mode, self.dim, scale, self.rng)
-        self.draws = _StepDraws(self.rng) if self.steps > 1 else None
+        self.p, self.q, self.r = _sample_pair(mode, self.dim, scale, rng)
+        self.draws = rng.random((self.steps, 5)).tolist()
         self.step, self.halvings, self.used, self.best = 0.1, 0, 0, None
         self.done, self.error, self.rows = False, None, None
 
@@ -727,14 +685,17 @@ class _Lane:
         """The next trial's (p, q): the sampled pair, then one mass transfer per step."""
         if self.used == 0:
             return self.p, self.q
-        target_p = self.draws.bounded(1) == 1
-        i, j = self.draws.pair(self.dim) if self.dim > 1 else (0, 0)
-        if target_p:
+        flip, a, b = self.draws[self.used][:3]
+        i = j = 0
+        if self.dim > 1:
+            i, j = int(a * self.dim), int(b * (self.dim - 1))
+            j += j >= i
+        if flip < 0.5:
             return _transfer(self.p, i, j, self.step), self.q
         return self.p, _transfer(self.q, i, j, self.step)
 
     def segment(self, tv: float) -> Optional[tuple]:
-        """The trial's (lam, mu, epsilon), drawn only for distinct pdfs.
+        """The trial's (lam, mu, epsilon) for distinct pdfs, else None.
 
         Raises the lane's ``delta`` if its solve returned an error.
         """
@@ -743,8 +704,7 @@ class _Lane:
         delta = self.delta
         if isinstance(delta, PhiEntropyError):
             raise delta
-        # The values of rng.uniform(0.0, 1.0, size=2), at a third of its cost.
-        lam, mu = self.rng.random(), self.rng.random()
+        lam, mu = self.draws[self.used][3:]
         if abs(lam - mu) * tv > delta:
             # Pull mu toward lam, to h = 0.5 * delta / tv: rounding adds at most
             # h (lam is a float too) and clamping shortens, so the hypothesis
@@ -765,7 +725,7 @@ class _Lane:
             self.halvings += 1
         self.done = self.used >= self.steps or not self.step > 1e-9 or self.error is not None
         if self.done:  # what only a running lane needs
-            self.rng = self.draws = self.p = self.q = self.r = None
+            self.draws = self.p = self.q = self.r = None
 
 
 class _Log:

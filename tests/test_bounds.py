@@ -498,13 +498,12 @@ class TestCondition1Segment:
 
 
 def _scan_segment(lam, mu, tv, delta):
-    """The segment a scan lane with radius ``delta`` draws at tv, its generator giving lam, mu."""
-    draws = iter((lam, mu))
-    lane = types.SimpleNamespace(delta=delta, epsilon=0.5, rng=types.SimpleNamespace(random=draws.__next__))
+    """The segment a scan lane with radius ``delta`` takes at tv from a draws row holding lam, mu."""
+    lane = types.SimpleNamespace(delta=delta, epsilon=0.5, used=0, draws=[[0.0, 0.0, 0.0, lam, mu]])
     return bounds._Lane.segment(lane, tv)
 
 
-# rng.random() draws, and every float in [0, 1), subnormals included.
+# rng.random() variates, and every float in [0, 1), subnormals included.
 _DRAWS = st.one_of(
     st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53),
     st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True),

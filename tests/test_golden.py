@@ -1,9 +1,11 @@
 """Pinned CLI output: the ``scan``, ``bounds`` and ``eval`` JSON must not change by a byte.
 
-The scan digests and bounds payloads below were produced by the release
-before the check table was introduced, the eval digests by the release
-before the kind table (Python 3.11.7, numpy 2.4.6); any change to the check
-order, the arithmetic of a kernel or the summation shows up here.
+The bounds payloads below were produced by the release before the check
+table was introduced, the eval digests by the release before the kind
+table, and the scan digests by the first release whose scan lanes draw one
+block of variates each (Python 3.11.7, numpy 2.4.6); any change to the
+check order, the arithmetic of a kernel, the summation or the scan's draw
+protocol shows up here.
 
 Byte identity holds per numpy version and per SIMD dispatch level: numpy's
 AVX-512 and AVX2 loops round some powers and logarithms differently, which
@@ -26,16 +28,16 @@ from phientropy.bounds import BOUND_IDS, CHECKS, run_bound_checks
 
 SCAN_SHA256 = {
     "X86_V4": {
-        "1": "65f67e5ade2074f5934520e0f85b57af22bcccbeb852d7d7256e67223e295963",
-        "2": "b65e6e17d67f85ef76ce9daa90986ef22d2568df7e80338371252e80750b6470",
-        "3": "07a08d467e774a8aa1057edf51da7fc4f4e5edf0f89d43572014bf3351b74cf2",
-        "271828": "5306e816381ae6b485b193548a1f7622dc38a0daab33c2164bba1b64b24f4ba5",
+        "1": "75c94687ee9fecf4fcabd6975b70cf00a69291b648f2eb39b76ccb71a846f233",
+        "2": "fbb0ab0726ba885431a7df0bb8f8a1be464841f71c9e368156804286e65e6a91",
+        "3": "4bad7a8948f8035f00092470f07f6e660e6a238652371b8a938aa8ed92d1ecae",
+        "271828": "6438cc747044d3b78ad6c62e12481ac189527152fad0183c37921236b6c1b8db",
     },
     "X86_V3": {
-        "1": "9c92262abbaeb7e1a6de88481e22a8e7536d46b85c85dc0541f5620cf522af42",
-        "2": "b65e6e17d67f85ef76ce9daa90986ef22d2568df7e80338371252e80750b6470",
-        "3": "07a08d467e774a8aa1057edf51da7fc4f4e5edf0f89d43572014bf3351b74cf2",
-        "271828": "d82faf388d1d6da8a844dec16d5ee3a980f4357edf9480cf8343299fca9fc22a",
+        "1": "7f1fab5623ec292659bf8b0e94d55e5930729a52afb84ac37a88989be07360ae",
+        "2": "fbb0ab0726ba885431a7df0bb8f8a1be464841f71c9e368156804286e65e6a91",
+        "3": "521fad3fb67d0b71565e8cf503da6061788e8246d7a935a972f8e75c8036e81d",
+        "271828": "0072622da86e8bab4273d0747ebb24998276a6b76a96fd3df92889b358b80e40",
     },
 }
 SCAN_SEEDS = ("1", "2", "3", "271828")
@@ -169,13 +171,11 @@ def test_scan_bytes(capsys, seed):
 
 
 # Scans whose trial budget ends inside a hill-climb restart or inside a run
-# of one mode, and scans of one family, one dim or one mode.  Captured on the
-# release before the scan ran slots as lanes (Python 3.11.7, numpy 2.4.6),
-# by running ``phientropy scan <argv>`` and taking the SHA-256 of its stdout,
-# at default dispatch and with NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-# AVX512_SPR" for the X86_V3 set.  The "hillclimb 104 slots" scan, whose
-# hill-climb blocks have 104 slots, was captured the same way on the release
-# that ran at most 52 hill-climb lanes at once.
+# of one mode, and scans of one family, one dim or one mode, and a scan
+# whose hill-climb blocks have 104 slots.  Captured with the scan digests
+# above (Python 3.11.7, numpy 2.4.6), by running ``phientropy scan <argv>``
+# and taking the SHA-256 of its stdout, at default dispatch and with
+# NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" for the X86_V3 set.
 BUDGET_SCANS = {
     'trials=1 seed=7': ['--trials', '1', '--seed', '7'],
     'trials=52 seed=7': ['--trials', '52', '--seed', '7'],
@@ -198,44 +198,44 @@ BUDGET_SCANS = {
 }
 BUDGET_SCAN_SHA256 = {
     "X86_V4": {
-        'trials=1 seed=7': "1e1200e4616fe783a21732a8a41e2fd86d9c2c7fb055c96d40bf762939880b42",
-        'trials=52 seed=7': "44c7e458a9783a366b7a5574e40bcb1a10464bcf9a5308afc6270581670a8424",
-        'trials=157 seed=7': "88a9fb4bdf2c3b2c2c38cb1f5f53dc104aea6ce902bb769989a280e03e596ff9",
-        'trials=200 seed=7': "faffb8eae6dd4183d21edd630dbb1f18b4a3d8ea64df059e5e0a78cf4ffb1e08",
-        'trials=1001 seed=7': "7c078fe7dc1f414dd86625ecf1aa9c44226e151b6851cbd1983919c0f605bc78",
-        'trials=5000 seed=7': "9fce88b4abd9cd6a30f27b1727dd4da7817562da8e6007bb5157faa7b19af804",
-        'trials=1 seed=20040': "b3b6b3188223719cf148b45797b6bf2688d39dd7c95ce7c9789e7f31c0b48104",
-        'trials=52 seed=20040': "01f394b412756df0675c99ee512e32c3080a1713710297c960fbb9d0a7e45358",
-        'trials=157 seed=20040': "149af8464b022a5cd68fddb6173f204071161fa19bbbcc7daa7db21ae6749c68",
-        'trials=200 seed=20040': "5621cb63f6116704675fbe0558f82f9d66b8debaf9b324e8daa4ea4152464577",
-        'trials=1001 seed=20040': "116a92b4a2f50da0b2ecdc807325f1f1f30e86d2a8d819b975605c1c554a7573",
-        'trials=5000 seed=20040': "e8aad8214bce6489acd0aeb25a9149c3bf51cde6d9e4cd6e2273a0f286a0b300",
-        'one family': "c63096b6677ddf1ec28cd81e9c0047c9c98399d46b8632209282aa6335ae7913",
-        'dims 64': "c5d901175fe14c923164dbba0efbc20be7d863e451cf85d7757ebdae206f7edd",
-        'hillclimb only': "721e0367d99bf1629df36438f54ba1c1ba0bb7b2623b79459738c02c227f8ce4",
-        'sparse only': "0abd4fe2c66e7017093d787413b2f866a3a783c2f0b3bdc1daaae10110360d0a",
-        'hillclimb first': "29a4a66158a9bd2250e364d80b3d71dc561cace96e1f63ff80ff4bbb10896b60",
-        'hillclimb 104 slots': "1d925d59e2e97fc1e5c64f806365cfc6f65061864ffc2952e7748735c6d706a7",
+        'trials=1 seed=7': "a675807b27bffadc58ef165f58e6ef1794be5a37816a844d23cbe279040619e7",
+        'trials=52 seed=7': "a95bb00b14b13f67519ebf2cdadbc152e135741b9fc387b8bf76eacb58c479c5",
+        'trials=157 seed=7': "2f2896ca14e516aa1d99d68cdffac74457f6a15887f41d8ab91bef9317246bbb",
+        'trials=200 seed=7': "142d6fa62708c52eabc72f6f195dc4d2a2b648af1a98f2e401d6643a8e44899b",
+        'trials=1001 seed=7': "f55853761530318d1391599af83b653610da9a50cc11102edb1144ef14b9220b",
+        'trials=5000 seed=7': "a89405a0bd228765662beb1044be873ee9f1b24736c130d4daa62508ad0a33e9",
+        'trials=1 seed=20040': "d153bd42e4fcffa351fde15d9168e5e4d1f7445924ad11ab2c19498ff7ab492f",
+        'trials=52 seed=20040': "a3967053e6bb1f50c81ba3705aabda7dd2c2e20a2c3deb9f656a9b6e649627a0",
+        'trials=157 seed=20040': "58866eb24c96f7d7425d8bbe977f7f484909bc84d0d1d6521566f838c180f210",
+        'trials=200 seed=20040': "1a7faf36dd7fe29b7e4e726a2cd0b5895d54f5becb5538225c0aefce2be9f9d3",
+        'trials=1001 seed=20040': "4be8b688749ef61c62a5781fb727ae84b2a5f7f2ff665a1f345a2ee1dad8ed3e",
+        'trials=5000 seed=20040': "4c74c9943d43c49a0fc4ccc584cc6b2cc8f235426e330a216e94c103fe823778",
+        'one family': "cce661a96c7beb27f4ac3f20c2f9891c9b6500480e82c773db6500a45bf8a7b5",
+        'dims 64': "584a74b649bb2e2c60a7589f5d6cfd3d671c4f389e9b396016abf4c9d4ffb09a",
+        'hillclimb only': "8041531656d74a360303f2138128a6589c08347b1a45d70786baae40df85dba5",
+        'sparse only': "f20318b5768853c82d6c82d7127520ac892c555e34b75c1823338dd3c2bbc5ef",
+        'hillclimb first': "6db49b5fa5f0ae753dffb6edbda86c9c3206d9b6add7a4e6d86537187e8021c0",
+        'hillclimb 104 slots': "5d6529ce9bf2d6d145e2eb3ca40dc7afa450ff914a8e751fc228cef3b1e975e9",
     },
     "X86_V3": {
-        'trials=1 seed=7': "1e1200e4616fe783a21732a8a41e2fd86d9c2c7fb055c96d40bf762939880b42",
-        'trials=52 seed=7': "44c7e458a9783a366b7a5574e40bcb1a10464bcf9a5308afc6270581670a8424",
-        'trials=157 seed=7': "88a9fb4bdf2c3b2c2c38cb1f5f53dc104aea6ce902bb769989a280e03e596ff9",
-        'trials=200 seed=7': "faffb8eae6dd4183d21edd630dbb1f18b4a3d8ea64df059e5e0a78cf4ffb1e08",
-        'trials=1001 seed=7': "7c078fe7dc1f414dd86625ecf1aa9c44226e151b6851cbd1983919c0f605bc78",
-        'trials=5000 seed=7': "9fce88b4abd9cd6a30f27b1727dd4da7817562da8e6007bb5157faa7b19af804",
-        'trials=1 seed=20040': "b3b6b3188223719cf148b45797b6bf2688d39dd7c95ce7c9789e7f31c0b48104",
-        'trials=52 seed=20040': "beb521aeb40a5a16e80c18d3269c162734379fae523a44325531d67dbaa88b2b",
-        'trials=157 seed=20040': "dd740ca640f161ddec8aedf40f1414e0a017695f00b67ffa75be9fbf7691bfed",
-        'trials=200 seed=20040': "d07b2d30ab622fe9296d60e10c7280c6e9a4538f48e51d7b1e3ece6fedf0d1ea",
-        'trials=1001 seed=20040': "33292248f24e891d49a915ba1e0a586e3ef67446f4545fc601f596345fff8df9",
-        'trials=5000 seed=20040': "433747fe19a0c8446cae0fc767632c2e2675b6f9e035c33870c2f3e0e9be5658",
-        'one family': "ca5dbd07bde95efc1a504081895e1d7768b2f29bc4cfb0a75dfe19b5f3b4533d",
-        'dims 64': "c5d901175fe14c923164dbba0efbc20be7d863e451cf85d7757ebdae206f7edd",
-        'hillclimb only': "721e0367d99bf1629df36438f54ba1c1ba0bb7b2623b79459738c02c227f8ce4",
-        'sparse only': "0abd4fe2c66e7017093d787413b2f866a3a783c2f0b3bdc1daaae10110360d0a",
-        'hillclimb first': "29a4a66158a9bd2250e364d80b3d71dc561cace96e1f63ff80ff4bbb10896b60",
-        'hillclimb 104 slots': "1d925d59e2e97fc1e5c64f806365cfc6f65061864ffc2952e7748735c6d706a7",
+        'trials=1 seed=7': "a675807b27bffadc58ef165f58e6ef1794be5a37816a844d23cbe279040619e7",
+        'trials=52 seed=7': "5084a9f8bc6a92d9a7c9441707957bfd86f3140323d5097d15f765d72fdaedd2",
+        'trials=157 seed=7': "2f2896ca14e516aa1d99d68cdffac74457f6a15887f41d8ab91bef9317246bbb",
+        'trials=200 seed=7': "142d6fa62708c52eabc72f6f195dc4d2a2b648af1a98f2e401d6643a8e44899b",
+        'trials=1001 seed=7': "f55853761530318d1391599af83b653610da9a50cc11102edb1144ef14b9220b",
+        'trials=5000 seed=7': "a89405a0bd228765662beb1044be873ee9f1b24736c130d4daa62508ad0a33e9",
+        'trials=1 seed=20040': "d153bd42e4fcffa351fde15d9168e5e4d1f7445924ad11ab2c19498ff7ab492f",
+        'trials=52 seed=20040': "948991bc41670240dcbe8a675e708a9cf7b64463a38c6dc5af793da7661c7ff2",
+        'trials=157 seed=20040': "c6224b38196174521ec83e737731309bee984b2821bd529dd34fee432a913833",
+        'trials=200 seed=20040': "d35239342569f2109082b9154e07d572b0ed10f326aa157e338f593075358527",
+        'trials=1001 seed=20040': "6e802e0e77e188c4264f2200d99c6136972e53118e633205828b131b92be95fc",
+        'trials=5000 seed=20040': "bfbd3c022f0b67c7298c654e881333d4908de4481d191781591dc80fb7e63e79",
+        'one family': "7e20bc920723c6596d9bffbffada204417b459065f983bd60ed71868878b0f5d",
+        'dims 64': "584a74b649bb2e2c60a7589f5d6cfd3d671c4f389e9b396016abf4c9d4ffb09a",
+        'hillclimb only': "8041531656d74a360303f2138128a6589c08347b1a45d70786baae40df85dba5",
+        'sparse only': "f20318b5768853c82d6c82d7127520ac892c555e34b75c1823338dd3c2bbc5ef",
+        'hillclimb first': "6db49b5fa5f0ae753dffb6edbda86c9c3206d9b6add7a4e6d86537187e8021c0",
+        'hillclimb 104 slots': "5d6529ce9bf2d6d145e2eb3ca40dc7afa450ff914a8e751fc228cef3b1e975e9",
     },
 }
 

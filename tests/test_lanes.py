@@ -6,6 +6,8 @@ every slot draws from its own ``SeedSequence(seed, spawn_key=(slot,))``
 stream, blocks run separately, in any order, and merged with that same code
 must reproduce the sequential report byte for byte; a block that the trial
 budget cuts is run again with its own budget.  Ties go to the first trial.
+A hill-climb step's row of the lane's draw block maps to two distinct
+entries, and its mass transfer builds a valid ``Pdf``.
 """
 
 import json
@@ -13,6 +15,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import phientropy as pe
 from phientropy import bounds
@@ -141,3 +145,73 @@ def test_error_of_the_lowest_trial_is_raised():
     one = _one_row(0, [0.0], [1.0])
     log.add([_lane(0, pe.shannon())], [(None, None)], [None], *one, np.zeros(1, dtype=bool))
     assert log.finish(lanes, trials=4).trials == 4
+
+
+def _step(dim, row):
+    """(pdf, i, j) of the mass transfer that a hill-climb step drawing ``row`` makes."""
+    moves = []
+    lane = types.SimpleNamespace(used=1, dim=dim, draws=[None, row], p="p", q="q", step=0.1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "_transfer", lambda pdf, i, j, amount: moves.append((pdf, i, j)) or pdf)
+        bounds._Lane.candidate(lane)
+    (move,) = moves
+    return move
+
+
+# rng.random() variates: multiples of 2**-53 in [0, 1).
+_VARIATES = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
+_LAST = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 16, 64, 1000, 20001))
+@given(flip=_VARIATES, a=_VARIATES, b=_VARIATES)
+@example(flip=0.0, a=0.0, b=0.0)
+@example(flip=_LAST, a=_LAST, b=_LAST)
+@example(flip=0.5, a=0.0, b=_LAST)
+@example(flip=0.5 - 2.0**-53, a=_LAST, b=0.0)
+def test_step_draws_map_to_two_distinct_entries(dim, flip, a, b):
+    pdf, i, j = _step(dim, [flip, a, b, 0.0, 0.0])
+    assert pdf == ("p" if flip < 0.5 else "q")
+    assert type(i) is int and type(j) is int
+    if dim == 1:
+        assert (i, j) == (0, 0)
+    else:
+        assert 0 <= i < dim and 0 <= j < dim and i != j
+
+
+@pytest.mark.parametrize("dim", (2, 3, 16, 64, 1000, 20001))
+def test_extreme_step_draws_reach_the_end_entries(dim):
+    assert _step(dim, [0.0, 0.0, 0.0, 0.0, 0.0])[1:] == (0, 1)
+    assert _step(dim, [0.0, 0.0, _LAST, 0.0, 0.0])[1:] == (0, dim - 1)
+    assert _step(dim, [0.0, _LAST, _LAST, 0.0, 0.0])[1:] == (dim - 1, dim - 2)
+
+
+def test_hill_climb_at_dims_one_and_two_runs_to_its_budget():
+    # A dim-1 restart moves mass from entry 0 to itself until its step is spent.
+    report = stability_scan(ScanConfig(dims=(1, 2), modes=("hillclimb",), trials=400))
+    assert report.trials == 400 and report.violations == 0
+    assert report.timings["hillclimb"]["trials"] == 400
+
+
+weights = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12).filter(lambda w: sum(w) > 0)
+
+
+@given(weights, st.data(), st.floats(1e-12, 0.1))
+def test_transfer_equals_checked_constructor(w, data, amount):
+    p = pe.normalize(w)
+    i = data.draw(st.integers(0, p.n - 1))
+    j = data.draw(st.sampled_from([k for k in range(p.n) if k != i]))
+    before = p.weights.copy()
+
+    got = bounds._transfer(p, i, j, amount)
+
+    ref = p.weights.copy()
+    moved = min(amount, ref[i])
+    ref[i] -= moved
+    ref[j] += moved
+    want = pe.Pdf(ref)
+    assert isinstance(got, pe.Pdf)
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert not got.weights.flags.writeable
+    assert pe.Pdf(got.weights).weights.tobytes() == got.weights.tobytes()  # passes the checks
+    assert p.weights.tobytes() == before.tobytes()
