@@ -22,10 +22,11 @@ len(dims)``, each of one mode; at each tick the active lanes of a block take
 one trial each, side by side, through one batch.  Every slot draws from its
 own ``SeedSequence(seed, spawn_key=(slot,))`` stream, at launch (its pdfs,
 then one block of variates, a row per trial; see :class:`_Lane`), so the
-lanes change no bit.  When a block's lanes finish, its trials are numbered in slot order,
-those past the budget are dropped, and the block is merged into the report:
-counts add up, and a bound's worst is the largest ratio, the lowest trial
-index winning a tie, as the strict ``>`` of a sequential scan gives.
+lanes change no bit.  When a block's lanes finish, its trials are numbered
+in slot order, those past the budget are dropped, and the block is merged
+into the report: counts add up, and a bound's worst is the largest ratio,
+the lowest trial index winning a tie, as the strict ``>`` of a sequential
+scan gives.
 
 Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
 holds when ``lhs <= rhs + 1e-10 * (1 + |rhs|)``.
@@ -800,8 +801,8 @@ def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
     deltas = [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)]
     b.evaluate(segments, deltas, reads(CHECKS))
     # A trial of identical pdfs evaluates no bound.
-    masks, applied, lhs, rhs = walk(b, CHECKS, also=("identical pdfs",))
-    best = log.add(lanes, cands, segments, applied, lhs, rhs, masks["unsupported r"])
+    _, applied, lhs, rhs = walk(b, CHECKS, also=("identical pdfs",))
+    best = log.add(lanes, cands, segments, applied, lhs, rhs, b.unsupported.any(axis=0))
     for i, lane in enumerate(lanes):
         lane.error = lane.error or b.errors[i]
         lane.advance(cands[i], best[i])

@@ -356,9 +356,9 @@ class _Batch:
         return np.array([(0.0, 0.0, 0.0) if s is None else s for s in self.segment]).T
 
     @_kept
-    def supported(self) -> np.ndarray:
-        """The lanes whose relative-entropy values exist: all but those :meth:`_odd_lane` refuses."""
-        return np.ones(self.layout.size, dtype=bool)
+    def unsupported(self) -> np.ndarray:
+        """The lanes that relent_I (row 0) and relent_D (row 1) refuse for support, set by :meth:`_odd_lane`."""
+        return np.zeros((2, self.layout.size), dtype=bool)
 
     def _flag_overflow(self, finite: np.ndarray) -> None:
         for i, entries in enumerate(self.layout.entries):
@@ -373,7 +373,9 @@ class _Batch:
         zero, ln2, over = lay.zero[at], lay.ln2[:, at], lay.over[at]
         bare = (diff > 0) & zero
         any_bare = np.count_nonzero(bare) > 0
-        self.supported[i] = not any_bare or (fam.omega_at_zero_finite and math.isfinite(fam.ln_at_zero))
+        if any_bare:
+            # relent_I reads omega(0) and ln_sup (finite together), relent_D ln_phi(0+).
+            self.unsupported[:, i] = not fam.omega_at_zero_finite, not math.isfinite(fam.ln_at_zero)
         h, e, cross = self.h[i], -self.e[i], self.cross[i]
         if not _all_finite(ln2):
             # An infinite ln2 would make the zero terms NaN: sum over the moved entries.
@@ -429,7 +431,8 @@ _MASKS = {
     "not tsallis": (lambda b: ~b.layout.tsallis, _NOT_APPLICABLE),
     "not shannon": (lambda b: ~b.layout.shannon, _NOT_APPLICABLE),
     "no r": (lambda b: np.full(b.layout.size, not b.layout.has_r), _NOT_APPLICABLE),
-    "unsupported r": (lambda b: ~b.supported, _SUPPORT),
+    "unsupported r for I": (lambda b: b.unsupported[0], _SUPPORT),
+    "unsupported r for D": (lambda b: b.unsupported[1], _SUPPORT),
     "no segment": (lambda b: np.array([s is None for s in b.segment]), _NOT_APPLICABLE),
     # |lam - mu| * tv beyond the radius
     "segment hypothesis": (
@@ -533,8 +536,8 @@ CHECKS = (
     Check("lesche3", ("not tsallis",), ("gap", "lesche3")),
     Check("lesche4", ("not shannon",), ("gap", "lesche4")),
     Check("fannes", ("not shannon", "tv > 1/3"), ("gap", "fannes")),
-    Check("relent_I", ("no r", "unsupported r"), ("relent_I", "d + h")),
-    Check("relent_D", ("no r", "unsupported r"), ("relent_D", "d + e")),
+    Check("relent_I", ("no r", "unsupported r for I"), ("relent_I", "d + h")),
+    Check("relent_D", ("no r", "unsupported r for D"), ("relent_D", "d + e")),
     Check(
         "condition1_segment", ("no segment", "identical pdfs", "segment hypothesis"), ("segment", "epsilon ent_sym")
     ),

@@ -219,6 +219,41 @@ class TestRelentBounds:
         with pytest.raises(SupportError):
             pe.check_relent(pe.shannon(), p, q, pe.validate([1.0, 0.0]))
 
+    # r vanishes where p and q differ.  kappa_maxwell(0.5) has a finite
+    # omega(0) and ln_sup, which relent_I reads, but ln_phi(0+) = -inf, which
+    # relent_D reads; tsallis(0.5) the other way round.
+    SUPPORT_CASES = {
+        "kappa_maxwell(0.5)": (pe.kappa_maxwell(0.5), "relent_I", "relent_D"),
+        "tsallis(0.5)": (pe.tsallis(0.5), "relent_D", "relent_I"),
+    }
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_each_row_needs_only_its_own_limit(self, case):
+        fam, kept, refused = self.SUPPORT_CASES[case]
+        p, q, r = pe.validate([0.5, 0.3, 0.2]), pe.validate([0.2, 0.3, 0.5]), pe.validate([0.5, 0.5, 0.0])
+        reports, skipped = run_bound_checks(fam, p, q, r)
+        assert refused in skipped and kept not in skipped
+        (rep,) = [rep for rep in reports if rep.bound_id.startswith("relent")]
+        assert rep.bound_id == kept and rep.holds
+        if kept == "relent_I":
+            lhs = abs(pe.rel_entropy(fam, p, r, "omega") - pe.rel_entropy(fam, q, r, "omega"))
+            rhs = pe.metric_d(fam, p, q) + pe.h_r(fam, p, q, r)
+        else:
+            lhs = abs(pe.divergence(fam, p, r, "generic") - pe.divergence(fam, q, r, "generic"))
+            rhs = pe.metric_d(fam, p, q) + pe.e_r(fam, p, q, r)
+        assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+        assert rep.rhs == pytest.approx(rhs, rel=1e-14)
+        with pytest.raises(SupportError, match=f"^{refused}: r vanishes where p and q differ$"):
+            pe.check_relent(fam, p, q, r)
+
+    @pytest.mark.parametrize("case", SUPPORT_CASES)
+    def test_scan_counts_a_trial_refused_by_either_row(self, case):
+        fam, kept, refused = self.SUPPORT_CASES[case]
+        report = stability_scan(ScanConfig(families=(fam,), dims=(4, 16), modes=("sparse",), trials=300, seed=5))
+        per_bound = report.per_bound
+        assert per_bound[kept].trials == per_bound["cont1"].trials
+        assert report.support_errors == per_bound["cont1"].trials - per_bound[refused].trials > 0
+
     def test_tsallis_eight_states(self, rng):
         fam = pe.tsallis(0.5)
         for _ in range(20):

@@ -34,8 +34,8 @@ TSALLIS = '{"kind":"tsallis","kappa":0.5}'
 # SHA-256 of what ``phientropy scan --trials 1000 --seed 3898507391`` prints,
 # per numpy SIMD dispatch level (see tests/test_golden.py).
 NOISE_SCAN_SHA256 = {
-    "X86_V4": "0fcd91fe114c723bff1fa1da12a5514c1c137e4659d43582dcc8be8328435cd7",
-    "X86_V3": "34ec4bbdfa4d2c4cf3c634d3d78cd74da64755669a494f6db2efa1f12ba09209",
+    "X86_V4": "22c3d38c49d11bd85f902289b549c680277e6e304b0f9c7f22a813927b8218d7",
+    "X86_V3": "016853c542342ff9ab052c69109864453f1f8901996923f00356ab8f55ee1250",
 }
 
 
@@ -260,8 +260,9 @@ class TestScan:
         # A relent_I report with lhs ~ 1.2e-15 and rhs ~ 6.1e-16: ratio ~
         # 1.95, yet it holds within the tolerance, so the exit code is 0.  The
         # scan below evaluated it (a tsallis(0.5) hill climb at N = 2) before
-        # its lanes drew one block of variates each; its worst is a relent_I
-        # report of ratio 0.744, as that noise report never becomes a worst.
+        # its lanes drew one block of variates each.  Its worst is a relent_D
+        # report of ratio 11/13 (tsallis(0.1), disjoint p and q, r zero where
+        # q is not): a noise report never becomes a worst.
         p = write_pdf(tmp_path, "p.json", [0.0, 0.9999999999999999])
         q = write_pdf(tmp_path, "q.json", [0.0, 1.0])
         r = write_pdf(tmp_path, "r.json", [0.6979179894341754, 0.30208201056582457])
@@ -275,8 +276,8 @@ class TestScan:
         code, out, _ = run(capsys, "scan", "--trials", "1000", "--seed", "3898507391")
         assert code == 0
         payload = json.loads(out)
-        assert payload["worst_ratio"] == 0.7437890495400575
-        assert payload["witness"]["report"]["bound_id"] == "relent_I"
+        assert payload["worst_ratio"] == 0.8461538461538461
+        assert payload["witness"]["report"]["bound_id"] == "relent_D"
         level = next((lv for lv in NOISE_SCAN_SHA256 if __cpu_features__.get(lv)), None)
         if level is not None:
             assert hashlib.sha256(out.encode()).hexdigest() == NOISE_SCAN_SHA256[level]

@@ -28,16 +28,16 @@ from phientropy.bounds import BOUND_IDS, CHECKS, run_bound_checks
 
 SCAN_SHA256 = {
     "X86_V4": {
-        "1": "75c94687ee9fecf4fcabd6975b70cf00a69291b648f2eb39b76ccb71a846f233",
-        "2": "fbb0ab0726ba885431a7df0bb8f8a1be464841f71c9e368156804286e65e6a91",
-        "3": "4bad7a8948f8035f00092470f07f6e660e6a238652371b8a938aa8ed92d1ecae",
-        "271828": "6438cc747044d3b78ad6c62e12481ac189527152fad0183c37921236b6c1b8db",
+        "1": "d888faf25bef2ab73c49f0a073152afe8d5012185e7dee57e658c1e99b64a4de",
+        "2": "4045395784bcb87238ecf10df8351e1073de815825f1f6b0ba78ad49f05955d5",
+        "3": "3c434af8d9845fa537ea028dcf50dae786771db56cbe906f7933cc621bb3e5cb",
+        "271828": "e92b22d055b30a83b4732e84a83c3788f6f48f5d02da4314503b3afe01100b73",
     },
     "X86_V3": {
-        "1": "7f1fab5623ec292659bf8b0e94d55e5930729a52afb84ac37a88989be07360ae",
-        "2": "fbb0ab0726ba885431a7df0bb8f8a1be464841f71c9e368156804286e65e6a91",
-        "3": "521fad3fb67d0b71565e8cf503da6061788e8246d7a935a972f8e75c8036e81d",
-        "271828": "0072622da86e8bab4273d0747ebb24998276a6b76a96fd3df92889b358b80e40",
+        "1": "d888faf25bef2ab73c49f0a073152afe8d5012185e7dee57e658c1e99b64a4de",
+        "2": "4045395784bcb87238ecf10df8351e1073de815825f1f6b0ba78ad49f05955d5",
+        "3": "a9dff8b8e79ba63885ea659bf65f04bc0b1819e3eae5546a75a2bbb714094c4d",
+        "271828": "9eea43fe391ab90648efb340f07be71bd661e11b8a4126225299079bbf6abd47",
     },
 }
 SCAN_SEEDS = ("1", "2", "3", "271828")
@@ -84,16 +84,18 @@ BOUNDS_CASES = {
         '{"bound_id":"condition1_segment","holds":true,"inputs_digest":"1ccab967ad84a177","lhs":0.0009974007287074649,"ratio":0.0028778901701705956,"rhs":0.3465735902799727,"tol":1.3465735902799728e-10}],'
         '"skipped":[]}',
     ),
-    # tv = 2: improved, the unsupported relative-entropy pair and the
-    # segment outside its radius are all skipped
+    # tv = 2: improved, relent_I (r vanishes where p and q differ, and
+    # tsallis(0.5)'s ln_sup is infinite) and the segment outside its radius
+    # are skipped; relent_D reads the finite ln_phi(0+) and is reported
     "disjoint": (
         '{"kind":"tsallis","kappa":0.5}', [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], ["--epsilon", "0.1"],
         '{"all_hold":true,"family":{"kappa":0.5,"kind":"tsallis"},"reports":['
         '{"bound_id":"cont1","holds":true,"inputs_digest":"f0cb3537d2b68417","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
         '{"bound_id":"lb","holds":true,"inputs_digest":"26ffe0c9af434287","lhs":-0.12132034355964272,"ratio":-0.2071067811865478,"rhs":0.5857864376269049,"tol":1.585786437626905e-10},'
         '{"bound_id":"cont2","holds":true,"inputs_digest":"ee2cff64617f9b01","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
-        '{"bound_id":"lesche3","holds":true,"inputs_digest":"38b0fc8a20f5c7e4","lhs":0.0,"ratio":0.0,"rhs":1.9999999999999991,"tol":2.9999999999999995e-10}],'
-        '"skipped":["improved","relent_I","relent_D","condition1_segment"]}',
+        '{"bound_id":"lesche3","holds":true,"inputs_digest":"38b0fc8a20f5c7e4","lhs":0.0,"ratio":0.0,"rhs":1.9999999999999991,"tol":2.9999999999999995e-10},'
+        '{"bound_id":"relent_D","holds":true,"inputs_digest":"d9b751d013a5c789","lhs":3.0,"ratio":0.6,"rhs":5.0,"tol":6e-10}],'
+        '"skipped":["improved","relent_I","condition1_segment"]}',
     ),
 }
 
@@ -200,40 +202,40 @@ BUDGET_SCAN_SHA256 = {
     "X86_V4": {
         'trials=1 seed=7': "a675807b27bffadc58ef165f58e6ef1794be5a37816a844d23cbe279040619e7",
         'trials=52 seed=7': "a95bb00b14b13f67519ebf2cdadbc152e135741b9fc387b8bf76eacb58c479c5",
-        'trials=157 seed=7': "2f2896ca14e516aa1d99d68cdffac74457f6a15887f41d8ab91bef9317246bbb",
-        'trials=200 seed=7': "142d6fa62708c52eabc72f6f195dc4d2a2b648af1a98f2e401d6643a8e44899b",
-        'trials=1001 seed=7': "f55853761530318d1391599af83b653610da9a50cc11102edb1144ef14b9220b",
-        'trials=5000 seed=7': "a89405a0bd228765662beb1044be873ee9f1b24736c130d4daa62508ad0a33e9",
+        'trials=157 seed=7': "1749048cceedd2058ee59cc836bf9a8e1986ff7fdc160728c05a8ea542b1bf0c",
+        'trials=200 seed=7': "10ef5a216e93794f53914222625e6fd736d358e65678804c2da66d62c776a85e",
+        'trials=1001 seed=7': "fad3f5071a2c8a004ec94b6d0144f9277adccbbe2b46ce1a79d679c05593a8d2",
+        'trials=5000 seed=7': "92076667f2c75b05021bf8446d578a91d83936fe2cd76b0de01047edd3e9552f",
         'trials=1 seed=20040': "d153bd42e4fcffa351fde15d9168e5e4d1f7445924ad11ab2c19498ff7ab492f",
         'trials=52 seed=20040': "a3967053e6bb1f50c81ba3705aabda7dd2c2e20a2c3deb9f656a9b6e649627a0",
-        'trials=157 seed=20040': "58866eb24c96f7d7425d8bbe977f7f484909bc84d0d1d6521566f838c180f210",
-        'trials=200 seed=20040': "1a7faf36dd7fe29b7e4e726a2cd0b5895d54f5becb5538225c0aefce2be9f9d3",
-        'trials=1001 seed=20040': "4be8b688749ef61c62a5781fb727ae84b2a5f7f2ff665a1f345a2ee1dad8ed3e",
-        'trials=5000 seed=20040': "4c74c9943d43c49a0fc4ccc584cc6b2cc8f235426e330a216e94c103fe823778",
-        'one family': "cce661a96c7beb27f4ac3f20c2f9891c9b6500480e82c773db6500a45bf8a7b5",
-        'dims 64': "584a74b649bb2e2c60a7589f5d6cfd3d671c4f389e9b396016abf4c9d4ffb09a",
+        'trials=157 seed=20040': "f08e55b76133c94ec03cabb06d1eb6d6955f65c3c770406e9d173c6b6012fe1e",
+        'trials=200 seed=20040': "e5b203dc540600ab91293e1c71e24584bb22a69d6e0778c5ed44796a69037e3d",
+        'trials=1001 seed=20040': "280246023f0e5d0843170c169a8d65e3262029293be82a5c42d2d1c1bde17401",
+        'trials=5000 seed=20040': "5f5e8960c4db888249cfa5558171f290a13c7a5f46de7f9faddf52a888b0bb81",
+        'one family': "9cfe44eed85b0f37346b02e0ae26a36295eab09955cdf7abe506a26cbeb9acf8",
+        'dims 64': "7be9e0f1eb5df4aeb9a6e4e0a8760495cd95a70118f3e8a22a3b4c5f3e5274fe",
         'hillclimb only': "8041531656d74a360303f2138128a6589c08347b1a45d70786baae40df85dba5",
-        'sparse only': "f20318b5768853c82d6c82d7127520ac892c555e34b75c1823338dd3c2bbc5ef",
+        'sparse only': "5e9a2545333d1e89e0d0fec665bb6ecb27fbafc0d71959df995e5ea719826fa9",
         'hillclimb first': "6db49b5fa5f0ae753dffb6edbda86c9c3206d9b6add7a4e6d86537187e8021c0",
         'hillclimb 104 slots': "5d6529ce9bf2d6d145e2eb3ca40dc7afa450ff914a8e751fc228cef3b1e975e9",
     },
     "X86_V3": {
         'trials=1 seed=7': "a675807b27bffadc58ef165f58e6ef1794be5a37816a844d23cbe279040619e7",
         'trials=52 seed=7': "5084a9f8bc6a92d9a7c9441707957bfd86f3140323d5097d15f765d72fdaedd2",
-        'trials=157 seed=7': "2f2896ca14e516aa1d99d68cdffac74457f6a15887f41d8ab91bef9317246bbb",
-        'trials=200 seed=7': "142d6fa62708c52eabc72f6f195dc4d2a2b648af1a98f2e401d6643a8e44899b",
-        'trials=1001 seed=7': "f55853761530318d1391599af83b653610da9a50cc11102edb1144ef14b9220b",
-        'trials=5000 seed=7': "a89405a0bd228765662beb1044be873ee9f1b24736c130d4daa62508ad0a33e9",
+        'trials=157 seed=7': "1749048cceedd2058ee59cc836bf9a8e1986ff7fdc160728c05a8ea542b1bf0c",
+        'trials=200 seed=7': "10ef5a216e93794f53914222625e6fd736d358e65678804c2da66d62c776a85e",
+        'trials=1001 seed=7': "fad3f5071a2c8a004ec94b6d0144f9277adccbbe2b46ce1a79d679c05593a8d2",
+        'trials=5000 seed=7': "92076667f2c75b05021bf8446d578a91d83936fe2cd76b0de01047edd3e9552f",
         'trials=1 seed=20040': "d153bd42e4fcffa351fde15d9168e5e4d1f7445924ad11ab2c19498ff7ab492f",
         'trials=52 seed=20040': "948991bc41670240dcbe8a675e708a9cf7b64463a38c6dc5af793da7661c7ff2",
-        'trials=157 seed=20040': "c6224b38196174521ec83e737731309bee984b2821bd529dd34fee432a913833",
-        'trials=200 seed=20040': "d35239342569f2109082b9154e07d572b0ed10f326aa157e338f593075358527",
-        'trials=1001 seed=20040': "6e802e0e77e188c4264f2200d99c6136972e53118e633205828b131b92be95fc",
-        'trials=5000 seed=20040': "bfbd3c022f0b67c7298c654e881333d4908de4481d191781591dc80fb7e63e79",
-        'one family': "7e20bc920723c6596d9bffbffada204417b459065f983bd60ed71868878b0f5d",
-        'dims 64': "584a74b649bb2e2c60a7589f5d6cfd3d671c4f389e9b396016abf4c9d4ffb09a",
+        'trials=157 seed=20040': "0d906fc8e273f88af6eb56234322b2b723d8131cf54cd64bae275210c8bbb573",
+        'trials=200 seed=20040': "a5baf3fc1aa9ea9c914f88e1afab9503aa921b60e4a34903e5aeed83e0c89761",
+        'trials=1001 seed=20040': "934e0fe0608d4379e560518b5733518c0041155da448bcc1210ead41b8da46d7",
+        'trials=5000 seed=20040': "397a62b9c8bc184056aa120f4eae11bd90471e3f153a6e0eae4a94a085044dec",
+        'one family': "8949dac8798841d512cff91fe9bf486b3bba2ffae345bbe8e92c18f785afa8d3",
+        'dims 64': "7be9e0f1eb5df4aeb9a6e4e0a8760495cd95a70118f3e8a22a3b4c5f3e5274fe",
         'hillclimb only': "8041531656d74a360303f2138128a6589c08347b1a45d70786baae40df85dba5",
-        'sparse only': "f20318b5768853c82d6c82d7127520ac892c555e34b75c1823338dd3c2bbc5ef",
+        'sparse only': "5e9a2545333d1e89e0d0fec665bb6ecb27fbafc0d71959df995e5ea719826fa9",
         'hillclimb first': "6db49b5fa5f0ae753dffb6edbda86c9c3206d9b6add7a4e6d86537187e8021c0",
         'hillclimb 104 slots': "5d6529ce9bf2d6d145e2eb3ca40dc7afa450ff914a8e751fc228cef3b1e975e9",
     },
