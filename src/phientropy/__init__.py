@@ -5,8 +5,8 @@ The package provides, for a family of generalized logarithms:
 - the derived functions F, omega and exp (:mod:`phientropy.families`),
 - finite discrete pdfs with seeded sampling (:mod:`phientropy.distributions`),
 - entropy, relative entropy and Bregman divergence (:mod:`phientropy.functionals`),
-- the metric and stability inequalities with an adversarial scan engine
-  (:mod:`phientropy.bounds`),
+- the metric and stability inequalities (:mod:`phientropy.bounds`) and an
+  adversarial scan engine that hunts for their violations (:mod:`phientropy.scan`),
 - two generalized Fisher information metrics (:mod:`phientropy.fisher`),
 - a reproducible CLI (:mod:`phientropy.cli`).
 """

@@ -7,7 +7,7 @@ Commands
 - ``entropy``: entropy of a pdf file.
 - ``divergence``: relative entropy and Bregman divergence between two pdfs.
 - ``bounds``: run every applicable inequality check on given inputs.
-- ``scan``: randomized stability scan; see :func:`phientropy.bounds.stability_scan`.
+- ``scan``: randomized stability scan; see :func:`phientropy.scan.stability_scan`.
 - ``fisher``: both Fisher matrices for a built-in demo model.
 
 Output is JSON by default, with sorted keys and fixed separators so that

@@ -334,9 +334,8 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
     makes ``omega(1) = 0`` exact.  Where ``big_f_drop(1/x)`` overflows
     although omega is finite (tiny x, for most kinds), or 1/x itself does
     (subnormal x), a kind's closed form of omega gives the value; every
-    finite plain value is kept as it is.  A kind without a closed form
-    (piecewise_linear, custom) raises :class:`DomainError` where 1/x
-    overflows.
+    finite plain value is kept as it is.  The custom kind has no closed
+    form and raises :class:`DomainError` where 1/x overflows.
     """
     arr, scalar = _in_domain(x, "omega_phi")
     closed = _KINDS[fam.kind].omega
@@ -493,6 +492,27 @@ def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # capping the second term makes that -inf, not inf - inf.
     val = -(am * (m - 0.5) - np.minimum(am / (a - 1.0), _MAX) + m * u + half_uu)
     return np.where(arr > 0, val, 0.0)
+
+
+def _pw_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    # With y = 1/x = a**m (1 + v) in panel m, the panel sum of _pw_drop gives
+    # x * big_f_drop(y) = t (c + 1/2 - m (1 + v) - c v**2 / 2), c = 1 / (a - 1)
+    # and t = x a**m = 1 / (1 + v) in (1/a, 1]; less F(0) = c + 1/2, that is
+    # -m - (1 - t) (1/2 + c + c (1 - t) / (2 t)).  x a**m is formed as
+    # (x a**(m // 2)) a**(m - m // 2), so no factor overflows, even where 1/x does.
+    a = fam.base
+    scaled = lambda m: arr * np.power(a, m // 2) * np.power(a, m - m // 2)
+    m = np.floor(-np.log(arr) / math.log(a))
+    t = scaled(m)
+    # The guards of _pw_panels: floor(log(y) / log(a)) can misround at a knot.
+    if np.count_nonzero(t > 1.0):
+        m = np.where(t > 1.0, m - 1, m)
+        t = scaled(m)
+    if np.count_nonzero(t * a <= 1.0):
+        m = np.where(t * a <= 1.0, m + 1, m)
+        t = scaled(m)
+    c, s = 1.0 / (a - 1.0), 1.0 - t
+    return -m - s * (0.5 + c + c * s / (2.0 * t))
 
 
 def _pw_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -668,6 +688,7 @@ _KINDS = {
         ln=_pw_ln,
         drop=_pw_drop,
         prime=_pw_prime,
+        omega=_pw_omega,
     ),
     "custom": _Kind(
         fields=None,

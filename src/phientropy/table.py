@@ -1,16 +1,18 @@
 """The check table: which inequalities apply to an input, and their two sides.
 
 :data:`CHECKS` is the single ordered table of rows, each a bound id, the
-names of its skip masks and the names of the values its two sides read,
-and :func:`walk` the one place that evaluates them: :mod:`phientropy.bounds`
-calls it for the ``bounds`` command, the ``check_*`` functions and the
-stability scan, checks the inputs before and picks the results after.  A
-row reads a :class:`_Batch`: inputs side by side, one lane each, whose
-shared quantities (tv, I(p), I(q), d(p, q), I(p sym q), h_r, ...) are
-computed once for all lanes, and only where a value asked for reads them,
-passing the ``big_f_drop`` arguments of each family's lanes through one
-kernel call.  What depends only on the family, N and the reference pdf sits
-in a :class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
+names of its skip masks and the names of the values its two sides read, and
+:func:`walk` the one place that evaluates them: :mod:`phientropy.bounds`
+calls it for the ``bounds`` command and the ``check_*`` functions, and
+:mod:`phientropy.scan` for the stability scan; both check the inputs before
+and pick the results after, and both report a row's outcome on one input as
+a :class:`BoundReport`, which :func:`_report` forms.  A row reads a
+:class:`_Batch`: inputs side by side, one lane each, whose shared quantities
+(tv, I(p), I(q), d(p, q), I(p sym q), h_r, ...) are computed once for all
+lanes, and only where a value asked for reads them, passing the
+``big_f_drop`` arguments of each family's lanes through one kernel call.
+What depends only on the family, N and the reference pdf sits in a
+:class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
 evaluate over arrays of lanes; a single input is a batch of one.
 :func:`condition1_radii` solves the segment row's radii, and
 :func:`condition1_delta` is its cached one-pair call.
@@ -18,9 +20,12 @@ evaluate over arrays of lanes; a single input is a batch of one.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
@@ -36,7 +41,8 @@ from .errors import (
     RangeError,
     SupportError,
 )
-from .families import LogFamily, big_f_drop_unchecked, ln_phi_unchecked
+from .distributions import Pdf
+from .families import LogFamily, big_f_drop_unchecked, family_to_json, ln_phi_unchecked
 from . import numerics
 from .numerics import sum_compensated
 
@@ -608,6 +614,84 @@ def walk(b: _Batch, rows: tuple, also: tuple = ()) -> tuple:
         if errors:
             b.fail(applied[k], errors)
     return dict(zip(plan.masks, stacked)), applied, values[plan.lhs], values[plan.rhs]
+
+
+# ---------------------------------------------------------------------------
+# the outcome of a row on one input
+
+# An inequality lhs <= rhs holds when lhs <= rhs + TOL_SCALE * (1 + |rhs|).
+TOL_SCALE = 1e-10
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One inequality evaluated on one input.
+
+    ``ratio`` is lhs/rhs when rhs > 0, else None.  ``inputs_digest`` is a
+    deterministic token over (bound id, family, inputs, parameters): equal
+    inputs give equal digests, so scan witnesses can be replayed and matched.
+    A custom family enters the digest only through (singularity exponent,
+    F(0)), so two different custom logarithms can share a digest.
+    """
+
+    bound_id: str
+    lhs: float
+    rhs: float
+    ratio: Optional[float]
+    holds: bool
+    tol: float
+    inputs_digest: str
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# json.dumps(..., sort_keys=True) builds this encoder on every call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _family_key(fam: LogFamily) -> bytes:
+    if fam.kind == "custom":
+        return f"custom:s={fam.singularity_exponent!r}:f0={fam.f_zero!r}".encode()
+    return _KEY_ENCODER.encode(family_to_json(fam)).encode()
+
+
+def _digest(check: Check, key: bytes, p: Pdf, q: Pdf, r: Pdf | None, segment) -> str:
+    """The ``inputs_digest`` of ``check``'s report on a family of :func:`_family_key` ``key``;
+    r and the segment enter where the check reads them."""
+    h = hashlib.sha256()
+    h.update(check.bound_id.encode())
+    h.update(b"|")
+    h.update(key)
+    h.update(b"|")
+    h.update(p.weights.tobytes())
+    h.update(b"|")
+    h.update(q.weights.tobytes())
+    if check.with_r:
+        h.update(b"|")
+        h.update(r.weights.tobytes())
+    for v in segment if check.with_params else ():
+        h.update(struct.pack("<d", v))
+    return h.hexdigest()[:16]
+
+
+def _report(check: Check, record: tuple, key: bytes) -> BoundReport:
+    """The report of ``check`` on ``record`` = (fam, p, q, r, segment, lhs, rhs).
+
+    ``key`` is fam's :func:`_family_key`, which the caller forms once for its reports.
+    """
+    _, *inputs, lhs, rhs = record
+    tol = TOL_SCALE * (1.0 + abs(rhs))
+    ratio = lhs / rhs if rhs > 0 else None
+    return BoundReport(
+        bound_id=check.bound_id,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        ratio=None if ratio is None else float(ratio),
+        holds=bool(lhs <= rhs + tol),
+        tol=tol,
+        inputs_digest=_digest(check, key, *inputs),
+    )
 
 
 # Kernels overflow on purpose at tiny reference weights and the evaluators

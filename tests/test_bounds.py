@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import phientropy as pe
 import phientropy.bounds as bounds
+import phientropy.scan as scan
+from phientropy import distributions
 from phientropy.bounds import (
     ScanConfig,
     condition1_delta,
@@ -535,7 +537,7 @@ class TestCondition1Segment:
 def _scan_segment(lam, mu, tv, delta):
     """The segment a scan lane with radius ``delta`` takes at tv from a draws row holding lam, mu."""
     lane = types.SimpleNamespace(delta=delta, epsilon=0.5, used=0, draws=[[0.0, 0.0, 0.0, lam, mu]])
-    return bounds._Lane.segment(lane, tv)
+    return scan._Lane.segment(lane, tv)
 
 
 # rng.random() variates, and every float in [0, 1), subnormals included.
@@ -728,11 +730,11 @@ class TestNoiseFloor:
         lhs, rhs = np.zeros((len(bounds.CHECKS), 1)), np.zeros((len(bounds.CHECKS), 1))
         applied[row], lhs[row], rhs[row] = True, 3e-16, 2.8e-16
         lane = types.SimpleNamespace(index=0, used=0, fam=None, r=None, error=None)
-        log = bounds._Log(1)
+        log = scan._Log(1)
         # The ratio still steers the hill climb.
         assert log.add([lane], [(None, None)], [None], applied, lhs, rhs, np.zeros(1, dtype=bool)) == [3e-16 / 2.8e-16]
         lane.used = 1
-        agg = bounds._Aggregator()
+        agg = scan._Aggregator()
         agg.merge(log.finish([lane], trials=1))
         report = agg.report(ScanConfig(trials=1))
         assert report.per_bound["relent_I"].trials == 1
@@ -780,8 +782,8 @@ class TestStabilityScan:
         def no_trial(*args):
             raise AssertionError("a trial was sampled")
 
-        monkeypatch.setattr(bounds, "_sample_pair", no_trial)
-        monkeypatch.setattr(bounds, "sample_uniform", no_trial)
+        for name in ("sample_uniform", "sample_sparse", "sample_neighbor"):
+            monkeypatch.setattr(distributions, name, no_trial)
         with pytest.raises(ParamError):
             stability_scan(ScanConfig(trials=5, **fields))
 

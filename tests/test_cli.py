@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 from numpy._core._multiarray_umath import __cpu_features__
 
+import phientropy as pe
 import phientropy.bounds as bounds
 import phientropy.cli as cli
+import phientropy.scan as scan
 import phientropy.table as table
 from phientropy.errors import InfeasibleEpsilon
 
@@ -42,12 +44,14 @@ NOISE_SCAN_SHA256 = {
 def break_cont1(monkeypatch):
     """Make the check table's cont1 row report lhs = rhs + 1, a violation.
 
-    The row's left side reads a batch value "d + 1", registered for the test.
+    The row's left side reads a batch value "d + 1", registered for the test;
+    the single-input checks and the scan each read their module's table.
     """
     d = table._VALUES["d"]
     monkeypatch.setitem(table._VALUES, "d + 1", d._replace(compute=lambda b, lanes: d.compute(b, lanes) + 1.0))
     rows = [dataclasses.replace(c, sides=("d + 1", "d")) if c.bound_id == "cont1" else c for c in bounds.CHECKS]
     monkeypatch.setattr(bounds, "CHECKS", tuple(rows))
+    monkeypatch.setattr(scan, "CHECKS", tuple(rows))
 
 
 class TestFamilies:
@@ -312,7 +316,7 @@ class TestScan:
     def test_timings_split_trials_by_mode(self):
         # 2 families x 1 dim: runs of two slots per mode, the modes cycling.
         config = bounds.ScanConfig(
-            families=(bounds.shannon(), bounds.tsallis(0.5)), dims=(2,), trials=20,
+            families=(pe.shannon(), pe.tsallis(0.5)), dims=(2,), trials=20,
             modes=("uniform", "sparse"), seed=3,
         )
         timings = bounds.stability_scan(config).timings
@@ -328,15 +332,15 @@ class TestScan:
         # radius cannot be looked up fails the scan with that error.  The
         # scan solves its radii through condition1_radii, which gives the
         # error of a pair in place of its radius.
-        real = bounds.condition1_radii
+        real = scan.condition1_radii
 
         def radii(pairs):
             return [
-                InfeasibleEpsilon("no radius for this family") if fam == bounds.tsallis(0.5) else radius
+                InfeasibleEpsilon("no radius for this family") if fam == pe.tsallis(0.5) else radius
                 for (fam, _), radius in zip(pairs, real(pairs))
             ]
 
-        monkeypatch.setattr(bounds, "condition1_radii", radii)
+        monkeypatch.setattr(scan, "condition1_radii", radii)
         with pytest.raises(InfeasibleEpsilon, match="^no radius for this family$"):
             bounds.stability_scan(bounds.ScanConfig(trials=100))
         code, out, err = run(capsys, "scan", "--trials", "100")

@@ -360,20 +360,22 @@ class TestOmega:
         for fam in (pe.tsallis(-0.5), pe.kappa_maxwell(2.0)):
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
 
-    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-308, 1e-310])
+    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-305, 1e-307, 1e-308, 1e-310])
     @pytest.mark.parametrize(
         "fam",
         [pe.shannon(), pe.tsallis(0.1), pe.tsallis(0.5), pe.tsallis(0.9), pe.tsallis(-0.5), pe.kaniadakis(0.5),
          pe.kaniadakis(-0.5), pe.kappa_maxwell(0.5), pe.kappa_maxwell(2.0), pe.kappa_maxwell(200.0),
-         pe.sqrt_log()],
+         pe.sqrt_log(), pe.piecewise_linear(2.0), pe.piecewise_linear(10.0), pe.piecewise_linear(1.01)],
         ids=lambda f: f.label,
     )
     def test_finite_where_the_plain_form_overflows(self, fam, x):
         # omega's plain form x * big_f_drop(1/x) - F(0), evaluated in mpmath
-        # at 50 digits; in floats big_f_drop(1/x) overflows at tiny x for
-        # shannon (1/x * ln(1/x) at 1e-308), tsallis (x**(1 + kappa) at
-        # 1/x), kaniadakis and sqrt_log (x**1.5 at 1/x) and kappa_maxwell
-        # (kappa / x), and 1/x itself overflows at the subnormal 1e-310.
+        # at 50 digits (for piecewise_linear, the exact panel sum); in floats
+        # big_f_drop(1/x) overflows at tiny x for shannon (1/x * ln(1/x) at
+        # 1e-308), tsallis (x**(1 + kappa) at 1/x), kaniadakis and sqrt_log
+        # (x**1.5 at 1/x), kappa_maxwell (kappa / x) and piecewise_linear
+        # (base 2 from 1e-307 on, base 1.01 from 1e-305 on), and 1/x itself
+        # overflows at the subnormal 1e-310.
         with mpmath.workdps(50):
             t = 1 / mpmath.mpf(x)
             want = float(exact_kernels(fam, t)[1] / t - ANALYTIC_F_ZERO[fam.kind](fam))
@@ -383,7 +385,7 @@ class TestOmega:
             assert pe.omega_phi(fam, np.array([x, 2.0]))[0] == got
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("fam", [pe.piecewise_linear(2.0), pe.piecewise_linear(1.01)], ids=lambda f: f.label)
+    @pytest.mark.parametrize("fam", [pe.custom_family(np.log, singularity_exponent=0.0)], ids=lambda f: f.label)
     def test_without_a_closed_form_refused_where_the_reciprocal_overflows(self, fam):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -19,7 +19,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import phientropy as pe
-from phientropy import bounds
+from phientropy import bounds, scan
 from phientropy.bounds import ScanConfig, stability_scan
 
 
@@ -28,7 +28,7 @@ def _payload(report) -> str:
 
 
 def _merged(config, parts) -> str:
-    agg = bounds._Aggregator()
+    agg = scan._Aggregator()
     for part in parts:
         agg.merge(part)
     return _payload(agg.report(config))
@@ -50,7 +50,7 @@ def test_partition_reproduces_the_sequential_scan(name):
     fields, blocks = CONFIGS[name]
     probe = ScanConfig(trials=1, **fields)
     # Every block run on its own, last block first, with no budget to cut it.
-    parts = [bounds._scan_block(probe, block, 10**9, {}) for block in reversed(range(blocks))][::-1]
+    parts = [scan._scan_block(probe, block, 10**9, {}) for block in reversed(range(blocks))][::-1]
     total = sum(part.trials for part in parts)
     config = ScanConfig(trials=total, **fields)
     assert _merged(config, parts) == _payload(stability_scan(config))
@@ -60,7 +60,7 @@ def test_partition_reproduces_the_sequential_scan(name):
     assert parts[-1].trials > 60
     for cut in (1, 29, parts[-1].trials // 2, parts[-1].trials - 1):
         config = ScanConfig(trials=total - parts[-1].trials + cut, **fields)
-        last = bounds._scan_block(config, blocks - 1, cut, {})
+        last = scan._scan_block(config, blocks - 1, cut, {})
         assert last.trials == cut
         assert _merged(config, parts[:-1] + [last]) == _payload(stability_scan(config))
 
@@ -87,11 +87,11 @@ def test_tie_goes_to_the_lower_trial_index():
         (pe.validate([0.5, 0.5]), pe.validate([0.6, 0.4])),
         (pe.validate([0.3, 0.7]), pe.validate([0.2, 0.8])),
     ]
-    log = bounds._Log(2)
+    log = scan._Log(2)
     log.add(lanes, pdfs, [None, None], *_one_row(row, [0.25, 0.25], [0.5, 0.5]), np.zeros(2, dtype=bool))
     for lane in lanes:
         lane.used = 1
-    agg = bounds._Aggregator()
+    agg = scan._Aggregator()
     agg.merge(log.finish(sorted(lanes, key=lambda lane: lane.index), trials=2))
     assert agg.worst[row][0] == 0.5 and agg.scan_worst == (0.5, row)
     # Trial 0 is lane 0, whose pdfs are the second pair.
@@ -100,7 +100,7 @@ def test_tie_goes_to_the_lower_trial_index():
     # Across blocks: a later block's equal ratio does not replace the worst.
     config = ScanConfig(families=(fam,), dims=(2,), trials=3)
     first = agg.report(config).per_bound["cont1"].witness
-    later = bounds._Log(1)
+    later = scan._Log(1)
     later.add([_lane(0, fam)], pdfs[:1], [None], *_one_row(row, [0.25], [0.5]), np.zeros(1, dtype=bool))
     agg.merge(later.finish([_lane(0, fam, used=1)], trials=1))
     report = agg.report(config)
@@ -113,18 +113,18 @@ def test_only_a_lanes_raised_maxima_are_kept():
     row = bounds.BOUND_IDS.index("cont1")
     lane = _lane(0, pe.shannon())
     pair = (pe.validate([0.5, 0.5]), pe.validate([0.6, 0.4]))
-    log = bounds._Log(1)
+    log = scan._Log(1)
     for used, lhs in enumerate((0.2, 0.1, 0.3, 0.3)):
         lane.used = used
         log.add([lane], [pair], [None], *_one_row(row, [lhs], [1.0]), np.zeros(1, dtype=bool))
     assert [pos for _, pos, *_ in log.records] == [0, 2]
     lane.used = 4
-    agg = bounds._Aggregator()
+    agg = scan._Aggregator()
     agg.merge(log.finish([lane], trials=4))
     assert agg.worst[row][0] == 0.3
     # Cut before the raise: the prefix's worst.
     log_cut = log.finish([types.SimpleNamespace(used=4, error=None)], trials=2)
-    agg_cut = bounds._Aggregator()
+    agg_cut = scan._Aggregator()
     agg_cut.merge(log_cut)
     assert agg_cut.worst[row][0] == 0.2 and log_cut.trials == 2 and log_cut.discarded == 2
 
@@ -136,7 +136,7 @@ def test_error_of_the_lowest_trial_is_raised():
         types.SimpleNamespace(used=2, error=bad),
         types.SimpleNamespace(used=1, error=worse),
     ]
-    log = bounds._Log(3)
+    log = scan._Log(3)
     with pytest.raises(pe.errors.DomainError, match="first"):
         log.finish(lanes, trials=10)
     # Past the budget, an error was never reached.
@@ -152,8 +152,8 @@ def _step(dim, row):
     moves = []
     lane = types.SimpleNamespace(used=1, dim=dim, draws=[None, row], p="p", q="q", step=0.1)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "_transfer", lambda pdf, i, j, amount: moves.append((pdf, i, j)) or pdf)
-        bounds._Lane.candidate(lane)
+        mp.setattr(scan, "_transfer", lambda pdf, i, j, amount: moves.append((pdf, i, j)) or pdf)
+        scan._Lane.candidate(lane)
     (move,) = moves
     return move
 
@@ -163,7 +163,7 @@ _VARIATES = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0**-53)
 _LAST = 1.0 - 2.0**-53
 
 
-@pytest.mark.parametrize("dim", (1, 2, 3, 16, 64, 1000, 20001))
+@pytest.mark.parametrize("dim", (2, 3, 16, 64, 1000, 20001))
 @given(flip=_VARIATES, a=_VARIATES, b=_VARIATES)
 @example(flip=0.0, a=0.0, b=0.0)
 @example(flip=_LAST, a=_LAST, b=_LAST)
@@ -173,10 +173,7 @@ def test_step_draws_map_to_two_distinct_entries(dim, flip, a, b):
     pdf, i, j = _step(dim, [flip, a, b, 0.0, 0.0])
     assert pdf == ("p" if flip < 0.5 else "q")
     assert type(i) is int and type(j) is int
-    if dim == 1:
-        assert (i, j) == (0, 0)
-    else:
-        assert 0 <= i < dim and 0 <= j < dim and i != j
+    assert 0 <= i < dim and 0 <= j < dim and i != j
 
 
 @pytest.mark.parametrize("dim", (2, 3, 16, 64, 1000, 20001))
@@ -187,10 +184,18 @@ def test_extreme_step_draws_reach_the_end_entries(dim):
 
 
 def test_hill_climb_at_dims_one_and_two_runs_to_its_budget():
-    # A dim-1 restart moves mass from entry 0 to itself until its step is spent.
+    # A dim-1 slot runs one trial; the dim-2 restarts fill the budget.
     report = stability_scan(ScanConfig(dims=(1, 2), modes=("hillclimb",), trials=400))
     assert report.trials == 400 and report.violations == 0
     assert report.timings["hillclimb"]["trials"] == 400
+
+
+def test_dim_one_slot_runs_one_trial_in_every_mode():
+    # At dim 1, p = q = (1.0): no step can move mass, and no trial evaluates a
+    # bound.  A hill-climb restart there used to run 28 trials.
+    for mode in ("uniform", "sparse", "neighbor", "hillclimb"):
+        log = scan._scan_block(ScanConfig(dims=(1,), modes=(mode,)), 0, 10**9, {})
+        assert log.trials == 13 and log.discarded == 0 and not log.counts.any(), mode
 
 
 weights = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=12).filter(lambda w: sum(w) > 0)
@@ -203,7 +208,7 @@ def test_transfer_equals_checked_constructor(w, data, amount):
     j = data.draw(st.sampled_from([k for k in range(p.n) if k != i]))
     before = p.weights.copy()
 
-    got = bounds._transfer(p, i, j, amount)
+    got = scan._transfer(p, i, j, amount)
 
     ref = p.weights.copy()
     moved = min(amount, ref[i])

@@ -5,13 +5,17 @@ A scan solves the radii of its (family, epsilon) pairs once, in lockstep
 the ``Pdf`` constructor's checks, and draw them without ``dirichlet``'s
 checks; and a block of one-trial slots builds the batch layout of its lanes
 once.  A single input computes only what the rows it asks for read.
+
+Tracing tools count calls by replacing module attributes: ``bounds``
+re-exports the scan's public names as the same objects, and the scan looks
+its samplers up in ``distributions`` at call time.
 """
 
 import numpy as np
 import pytest
 
 import phientropy as pe
-from phientropy import bounds, distributions, families, table
+from phientropy import bounds, distributions, families, scan, table
 from phientropy.bounds import SCAN_EPSILONS, ScanConfig, stability_scan
 
 
@@ -27,6 +31,22 @@ def _counting(monkeypatch, owner, name) -> list:
     return calls
 
 
+def test_bounds_reexports_the_scan_names_as_the_same_objects():
+    assert scan.__all__
+    for name in scan.__all__:
+        assert getattr(bounds, name) is getattr(scan, name), name
+
+
+def test_patched_samplers_see_the_scan_calls(monkeypatch):
+    sparse = _counting(monkeypatch, distributions, "sample_sparse")
+    neighbor = _counting(monkeypatch, distributions, "sample_neighbor")
+    uniform = _counting(monkeypatch, distributions, "sample_uniform")
+    config = ScanConfig(families=(pe.shannon(),), dims=(2, 4), modes=("sparse", "neighbor"), trials=6)
+    assert stability_scan(config).trials == 6
+    # Three blocks of two slots: sparse (p, q, r each), neighbor (q), sparse.
+    assert (len(sparse), len(neighbor), len(uniform)) == (12, 2, 4)
+
+
 def test_cold_grid_radii_take_few_kernel_calls(monkeypatch):
     # A lone bisection per pair took 404 kernel calls for these 39 radii.
     calls = _counting(monkeypatch, table, "big_f_drop_unchecked")
@@ -38,7 +58,7 @@ def test_cold_grid_radii_take_few_kernel_calls(monkeypatch):
 
 def test_default_scan_solves_each_radius_once_and_checks_no_pdf(monkeypatch):
     checked = _counting(monkeypatch, distributions.Pdf, "__post_init__")
-    asked = _counting(monkeypatch, bounds, "condition1_radii")
+    asked = _counting(monkeypatch, scan, "condition1_radii")
     stability_scan(ScanConfig())
     assert not checked
     pairs = [pair for (request,) in asked for pair in request]
@@ -52,7 +72,7 @@ def test_one_trial_block_builds_one_layout(monkeypatch):
         if mode == "hillclimb":
             continue
         built.clear()
-        bounds._scan_block(config, block, config.trials, {})
+        scan._scan_block(config, block, config.trials, {})
         assert len(built) == 1, mode
 
 

@@ -17,7 +17,7 @@ import pytest
 
 import phientropy as pe
 import phientropy.bounds as bounds
-from phientropy import families
+from phientropy import families, table
 from phientropy.bounds import BOUND_IDS, SCAN_EPSILONS, condition1_delta, e_r, h_r, run_bound_checks
 from phientropy.errors import (
     DomainError,
@@ -284,7 +284,7 @@ def test_lockstep_radii_match_lone_radii_and_public_bisection():
         (pe.tsallis(0.5), 0.0),
         (no_floor, math.nan),
     ]
-    radii = bounds.condition1_radii(pairs)
+    radii = table.condition1_radii(pairs)
     saturated = 0
     for (fam, epsilon), radius in zip(pairs, radii):
         condition1_delta.cache_clear()
