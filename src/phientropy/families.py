@@ -415,6 +415,17 @@ def _tsallis_derive(fam: LogFamily) -> tuple:
     return -k, f0, -math.inf, -(1.0 + 1.0 / k)
 
 
+def _tsallis_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    k = fam.kappa
+    # Both terms overflow only where F(x) does or nearly does: the caps make
+    # the drop -inf there, not inf - inf.  Near DBL_MAX at small |kappa| the
+    # drop is still finite; x factored out gives it there.
+    out = np.minimum((1.0 + 1.0 / k) * arr, _MAX) - np.maximum((1.0 / k) * arr ** (1.0 + k), -_MAX)
+    if np.count_nonzero(out == -math.inf):
+        out = np.where(out == -math.inf, arr * ((1.0 + 1.0 / k) - (1.0 / k) * arr**k), out)
+    return out
+
+
 def _tsallis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     k = fam.kappa
     b = 1.0 + (k / (1.0 + k)) * arr
@@ -457,13 +468,26 @@ def _km_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     return (1.0 + k) * arr ** (k / (1.0 + k)) - k * arr
 
 
-def _pw_panels(x: np.ndarray, base: float):
-    """Panel index m, knot base**m and offset u = x - base**m for each x > 0.
+def _pw_scaled(x: np.ndarray, base: float, m: np.ndarray) -> np.ndarray:
+    """``x * base**m``, formed as ``(x base**(m // 2)) base**(m - m // 2)``,
+    whose factors stay finite wherever the product is at most 1, even where
+    base**m overflows."""
+    return x * np.power(base, m // 2) * np.power(base, m - m // 2)
 
-    Guards against floor(log(x)/log(base)) misrounding at the knots.
+
+def _pw_panels(x: np.ndarray, base: float):
+    """Panel index m, knot base**m and offset u = x - base**m for each x > 0,
+    and the mask of the knots that are subnormal or 0 (None if there are none).
+
+    Guards against floor(log(x)/log(base)) misrounding at the knots.  A
+    subnormal knot has lost its digits, and a knot of 0 sends the guards a
+    panel up, so under the mask the panel is given in units of its knot:
+    base**m reads 1 and u reads x / base**m - 1, formed as (x base**(-m - 1))
+    base, whose factors are finite, and the guards run on that.
     """
-    m = np.floor(np.log(x) / math.log(base))
-    am = np.power(base, m)
+    guess = np.floor(np.log(x) / math.log(base))
+    m, am = guess, np.power(base, guess)
+    deep = am < _TINY
     low = x < am
     if np.count_nonzero(low):
         m = np.where(low, m - 1, m)
@@ -472,25 +496,42 @@ def _pw_panels(x: np.ndarray, base: float):
     if np.count_nonzero(high):
         m = np.where(high, m + 1, m)
         am = np.power(base, m)
-    return m, am, x - am
+    deep |= am < _TINY
+    if not np.count_nonzero(deep):
+        return m, am, x - am, None
+    ratio = lambda m: _pw_scaled(x, base, -m - 1) * base  # x / base**m
+    m = np.where(deep, guess, m)
+    v = ratio(m)
+    if np.count_nonzero(deep & (v < 1.0)):
+        m = np.where(deep & (v < 1.0), m - 1, m)
+        v = ratio(m)
+    if np.count_nonzero(deep & (v >= base)):
+        m = np.where(deep & (v >= base), m + 1, m)
+        v = ratio(m)
+    return m, np.where(deep, 1.0, am), np.where(deep, v - 1.0, x - am), deep
 
 
 def _pw_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    m, am, u = _pw_panels(arr, fam.base)
+    m, am, u, _ = _pw_panels(arr, fam.base)
     return m + u / (am * (fam.base - 1.0))
 
 
 def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     a = fam.base
-    m, am, u = _pw_panels(arr + (arr == 0), a)  # 1 in place of 0
+    m, am, u, deep = _pw_panels(arr + (arr == 0), a)  # 1 in place of 0
     # u * u is subnormal below u ~ 1.5e-154 and inf above ~1.3e154; divide
     # first there.  Zeros keep inf / inf out of the branch np.where drops.
+    # den itself overflows where am * (a - 1) passes about 9e307, while
+    # u / am stays below a - 1.
     uu, den = u * u, 2.0 * am * (a - 1.0)
     plain = (uu >= _TINY) & (uu < math.inf)
-    half_uu = np.where(plain, np.where(plain, uu, 0.0) / den, u * (u / den))
+    half_u = np.where(den < math.inf, u / den, 0.5 * ((u / am) / (a - 1.0)))
+    half_uu = np.where(plain, np.where(plain, uu, 0.0) / den, u * half_u)
     # am * (m - 0.5) overflows wherever am / (a - 1) does, and F(x) with it:
     # capping the second term makes that -inf, not inf - inf.
     val = -(am * (m - 0.5) - np.minimum(am / (a - 1.0), _MAX) + m * u + half_uu)
+    if deep is not None:  # val is in units of the knot x / (1 + u) there
+        val = np.where(deep, arr * (val / (1.0 + u)), val)
     return np.where(arr > 0, val, 0.0)
 
 
@@ -498,28 +539,30 @@ def _pw_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # With y = 1/x = a**m (1 + v) in panel m, the panel sum of _pw_drop gives
     # x * big_f_drop(y) = t (c + 1/2 - m (1 + v) - c v**2 / 2), c = 1 / (a - 1)
     # and t = x a**m = 1 / (1 + v) in (1/a, 1]; less F(0) = c + 1/2, that is
-    # -m - (1 - t) (1/2 + c + c (1 - t) / (2 t)).  x a**m is formed as
-    # (x a**(m // 2)) a**(m - m // 2), so no factor overflows, even where 1/x does.
+    # -m - (1 - t) (1/2 + c + c (1 - t) / (2 t)).  x a**m is scaled, so no
+    # factor overflows, even where 1/x does.
     a = fam.base
-    scaled = lambda m: arr * np.power(a, m // 2) * np.power(a, m - m // 2)
     m = np.floor(-np.log(arr) / math.log(a))
-    t = scaled(m)
+    t = _pw_scaled(arr, a, m)
     # The guards of _pw_panels: floor(log(y) / log(a)) can misround at a knot.
     if np.count_nonzero(t > 1.0):
         m = np.where(t > 1.0, m - 1, m)
-        t = scaled(m)
+        t = _pw_scaled(arr, a, m)
     if np.count_nonzero(t * a <= 1.0):
         m = np.where(t * a <= 1.0, m + 1, m)
-        t = scaled(m)
+        t = _pw_scaled(arr, a, m)
     c, s = 1.0 / (a - 1.0), 1.0 - t
     return -m - s * (0.5 + c + c * s / (2.0 * t))
 
 
 def _pw_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    m, am, u = _pw_panels(arr, fam.base)
+    m, am, u, deep = _pw_panels(arr, fam.base)
     if np.any(u == 0.0):
         raise NonDifferentiableError("piecewise-linear logarithm has no derivative at its knots")
-    return 1.0 / (am * (fam.base - 1.0))
+    out = 1.0 / (am * (fam.base - 1.0))
+    if deep is not None:  # 1 / (knot (base - 1)), the knot x / (1 + u)
+        out = np.where(deep, ((1.0 + u) / (fam.base - 1.0)) / arr, out)
+    return out
 
 
 def _custom_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -635,12 +678,7 @@ _KINDS = {
         fields={"kappa": _KAPPA_POWER},
         derive=_tsallis_derive,
         ln=lambda fam, x: (1.0 + 1.0 / fam.kappa) * (x**fam.kappa - 1.0),
-        # Both terms overflow only where F(x) does or nearly does: the caps
-        # make the drop -inf there, not inf - inf.
-        drop=lambda fam, x: (
-            np.minimum((1.0 + 1.0 / fam.kappa) * x, _MAX)
-            - np.maximum((1.0 / fam.kappa) * x ** (1.0 + fam.kappa), -_MAX)
-        ),
+        drop=_tsallis_drop,
         prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
         exp=_tsallis_exp,
         omega=lambda fam, x: (1.0 / fam.kappa) * (1.0 - x**-fam.kappa),

@@ -15,9 +15,11 @@ own ``SeedSequence(seed, spawn_key=(slot,))`` stream, at launch (its pdfs,
 then one block of variates, a row per trial; see :class:`_Lane`), so the
 lanes change no bit.  When a block's lanes finish, its trials are numbered
 in slot order, those past the budget are dropped, and the block is merged
-into the report: counts add up, and a bound's worst is the largest ratio,
-the lowest trial index winning a tie, as the strict ``>`` of a sequential
-scan gives.
+into the report: counts add up, and a bound's worst is its largest
+above-floor ratio.  Only kept trials count: each block picks each bound's
+worst once, over its kept trials in trial order, the lowest trial index
+winning a tie, and the blocks merge under a strict ``>``, so an earlier
+block keeps an equal ratio, as a sequential scan gives.
 """
 
 from __future__ import annotations
@@ -195,12 +197,13 @@ def _witness(check: Check, record: tuple) -> dict:
 class _Aggregator:
     """Merges the parts of a scan in slot order into its report.
 
-    Counts add up.  Walking each part's kept records in trial order, a
-    bound's worst (``worst[row]`` = (ratio, record)) and the scan's
+    Counts add up.  Each part brings at most one winner per row, its worst
+    over the part's kept trials (see :class:`_Log`), in (trial, row) order.
+    A bound's worst (``worst[row]`` = (ratio, record)) and the scan's
     (``scan_worst`` = (ratio, row)) change only to a strictly greater ratio,
-    so the first trial wins a tie, and the first row within a trial.  The
-    scan's worst is always its row's worst.  Witnesses are built once, by
-    :meth:`report`.
+    so an earlier part keeps an equal ratio, and within a part the first
+    trial wins a tie, then the first row.  The scan's worst is always its
+    row's worst.  Witnesses are built once, by :meth:`report`.
     """
 
     def __init__(self):
@@ -214,12 +217,11 @@ class _Aggregator:
         self.counts += part.counts
         self.violations += part.violations
         self.support_errors += part.support_errors
-        for ratio, lhs, rhs, inputs in part.kept:
-            for row, x in enumerate(ratio.tolist()):
-                if x == x and (row not in self.worst or x > self.worst[row][0]):
-                    self.worst[row] = (x, (*inputs, float(lhs[row]), float(rhs[row])))
-                    if self.scan_worst is None or x > self.scan_worst[0]:
-                        self.scan_worst = (x, row)
+        for x, row, record in part.winners:
+            if row not in self.worst or x > self.worst[row][0]:
+                self.worst[row] = (x, record)
+                if self.scan_worst is None or x > self.scan_worst[0]:
+                    self.scan_worst = (x, row)
 
     def report(self, config: ScanConfig, timings: Optional[dict] = None) -> ScanReport:
         """The scan's report, with the bounds it evaluated, in table order."""
@@ -368,38 +370,29 @@ class _Lane:
 class _Log:
     """The trials a block of slots ran, and what they add to a scan.
 
-    Per lane and row, ``top`` holds the largest above-floor ratio so far,
-    and ``records`` the trials that raised one, with their inputs: only
-    those can be a row's worst, since an earlier trial of a lane is kept
-    whenever a later one is, and wins a tie.  :meth:`finish` sets
-    ``trials``, the trials within the budget; ``counts``, the evaluated
-    reports per row of :data:`CHECKS`; ``violations`` and
-    ``support_errors``; ``kept``, the records within the budget in trial
-    order, each as (ratios, lhs, rhs, inputs) per row; and ``discarded``,
-    the trials the lanes ran past the budget.  ``mode`` names the block's
-    mode, which keys the scan's timings.
+    :meth:`add` keeps each tick's arrays, one column per lane, and each
+    lane's inputs (fam, p, q, r, segment).  :meth:`finish` numbers the
+    trials in slot order, keeps those within the budget, and sets
+    ``trials``, the trials kept; ``counts``, the evaluated reports per row
+    of :data:`CHECKS`; ``violations`` and ``support_errors``;
+    ``discarded``, the trials the lanes ran past the budget; and
+    ``winners``, each row's worst once: over the kept trials only, in trial
+    order, its largest above-floor ratio, the first trial winning a tie, as
+    (ratio, row, record) in (trial, row) order, where the record is
+    (fam, p, q, r, segment, lhs, rhs).  ``mode`` names the block's mode,
+    which keys the scan's timings.
     """
 
-    def __init__(self, size: int, mode: Optional[str] = None):
-        self.mode = mode
-        self.lane, self.pos, self.applied, self.violated, self.unsupported = [], [], [], [], []
-        self.top, self.records = np.full((len(CHECKS), size), -math.inf), []
+    def __init__(self, mode: Optional[str] = None):
+        self.mode, self.lane, self.pos, self.inputs, self.ticks = mode, [], [], [], []
 
     def add(self, lanes, cands, segments, applied, lhs, rhs, unsupported) -> list:
         """Log one trial of each lane; return each trial's max ratio."""
         violated, best, ratio = _ratios(lhs, rhs, applied)
-        index = [lane.index for lane in lanes]
-        top = self.top[:, index]
-        for i in np.logical_or.reduce(ratio > top, axis=0).nonzero()[0].tolist():
-            lane = lanes[i]
-            inputs = (lane.fam, *cands[i], lane.r, segments[i])
-            self.records.append((lane.index, lane.used, ratio[:, i], lhs[:, i], rhs[:, i], inputs))
-        self.top[:, index] = np.fmax(top, ratio)
-        self.lane += index
+        self.lane += [lane.index for lane in lanes]
         self.pos += [lane.used for lane in lanes]
-        self.applied.append(applied)
-        self.violated.append(np.add.reduce(violated, axis=0))
-        self.unsupported.append(unsupported)
+        self.inputs += [(lane.fam, *cand, lane.r, seg) for lane, cand, seg in zip(lanes, cands, segments)]
+        self.ticks.append((applied, np.add.reduce(violated, axis=0)[None], unsupported[None], ratio, lhs, rhs))
         return best
 
     def finish(self, lanes: list, trials: int) -> "_Log":
@@ -412,15 +405,23 @@ class _Log:
             # The error of the lowest trial comes first.
             if lane.error is not None and lane.used <= kept[-1]:
                 raise lane.error
-        lane_of = np.array(self.lane)
-        keep = np.array(self.pos) < np.array(kept)[lane_of]
-        applied = np.concatenate(self.applied, axis=1) & keep
+        lane_of, pos = np.array(self.lane), np.array(self.pos)
+        order = np.flatnonzero(pos < np.array(kept)[lane_of])
+        order = order[np.argsort(np.array(start)[lane_of[order]] + pos[order])]
+        applied, violated, unsupported, ratio, lhs, rhs = (
+            np.concatenate(arrays, axis=1)[:, order] for arrays in zip(*self.ticks)
+        )
         self.trials, self.counts, self.discarded = sum(kept), applied.sum(axis=1), base - sum(kept)
-        self.violations = int(np.concatenate(self.violated)[keep].sum())
+        self.violations = int(violated.sum())
         # cont1 applies to every trial of distinct pdfs.
-        self.support_errors = int((applied[0] & np.concatenate(self.unsupported)).sum())
-        kept_records = [(start[i] + pos, rec) for i, pos, *rec in self.records if pos < kept[i]]
-        self.kept = [rec for _, rec in sorted(kept_records, key=lambda record: record[0])]
+        self.support_errors = int((applied[0] & unsupported).sum())
+        # NaN marks no ratio or a noise-floor one; argmax finds each row's first top.
+        top = np.fmax.reduce(ratio, axis=1, initial=math.nan)
+        first = (ratio == top[:, None]).argmax(axis=1).tolist()
+        self.winners = [
+            (float(ratio[row, k]), row, (*self.inputs[order[k]], float(lhs[row, k]), float(rhs[row, k])))
+            for k, row in sorted(zip(first, range(len(first)))) if top[row] == top[row]
+        ]
         return self
 
 
@@ -462,7 +463,7 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
     name = config.modes[block % len(config.modes)]
     mode, slots = _MODES[name], iter(range(block * size, (block + 1) * size))
     lanes: list[_Lane] = []
-    log, layout, key = _Log(size, name), None, None
+    log, layout, key = _Log(name), None, None
     with np.errstate(**_QUIET):
         while True:
             active, base, expected, failed = [], 0, 0, False

@@ -730,7 +730,7 @@ class TestNoiseFloor:
         lhs, rhs = np.zeros((len(bounds.CHECKS), 1)), np.zeros((len(bounds.CHECKS), 1))
         applied[row], lhs[row], rhs[row] = True, 3e-16, 2.8e-16
         lane = types.SimpleNamespace(index=0, used=0, fam=None, r=None, error=None)
-        log = scan._Log(1)
+        log = scan._Log()
         # The ratio still steers the hill climb.
         assert log.add([lane], [(None, None)], [None], applied, lhs, rhs, np.zeros(1, dtype=bool)) == [3e-16 / 2.8e-16]
         lane.used = 1

@@ -713,6 +713,72 @@ class TestMpmathCertificate:
         for x in np.logspace(-155, -305, 31):
             assert_close(pe.big_f_drop(fam, float(x)), exact_kernels(fam, float(x))[1])
 
+    @pytest.mark.parametrize("base", [1.01, 2.0, 10.0, 1e10, 1e100, 1e300])
+    def test_piecewise_linear_where_the_knot_is_subnormal(self, base):
+        # Below base * 2.2e-308 the knot base**m is subnormal, and has lost
+        # its digits, or 0 (base 1e100 below 1e-300), which would send the
+        # panel guards a panel up.  A drop this small is itself subnormal, with a
+        # spacing of 2**-1074, so it is held to that spacing where 1e-12 of
+        # it is finer.
+        fam = pe.piecewise_linear(base)
+        xs = [5e-324, 1e-323, 1.5e-323, 1e-322, *np.logspace(-321, -300, 43)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in map(float, xs):
+                ln, drop = exact_kernels(fam, x)
+                assert_close(pe.ln_phi(fam, x), ln)
+                got = pe.big_f_drop(fam, x)
+                assert abs(got - drop) <= max(1e-12 * abs(drop), 2.0**-1074), (x, got, drop)
+                # ln_phi' = 1 / (knot (base - 1)), inf wherever that passes
+                # DBL_MAX.  At a knot, ln_phi is an integer and has no slope;
+                # x within rounding of a knot is not asked for one.
+                with mpmath.workdps(50):
+                    slope = 1 / (mpmath.mpf(base) ** mpmath.floor(ln) * (mpmath.mpf(base) - 1))
+                    off = abs(ln - mpmath.nint(ln))
+                if off == 0:
+                    with pytest.raises(NonDifferentiableError):
+                        pe.ln_phi_prime(fam, x)
+                elif off < 1e-9:
+                    continue
+                elif slope < np.finfo(float).max:
+                    assert_close(pe.ln_phi_prime(fam, x), slope)
+                else:
+                    assert pe.ln_phi_prime(fam, x) == math.inf
+
+    @pytest.mark.parametrize("base", [1e8, 1e10, 1e14])
+    def test_piecewise_linear_drop_where_the_knot_product_overflows(self, base):
+        # The quadratic term u**2 / (2 base**m (base - 1)) is formed without
+        # that product, which passes DBL_MAX before the drop does.
+        fam = pe.piecewise_linear(base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e298, 1e300, 1e303, 1e305, 1e307):
+                drop = exact_kernels(fam, x)[1]
+                if abs(drop) <= np.finfo(float).max:
+                    assert_close(pe.big_f_drop(fam, x), drop)
+                else:
+                    assert pe.big_f_drop(fam, x) == -math.inf
+            with mpmath.workdps(50):
+                t = 1 / mpmath.mpf(1e-305)
+                omega = exact_kernels(fam, t)[1] / t - ANALYTIC_F_ZERO[fam.kind](fam)
+            assert_close(pe.omega_phi(fam, 1e-305), omega)
+
+    @pytest.mark.parametrize("kappa", [1e-4, -1e-4, 1e-3, -1e-3, 0.01])
+    def test_tsallis_drop_near_dbl_max(self, kappa):
+        # Both terms of the plain drop overflow here while the drop is finite
+        # (tsallis(1e-4) at 1e305: -7.265e307); past the end of the double
+        # range the drop is -inf.
+        fam = pe.tsallis(kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (*np.logspace(303, 308, 26), 1.8e305, 1.7976931348623157e308):
+                drop = exact_kernels(fam, float(x))[1]
+                got = pe.big_f_drop(fam, float(x))
+                if abs(drop) <= np.finfo(float).max:
+                    assert_close(got, drop)
+                else:
+                    assert got == -math.inf, (x, got)
+
 
 @given(x=st.floats(1e-5, 1e5), y=st.floats(1e-5, 1e5))
 def test_monotonicity_property(x, y):

@@ -5,9 +5,11 @@ lanes and merges the blocks in slot order with ``_Aggregator``.  Since
 every slot draws from its own ``SeedSequence(seed, spawn_key=(slot,))``
 stream, blocks run separately, in any order, and merged with that same code
 must reproduce the sequential report byte for byte; a block that the trial
-budget cuts is run again with its own budget.  Ties go to the first trial.
-A hill-climb step's row of the lane's draw block maps to two distinct
-entries, and its mass transfer builds a valid ``Pdf``.
+budget cuts is run again with its own budget.  Ties go to the first trial,
+and a block's log picks each bound's worst as a replay of its kept trials,
+in trial order under a strict ``>``, would.  A hill-climb step's row of the
+lane's draw block maps to two distinct entries, and its mass transfer builds
+a valid ``Pdf``.
 """
 
 import json
@@ -87,7 +89,7 @@ def test_tie_goes_to_the_lower_trial_index():
         (pe.validate([0.5, 0.5]), pe.validate([0.6, 0.4])),
         (pe.validate([0.3, 0.7]), pe.validate([0.2, 0.8])),
     ]
-    log = scan._Log(2)
+    log = scan._Log()
     log.add(lanes, pdfs, [None, None], *_one_row(row, [0.25, 0.25], [0.5, 0.5]), np.zeros(2, dtype=bool))
     for lane in lanes:
         lane.used = 1
@@ -100,7 +102,7 @@ def test_tie_goes_to_the_lower_trial_index():
     # Across blocks: a later block's equal ratio does not replace the worst.
     config = ScanConfig(families=(fam,), dims=(2,), trials=3)
     first = agg.report(config).per_bound["cont1"].witness
-    later = scan._Log(1)
+    later = scan._Log()
     later.add([_lane(0, fam)], pdfs[:1], [None], *_one_row(row, [0.25], [0.5]), np.zeros(1, dtype=bool))
     agg.merge(later.finish([_lane(0, fam, used=1)], trials=1))
     report = agg.report(config)
@@ -108,25 +110,26 @@ def test_tie_goes_to_the_lower_trial_index():
 
 
 def test_only_a_lanes_raised_maxima_are_kept():
-    # A lane's later trial that does not raise its running max for any row
-    # can never be a worst: the earlier trial is kept whenever it is.
+    # A lane's later trial that only ties its running max never becomes a
+    # worst: the earlier trial is kept whenever it is.
     row = bounds.BOUND_IDS.index("cont1")
     lane = _lane(0, pe.shannon())
-    pair = (pe.validate([0.5, 0.5]), pe.validate([0.6, 0.4]))
-    log = scan._Log(1)
+    pairs = [(pe.validate([0.5, 0.5]), pe.validate([0.6 - k / 10, 0.4 + k / 10])) for k in range(4)]
+    log = scan._Log()
     for used, lhs in enumerate((0.2, 0.1, 0.3, 0.3)):
         lane.used = used
-        log.add([lane], [pair], [None], *_one_row(row, [lhs], [1.0]), np.zeros(1, dtype=bool))
-    assert [pos for _, pos, *_ in log.records] == [0, 2]
+        log.add([lane], [pairs[used]], [None], *_one_row(row, [lhs], [1.0]), np.zeros(1, dtype=bool))
     lane.used = 4
     agg = scan._Aggregator()
     agg.merge(log.finish([lane], trials=4))
-    assert agg.worst[row][0] == 0.3
+    # The worst is trial 2's, not trial 3's.
+    assert agg.worst[row][0] == 0.3 and agg.worst[row][1][2] is pairs[2][1]
     # Cut before the raise: the prefix's worst.
     log_cut = log.finish([types.SimpleNamespace(used=4, error=None)], trials=2)
     agg_cut = scan._Aggregator()
     agg_cut.merge(log_cut)
     assert agg_cut.worst[row][0] == 0.2 and log_cut.trials == 2 and log_cut.discarded == 2
+    assert agg_cut.worst[row][1][2] is pairs[0][1]
 
 
 def test_error_of_the_lowest_trial_is_raised():
@@ -136,7 +139,7 @@ def test_error_of_the_lowest_trial_is_raised():
         types.SimpleNamespace(used=2, error=bad),
         types.SimpleNamespace(used=1, error=worse),
     ]
-    log = scan._Log(3)
+    log = scan._Log()
     with pytest.raises(pe.errors.DomainError, match="first"):
         log.finish(lanes, trials=10)
     # Past the budget, an error was never reached.
@@ -145,6 +148,90 @@ def test_error_of_the_lowest_trial_is_raised():
     one = _one_row(0, [0.0], [1.0])
     log.add([_lane(0, pe.shannon())], [(None, None)], [None], *one, np.zeros(1, dtype=bool))
     assert log.finish(lanes, trials=4).trials == 4
+
+
+# (lhs, rhs) pairs a differential tick draws: ratios 0, 0.5 (from two
+# different pairs, so that ties show which trial won), 0.75 and 2 (a
+# violation), a noise-floor pair whose ratio never becomes a worst, and an
+# undefined ratio (rhs = 0).
+_SIDES = ((0.0, 1.0), (0.25, 0.5), (0.5, 1.0), (0.75, 1.0), (2.0, 1.0), (3e-16, 2.8e-16), (0.5, 0.0))
+
+
+@st.composite
+def _blocks(draw):
+    """Blocks of lanes, each as (lengths, starts, ticks, budget).
+
+    Lane i runs ``lengths[i]`` trials from tick ``starts[i]`` on; each tick
+    lists its lanes in a drawn order, as (lane, side per row or None where the
+    row does not apply, unsupported).
+    """
+    rows, blocks = len(bounds.CHECKS), []
+    for _ in range(draw(st.integers(1, 3))):
+        lengths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        starts = draw(st.lists(st.integers(0, 3), min_size=len(lengths), max_size=len(lengths)))
+        ticks = []
+        for t in range(max(map(sum, zip(starts, lengths)))):
+            active = [i for i, (s, n) in enumerate(zip(starts, lengths)) if s <= t < s + n]
+            sides = st.lists(st.one_of(st.none(), st.sampled_from(_SIDES)), min_size=rows, max_size=rows)
+            ticks.append([(i, draw(sides), draw(st.booleans())) for i in draw(st.permutations(active))])
+        blocks.append((lengths, starts, ticks, draw(st.integers(1, sum(lengths) + 1))))
+    return blocks
+
+
+def _replay(trials, want):
+    """Fold ``trials``, each (inputs, sides, unsupported) in trial order, into
+    ``want``, rows in order, under a strict ``>``."""
+    for inputs, sides, unsupported in trials:
+        for row, side in enumerate(sides):
+            if side is None:
+                continue
+            lhs, rhs = side
+            tol = bounds.TOL_SCALE * (1.0 + abs(rhs))
+            want["counts"][row] += 1
+            want["violations"] += lhs > rhs + tol
+            want["support_errors"] += row == 0 and unsupported
+            if not rhs > 0 or (abs(lhs) <= tol and rhs <= tol):
+                continue
+            x = lhs / rhs
+            if row not in want["worst"] or x > want["worst"][row][0]:
+                want["worst"][row] = (x, (*inputs, lhs, rhs))
+            if want["scan_worst"] is None or x > want["scan_worst"][0]:
+                want["scan_worst"] = (x, row)
+
+
+@given(_blocks())
+def test_log_picks_the_worst_that_a_replay_of_every_kept_trial_picks(blocks):
+    fam, rows = pe.shannon(), len(bounds.CHECKS)
+    want = dict(counts=[0] * rows, violations=0, support_errors=0, worst={}, scan_worst=None)
+    agg = scan._Aggregator()
+    for b, (lengths, starts, ticks, budget) in enumerate(blocks):
+        lanes, log, trials = [_lane(i, fam) for i in range(len(lengths))], scan._Log(), {}
+        for t, tick in enumerate(ticks):
+            applied = np.zeros((rows, len(tick)), dtype=bool)
+            lhs, rhs = np.zeros(applied.shape), np.ones(applied.shape)
+            cands = []
+            for k, (i, sides, unsupported) in enumerate(tick):
+                lanes[i].used = t - starts[i]
+                cands.append((("p", b, i, lanes[i].used), ("q", b, i, lanes[i].used)))
+                trials[i, lanes[i].used] = ((fam, *cands[-1], None, None), sides, unsupported)
+                for row, side in enumerate(sides):
+                    if side is not None:
+                        applied[row, k], (lhs[row, k], rhs[row, k]) = True, side
+            unsupported = np.array([u for _, _, u in tick], dtype=bool)
+            log.add([lanes[i] for i, _, _ in tick], cands, [None] * len(tick), applied, lhs, rhs, unsupported)
+        for lane, n in zip(lanes, lengths):
+            lane.used = n
+        part = log.finish(lanes, trials=budget)
+        agg.merge(part)
+        # Trials are numbered in slot order: lane 0's first, then lane 1's.
+        numbered = [trials[i, pos] for i, n in enumerate(lengths) for pos in range(n)]
+        _replay(numbered[:budget], want)
+        assert part.trials == min(budget, len(numbered))
+        assert part.discarded == len(numbered) - part.trials
+    assert agg.counts.tolist() == want["counts"]
+    assert (agg.violations, agg.support_errors) == (want["violations"], want["support_errors"])
+    # Each trial's inputs are unique, so equal records name the same trial.
+    assert agg.worst == want["worst"] and agg.scan_worst == want["scan_worst"]
 
 
 def _step(dim, row):
