@@ -45,6 +45,7 @@ ignored; invalid stays on, as a NaN is a wrong value (where F overflows,
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -371,7 +372,10 @@ def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
 
     Returns 0 below the range of ``ln_phi`` and ``+inf`` above it, so the
     function is total.  Families without a closed inverse (piecewise_linear,
-    custom) fall back to monotone bisection at 1e-12 relative tolerance.
+    custom) fall back to monotone bisection at 1e-12 relative tolerance; they
+    return 0 only below ln_phi(5e-324) (or at and below a custom family's
+    finite ``ln_at_zero``) and inf only above ln_phi(DBL_MAX) (or at and
+    above a finite ``ln_sup``).
     """
     arr, scalar = _as_array(x)
     with np.errstate(**_QUIET):
@@ -580,11 +584,13 @@ def _custom_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
 def _custom_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
-    return _per_point(lambda x: richardson_diff(f, x, 1e-6 * max(x, 1e-3)), arr)
+    # The step stays a small fraction of x, so that x - h is in the domain.
+    return _per_point(lambda x: richardson_diff(f, x, min(1e-6 * max(x, 1e-3), 1e-3 * x)), arr)
 
 
 def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    # Every point evaluated lies in [2**-63, 2**63], inside ln_phi's domain.
+    # ln_phi is evaluated at powers of two 2**e, -1074 <= e <= 1023, at
+    # DBL_MAX, and inside the bracket they give: every point is a finite x > 0.
     f = lambda t: ln_phi_unchecked(fam, np.asarray(t, dtype=float))
 
     def inverse(y: float) -> float:
@@ -592,20 +598,21 @@ def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
             return math.inf
         if math.isfinite(fam.ln_at_zero) and y <= fam.ln_at_zero:
             return 0.0
-        lo, hi = 1.0, 1.0
-        for _ in range(64):
-            if f(lo) <= y:
-                break
-            lo *= 0.5
-        else:
-            return 0.0
-        for _ in range(64):
-            if f(hi) >= y:
-                break
-            hi *= 2.0
-        else:
+        # The bracket is 1 and the first power of two 2**-k (below y) or
+        # 2**k (above it) from 1 outward, found by bisection over k and cut
+        # to 64 binades.  A NaN y finds no 2**-k and gives 0.
+        if not y >= 0.0:
+            k = bisect.bisect_left(range(1075), True, key=lambda k: f(2.0**-k) <= y)
+            if k == 1075:
+                return 0.0
+            return bisect_monotone(f, y, 2.0**-k, 2.0 ** min(0, 64 - k), tol=1e-13, x_rel_tol=1e-12)
+        k = bisect.bisect_left(range(1024), True, key=lambda k: f(2.0**k) >= y)
+        if k < 1024:
+            return bisect_monotone(f, y, 2.0 ** max(0, k - 64), 2.0**k, tol=1e-13, x_rel_tol=1e-12)
+        if f(_MAX) < y:
             return math.inf
-        return bisect_monotone(f, y, lo, hi, tol=1e-13, x_rel_tol=1e-12)
+        # Above 2**1023 the sum of two points overflows, so bisect on x / 2.
+        return 2.0 * bisect_monotone(lambda t: f(2.0 * t), y, 2.0**1022, _MAX / 2.0, tol=1e-13, x_rel_tol=1e-12)
 
     return _per_point(inverse, arr)
 

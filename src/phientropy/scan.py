@@ -19,7 +19,10 @@ into the report: counts add up, and a bound's worst is its largest
 above-floor ratio.  Only kept trials count: each block picks each bound's
 worst once, over its kept trials in trial order, the lowest trial index
 winning a tie, and the blocks merge under a strict ``>``, so an earlier
-block keeps an equal ratio, as a sequential scan gives.
+block keeps an equal ratio, as a sequential scan gives.  An error (a
+radius solve that failed, or a value that cannot be formed) stops only the
+lane that met it; the block raises it at its end if that trial is kept,
+the error of the lowest kept trial first.
 """
 
 from __future__ import annotations
@@ -336,13 +339,15 @@ class _Lane:
     def segment(self, tv: float) -> Optional[tuple]:
         """The trial's (lam, mu, epsilon) for distinct pdfs, else None.
 
-        Raises the lane's ``delta`` if its solve returned an error.
+        If the lane's radius solve returned an error, that error becomes
+        the lane's ``error`` and the trial has no segment.
         """
         if tv == 0.0:
             return None
         delta = self.delta
         if isinstance(delta, PhiEntropyError):
-            raise delta
+            self.error = delta
+            return None
         lam, mu = self.draws[self.used][3:]
         if abs(lam - mu) * tv > delta:
             # Pull mu toward lam, to h = 0.5 * delta / tv: rounding adds at most
@@ -430,13 +435,7 @@ def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
     solve returned an error fails at its first trial of distinct pdfs."""
     cands = [lane.candidate() for lane in lanes]
     b = _Batch(layout, [c[0] for c in cands], [c[1] for c in cands])
-    segments = []
-    for lane, tv in zip(lanes, b.tv_list):
-        try:
-            segments.append(lane.segment(tv))
-        except PhiEntropyError as exc:
-            lane.error = exc
-            segments.append(None)
+    segments = [lane.segment(tv) for lane, tv in zip(lanes, b.tv_list)]
     deltas = [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)]
     b.evaluate(segments, deltas, reads(CHECKS))
     # A trial of identical pdfs evaluates no bound.
@@ -455,8 +454,9 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
     the room that the earlier lanes' lower bounds leave it, which can only
     shrink.  A slot is launched only while the lanes' expected lengths
     leave room, up to all of the block's, so that few trials fall past the
-    budget; a launch held back comes later, as lanes finish.  Errors are
-    raised after the block, the one of the lowest trial first.  ``radii``
+    budget; a launch held back comes later, as lanes finish.  An error stops
+    only the lane that met it; the others run on, and after the block the
+    error of the lowest kept trial is raised.  ``radii``
     is the scan's memo of segment radii by (family, epsilon), which launches fill.
     """
     size = len(config.families) * len(config.dims)
@@ -466,11 +466,10 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
     log, layout, key = _Log(name), None, None
     with np.errstate(**_QUIET):
         while True:
-            active, base, expected, failed = [], 0, 0, False
+            active, base, expected = [], 0, 0
             for lane in lanes:
-                if failed or lane.used >= trials - base:
+                if lane.used >= trials - base:
                     lane.done = True  # its trials reach the room left to it
-                failed = failed or lane.error is not None
                 if lane.done:  # a finished lane's length is its trials
                     base += lane.used
                     expected += lane.used
@@ -479,7 +478,7 @@ def _scan_block(config: ScanConfig, block: int, trials: int, radii: dict) -> _Lo
                     base += lane.length(1)
                     expected += lane.length(_STEPS_PER_HALVING)
             launched = []
-            while expected < trials and not failed:
+            while expected < trials:
                 slot = next(slots, None)
                 if slot is None:
                     break

@@ -26,7 +26,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -58,26 +58,6 @@ _PAD, _UNIT = np.zeros(1), np.ones(1)
 def _all_finite(a: np.ndarray) -> bool:
     # Half the cost of np.isfinite(a).all() on the few-element arrays of a scan.
     return np.count_nonzero(np.isfinite(a)) == a.size
-
-
-class _kept:
-    """An attribute that the method it decorates forms when it is first read.
-
-    ``functools.cached_property`` without its lock, which costs more than
-    what a single check's layout and batch form.
-    """
-
-    def __init__(self, method):
-        self.method = method
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.method(obj)
-        return value
 
 
 class _Layout:
@@ -162,34 +142,34 @@ class _Layout:
 
     # What only some values and masks read, formed when first read.
 
-    @_kept
+    @cached_property
     def lane_of_row(self) -> np.ndarray:
         return np.repeat(np.arange(self.size), [n + 1 for n in self.ns])
 
-    @_kept
+    @cached_property
     def scalar_rows(self) -> np.ndarray:
         return np.array(self.off[1:]) - 1
 
-    @_kept
+    @cached_property
     def n(self) -> np.ndarray:
         return np.array(self.ns, dtype=float)
 
-    @_kept
+    @cached_property
     def tsallis(self) -> np.ndarray:
         return np.array([fam.kind == "tsallis" for fam in self.fams])
 
-    @_kept
+    @cached_property
     def shannon(self) -> np.ndarray:
         return np.array([fam.kind == "shannon" for fam in self.fams])
 
-    @_kept
+    @cached_property
     def lb_lhs(self) -> np.ndarray:
         out = np.empty(self.size)
         for fam, first, end in self.groups:
             out[first:end] = -fam.f_zero - float(ln_phi_unchecked(fam, np.array([0.5]))[0])
         return out
 
-    @_kept
+    @cached_property
     def i_max(self) -> list:
         # omega(N) as omega_phi forms it: N * big_f_drop(1 / N) - F(0).
         out = []
@@ -356,12 +336,12 @@ class _Batch:
             self.h = self.e = self.cross = self.relent = np.zeros(lay.size)
         return self
 
-    @_kept
+    @cached_property
     def seg(self) -> np.ndarray:
         """Rows lam, mu and epsilon over the lanes; a lane without a segment reads zeros."""
         return np.array([(0.0, 0.0, 0.0) if s is None else s for s in self.segment]).T
 
-    @_kept
+    @cached_property
     def unsupported(self) -> np.ndarray:
         """The lanes that relent_I (row 0) and relent_D (row 1) refuse for support, set by :meth:`_odd_lane`."""
         return np.zeros((2, self.layout.size), dtype=bool)

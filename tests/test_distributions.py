@@ -36,6 +36,10 @@ class TestPdf:
         with pytest.raises(DomainError, match="pdf weights must be finite and nonnegative"):
             pe.Pdf(bad)
 
+    def test_rejects_a_two_dimensional_array(self):
+        with pytest.raises(ParamError, match="one-dimensional"):
+            pe.Pdf([[0.5, 0.5]])
+
     def test_does_not_check_the_sum(self):
         assert pe.Pdf([0.5, 0.2]).weights.tolist() == [0.5, 0.2]
         assert pe.Pdf([-0.0, 1.0]).n == 2
@@ -101,6 +105,10 @@ class TestValidate:
         with pytest.raises(ParamError):
             pe.validate([])
 
+    def test_rejects_a_tolerance_of_zero(self):
+        with pytest.raises(ParamError, match="tolerance must be positive"):
+            pe.validate([0.5, 0.5], tol=0)
+
 
 class TestTvNorm:
     def test_identical(self):
@@ -163,6 +171,10 @@ class TestPad:
     def test_appends_zeros(self):
         assert pe.pad(pe.validate([1.0]), 3).weights.tolist() == [1.0, 0.0, 0.0]
 
+    def test_same_length_is_p_itself(self):
+        p = pe.validate([0.5, 0.5])
+        assert pe.pad(p, 2) is p
+
     def test_shrink_rejected(self):
         with pytest.raises(ShrinkError):
             pe.pad(pe.validate([0.5, 0.5]), 1)
@@ -199,6 +211,16 @@ class TestSampling:
     def test_neighbor_needs_args(self):
         with pytest.raises(ParamError):
             sample_simplex(4, seed=1, mode="neighbor")
+
+    def test_neighbor_needs_a_positive_radius(self, rng):
+        with pytest.raises(ParamError, match="eps must be positive"):
+            sample_neighbor(sample_uniform(4, rng), 0.0, rng)
+
+    def test_neighbor_mode_draws_from_the_seed(self):
+        p = pe.validate([0.1, 0.2, 0.3, 0.4])
+        q = sample_simplex(4, seed=7, mode="neighbor", p=p, eps=1e-3)
+        assert q.weights.tobytes() == sample_neighbor(p, 1e-3, rng_for_seed(7)).weights.tobytes()
+        assert 0.0 < pe.tv_norm(p, q) <= 1e-3 * (1 + 1e-12)
 
     def test_unknown_mode(self):
         with pytest.raises(ParamError):

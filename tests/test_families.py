@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import phientropy as pe
+from phientropy import families
 from phientropy.errors import DomainError, FamilyError, NonDifferentiableError, ParamError
 from phientropy.families import builtin_catalogue
 from phientropy.numerics import central_diff
@@ -256,6 +257,49 @@ class TestExpPhi:
                 tol = 1e-10 * x + 8.0 * eps * (1.0 + abs(y)) / slope
             assert abs(back - x) <= tol
 
+    @pytest.mark.parametrize(
+        "make, base",
+        [
+            (lambda: pe.piecewise_linear(2.0), 2.0),
+            (lambda: pe.piecewise_linear(10.0), 10.0),
+            (lambda: pe.piecewise_linear(1.1), 1.1),
+            (lambda: pe.custom_family(np.log, 0.0), None),
+        ],
+        ids=["piecewise_linear(2)", "piecewise_linear(10)", "piecewise_linear(1.1)", "custom log"],
+    )
+    def test_bisection_round_trip_over_the_float_range(self, make, base, monkeypatch):
+        # ln_phi(base**y) = y at integer y (ln(e**y) = y for the log).  The
+        # bracket is searched over every positive float, in few kernel calls:
+        # the result is 0 or inf only where base**y leaves the float range.
+        fam, calls = make(), []
+        kernel = families.ln_phi_unchecked
+        monkeypatch.setattr(families, "ln_phi_unchecked", lambda f, x: (calls.append(1), kernel(f, x))[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in (64, -64, 100, -100, 300, -300, 1100, -1100):
+                with mpmath.workdps(50):
+                    want = float(mpmath.exp(y) if base is None else mpmath.mpf(base) ** y)
+                calls.clear()
+                got = pe.exp_phi(fam, float(y))
+                if want in (0.0, math.inf):
+                    assert got == want, y
+                else:
+                    assert got == pytest.approx(want, rel=1e-9, abs=0.0), y
+                assert len(calls) < 64, y
+
+    def test_bisection_gives_0_and_inf_only_past_the_float_range(self):
+        fam = pe.piecewise_linear(2.0)
+        top, bottom = pe.ln_phi(fam, np.finfo(float).max), pe.ln_phi(fam, 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # ln_phi = 1023 + (x - 2**1023) / 2**1023 in the top panel.
+            assert pe.exp_phi(fam, 1023.5) == pytest.approx(1.5 * 2.0**1023, rel=1e-12)
+            assert pe.exp_phi(fam, top) == pytest.approx(np.finfo(float).max, rel=1e-12)
+            assert pe.exp_phi(fam, np.nextafter(top, math.inf)) == math.inf
+            # Bisection midpoints round to the even of two neighbouring subnormals.
+            assert 0.0 < pe.exp_phi(fam, bottom) <= 1e-323
+            assert pe.exp_phi(fam, np.nextafter(bottom, -math.inf)) == 0.0
+
 
 class TestBigF:
     def test_zero_at_one_exactly(self, family):
@@ -360,7 +404,9 @@ class TestOmega:
         for fam in (pe.tsallis(-0.5), pe.kappa_maxwell(2.0)):
             assert pe.omega_phi(fam, 1e-18) == pytest.approx(fam.omega_at_zero, abs=1e-5)
 
-    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-305, 1e-307, 1e-308, 1e-310])
+    # At 3.831621480669189e-304, floor(-log(x) / log(1.01)) misrounds a panel
+    # too high, and _pw_omega's guard takes piecewise_linear(1.01) back down.
+    @pytest.mark.parametrize("x", [1e-200, 1e-300, 1e-305, 1e-307, 1e-308, 1e-310, 3.831621480669189e-304])
     @pytest.mark.parametrize(
         "fam",
         [pe.shannon(), pe.tsallis(0.1), pe.tsallis(0.5), pe.tsallis(0.9), pe.tsallis(-0.5), pe.kaniadakis(0.5),
@@ -534,20 +580,27 @@ class TestCustomFamily:
             )
 
     @pytest.mark.parametrize(
-        "ln, s, twin",
+        "ln, s, twin, lo",
         [
-            (np.log, 0.0, pe.shannon()),
-            (lambda x: 3.0 * (x**0.5 - 1.0), 0.0, pe.tsallis(0.5)),
-            (lambda x: -(x**-0.5 - 1.0), 0.5, pe.tsallis(-0.5)),
-            (lambda x: (x**0.3 - x**-0.3) / 0.6, 0.3, pe.kaniadakis(0.3)),
+            (np.log, 0.0, pe.shannon(), 1e-300),
+            # 3 (x**0.5 - 1) keeps fewer of x's digits as x falls: below 1e-9
+            # a difference of it holds fewer than seven.
+            (lambda x: 3.0 * (x**0.5 - 1.0), 0.0, pe.tsallis(0.5), 1e-9),
+            # Below these the twin's derivative passes DBL_MAX.
+            (lambda x: -(x**-0.5 - 1.0), 0.5, pe.tsallis(-0.5), 1e-200),
+            (lambda x: (x**0.3 - x**-0.3) / 0.6, 0.3, pe.kaniadakis(0.3), 1e-230),
         ],
         ids=["shannon", "tsallis(0.5)", "tsallis(-0.5)", "kaniadakis(0.3)"],
     )
-    def test_ln_phi_prime_matches_builtin_twin(self, ln, s, twin):
-        # The custom derivative is a Richardson difference of ln.
+    def test_ln_phi_prime_matches_builtin_twin(self, ln, s, twin, lo):
+        # The custom derivative is a Richardson difference of ln, whose step
+        # stays a small fraction of x; shannon's twin is 1 / x.
         fam = pe.custom_family(ln, singularity_exponent=s)
-        xs = np.logspace(-3.0, math.log10(40.0), 30)
-        np.testing.assert_allclose(pe.ln_phi_prime(fam, xs), pe.ln_phi_prime(twin, xs), rtol=1e-7, atol=0)
+        xs = np.logspace(math.log10(lo), 3.0, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pe.ln_phi_prime(fam, xs)
+        np.testing.assert_allclose(got, pe.ln_phi_prime(twin, xs), rtol=1e-7, atol=0)
 
     def test_exp_by_bisection_round_trip(self):
         fam = pe.custom_family(self._kan_like(0.3), singularity_exponent=0.3)
@@ -560,6 +613,16 @@ class TestCustomFamily:
         assert fam.f_zero == pytest.approx(0.5, abs=1e-9)
         assert pe.exp_phi(fam, -2.0) == 0.0  # below the range
         assert pe.exp_phi(fam, 1.5) == pytest.approx(2.5, rel=1e-9)
+
+    def test_exp_is_inf_from_a_finite_ln_sup(self):
+        # kappa_maxwell(2)'s logarithm, bounded above by kappa = 2.
+        fam = pe.custom_family(lambda x: 2.0 * (1.0 - x ** (-1.0 / 3.0)), singularity_exponent=1.0 / 3.0, ln_sup=2.0)
+        assert pe.exp_phi(fam, 2.0) == pe.exp_phi(fam, 3.0) == math.inf
+        assert pe.exp_phi(fam, 1.0) == pytest.approx(pe.exp_phi(pe.kappa_maxwell(2.0), 1.0), rel=1e-9)
+
+    def test_rejects_non_finite_values_on_its_grid(self):
+        with pytest.raises(ParamError, match="finite values"):
+            pe.custom_family(lambda x: np.where(x < 1e-3, -np.inf, np.log(x)), singularity_exponent=0.0)
 
     def test_rejects_decreasing(self):
         with pytest.raises(ParamError):

@@ -65,6 +65,10 @@ class TestModels:
     def test_bad_dims(self):
         with pytest.raises(ParamError):
             pe.ParametricModel(dim_theta=0, dim_p=2, eval=lambda th: None)
+        with pytest.raises(ParamError, match="fd_step"):
+            pe.ParametricModel(dim_theta=1, dim_p=2, eval=lambda th: None, fd_step=0)
+        with pytest.raises(ParamError, match="at least 2 states"):
+            pe.softmax_model(1)
         with pytest.raises(ParamError):
             model_jacobian(BERN, np.array([0.2, 0.3]))
 
@@ -231,6 +235,10 @@ class TestExpansion:
     def test_needs_two_rungs(self):
         with pytest.raises(ParamError):
             pe.expansion_check(pe.shannon(), BERN, np.array([0.5]), np.array([1e-2]), rungs=1)
+
+    def test_dtheta_must_match_theta(self):
+        with pytest.raises(ParamError, match="dtheta must match"):
+            pe.expansion_check(pe.shannon(), BERN, np.array([0.5]), np.array([1e-2, 1e-2]))
 
     def test_report_type(self):
         rep = pe.expansion_check(pe.shannon(), BERN, np.array([0.4]), np.array([1e-2]))

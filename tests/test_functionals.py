@@ -18,6 +18,20 @@ def uniform(n):
     return pe.Pdf(np.full(n, 1.0 / n))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, q: pe.entropy(pe.shannon(), p, "bogus"),
+        lambda p, q: pe.rel_entropy(pe.shannon(), p, q, "bogus"),
+        lambda p, q: pe.divergence(pe.shannon(), p, q, "bogus"),
+    ],
+    ids=["entropy", "rel_entropy", "divergence"],
+)
+def test_unknown_method_refused(call):
+    with pytest.raises(ParamError, match="unknown .*method 'bogus'"):
+        call(uniform(2), pe.validate([0.25, 0.75]))
+
+
 class TestWeightsRefusedAtConstruction:
     """The closed forms never look at a weight's validity; the Pdf type does.
 
@@ -164,6 +178,8 @@ class TestRelEntropy:
 
     def test_generic_vs_closed(self, family, rng):
         if family.kind not in CLOSED_REL_ENTROPY:
+            with pytest.raises(FamilyError, match="no closed-form relative entropy"):
+                pe.rel_entropy(family, self.P(), self.Q(), "closed_form")
             return
         for _ in range(60):
             n = int(rng.integers(2, 16))
@@ -222,6 +238,12 @@ class TestDivergence:
     def test_zero_at_equal(self, family, rng):
         p = random_pdf(rng, 4)
         assert pe.divergence(family, p, p, "generic") == 0.0
+
+    def test_closed_form_only_for_shannon_and_tsallis(self, family):
+        if family.kind in ("shannon", "tsallis"):
+            return
+        with pytest.raises(FamilyError, match="no closed-form divergence"):
+            pe.divergence(family, self.P(), self.Q(), "closed_form")
 
     def test_tsallis_generic_vs_closed(self, rng):
         fam = pe.tsallis(0.5)

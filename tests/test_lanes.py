@@ -150,6 +150,45 @@ def test_error_of_the_lowest_trial_is_raised():
     assert log.finish(lanes, trials=4).trials == 4
 
 
+def _failing_radii(monkeypatch, failing: dict) -> None:
+    """Make the radius solve of each family in ``failing`` return its error."""
+    real = scan.condition1_radii
+
+    def radii(pairs):
+        return [failing.get(fam, radius) for (fam, _), radius in zip(pairs, real(pairs))]
+
+    monkeypatch.setattr(scan, "condition1_radii", radii)
+
+
+def test_a_failed_radius_fails_the_scan_only_from_its_first_kept_trial(monkeypatch):
+    # A hill-climb block whose last slot's family has no radius: that slot's
+    # first trial comes after every trial of the slots before it.
+    grid = pe.default_family_grid()
+    fields = dict(seed=45, modes=("hillclimb",), dims=(2,))
+    # The other slots of the block run as they do without the last family.
+    before = scan._scan_block(ScanConfig(families=grid[:-1], **fields), 0, 10**9, {}).trials
+    unpatched = _payload(stability_scan(ScanConfig(families=grid, trials=before, **fields)))
+    error = pe.errors.InfeasibleEpsilon("no radius for the last family")
+    _failing_radii(monkeypatch, {grid[-1]: error})
+    assert _payload(stability_scan(ScanConfig(families=grid, trials=before, **fields))) == unpatched
+    with pytest.raises(pe.errors.InfeasibleEpsilon) as raised:
+        stability_scan(ScanConfig(families=grid, trials=before + 1, **fields))
+    assert raised.value is error
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["in grid order", "swapped"])
+def test_of_two_failed_radii_the_lower_slot_fails_the_scan(monkeypatch, swap):
+    # Every slot of a uniform block runs one trial, at one tick.
+    grid = list(pe.default_family_grid())
+    if swap:
+        grid[3], grid[4] = grid[4], grid[3]
+    errors = {fam: pe.errors.InfeasibleEpsilon(fam.label) for fam in grid[3:5]}
+    _failing_radii(monkeypatch, errors)
+    with pytest.raises(pe.errors.InfeasibleEpsilon) as raised:
+        stability_scan(ScanConfig(families=tuple(grid), modes=("uniform",), trials=100))
+    assert raised.value is errors[grid[3]]
+
+
 # (lhs, rhs) pairs a differential tick draws: ratios 0, 0.5 (from two
 # different pairs, so that ties show which trial won), 0.75 and 2 (a
 # violation), a noise-floor pair whose ratio never becomes a worst, and an
