@@ -460,7 +460,13 @@ def _km_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     k = fam.kappa
     if k > _KM_EXPM1_KAPPA:
         return -k * np.expm1(-np.log(arr) / (1.0 + k))
-    return k * (1.0 - arr ** (-1.0 / (1.0 + k)))
+    power = arr ** (-1.0 / (1.0 + k))
+    out = k * (1.0 - power)
+    if np.count_nonzero(power == math.inf):
+        # x**(-1/(1 + kappa)) overflows before the product with kappa (only
+        # below kappa = 0.049, at subnormal x): kappa goes into the exponent.
+        out = np.where(power == math.inf, k - np.exp(math.log(k) - np.log(arr) / (1.0 + k)), out)
+    return out
 
 
 def _km_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -515,9 +521,16 @@ def _pw_panels(x: np.ndarray, base: float):
     return m, np.where(deep, 1.0, am), np.where(deep, v - 1.0, x - am), deep
 
 
+def _pw_offset(u: np.ndarray, am: np.ndarray, base: float) -> np.ndarray:
+    """``u / (am (base - 1))``, formed as ``(u / am) / (base - 1)`` where the
+    product overflows (am (base - 1) passes DBL_MAX in the top panels)."""
+    den = am * (base - 1.0)
+    return np.where(den < math.inf, u / den, (u / am) / (base - 1.0))
+
+
 def _pw_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     m, am, u, _ = _pw_panels(arr, fam.base)
-    return m + u / (am * (fam.base - 1.0))
+    return m + _pw_offset(u, am, fam.base)
 
 
 def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -563,7 +576,7 @@ def _pw_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     m, am, u, deep = _pw_panels(arr, fam.base)
     if np.any(u == 0.0):
         raise NonDifferentiableError("piecewise-linear logarithm has no derivative at its knots")
-    out = 1.0 / (am * (fam.base - 1.0))
+    out = _pw_offset(1.0, am, fam.base)
     if deep is not None:  # 1 / (knot (base - 1)), the knot x / (1 + u)
         out = np.where(deep, ((1.0 + u) / (fam.base - 1.0)) / arr, out)
     return out

@@ -250,6 +250,10 @@ def richardson_diff(f: Callable[[float], float], x: float, h: float) -> float:
     """Central difference with one Richardson extrapolation step (O(h^4))."""
     d1 = central_diff(f, x, h)
     d2 = central_diff(f, x, 0.5 * h)
+    # A scalar derivative past DBL_MAX: d1 is inf, and (4 d2 - d1) / 3 would
+    # be NaN (or -inf where d2 is finite).  The finer difference stands in.
+    if np.ndim(d1) == 0 and math.isinf(d1):
+        return d2
     return (4.0 * d2 - d1) / 3.0
 
 

@@ -13,7 +13,9 @@ lanes, and only where a value asked for reads them, passing the
 ``big_f_drop`` arguments of each family's lanes through one kernel call.
 What depends only on the family, N and the reference pdf sits in a
 :class:`_Layout`, which the scan keeps for a hill-climb restart.  Rows
-evaluate over arrays of lanes; a single input is a batch of one.
+evaluate over arrays of lanes; a single input is a batch of one, and every
+lane takes one path: a reference pdf that vanishes or underflows where p
+and q differ is handled inside :meth:`_Batch.evaluate`'s vectorized sums.
 :func:`condition1_radii` solves the segment row's radii, and
 :func:`condition1_delta` is its cached one-pair call.
 """
@@ -44,7 +46,6 @@ from .errors import (
 from .distributions import Pdf
 from .families import LogFamily, big_f_drop_unchecked, family_to_json, ln_phi_unchecked
 from . import numerics
-from .numerics import sum_compensated
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,10 @@ class _Layout:
     ``off[i + 1] - 1`` of the batch's flat arrays: one row per pdf entry,
     then one row that carries the lane's two scalar kernel arguments.  A
     layout with r has its reference values: per row, ``rdiv`` is r with its
-    zeros set to 1, ``zero`` marks r = 0, and ``ln2`` holds
-    ln_phi(1/r), ln_phi(r), 0 where r = 0.  Per lane, ``lb_lhs`` is the
+    zeros set to 1, ``zero`` marks r = 0 (``any_zero`` if it marks any),
+    ``over`` marks where 1/r overflows, and ``ln2`` holds ln_phi(1/r),
+    ln_phi(r) (-inf at a subnormal r for some families), 0 where r = 0 and
+    ln_phi(1) = 0 where 1/r overflows.  Per lane, ``lb_lhs`` is the
     left side of ``lb`` and ``i_max`` = omega(N); each is computed when
     first read, but for ``lb_lhs`` in a layout with r, which shares the
     reference values' kernel call.  ``rows`` gives each lane's rows as
@@ -94,7 +97,6 @@ class _Layout:
                 self.groups[-1][2] = i + 1
             else:
                 self.groups.append([fam, i, i + 1])
-        self.odd, self.any_zero = [], False
         if rows is not None:
             # The rows of the source layouts one after another, and where each lane's start.
             sources = list(dict.fromkeys(x for x, _ in rows))
@@ -107,19 +109,7 @@ class _Layout:
             self.i_max = [x.i_max[i] for x, i in rows]
         elif self.has_r:
             self._reference_values()
-        if not self.has_r:
-            return
-        finite = np.isfinite(self.ln2)
-        all_finite = np.count_nonzero(finite) == finite.size
-        # ln_phi of a subnormal r can be infinite: such a lane sums over the
-        # entries where p and q differ (see _Batch._odd_lane).
-        self.ln2_rows = self.ln2 if all_finite else np.where(finite, self.ln2, 0.0)
-        self.any_zero = np.count_nonzero(self.zero) > 0
-        # Lanes whose relative-entropy values need more than the plain sums:
-        # r with zeros, an infinite ln_phi(r) or an overflowing 1/r.
-        if self.any_zero or not all_finite or np.count_nonzero(self.over):
-            odd = self.zero | ~finite.all(axis=0) | self.over
-            self.odd = np.add.reduceat(odd, off[:-1]).nonzero()[0].tolist()
+        self.any_zero = self.has_r and bool(np.count_nonzero(self.zero))
 
     def _reference_values(self):
         # Each lane's r, then a row of one.
@@ -140,7 +130,18 @@ class _Layout:
             self.lb_lhs[first:end] = -fam.f_zero - float(ln[0])
         self.ln2[:, self.zero] = 0.0
 
+    def lanes(self, rows: np.ndarray) -> np.ndarray:
+        """The mask of the lanes that own a row ``rows`` marks."""
+        return np.add.reduceat(rows, self.off[:-1]) > 0
+
     # What only some values and masks read, formed when first read.
+
+    @cached_property
+    def limits(self) -> np.ndarray:
+        """Rows ln_sup, ln_phi(0+) and -omega(0+) over the lanes: per unit of
+        |p - q| or p - q, what a bare coordinate adds to h_r, e_r, the cross
+        sum and relent_I."""
+        return np.array([(fam.ln_sup, fam.ln_at_zero, -fam.omega_at_zero) for fam in self.fams]).T
 
     @cached_property
     def lane_of_row(self) -> np.ndarray:
@@ -191,17 +192,22 @@ _ENTROPIES = ("ent_p", "ent_q", "ent_sym", "mix_lam", "mix_mu")
 
 
 @lru_cache(maxsize=64)
-def _reads(values: tuple, has_r: bool) -> tuple:
+def _reads(values: tuple, has_r: bool, any_zero: bool) -> tuple:
     """What :meth:`_Batch.evaluate` forms for ``values``: the set of what they
     read, the kernel-argument columns in order, the number of entropy
-    columns among them (which come first), and the sums in summand-row order."""
+    columns among them (which come first), and the sums in summand-row order.
+    The sums ``bare`` and ``bare_mass``, of |p - q| and p - q where r = 0,
+    come with h_r's where r has a zero."""
     reads = set().union(*(_VALUES[v].reads for v in values))
     if not has_r:
         reads -= {"r", "q/r", "p/r"}
     cols = [c for c in _COLUMNS if c in reads]
     sums = [_ENTROPIES[_COLUMNS.index(c)] for c in cols if c in _COLUMNS[:5]]
     m = len(sums)
-    sums += ["d"] * ("diff" in reads) + ["h", "e", "cross"] * ("r" in reads) + ["relent"] * ("q/r" in reads)
+    sums += ["d"] * ("diff" in reads)
+    if "r" in reads:
+        sums += ["h", "e", "cross"] + ["bare", "bare_mass"] * any_zero
+    sums += ["relent"] * ("q/r" in reads)
     return reads, cols, m, sums
 
 
@@ -221,7 +227,11 @@ class _Batch:
     An error a value's public function would raise (a ratio to r, or F at
     one, that overflows, an unsupported limit, omega at an infinite x) is
     kept per lane and recorded by the first row that reads the value where
-    it applies, so errors still come in table order.
+    it applies, so errors still come in table order.  The reference-pdf
+    edge cases take no lane of their own: an infinite ln_phi(r) meets only
+    exact-zero terms where p and q agree, and a bare coordinate (p != q,
+    r = 0) enters through two more per-lane sums, of |p - q| and p - q
+    there, which :meth:`_bare_limits` scales by the family's limits at 0+.
     """
 
     def __init__(self, layout: _Layout, ps, qs):
@@ -256,7 +266,7 @@ class _Batch:
         lay, tv, pw, qw, diff = self.layout, self.tv, self.pw, self.qw, self.diff
         self.segment, self.deltas = segments, deltas
         self.identical = tv == 0.0
-        reads, cols, m, names = _reads(tuple(values), lay.has_r)
+        reads, cols, m, names = _reads(tuple(values), lay.has_r, lay.any_zero)
         if "sym" in reads or "omega" in reads:
             tv_div = tv + self.identical  # tv, and 1 where it is 0
         formed = {"p": pw, "q": qw, "diff": diff}
@@ -276,15 +286,16 @@ class _Batch:
                 # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
                 self.x_cont2 = lay.n / tv_div
                 args[lay.scalar_rows, cols.index("p")] = 1.0 / self.x_cont2
-                infinite = (self.x_cont2 == math.inf).nonzero()[0].tolist()
-                self.omega_error = {i: DomainError("omega_phi requires finite x > 0") for i in infinite}
+                infinite = self.x_cont2 == math.inf
+                self.omega_error = _lane_errors(infinite, DomainError, "omega_phi requires finite x > 0")
             if "g_tv" in reads:
                 args[lay.scalar_rows, cols.index("q")] = np.minimum(tv, 1.0)
             # A ratio to a tiny r that overflows is kept out of the kernel.
+            overflowed = np.zeros(pw.size, dtype=bool)
             if "q/r" in reads and not _all_finite(args[:, -2:]):
-                finite = np.isfinite(args[:, -2:])
-                self._flag_overflow(finite)
-                args[:, -2:][~finite] = 1.0
+                infinite = ~np.isfinite(args[:, -2:])
+                overflowed |= infinite.any(axis=1)
+                args[:, -2:][infinite] = 1.0
             k, flat = len(cols), args.reshape(-1)
             parts = [
                 big_f_drop_unchecked(fam, flat[k * lay.off[first] : k * lay.off[end]])
@@ -292,20 +303,23 @@ class _Batch:
             ]
             g = (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(args.shape)
             if "q/r" in reads and not _all_finite(g[:, -2:]):
-                self._flag_overflow(np.isfinite(g[:, -2:]))
+                overflowed |= ~np.isfinite(g[:, -2:]).all(axis=1)
+            if np.count_nonzero(overflowed):
+                self.overflow = _lane_errors(lay.lanes(overflowed), DomainError, _OVERFLOW)
             if "omega" in reads:
                 self.g_cont2 = g[lay.scalar_rows, cols.index("p")]
             if "g_tv" in reads:
                 self.g_tv = g[lay.scalar_rows, cols.index("q")]
         # The summands, one row each: the entropy terms big_f_drop(w) - w F(0)
-        # of the formed entropy columns; d's terms; h_r's and e_r's;
-        # relent_D's cross terms (p - q) ln_phi(r); and relent_I's
+        # of the formed entropy columns; d's terms; h_r's and e_r's; relent_D's
+        # cross terms (p - q) ln_phi(r); |p - q| and p - q at the bare
+        # coordinates, where p and q differ and r = 0; and relent_I's
         # per-coordinate integral form (p - q) F(0) + r (g(q/r) - g(p/r)).
         # Where p and q differ, bare coordinates and r > 0 partition the
         # support of diff (x - y == 0 exactly when x == y in floating point).
-        # ln2 is 0 where r = 0, and diff is 0 where p and q agree: a finite
-        # ln2 makes those terms zeros, which leave the sums' bits unchanged
-        # (see sum_compensated).  The odd lanes are summed again below.
+        # The terms of h_r, e_r and the cross sum are exact zeros where p and
+        # q agree, even where ln_phi(r) is infinite, and ln2 is 0 where r = 0;
+        # zeros leave the sums' bits unchanged (see sum_compensated).
         summands = np.empty((len(names), pw.size))
         if m:
             np.multiply(columns[:m], lay.f0_rows, out=summands[:m])
@@ -313,9 +327,12 @@ class _Batch:
         if "diff" in reads:
             summands[m] = g[:, cols.index("diff")]
         if "r" in reads:  # which every value that reads q/r reads too
-            dpq, at = pw - qw, names.index("h")
-            np.multiply(diff, lay.ln2_rows, out=summands[at : at + 2])
-            np.multiply(dpq, lay.ln2_rows[1], out=summands[at + 2])
+            dpq, at, moved = pw - qw, names.index("h"), diff > 0
+            ln2 = np.where(moved, lay.ln2, 0.0)
+            np.multiply(diff, ln2, out=summands[at : at + 2])
+            np.multiply(dpq, ln2[1], out=summands[at + 2])
+            if lay.any_zero:
+                summands[at + 3 : at + 5] = np.where(lay.zero, (diff, dpq), 0.0)
         if "q/r" in reads:
             relent = summands[-1]
             np.subtract(g[:, -2], g[:, -1], out=relent)
@@ -326,15 +343,36 @@ class _Batch:
         sums = [list(map(math.fsum, map(col.__getitem__, lay.entries))) for col in summands.tolist()]
         # Each sum is the attribute of its name.
         self.__dict__.update(zip(names, np.array(sums).reshape(len(names), lay.size)))
-        self.sums = names
         self.h_error, self.e_error = {}, {}
         if "r" in reads:
+            if lay.any_zero:
+                self._bare_limits("relent" in names)
+            if np.count_nonzero(lay.over):
+                # 1/r overflows where p and q differ: h_r raises, unless a bare coordinate's refusal came first.
+                over = lay.lanes(lay.over & moved) & ~self.unsupported[0]
+                self.h_error.update(_lane_errors(over, DomainError, _OVERFLOW))
             self.e = -self.e
-            for i in lay.odd:
-                self._odd_lane(i)
         elif not lay.has_r:
             self.h = self.e = self.cross = self.relent = np.zeros(lay.size)
         return self
+
+    def _bare_limits(self, relent: bool) -> None:
+        """Add the limits at 0+ that the bare coordinates read to h_r, e_r
+        (before its sign), the cross sum and, if ``relent``, relent_I, and
+        refuse the lanes where a limit they read is infinite."""
+        bare = self.bare > 0
+        if not np.count_nonzero(bare):
+            return
+        (ln_sup, ln_0, omega_0), abs_, mass = self.layout.limits[:, bare], self.bare[bare], self.bare_mass[bare]
+        self.h[bare] += ln_sup * abs_
+        self.e[bare] += ln_0 * abs_
+        self.cross[bare] += ln_0 * mass
+        if relent:
+            self.relent[bare] += omega_0 * mass
+        # relent_I and h_r read omega(0+) and ln_sup, which are finite together;
+        # relent_D and e_r read ln_phi(0+).
+        self.unsupported = ~np.isfinite(self.layout.limits[[2, 1]]) & bare
+        self.h_error, self.e_error = (_lane_errors(lanes, SupportError, _BARE) for lanes in self.unsupported)
 
     @cached_property
     def seg(self) -> np.ndarray:
@@ -343,49 +381,13 @@ class _Batch:
 
     @cached_property
     def unsupported(self) -> np.ndarray:
-        """The lanes that relent_I (row 0) and relent_D (row 1) refuse for support, set by :meth:`_odd_lane`."""
+        """The lanes that relent_I (row 0) and relent_D (row 1) refuse for support, set by :meth:`evaluate`."""
         return np.zeros((2, self.layout.size), dtype=bool)
 
-    def _flag_overflow(self, finite: np.ndarray) -> None:
-        for i, entries in enumerate(self.layout.entries):
-            if not finite[entries].all():
-                self.overflow[i] = DomainError(_OVERFLOW)
 
-    def _odd_lane(self, i: int) -> None:
-        """Support, h_r, e_r and the relative-entropy sums of lane i, from its own entries."""
-        lay, fam = self.layout, self.layout.fams[i]
-        at = lay.entries[i]
-        pw, qw, diff = self.pw[at], self.qw[at], self.diff[at]
-        zero, ln2, over = lay.zero[at], lay.ln2[:, at], lay.over[at]
-        bare = (diff > 0) & zero
-        any_bare = np.count_nonzero(bare) > 0
-        if any_bare:
-            # relent_I reads omega(0) and ln_sup (finite together), relent_D ln_phi(0+).
-            self.unsupported[:, i] = not fam.omega_at_zero_finite, not math.isfinite(fam.ln_at_zero)
-        h, e, cross = self.h[i], -self.e[i], self.cross[i]
-        if not _all_finite(ln2):
-            # An infinite ln2 would make the zero terms NaN: sum over the moved entries.
-            moved = diff > 0
-            h_terms, e_terms = (diff[moved] * ln2[:, moved]).tolist()
-            h, e = sum_compensated(h_terms), sum_compensated(e_terms)
-            dpq, ln_r = (pw - qw)[~zero], ln2[1, ~zero]
-            moved = dpq != 0
-            cross = sum_compensated(dpq[moved] * ln_r[moved])
-        if any_bare:
-            mass = sum_compensated(pw[bare] - qw[bare])
-            bare_abs = sum_compensated(diff[bare])
-            h += fam.ln_sup * bare_abs
-            e += fam.ln_at_zero * bare_abs
-            cross += fam.ln_at_zero * mass
-            if "relent" in self.sums:
-                self.relent[i] += -fam.omega_at_zero * mass
-            if not math.isfinite(fam.ln_sup):
-                self.h_error[i] = SupportError(_BARE)
-            if not math.isfinite(fam.ln_at_zero):
-                self.e_error[i] = SupportError(_BARE)
-        if i not in self.h_error and np.count_nonzero(diff[over] > 0):
-            self.h_error[i] = DomainError(_OVERFLOW)
-        self.h[i], self.e[i], self.cross[i] = h, -e, cross
+def _lane_errors(lanes: np.ndarray, error: type, text: str) -> dict:
+    """A new ``error(text)`` for each lane ``lanes`` marks, by lane."""
+    return {i: error(text) for i in lanes.nonzero()[0].tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -586,9 +586,10 @@ class TestCustomFamily:
             # 3 (x**0.5 - 1) keeps fewer of x's digits as x falls: below 1e-9
             # a difference of it holds fewer than seven.
             (lambda x: 3.0 * (x**0.5 - 1.0), 0.0, pe.tsallis(0.5), 1e-9),
-            # Below these the twin's derivative passes DBL_MAX.
-            (lambda x: -(x**-0.5 - 1.0), 0.5, pe.tsallis(-0.5), 1e-200),
-            (lambda x: (x**0.3 - x**-0.3) / 0.6, 0.3, pe.kaniadakis(0.3), 1e-230),
+            # From about 1e-206 and 1e-237 down the derivative passes DBL_MAX,
+            # and both read inf.
+            (lambda x: -(x**-0.5 - 1.0), 0.5, pe.tsallis(-0.5), 1e-300),
+            (lambda x: (x**0.3 - x**-0.3) / 0.6, 0.3, pe.kaniadakis(0.3), 1e-300),
         ],
         ids=["shannon", "tsallis(0.5)", "tsallis(-0.5)", "kaniadakis(0.3)"],
     )
@@ -825,6 +826,43 @@ class TestMpmathCertificate:
                 t = 1 / mpmath.mpf(1e-305)
                 omega = exact_kernels(fam, t)[1] / t - ANALYTIC_F_ZERO[fam.kind](fam)
             assert_close(pe.omega_phi(fam, 1e-305), omega)
+
+    @pytest.mark.parametrize("base", [1e9, 1.3965e9, 3e13])
+    def test_piecewise_linear_ln_where_the_knot_product_overflows(self, base):
+        # In the top panel base**m (base - 1) passes DBL_MAX, and the offset
+        # u / (base**m (base - 1)) is formed without that product.  ln_phi'
+        # = 1 / (base**m (base - 1)) is subnormal there, held to its spacing.
+        # The panel is so flat that one ulp of ln_phi spans up to 7e-7 of x,
+        # and the round trip through exp_phi is held to four of those.
+        fam = pe.piecewise_linear(base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (1e302, 1e307, 4.16e307, 1e308, np.finfo(float).max):
+                ln = exact_kernels(fam, x)[0]
+                assert_close(pe.ln_phi(fam, x), ln)
+                with mpmath.workdps(50):
+                    slope = 1 / (mpmath.mpf(base) ** mpmath.floor(ln) * (mpmath.mpf(base) - 1))
+                got = pe.ln_phi_prime(fam, x)
+                assert abs(got - slope) <= max(1e-12 * slope, 2.0**-1074), (x, got, slope)
+                y = float(pe.ln_phi(fam, x))
+                assert abs(pe.exp_phi(fam, y) - x) <= max(1e-9 * x, 4.0 * math.ulp(y) / float(slope)), x
+
+    @pytest.mark.parametrize("kappa", [2e-5, 1e-3, 0.01, 0.04])
+    def test_kappa_maxwell_ln_where_the_power_overflows(self, kappa):
+        # Below kappa = 0.049, x**(-1/(1 + kappa)) passes DBL_MAX at subnormal
+        # x before its product with kappa does; below -DBL_MAX ln_phi is -inf.
+        fam = pe.kappa_maxwell(kappa)
+        xs = np.unique(np.concatenate(([5e-324, 1e-323, 3.5e-310], np.logspace(-323, -308, 61))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pe.ln_phi(fam, xs)
+        for x, value in zip(xs.tolist(), got.tolist()):
+            ln = exact_kernels(fam, x)[0]
+            if abs(ln) <= np.finfo(float).max:
+                assert_close(value, ln)
+            else:
+                assert value == -math.inf, (x, value)
+        assert np.all(np.diff(got[np.isfinite(got)]) > 0)
 
     @pytest.mark.parametrize("kappa", [1e-4, -1e-4, 1e-3, -1e-3, 0.01])
     def test_tsallis_drop_near_dbl_max(self, kappa):
