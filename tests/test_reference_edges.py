@@ -1,7 +1,7 @@
 """The check table's reference-pdf edge cases against a per-lane oracle, bit for bit.
 
 A reference pdf r can vanish where p and q differ (a bare coordinate), be
-subnormal so that ln_phi(r) is -inf (tsallis(-0.99) from about 1e-303 down),
+subnormal so that ln_phi(r) is -inf (tsallis(-0.99) below about 4e-312),
 or be so small that 1/r and the ratios p/r and q/r overflow.  ``_Batch``
 handles all three inside its vectorized sums.  The oracle below computes one
 lane the other way: plain sums in which a non-finite ln_phi(r) reads 0, and
@@ -47,7 +47,7 @@ def _lane(draw):
     tiny[draw(st.integers(0, n - 1))] = None  # r keeps some mass
     shares = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
     normal = np.array([t is None for t in tiny])
-    r = np.where(normal, 0.0, [0.0 if t is None else t for t in tiny])
+    r = np.array([0.0 if t is None else t for t in tiny])
     r[normal] = shares[normal] / shares[normal].sum()
     p = np.array(draw(st.lists(_SHARES, min_size=n, max_size=n)))
     p = p / p.sum() if p.sum() > 0 else np.full(n, 1.0 / n)
