@@ -330,29 +330,14 @@ def big_f(fam: LogFamily, x) -> float | np.ndarray:
 def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
     """Deduced logarithm ``omega(x) = (x - 1) F(0) - x F(1/x)`` for ``x > 0``.
 
-    Computed as ``x * big_f_drop(1/x) - f_zero`` - the same expression with
-    the two F(0) terms combined - which stays accurate for large ``x`` and
-    makes ``omega(1) = 0`` exact.  Where ``big_f_drop(1/x)`` overflows
-    although omega is finite (tiny x, for most kinds), or 1/x itself does
-    (subnormal x), a kind's closed form of omega gives the value; every
-    finite plain value is kept as it is.  The custom kind has no closed
-    form and raises :class:`DomainError` where 1/x overflows.
+    Each built-in kind's row gives omega in closed form, with no F in it, so
+    it keeps its digits near x = 1 and does not overflow where 1/x does.
+    The custom kind takes the defining form ``x * big_f_drop(1/x) - F(0)``
+    and raises :class:`DomainError` where 1/x overflows.
     """
     arr, scalar = _in_domain(x, "omega_phi")
-    closed = _KINDS[fam.kind].omega
     with np.errstate(**_QUIET):
-        inv = 1.0 / arr
-    over = np.isinf(inv)
-    if np.count_nonzero(over):
-        if closed is None:
-            raise DomainError(f"omega_phi requires x whose reciprocal is finite for {fam.kind} families")
-        inv = np.where(over, 1.0, inv)
-    out = arr * np.asarray(big_f_drop(fam, inv)) - fam.f_zero
-    plain = np.isfinite(out) & ~over
-    if closed is not None and not np.all(plain):
-        with np.errstate(**_QUIET):
-            out = np.where(plain, out, closed(fam, arr))
-    return _ret(out, scalar)
+        return _ret(_KINDS[fam.kind].omega(fam, arr), scalar)
 
 
 def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
@@ -425,48 +410,61 @@ def _tsallis_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # the drop -inf there, not inf - inf.  Near DBL_MAX at small |kappa| the
     # drop is still finite; x factored out gives it there.
     out = np.minimum((1.0 + 1.0 / k) * arr, _MAX) - np.maximum((1.0 / k) * arr ** (1.0 + k), -_MAX)
-    if np.count_nonzero(out == -math.inf):
-        out = np.where(out == -math.inf, arr * ((1.0 + 1.0 / k) - (1.0 / k) * arr**k), out)
-    return out
+    return _where_inf(out, lambda: arr * ((1.0 + 1.0 / k) - (1.0 / k) * arr**k))
+
+
+def _where_inf(out: np.ndarray, redo: Callable[[], np.ndarray], at: Optional[np.ndarray] = None) -> np.ndarray:
+    """``out``, with ``redo()`` where ``at`` (``out`` by default) is infinite: the
+    form a kernel takes where an intermediate overflows but its value need not."""
+    inf = np.isinf(out if at is None else at)
+    return np.where(inf, redo(), out) if np.count_nonzero(inf) else out
+
+
+def _times_expm1(c: float, y: np.ndarray) -> np.ndarray:
+    """``c * expm1(y)``, with c in the exponent where expm1(y) alone overflows
+    (past y = 709.8; c expm1(y) lasts to 709.8 - log|c|, further for |c| < 1)."""
+    return _where_inf(c * np.expm1(y), lambda: math.copysign(1.0, c) * np.exp(y + math.log(abs(c))) - c)
+
+
+def _times_power(c: float, x: np.ndarray, e: float) -> np.ndarray:
+    """``c * x**e``, c > 0, with c in the exponent where x**e alone overflows."""
+    return _where_inf(c * x**e, lambda: np.exp(e * np.log(x) + math.log(c)))
 
 
 def _tsallis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    k = fam.kappa
-    b = 1.0 + (k / (1.0 + k)) * arr
-    if k > 0:
-        return np.where(b > 0, np.maximum(b, 0.0) ** (1.0 / k), 0.0)
-    return np.where(b > 0, np.maximum(b, 1e-300) ** (1.0 / k), math.inf)
+    k, c = fam.kappa, fam.kappa / (1.0 + fam.kappa)
+    b = 1.0 + c * arr
+    out = np.where(b > 0, np.maximum(b, 0.0 if k > 0 else 1e-300) ** (1.0 / k), 0.0 if k > 0 else math.inf)
+    # An inverse whose base passes DBL_MAX can still be finite, even subnormal.
+    return _where_inf(out, lambda: np.exp((math.log(abs(c)) + np.log(np.abs(arr))) / k), at=b)
 
 
 def _kaniadakis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     t = fam.kappa * arr
-    r = np.sqrt(1.0 + t * t)
-    b = np.where(t >= 0, r + t, 1.0 / (r - t))
-    return b ** (1.0 / fam.kappa)
+    s = np.hypot(1.0, t) + np.abs(t)
+    out = np.where(t >= 0, s, 1.0 / s) ** (1.0 / fam.kappa)
+    return _where_inf(out, lambda: np.exp(np.copysign(math.log(2.0) + np.log(np.abs(t)), t) / fam.kappa), at=s)
 
 
-# The kappa_maxwell kernels' plain forms subtract two terms of size kappa * x.
-# Against mpmath, over x in [1e-300, 1e300] away from the drop's zero, the
-# drop is off by up to 4e-14 relative at kappa = 100 and 1.4e-13 at 400; at
-# x = 2 by 3e-10 at 1e6, and by all its digits at 1e20, where its value is
-# about x (1 - ln x).  From kappa = 142 on, both terms overflow below DBL_MAX
-# and give inf - inf.  Above this kappa the kernels factor x**(-1/(1 + kappa))
-# through expm1 instead.  The branch is on the family's kappa, so a smaller
-# kappa keeps its operations and its bits.
+def _km_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    # (1 - y / kappa)**(-(1 + kappa)) through log1p, which keeps its digits at large kappa.
+    k, b = fam.kappa, -arr / fam.kappa
+    out = np.where(arr < k, np.exp(-(1.0 + k) * np.log1p(np.maximum(b, -1.0))), math.inf)
+    return _where_inf(out, lambda: np.exp(-(1.0 + k) * (np.log(np.abs(arr)) - math.log(k))), at=b)
+
+
+def _custom_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    inv = 1.0 / arr
+    if np.count_nonzero(np.isinf(inv)):
+        raise DomainError(f"omega_phi requires x whose reciprocal is finite for {fam.kind} families")
+    return arr * _custom_drop(fam, inv) - fam.f_zero
+
+
+# The kappa_maxwell drop's plain form subtracts two terms of size kappa * x:
+# off by 1.4e-13 relative at kappa = 400, by all its digits at 1e20, and
+# inf - inf from kappa = 142 on.  Above this kappa it factors
+# x**(-1/(1 + kappa)) through expm1; a smaller kappa keeps its bits.
 _KM_EXPM1_KAPPA = 100.0
-
-
-def _km_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    k = fam.kappa
-    if k > _KM_EXPM1_KAPPA:
-        return -k * np.expm1(-np.log(arr) / (1.0 + k))
-    power = arr ** (-1.0 / (1.0 + k))
-    out = k * (1.0 - power)
-    if np.count_nonzero(power == math.inf):
-        # x**(-1/(1 + kappa)) overflows before the product with kappa (only
-        # below kappa = 0.049, at subnormal x): kappa goes into the exponent.
-        out = np.where(power == math.inf, k - np.exp(math.log(k) - np.log(arr) / (1.0 + k)), out)
-    return out
 
 
 def _km_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -502,6 +500,7 @@ def _pw_panels(x: np.ndarray, base: float):
     if np.count_nonzero(low):
         m = np.where(low, m - 1, m)
         am = np.power(base, m)
+        deep |= am < _TINY  # a knot of 0 would pass the high guard
     high = x >= am * base
     if np.count_nonzero(high):
         m = np.where(high, m + 1, m)
@@ -529,8 +528,10 @@ def _pw_offset(u: np.ndarray, am: np.ndarray, base: float) -> np.ndarray:
 
 
 def _pw_ln(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    m, am, u, _ = _pw_panels(arr, fam.base)
-    return m + _pw_offset(u, am, fam.base)
+    a = fam.base
+    m, am, u, _ = _pw_panels(arr, a)
+    # Below 1, -1 + offset cancels: the panel's line through 1 gives it.
+    return np.where(m == -1, (arr - 1.0) * (a / (a - 1.0)), m + _pw_offset(u, am, a))
 
 
 def _pw_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -569,7 +570,9 @@ def _pw_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
         m = np.where(t * a <= 1.0, m + 1, m)
         t = _pw_scaled(arr, a, m)
     c, s = 1.0 / (a - 1.0), 1.0 - t
-    return -m - s * (0.5 + c + c * s / (2.0 * t))
+    # For x in (1, a] (m = -1) that cancels: there omega is
+    # (x - 1)(1 + a/x) / (2 (a - 1)), from ln_phi's line through 1.
+    return np.where(m == -1, 0.5 * (arr - 1.0) * ((1.0 + a / arr) / (a - 1.0)), -m - s * (0.5 + c + c * s / (2.0 * t)))
 
 
 def _pw_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -680,8 +683,8 @@ class _Kind(NamedTuple):
     ln: Kernel
     drop: Kernel
     prime: Kernel
+    omega: Kernel
     exp: Kernel = _exp_by_bisection
-    omega: Optional[Kernel] = None
 
 
 _KINDS = {
@@ -691,17 +694,17 @@ _KINDS = {
         ln=lambda fam, x: np.log(x),
         drop=lambda fam, x: x - x * np.log(np.where(x > 0, x, 1.0)),
         prime=lambda fam, x: 1.0 / x,
-        exp=lambda fam, x: np.exp(x),
         omega=lambda fam, x: np.log(x),
+        exp=lambda fam, x: np.exp(x),
     ),
     "tsallis": _Kind(
         fields={"kappa": _KAPPA_POWER},
         derive=_tsallis_derive,
-        ln=lambda fam, x: (1.0 + 1.0 / fam.kappa) * (x**fam.kappa - 1.0),
+        ln=lambda fam, x: _times_expm1((1.0 + fam.kappa) / fam.kappa, fam.kappa * np.log(x)),
         drop=_tsallis_drop,
-        prime=lambda fam, x: (1.0 + fam.kappa) * x ** (fam.kappa - 1.0),
+        prime=lambda fam, x: _times_power(1.0 + fam.kappa, x, fam.kappa - 1.0),
+        omega=lambda fam, x: (-1.0 / fam.kappa) * np.expm1(-fam.kappa * np.log(x)),
         exp=_tsallis_exp,
-        omega=lambda fam, x: (1.0 / fam.kappa) * (1.0 - x**-fam.kappa),
     ),
     "kaniadakis": _Kind(
         fields={"kappa": _KAPPA_POWER},
@@ -709,36 +712,38 @@ _KINDS = {
             abs(fam.kappa), (1.0 / (2.0 * fam.kappa)) * (1.0 / (1.0 - fam.kappa) - 1.0 / (1.0 + fam.kappa)),
             -math.inf, math.inf,
         ),
-        ln=lambda fam, x: (x**fam.kappa - x**-fam.kappa) / (2.0 * fam.kappa),
-        drop=lambda fam, x: (
-            x ** (1.0 - fam.kappa) / (1.0 - fam.kappa) - x ** (1.0 + fam.kappa) / (1.0 + fam.kappa)
-        ) / (2.0 * fam.kappa),
-        prime=lambda fam, x: 0.5 * (x ** (fam.kappa - 1.0) + x ** (-fam.kappa - 1.0)),
-        exp=_kaniadakis_exp,
+        ln=lambda fam, x: np.sinh(fam.kappa * np.log(x)) / fam.kappa,
+        # Where x**(1 + |kappa|) overflows but the drop does not, x is factored out.
+        drop=lambda fam, x: _where_inf(
+            (x ** (1.0 - fam.kappa) / (1.0 - fam.kappa) - x ** (1.0 + fam.kappa) / (1.0 + fam.kappa)) / (2.0 * fam.kappa),
+            lambda: x * ((x**-fam.kappa / (1.0 - fam.kappa) - x**fam.kappa / (1.0 + fam.kappa)) / (2.0 * fam.kappa)),
+        ),
+        prime=lambda fam, x: _times_power(0.5, x, fam.kappa - 1.0) + _times_power(0.5, x, -fam.kappa - 1.0),
+        # (expm1(k ln x) / (1 - k) - expm1(-k ln x) / (1 + k)) / (2 k), divisors in the factors
         omega=lambda fam, x: (
-            (x**fam.kappa - 1.0) / (1.0 - fam.kappa) - (x**-fam.kappa - 1.0) / (1.0 + fam.kappa)
-        ) / (2.0 * fam.kappa),
+            _times_expm1(1.0 / ((1.0 - fam.kappa) * 2.0 * fam.kappa), fam.kappa * np.log(x))
+            - _times_expm1(1.0 / ((1.0 + fam.kappa) * 2.0 * fam.kappa), -fam.kappa * np.log(x))
+        ),
+        exp=_kaniadakis_exp,
     ),
     "kappa_maxwell": _Kind(
         fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
         derive=lambda fam: (1.0 / (1.0 + fam.kappa), 1.0, -math.inf, fam.kappa),
-        ln=_km_ln,
+        ln=lambda fam, x: _times_expm1(-fam.kappa, -np.log(x) / (1.0 + fam.kappa)),
         drop=_km_drop,
-        prime=lambda fam, x: (fam.kappa / (1.0 + fam.kappa)) * x ** (-(2.0 + fam.kappa) / (1.0 + fam.kappa)),
-        exp=lambda fam, x: np.where(
-            x < fam.kappa, np.maximum(1.0 - x / fam.kappa, 1e-300) ** (-(1.0 + fam.kappa)), math.inf
-        ),
-        # (1 + kappa)(x**(1/(1 + kappa)) - 1), through expm1 to keep its digits at large kappa.
+        prime=lambda fam, x: _times_power(fam.kappa / (1.0 + fam.kappa), x, -(2.0 + fam.kappa) / (1.0 + fam.kappa)),
         omega=lambda fam, x: (1.0 + fam.kappa) * np.expm1(np.log(x) / (1.0 + fam.kappa)),
+        exp=_km_exp,
     ),
     "sqrt_log": _Kind(
         fields={},
         derive=lambda fam: (0.0, 1.0 - 2.0 / 3.0, -1.0, math.inf),
-        ln=lambda fam, x: -1.0 + np.sqrt(x),
-        drop=lambda fam, x: x - (2.0 / 3.0) * x**1.5,
+        ln=lambda fam, x: (x - 1.0) / (1.0 + np.sqrt(x)),
+        # x**1.5 overflows from 3.2e205, the drop from 4.2e205.
+        drop=lambda fam, x: _where_inf(x - (2.0 / 3.0) * x**1.5, lambda: x * (1.0 - (2.0 / 3.0) * np.sqrt(x))),
         prime=lambda fam, x: 0.5 / np.sqrt(x),
+        omega=lambda fam, x: (-2.0 / 3.0) * np.expm1(-0.5 * np.log(x)),
         exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
-        omega=lambda fam, x: 2.0 / 3.0 - (2.0 / 3.0) / np.sqrt(x),
     ),
     "piecewise_linear": _Kind(
         fields={"base": _Range("> 1", lambda v: v > 1.0, "; smaller bases make the knot values decreasing")},
@@ -754,6 +759,7 @@ _KINDS = {
         ln=lambda fam, x: fam.custom_ln(x),
         drop=_custom_drop,
         prime=_custom_prime,
+        omega=_custom_omega,
     ),
 }
 

@@ -44,7 +44,7 @@ from .errors import (
     SupportError,
 )
 from .distributions import Pdf
-from .families import LogFamily, big_f_drop_unchecked, family_to_json, ln_phi_unchecked
+from .families import LogFamily, big_f_drop_unchecked, family_to_json, ln_phi_unchecked, omega_phi
 from . import numerics
 
 
@@ -110,6 +110,7 @@ class _Layout:
         elif self.has_r:
             self._reference_values()
         self.any_zero = self.has_r and bool(np.count_nonzero(self.zero))
+        self.ln_infinite = self.has_r and not _all_finite(self.ln2)
 
     def _reference_values(self):
         # Each lane's r, then a row of one.
@@ -172,20 +173,14 @@ class _Layout:
 
     @cached_property
     def i_max(self) -> list:
-        # omega(N) as omega_phi forms it: N * big_f_drop(1 / N) - F(0).
-        out = []
-        for fam, first, end in self.groups:
-            ns = self.ns[first:end]
-            drops = big_f_drop_unchecked(fam, 1.0 / np.array(ns, dtype=float)).tolist()
-            out += [n * g - fam.f_zero for n, g in zip(ns, drops)]
-        return out
+        return [v for fam, first, end in self.groups for v in omega_phi(fam, self.n[first:end]).tolist()]
 
 
 # The kernel-argument columns a batch can form, one row per pdf entry: p, q,
 # the symmetric difference |p - q| / tv, the segment mixtures
 # lam p + (1 - lam) q and mu p + (1 - mu) q, |p - q|, and relent_I's q/r and
-# p/r.  A lane's scalar row holds omega(N / tv)'s argument tv / N in column
-# p where a value reads "omega", and min(tv, 1) in column q where one reads
+# p/r.  A lane's scalar row holds tv / N in column p where a value reads
+# "tv/N" (cont2's N g(tv / N)), and min(tv, 1) in column q where one reads
 # "g_tv".  Each of the first five columns gives an entropy sum, named here.
 _COLUMNS = ("p", "q", "sym", "lam", "mu", "diff", "q/r", "p/r")
 _ENTROPIES = ("ent_p", "ent_q", "ent_sym", "mix_lam", "mix_mu")
@@ -267,27 +262,21 @@ class _Batch:
         self.segment, self.deltas = segments, deltas
         self.identical = tv == 0.0
         reads, cols, m, names = _reads(tuple(values), lay.has_r, lay.any_zero)
-        if "sym" in reads or "omega" in reads:
-            tv_div = tv + self.identical  # tv, and 1 where it is 0
         formed = {"p": pw, "q": qw, "diff": diff}
-        if "sym" in reads:
-            formed["sym"] = diff / tv_div[lay.lane_of_row]
+        if "sym" in reads:  # over tv, and over 1 where tv is 0
+            formed["sym"] = diff / (tv + self.identical)[lay.lane_of_row]
         if "lam" in reads or "mu" in reads:
             w = self.seg[:2, lay.lane_of_row]
             formed["lam"], formed["mu"] = w * pw + (1.0 - w) * qw
         if "q/r" in reads:
             formed["q/r"], formed["p/r"] = qw / lay.rdiv, pw / lay.rdiv
-        self.overflow = {}
+        self.overflow, self.cross_error = {}, {}
         if cols:
             # One column per kernel argument, as the kernel's flat slices read them.
             columns = np.array([formed[c] for c in cols])
             args = columns.T.copy()
-            if "omega" in reads:
-                # omega(N / tv) as omega_phi forms it: x * big_f_drop(1 / x) - F(0)
-                self.x_cont2 = lay.n / tv_div
-                args[lay.scalar_rows, cols.index("p")] = 1.0 / self.x_cont2
-                infinite = self.x_cont2 == math.inf
-                self.omega_error = _lane_errors(infinite, DomainError, "omega_phi requires finite x > 0")
+            if "tv/N" in reads:
+                args[lay.scalar_rows, cols.index("p")] = tv / lay.n
             if "g_tv" in reads:
                 args[lay.scalar_rows, cols.index("q")] = np.minimum(tv, 1.0)
             # A ratio to a tiny r that overflows is kept out of the kernel.
@@ -306,7 +295,7 @@ class _Batch:
                 overflowed |= ~np.isfinite(g[:, -2:]).all(axis=1)
             if np.count_nonzero(overflowed):
                 self.overflow = _lane_errors(lay.lanes(overflowed), DomainError, _OVERFLOW)
-            if "omega" in reads:
+            if "tv/N" in reads:
                 self.g_cont2 = g[lay.scalar_rows, cols.index("p")]
             if "g_tv" in reads:
                 self.g_tv = g[lay.scalar_rows, cols.index("q")]
@@ -331,6 +320,8 @@ class _Batch:
             ln2 = np.where(moved, lay.ln2, 0.0)
             np.multiply(diff, ln2, out=summands[at : at + 2])
             np.multiply(dpq, ln2[1], out=summands[at + 2])
+            if lay.ln_infinite:
+                self.cross_error = _settle(summands[at + 2], lay)
             if lay.any_zero:
                 summands[at + 3 : at + 5] = np.where(lay.zero, (diff, dpq), 0.0)
         if "q/r" in reads:
@@ -340,6 +331,8 @@ class _Batch:
             relent += dpq * lay.f0_rows
             if lay.any_zero:
                 relent[lay.zero] = 0.0
+            if np.count_nonzero(overflowed):
+                _settle(relent, lay)
         sums = [list(map(math.fsum, map(col.__getitem__, lay.entries))) for col in summands.tolist()]
         # Each sum is the attribute of its name.
         self.__dict__.update(zip(names, np.array(sums).reshape(len(names), lay.size)))
@@ -383,6 +376,18 @@ class _Batch:
     def unsupported(self) -> np.ndarray:
         """The lanes that relent_I (row 0) and relent_D (row 1) refuse for support, set by :meth:`evaluate`."""
         return np.zeros((2, self.layout.size), dtype=bool)
+
+
+def _settle(terms: np.ndarray, layout: _Layout) -> dict:
+    """Zero the infinite terms of each lane whose terms hold both +inf and
+    -inf, which math.fsum refuses, and return an overflow error for each
+    such lane.  Only a ratio to r or a ln_phi(r) that overflows makes an
+    infinite term, and its lane carries that error already."""
+    both = layout.lanes(terms == math.inf) & layout.lanes(terms == -math.inf)
+    if not np.count_nonzero(both):
+        return {}
+    terms[both[layout.lane_of_row] & np.isinf(terms)] = 0.0
+    return _lane_errors(both, DomainError, _OVERFLOW)
 
 
 def _lane_errors(lanes: np.ndarray, error: type, text: str) -> dict:
@@ -456,7 +461,7 @@ def _fannes(b: _Batch, lanes, extra: float) -> np.ndarray:
 
 
 class _Value(NamedTuple):
-    """A batch value: what it reads (kernel-argument columns, "omega" and
+    """A batch value: what it reads (kernel-argument columns, "tv/N" and
     "g_tv" for the scalar arguments, "r" for h_r's, e_r's and the cross
     sums), its array over the lanes, and the name of the batch's per-lane
     errors it carries, if any.  A value computed lane by lane gets the lanes
@@ -473,11 +478,8 @@ _VALUES = {
     "d": _Value(("diff",), lambda b, lanes: b.d),
     "ent_sym": _Value(("sym",), lambda b, lanes: b.ent_sym),
     "lb_lhs": _Value((), lambda b, lanes: b.layout.lb_lhs),
-    "cont2": _Value(
-        ("p", "omega"),
-        lambda b, lanes: b.tv * (b.layout.f0 + (b.x_cont2 * b.g_cont2 - b.layout.f0)),
-        "omega_error",
-    ),
+    # tv (F(0) + omega(N / tv)) = N g(tv / N)
+    "cont2": _Value(("p", "tv/N"), lambda b, lanes: b.layout.n * b.g_cont2),
     "improved": _Value(
         ("q", "g_tv", "sym"), lambda b, lanes: (b.g_tv / b.layout.f0) * (b.layout.f0 + b.ent_sym)
     ),
@@ -488,7 +490,7 @@ _VALUES = {
     "relent_I": _Value(("q/r", "p/r", "r"), lambda b, lanes: np.abs(b.relent), "overflow"),
     "d + h": _Value(("diff", "r"), lambda b, lanes: b.d + b.h, "h_error"),
     # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r), over p != q when ln_phi(r) can be inf.
-    "relent_D": _Value(("p", "q", "r"), lambda b, lanes: np.abs(b.ent_q - b.ent_p - b.cross)),
+    "relent_D": _Value(("p", "q", "r"), lambda b, lanes: np.abs(b.ent_q - b.ent_p - b.cross), "cross_error"),
     "d + e": _Value(("diff", "r"), lambda b, lanes: b.d + b.e, "e_error"),
     "segment": _Value(("lam", "mu"), lambda b, lanes: np.abs(b.mix_lam - b.mix_mu)),
     "epsilon ent_sym": _Value(("sym",), lambda b, lanes: b.seg[2] * b.ent_sym),

@@ -36,8 +36,8 @@ TSALLIS = '{"kind":"tsallis","kappa":0.5}'
 # SHA-256 of what ``phientropy scan --trials 1000 --seed 3898507391`` prints,
 # per numpy SIMD dispatch level (see tests/test_golden.py).
 NOISE_SCAN_SHA256 = {
-    "X86_V4": "22c3d38c49d11bd85f902289b549c680277e6e304b0f9c7f22a813927b8218d7",
-    "X86_V3": "016853c542342ff9ab052c69109864453f1f8901996923f00356ab8f55ee1250",
+    "X86_V4": "3a40d6fcbc72ee3137ca83f7cc751fa273c5be3ff91d0a5d402d28a0592de2ca",
+    "X86_V3": "6c9b15e6158de5c53b65d62a3df47e41e1d30fbc1f6e908628fa4f669fdfc892",
 }
 
 

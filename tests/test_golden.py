@@ -28,16 +28,16 @@ from phientropy.bounds import BOUND_IDS, CHECKS, run_bound_checks
 
 SCAN_SHA256 = {
     "X86_V4": {
-        "1": "d888faf25bef2ab73c49f0a073152afe8d5012185e7dee57e658c1e99b64a4de",
-        "2": "4045395784bcb87238ecf10df8351e1073de815825f1f6b0ba78ad49f05955d5",
-        "3": "3c434af8d9845fa537ea028dcf50dae786771db56cbe906f7933cc621bb3e5cb",
-        "271828": "e92b22d055b30a83b4732e84a83c3788f6f48f5d02da4314503b3afe01100b73",
+        "1": "048429824cb298e867925aaf7dbfd6ca22a822c786d5c0a9a4d75856ca226211",
+        "2": "ce4e4f4218d7efbc2d567585156fcab8d593bc54b1aea587a7bbfd6397e5a42d",
+        "3": "5176d4cba6d4084e8b17c91b78edc8447da3780335ef6bb49e94a833ec279249",
+        "271828": "a3836de70e6c036ed71850bbcae91a5089b2f6d612d5e706ec3b52c269387b68",
     },
     "X86_V3": {
-        "1": "d888faf25bef2ab73c49f0a073152afe8d5012185e7dee57e658c1e99b64a4de",
-        "2": "4045395784bcb87238ecf10df8351e1073de815825f1f6b0ba78ad49f05955d5",
-        "3": "a9dff8b8e79ba63885ea659bf65f04bc0b1819e3eae5546a75a2bbb714094c4d",
-        "271828": "9eea43fe391ab90648efb340f07be71bd661e11b8a4126225299079bbf6abd47",
+        "1": "048429824cb298e867925aaf7dbfd6ca22a822c786d5c0a9a4d75856ca226211",
+        "2": "96e7f6e97fcfb597b05df4e83f19cf2b7f8d830ef0eabaf3f8ddbb7c2f805947",
+        "3": "74660fa93cf6d677263ca19015121ea643180610534cc291b8c70f3b2c6e9de7",
+        "271828": "08416bb5661d455f42caa0f2b052c38a5653f4cfddbd1f70e082b93b1dc7c5c7",
     },
 }
 SCAN_SEEDS = ("1", "2", "3", "271828")
@@ -91,9 +91,9 @@ BOUNDS_CASES = {
         '{"kind":"tsallis","kappa":0.5}', [1.0, 0.0], [0.0, 1.0], [1.0, 0.0], ["--epsilon", "0.1"],
         '{"all_hold":true,"family":{"kappa":0.5,"kind":"tsallis"},"reports":['
         '{"bound_id":"cont1","holds":true,"inputs_digest":"f0cb3537d2b68417","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
-        '{"bound_id":"lb","holds":true,"inputs_digest":"26ffe0c9af434287","lhs":-0.12132034355964272,"ratio":-0.2071067811865478,"rhs":0.5857864376269049,"tol":1.585786437626905e-10},'
+        '{"bound_id":"lb","holds":true,"inputs_digest":"26ffe0c9af434287","lhs":-0.12132034355964261,"ratio":-0.20710678118654763,"rhs":0.5857864376269049,"tol":1.585786437626905e-10},'
         '{"bound_id":"cont2","holds":true,"inputs_digest":"ee2cff64617f9b01","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
-        '{"bound_id":"lesche3","holds":true,"inputs_digest":"38b0fc8a20f5c7e4","lhs":0.0,"ratio":0.0,"rhs":1.9999999999999991,"tol":2.9999999999999995e-10},'
+        '{"bound_id":"lesche3","holds":true,"inputs_digest":"38b0fc8a20f5c7e4","lhs":0.0,"ratio":0.0,"rhs":2.0,"tol":3e-10},'
         '{"bound_id":"relent_D","holds":true,"inputs_digest":"d9b751d013a5c789","lhs":3.0,"ratio":0.6,"rhs":5.0,"tol":6e-10}],'
         '"skipped":["improved","relent_I","condition1_segment"]}',
     ),
@@ -123,36 +123,36 @@ EVAL_XS = (1e-12, 0.3, 0.7, 1.5, 3.0, 1e4)
 EXP_XS = (-5.0, -0.7, 0.0, 0.4, 2.5, 30.0)
 EVAL_SHA256 = {
     "X86_V4": {
-        '{"kind":"shannon"}': "1cdf97ffeb1e0bdf90c6dce607d0db4c4880ad33ff7d98398e010b74df5a7aeb",
-        '{"kind":"tsallis","kappa":0.1}': "97969673489cd5c2695c336fac6008eaad70d9d6023a56cb82cd055fa8d9d205",
-        '{"kind":"tsallis","kappa":-0.1}': "eaa43c1f23fac25bfc4a7512b90ea1c7c4abbfd668acf2ebcec36de3e9190960",
-        '{"kind":"tsallis","kappa":0.5}': "2c17f5b68004d00297f692f7a22117da6406f417ffd7b3e163c3944eec49fffd",
-        '{"kind":"tsallis","kappa":-0.5}': "40530103454fc1466e384c1ec80dacf1a2205c03cb4e41ed6c2cc934153e3f48",
-        '{"kind":"tsallis","kappa":0.9}': "16384b8d7754d5377bb7c5907219b4370f8d96fb7603cac241307fddf1bab27f",
-        '{"kind":"tsallis","kappa":-0.9}': "c2f9d55fa66b14dbaac793ebff579cc6a76e9dad140858e2f5b501a3719a2200",
-        '{"kind":"kaniadakis","kappa":0.5}': "df00d7bc6c21c9f8c00a382f40fbc0204eb3d232f3dd04f5725acd3a2f63a5e3",
-        '{"kind":"kaniadakis","kappa":-0.5}': "99792faf610b14a3f674c86524465486ae299776eceaf1b24b299f4a4fa309be",
-        '{"kind":"kappa_maxwell","kappa":0.5}': "7a7b4dc173eeca8a2069f35c4035bd215f8c07a5a6fafaf4f5c08269bc614939",
-        '{"kind":"kappa_maxwell","kappa":2.0}': "ab42876f7002fada51d0e267940ec690203c7349be9fe43ab2849d0651a4b88c",
-        '{"kind":"sqrt_log"}': "e62b775b8f17a2a55d4b9ba4c907d2621ce0d2b0704d9e852aeef5c9c4cca1da",
-        '{"kind":"piecewise_linear","base":2.0}': "3ab38960f41cf0d28a83f6da365e8518f5a0a89ec52e8df5118f6f6adac2af94",
-        '{"kind":"piecewise_linear","base":1.1}': "29fadbb6d596278e7f632246d4de1f3d16eda639702be43479ec7aad050787bc",
+        '{"kind":"shannon"}': "ceacad2e221aef5839dc32cdbfb258a05b05b049ff6ad201e1db87f992760cb6",
+        '{"kind":"tsallis","kappa":0.1}': "6cb3921fb42d67e8c8514e39e2c882d028b26010ed11600f274b1f4a5d077a02",
+        '{"kind":"tsallis","kappa":-0.1}': "1a094ed8d05e86838a8fe551706700c53f6e16c2e9efa3da48e63e662785058f",
+        '{"kind":"tsallis","kappa":0.5}': "a1cbcb6603cc1aee46e1bbdd2642be6476c6957a2a9fe22372c76b9ee27d4fd0",
+        '{"kind":"tsallis","kappa":-0.5}': "2741b759c608a6015f5891d0cc8da7a2374441402d7e3f4e3bd0ff0d5e585b88",
+        '{"kind":"tsallis","kappa":0.9}': "1398e5315f84594cf24bff9d4c2c21b170ad29e8aa7021be5f5eecc9d709b6f9",
+        '{"kind":"tsallis","kappa":-0.9}': "71bafcc67724cb61a7071daad10aa5ff913ae8a4e85c3bf96698dfbf69e91203",
+        '{"kind":"kaniadakis","kappa":0.5}': "3e81226fb49d10d100666e9f9e55ae61cc749641860b91aa0d66edccbad2fc1f",
+        '{"kind":"kaniadakis","kappa":-0.5}': "8dc199c06b4e258e701f442bdd9e0dfab53d6e339e00b2a525df99b8f8fe74c7",
+        '{"kind":"kappa_maxwell","kappa":0.5}': "45c083144da40d87752f4139b3ae819add9cca80f21421779752d700b07bd835",
+        '{"kind":"kappa_maxwell","kappa":2.0}': "9b287ee16e548a2b34842062ee1a7b7d310e1e02d4215dcc1fbf036e2098bcac",
+        '{"kind":"sqrt_log"}': "edbca255de46efeb22cfbf7340d0858a52551a2a6653e76a159b10bf2618738a",
+        '{"kind":"piecewise_linear","base":2.0}': "e4cd8308d306bb75866301f48d27d9fdd4eb5c7ee12c9dfcf1e6b79f815f15e2",
+        '{"kind":"piecewise_linear","base":1.1}': "2113cd25912506a5f018d31df3eb5afda41f8278de7528bb9d9f13c593f1ff40",
     },
     "X86_V3": {
-        '{"kind":"shannon"}': "1cdf97ffeb1e0bdf90c6dce607d0db4c4880ad33ff7d98398e010b74df5a7aeb",
-        '{"kind":"tsallis","kappa":0.1}': "9faf57284afe1441a4351b3981ad676d328732c1059a86fde8426b9db20faa0c",
-        '{"kind":"tsallis","kappa":-0.1}': "a15b3bf615c89f7e0e3b3380763697c5ec5e8cc713f08a0f098f2e39ec8d9b8c",
-        '{"kind":"tsallis","kappa":0.5}': "1f7ceddd1a82625c8aa5dd25d1de2a4fb15f4c85a06a6c3499120d222f642363",
-        '{"kind":"tsallis","kappa":-0.5}': "71cb3ef0a0bde100423c9a139eb30ebfea0cf1836f1183233d5f9ede7aa236cb",
-        '{"kind":"tsallis","kappa":0.9}': "16384b8d7754d5377bb7c5907219b4370f8d96fb7603cac241307fddf1bab27f",
-        '{"kind":"tsallis","kappa":-0.9}': "c2f9d55fa66b14dbaac793ebff579cc6a76e9dad140858e2f5b501a3719a2200",
-        '{"kind":"kaniadakis","kappa":0.5}': "b607b60cc76a60b890fe6f46a7e13b2aa2ca08f59af586230d204e9a95b48767",
-        '{"kind":"kaniadakis","kappa":-0.5}': "a3aafbfaec435dcaae7d8420678638b8a61849520f802b5a020ba7459a121882",
-        '{"kind":"kappa_maxwell","kappa":0.5}': "811c07bab6b49d7d4f19eb379686e9f0fd29b5b472f0f79c9c5de4302a2eed4e",
-        '{"kind":"kappa_maxwell","kappa":2.0}': "8c4778f712d185d798b9bb9ae47e788dfc385cb42adae0a31aa3c9e272b2481e",
-        '{"kind":"sqrt_log"}': "e62b775b8f17a2a55d4b9ba4c907d2621ce0d2b0704d9e852aeef5c9c4cca1da",
-        '{"kind":"piecewise_linear","base":2.0}': "3ab38960f41cf0d28a83f6da365e8518f5a0a89ec52e8df5118f6f6adac2af94",
-        '{"kind":"piecewise_linear","base":1.1}': "99a07b971d43000df64db3781b521e97835dda48cf56788cfd3eac991cbcd8da",
+        '{"kind":"shannon"}': "ceacad2e221aef5839dc32cdbfb258a05b05b049ff6ad201e1db87f992760cb6",
+        '{"kind":"tsallis","kappa":0.1}': "ce9e2a4e11354f21b6677df12b92a16d178b95fe27729465b05d82a650523746",
+        '{"kind":"tsallis","kappa":-0.1}': "584e59d41cbf31cbf928dc541d218de250b8afd7514bc3902de0b5f745f06b30",
+        '{"kind":"tsallis","kappa":0.5}': "d4bc5bb390973ac958f6c4e7dbebca4edfab24c9e612b11b498197c1d1dea09f",
+        '{"kind":"tsallis","kappa":-0.5}': "2741b759c608a6015f5891d0cc8da7a2374441402d7e3f4e3bd0ff0d5e585b88",
+        '{"kind":"tsallis","kappa":0.9}': "1398e5315f84594cf24bff9d4c2c21b170ad29e8aa7021be5f5eecc9d709b6f9",
+        '{"kind":"tsallis","kappa":-0.9}': "71bafcc67724cb61a7071daad10aa5ff913ae8a4e85c3bf96698dfbf69e91203",
+        '{"kind":"kaniadakis","kappa":0.5}': "3e81226fb49d10d100666e9f9e55ae61cc749641860b91aa0d66edccbad2fc1f",
+        '{"kind":"kaniadakis","kappa":-0.5}': "8dc199c06b4e258e701f442bdd9e0dfab53d6e339e00b2a525df99b8f8fe74c7",
+        '{"kind":"kappa_maxwell","kappa":0.5}': "45c083144da40d87752f4139b3ae819add9cca80f21421779752d700b07bd835",
+        '{"kind":"kappa_maxwell","kappa":2.0}': "9b287ee16e548a2b34842062ee1a7b7d310e1e02d4215dcc1fbf036e2098bcac",
+        '{"kind":"sqrt_log"}': "edbca255de46efeb22cfbf7340d0858a52551a2a6653e76a159b10bf2618738a",
+        '{"kind":"piecewise_linear","base":2.0}': "e4cd8308d306bb75866301f48d27d9fdd4eb5c7ee12c9dfcf1e6b79f815f15e2",
+        '{"kind":"piecewise_linear","base":1.1}': "66f6f4e4708e405e8bf3be27b2427d523787863a737df5d445b425fba34e9297",
     },
 }
 
@@ -200,44 +200,44 @@ BUDGET_SCANS = {
 }
 BUDGET_SCAN_SHA256 = {
     "X86_V4": {
-        'trials=1 seed=7': "a675807b27bffadc58ef165f58e6ef1794be5a37816a844d23cbe279040619e7",
-        'trials=52 seed=7': "a95bb00b14b13f67519ebf2cdadbc152e135741b9fc387b8bf76eacb58c479c5",
-        'trials=157 seed=7': "1749048cceedd2058ee59cc836bf9a8e1986ff7fdc160728c05a8ea542b1bf0c",
-        'trials=200 seed=7': "10ef5a216e93794f53914222625e6fd736d358e65678804c2da66d62c776a85e",
-        'trials=1001 seed=7': "fad3f5071a2c8a004ec94b6d0144f9277adccbbe2b46ce1a79d679c05593a8d2",
-        'trials=5000 seed=7': "92076667f2c75b05021bf8446d578a91d83936fe2cd76b0de01047edd3e9552f",
-        'trials=1 seed=20040': "d153bd42e4fcffa351fde15d9168e5e4d1f7445924ad11ab2c19498ff7ab492f",
-        'trials=52 seed=20040': "a3967053e6bb1f50c81ba3705aabda7dd2c2e20a2c3deb9f656a9b6e649627a0",
-        'trials=157 seed=20040': "f08e55b76133c94ec03cabb06d1eb6d6955f65c3c770406e9d173c6b6012fe1e",
-        'trials=200 seed=20040': "e5b203dc540600ab91293e1c71e24584bb22a69d6e0778c5ed44796a69037e3d",
-        'trials=1001 seed=20040': "280246023f0e5d0843170c169a8d65e3262029293be82a5c42d2d1c1bde17401",
-        'trials=5000 seed=20040': "5f5e8960c4db888249cfa5558171f290a13c7a5f46de7f9faddf52a888b0bb81",
-        'one family': "9cfe44eed85b0f37346b02e0ae26a36295eab09955cdf7abe506a26cbeb9acf8",
-        'dims 64': "7be9e0f1eb5df4aeb9a6e4e0a8760495cd95a70118f3e8a22a3b4c5f3e5274fe",
-        'hillclimb only': "8041531656d74a360303f2138128a6589c08347b1a45d70786baae40df85dba5",
-        'sparse only': "5e9a2545333d1e89e0d0fec665bb6ecb27fbafc0d71959df995e5ea719826fa9",
-        'hillclimb first': "6db49b5fa5f0ae753dffb6edbda86c9c3206d9b6add7a4e6d86537187e8021c0",
-        'hillclimb 104 slots': "5d6529ce9bf2d6d145e2eb3ca40dc7afa450ff914a8e751fc228cef3b1e975e9",
+        'trials=1 seed=7': "258f3c46ff3786320651b4404179c347f98c820716867e44778ad127750c5033",
+        'trials=52 seed=7': "9415e4302f5719fd9f7211ad3c9644d59834aa2443244141d519471b97bc7faf",
+        'trials=157 seed=7': "a84b5a148304cf2dd075aa46563558fd55f02bcea41a382c133bc1f474579631",
+        'trials=200 seed=7': "ac97651f5bb3eb1ba8f02bf351e5c83b22f53664f03a41ce24b560b2adf5256c",
+        'trials=1001 seed=7': "4f02209ae62bf2b58d3bea552fff668a426a4c5177b04804235b55c2c7fef3bd",
+        'trials=5000 seed=7': "b7796a7198214a12f34eac8452165fd31ebc4b625fd227e47ddabc8f351ad522",
+        'trials=1 seed=20040': "9420b7d88cedafac90cec9bd878b5f0334185f034b1029703d865447f5c18f5d",
+        'trials=52 seed=20040': "80582fb93a46a88436823fe9541a9b845a8e968dc499ff3d1d12771c3131488f",
+        'trials=157 seed=20040': "7d9d74649ec3ffa953a94c3e55f403491f42b862da409a3c043d8a86d6b9770a",
+        'trials=200 seed=20040': "0937b1eb45cf15978a4eb3f209c3d4a48df3e6a382456c93ccf9b79c717b678b",
+        'trials=1001 seed=20040': "6b573a932906b1f742fb2634fa363a535f7c9dd1380a9c0ac6dd151003df99c3",
+        'trials=5000 seed=20040': "dbcfe6ae47de28dea7fc1fbb9d5f3975b32f23635951d96928567ce661b189f8",
+        'one family': "425f3e5ebf073a1f6cc63dec8d9b26a6842a7222a267f5ae66d1802eb7d16ff8",
+        'dims 64': "e2160e3e3edf721faec693e406f9b6e57ce968771e74dc28ac6f2f1cbb630972",
+        'hillclimb only': "9e086cd9ea94559f3d6737bd56dac500c425fc0c29b4547ae7f7a7842f6c31c8",
+        'sparse only': "bc654b6771a5035e9cd21ca997256b2321df890f46bd647796f786f2b096f03d",
+        'hillclimb first': "60928d708d18b73c47e2ee8094a8e4aad6762b22bc203c2ba04d1eaaf9f0569d",
+        'hillclimb 104 slots': "4af9ad5a250fca8311a0b627823ea3cafd126a4d3fd600ef04dbfed68d9f4e50",
     },
     "X86_V3": {
-        'trials=1 seed=7': "a675807b27bffadc58ef165f58e6ef1794be5a37816a844d23cbe279040619e7",
-        'trials=52 seed=7': "5084a9f8bc6a92d9a7c9441707957bfd86f3140323d5097d15f765d72fdaedd2",
-        'trials=157 seed=7': "1749048cceedd2058ee59cc836bf9a8e1986ff7fdc160728c05a8ea542b1bf0c",
-        'trials=200 seed=7': "10ef5a216e93794f53914222625e6fd736d358e65678804c2da66d62c776a85e",
-        'trials=1001 seed=7': "fad3f5071a2c8a004ec94b6d0144f9277adccbbe2b46ce1a79d679c05593a8d2",
-        'trials=5000 seed=7': "92076667f2c75b05021bf8446d578a91d83936fe2cd76b0de01047edd3e9552f",
-        'trials=1 seed=20040': "d153bd42e4fcffa351fde15d9168e5e4d1f7445924ad11ab2c19498ff7ab492f",
-        'trials=52 seed=20040': "948991bc41670240dcbe8a675e708a9cf7b64463a38c6dc5af793da7661c7ff2",
-        'trials=157 seed=20040': "0d906fc8e273f88af6eb56234322b2b723d8131cf54cd64bae275210c8bbb573",
-        'trials=200 seed=20040': "a5baf3fc1aa9ea9c914f88e1afab9503aa921b60e4a34903e5aeed83e0c89761",
-        'trials=1001 seed=20040': "934e0fe0608d4379e560518b5733518c0041155da448bcc1210ead41b8da46d7",
-        'trials=5000 seed=20040': "397a62b9c8bc184056aa120f4eae11bd90471e3f153a6e0eae4a94a085044dec",
-        'one family': "8949dac8798841d512cff91fe9bf486b3bba2ffae345bbe8e92c18f785afa8d3",
-        'dims 64': "7be9e0f1eb5df4aeb9a6e4e0a8760495cd95a70118f3e8a22a3b4c5f3e5274fe",
-        'hillclimb only': "8041531656d74a360303f2138128a6589c08347b1a45d70786baae40df85dba5",
-        'sparse only': "5e9a2545333d1e89e0d0fec665bb6ecb27fbafc0d71959df995e5ea719826fa9",
-        'hillclimb first': "6db49b5fa5f0ae753dffb6edbda86c9c3206d9b6add7a4e6d86537187e8021c0",
-        'hillclimb 104 slots': "5d6529ce9bf2d6d145e2eb3ca40dc7afa450ff914a8e751fc228cef3b1e975e9",
+        'trials=1 seed=7': "258f3c46ff3786320651b4404179c347f98c820716867e44778ad127750c5033",
+        'trials=52 seed=7': "dbe8af094cf50fc125b8e7a18b87065c4c8d1703f707a76c504b4bf3d4b3794c",
+        'trials=157 seed=7': "a84b5a148304cf2dd075aa46563558fd55f02bcea41a382c133bc1f474579631",
+        'trials=200 seed=7': "ac97651f5bb3eb1ba8f02bf351e5c83b22f53664f03a41ce24b560b2adf5256c",
+        'trials=1001 seed=7': "4f02209ae62bf2b58d3bea552fff668a426a4c5177b04804235b55c2c7fef3bd",
+        'trials=5000 seed=7': "b7796a7198214a12f34eac8452165fd31ebc4b625fd227e47ddabc8f351ad522",
+        'trials=1 seed=20040': "9420b7d88cedafac90cec9bd878b5f0334185f034b1029703d865447f5c18f5d",
+        'trials=52 seed=20040': "588af167d949d916f43b1c30a8fae920b85a53ea28f3165d392e5ca26ed8f2f5",
+        'trials=157 seed=20040': "59033c7bf96723fd6bbf0c11f8ef9e829e40b67d49ef16b38fd2b64441105606",
+        'trials=200 seed=20040': "c56ab3acd34cfa05b5675dfbe9d5f95163266bb5a8e03bf7385bddb209fb16b4",
+        'trials=1001 seed=20040': "2340c8c4a0f8558fb6d8fad62f4604e0062f37b2ff281ff77e65275e5d5c492d",
+        'trials=5000 seed=20040': "cd3ec1e7d7b1b0617f35bda77391aa822dca652a280a0aa2ba6c9f1b61ab1653",
+        'one family': "1b9d73bc3ec9ed12e60b6c674bd1c4b13d49e3802515d8347bec937288024618",
+        'dims 64': "e2160e3e3edf721faec693e406f9b6e57ce968771e74dc28ac6f2f1cbb630972",
+        'hillclimb only': "9e086cd9ea94559f3d6737bd56dac500c425fc0c29b4547ae7f7a7842f6c31c8",
+        'sparse only': "bc654b6771a5035e9cd21ca997256b2321df890f46bd647796f786f2b096f03d",
+        'hillclimb first': "60928d708d18b73c47e2ee8094a8e4aad6762b22bc203c2ba04d1eaaf9f0569d",
+        'hillclimb 104 slots': "4af9ad5a250fca8311a0b627823ea3cafd126a4d3fd600ef04dbfed68d9f4e50",
     },
 }
 

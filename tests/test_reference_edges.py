@@ -9,20 +9,24 @@ then a per-lane fix-up that sums an infinite ln_phi(r) over the entries where
 p and q differ only and adds the family's limits at 0+ times the bare sums.
 h_r, e_r, the cross sum of relent_D, relent_I's sum, the support refusals
 and each lane's error types must agree, and a lane must read the same in a
-batch of its own as among other lanes.
+batch of its own as among other lanes.  Where the oracle's sum meets both
++inf and -inf, which math.fsum refuses, the batch must not raise: the lane
+carries the row's overflow error instead.
 """
 
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phientropy as pe
+from phientropy.bounds import run_bound_checks
 from phientropy.errors import DomainError, SupportError
 from phientropy.families import big_f_drop_unchecked, ln_phi_unchecked
-from phientropy.table import _QUIET, CHECKS, _Batch, _Layout, reads
+from phientropy.table import _OVERFLOW, _QUIET, CHECKS, _Batch, _Layout, reads
 
 FAMILIES = (*pe.default_family_grid(), pe.tsallis(-0.99))
 # r's entries: a share of the unit mass, or one of these fixed weights.
@@ -129,23 +133,47 @@ def _outcome(fn, *args):
         return ValueError
 
 
+def _assert_row_error(lane) -> None:
+    """The lane raises the rows' overflow error, or the row whose sum met
+    inf - inf is refused for support and every relative-entropy report it
+    gives has finite sides."""
+    try:
+        reports, _ = run_bound_checks(*lane)
+    except DomainError as exc:
+        assert str(exc) == _OVERFLOW, lane
+    else:
+        relent = [rep for rep in reports if rep.bound_id.startswith("relent")]
+        assert len(relent) < 2 and all(math.isfinite(rep.lhs) and math.isfinite(rep.rhs) for rep in relent), lane
+
+
 @settings(max_examples=300)
 @given(st.lists(_lane(), min_size=1, max_size=6))
 def test_every_lane_equals_the_per_lane_oracle(lanes):
     with np.errstate(**_QUIET):
         want = [_outcome(_oracle, *lane) for lane in lanes]
-    alone = [_outcome(lambda lane: _read(_batch([lane]), 0), lane) for lane in lanes]
+    alone = [_read(_batch([lane]), 0) for lane in lanes]
     for lane, got, expected in zip(lanes, alone, want):
-        if expected is ValueError:
-            assert got is ValueError, lane
+        if expected is ValueError:  # inf - inf in the oracle's math.fsum
+            _assert_row_error(lane)
         else:
             h, e, cross, relent, *rest = expected
             assert got == (*map(_bits, (h, e, cross, relent)), *rest), lane
-    together = _outcome(_batch, lanes)
-    if ValueError in want:
-        assert together is ValueError
-    else:
-        assert [_read(together, i) for i in range(len(lanes))] == alone
+    together = _batch(lanes)
+    assert [_read(together, i) for i in range(len(lanes))] == alone
+
+
+@pytest.mark.parametrize(
+    "fam, tiny", [(pe.tsallis(0.9), 1e-200), (pe.tsallis(-0.99), 1e-320)], ids=["ratio", "ln_phi(r)"]
+)
+def test_opposite_infinite_terms_raise_the_row_error(fam, tiny):
+    # g(p/r) and g(q/r) overflow at different entries (relent_I's terms are
+    # +inf and -inf), or ln_phi(r) is -inf where p - q takes both signs (the
+    # cross sum's are): math.fsum refused both sums with a ValueError.
+    p, q, r = pe.Pdf([0.4, 0.4, 0.2, 0.0]), pe.Pdf([0.4, 0.4, 0.0, 0.2]), pe.Pdf([0.5, 0.5, tiny, tiny])
+    with pytest.raises(DomainError, match=f"^{_OVERFLOW}$"):
+        run_bound_checks(fam, p, q, r)
+    with pytest.raises(DomainError, match=f"^{_OVERFLOW}$"):
+        pe.check_relent(fam, p, q, r)
 
 
 def test_the_oracle_meets_every_edge():

@@ -114,9 +114,9 @@ def test_run_bound_checks_keeps_its_kernel_calls(monkeypatch):
     pe.condition1_delta(fam, 0.5)  # the radius is looked up, not solved, below
     calls = _kernel_calls(monkeypatch)
     bounds.run_bound_checks(fam, p, q, r, 0.3, 0.6, 0.5)
-    # The batch's columns and omega(N)'s argument; 0.5, 1/r and r.
+    # The batch's columns; 0.5, 1/r and r.  I_max = omega(N) is the row's closed form.
     points = _points(calls)
-    assert sorted(points["drop"]) == [1, 72] and points["ln"] == [19]
+    assert sorted(points["drop"]) == [72] and points["ln"] == [19]
 
 
 def test_custom_family_single_checks_integrate_only_what_they_read(monkeypatch):
@@ -139,7 +139,8 @@ def test_default_scan_keeps_its_kernel_calls(monkeypatch):
     calls = _kernel_calls(monkeypatch)
     stability_scan(ScanConfig(seed=400))
     points = _points(calls)
-    assert (len(points["drop"]), sum(points["drop"])) == (855, 70257)
+    # I_max = omega(N) is the row's closed form: no drop call (855 calls, 70257 points, before).
+    assert (len(points["drop"]), sum(points["drop"])) == (801, 70083)
     assert (len(points["ln"]), sum(points["ln"])) == (54, 7202)
 
 

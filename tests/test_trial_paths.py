@@ -60,7 +60,7 @@ def _inputs(fam_index: int, n: int, case: str):
         q /= q.sum()
     elif case == "overflow":  # p / r and 1 / r overflow at entry 0
         r[0] = 1e-310
-    elif case == "tiny_tv":  # tv is the smallest subnormal, so N / tv overflows
+    elif case == "tiny_tv":  # tv is the smallest subnormal: N / tv overflows, tv / N does not
         q = p.copy()
         p[0], q[0] = 0.0, 5e-324
     epsilon = SCAN_EPSILONS[(fam_index + n) % 3]
@@ -85,7 +85,8 @@ def _public_walk(fam, p, q, r, lam, mu, epsilon):
     if tv > 0:
         ent_sym = pe.entropy(fam, pe.sym_diff(p, q), "generic")
         out.append(("lb", -f0 - ln_phi(fam, 0.5), ent_sym))
-        out.append(("cont2", gap, tv * (f0 + omega_phi(fam, n / tv))))
+        # tv (F(0) + omega(N / tv)) = N g(tv / N)
+        out.append(("cont2", gap, n * big_f_drop(fam, tv / n)))
         if tv <= 1.0:
             out.append(("improved", gap, (big_f_drop(fam, min(tv, 1.0)) / f0) * (f0 + ent_sym)))
     i_max = omega_phi(fam, float(n))
@@ -218,16 +219,22 @@ def test_cases_cover_the_edges():
     }
 
 
-@pytest.mark.parametrize(
-    "case, message",
-    [("overflow", OVERFLOW), ("tiny_tv", "omega_phi requires finite x > 0")],
-)
+@pytest.mark.parametrize("case, message", [("overflow", OVERFLOW)])
 def test_edge_cases_raise_domain_error(case, message):
     for fam_index, fam in enumerate(GRID):
         p, q, r, lam, mu, epsilon = _inputs(fam_index, 4, case)
         with pytest.raises(DomainError) as info:
             run_bound_checks(fam, p, q, r, lam, mu, epsilon)
         assert str(info.value) == message
+
+
+def test_subnormal_tv_gives_a_cont2_report_that_holds():
+    # cont2's right side is N g(tv / N): no omega(N / tv), which overflows here.
+    for fam_index, fam in enumerate(GRID):
+        p, q, *_ = _inputs(fam_index, 4, "tiny_tv")
+        assert pe.tv_norm(p, q) == 5e-324
+        report = pe.check_cont2(fam, p, q)
+        assert report.holds and math.isfinite(report.rhs) and report.rhs >= 0.0, fam.label
 
 
 def _sequential_bisection(f, target, lo, hi, tol):
