@@ -27,7 +27,8 @@ Bound identifiers
 - ``improved``: the factorized bound (g(tv)/F(0)) * (F(0) + I(p sym q))
   valid for tv <= 1; coincides with ``cont1`` at tv = 1.
 - ``lb``: the constant lower bound -F(0) - ln_phi(1/2) <= I(p sym q).
-- ``cont2``: |I(p) - I(q)| <= tv * [F(0) + omega(N / tv)].
+- ``cont2``: |I(p) - I(q)| <= tv * [F(0) + omega(N / tv)], evaluated as
+  the equal N g(tv / N), g = big_f_drop, which stays finite at subnormal tv.
 - ``lesche3`` (tsallis), ``lesche4`` / ``fannes`` (shannon): the classical
   stability estimates with the N-dependence made explicit through
   I_max(N) = omega(N).

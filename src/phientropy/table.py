@@ -73,7 +73,8 @@ class _Layout:
     ``over`` marks where 1/r overflows, and ``ln2`` holds ln_phi(1/r),
     ln_phi(r) (-inf at a subnormal r for some families), 0 where r = 0 and
     ln_phi(1) = 0 where 1/r overflows.  Per lane, ``lb_lhs`` is the
-    left side of ``lb`` and ``i_max`` = omega(N); each is computed when
+    left side of ``lb`` and ``i_max`` = omega_phi(N), one call per run of
+    lanes with one family; each is computed when
     first read, but for ``lb_lhs`` in a layout with r, which shares the
     reference values' kernel call.  ``rows`` gives each lane's rows as
     (layout, lane) of a layout that holds them, so that the scan computes a
@@ -157,12 +158,8 @@ class _Layout:
         return np.array(self.ns, dtype=float)
 
     @cached_property
-    def tsallis(self) -> np.ndarray:
-        return np.array([fam.kind == "tsallis" for fam in self.fams])
-
-    @cached_property
-    def shannon(self) -> np.ndarray:
-        return np.array([fam.kind == "shannon" for fam in self.fams])
+    def kinds(self) -> np.ndarray:
+        return np.array([fam.kind for fam in self.fams])
 
     @cached_property
     def lb_lhs(self) -> np.ndarray:
@@ -421,8 +418,8 @@ _MASKS = {
     "identical pdfs": (lambda b: b.identical, _IDENTICAL),
     "tv > 1": (lambda b: b.tv > 1.0, "tv > 1"),
     "tv > 1/3": (lambda b: b.tv > 1.0 / 3.0, "tv > 1/3"),
-    "not tsallis": (lambda b: ~b.layout.tsallis, _NOT_APPLICABLE),
-    "not shannon": (lambda b: ~b.layout.shannon, _NOT_APPLICABLE),
+    "not tsallis": (lambda b: b.layout.kinds != "tsallis", _NOT_APPLICABLE),
+    "not shannon": (lambda b: b.layout.kinds != "shannon", _NOT_APPLICABLE),
     "no r": (lambda b: np.full(b.layout.size, not b.layout.has_r), _NOT_APPLICABLE),
     "unsupported r for I": (lambda b: b.unsupported[0], _SUPPORT),
     "unsupported r for D": (lambda b: b.unsupported[1], _SUPPORT),

@@ -134,7 +134,7 @@ EVAL_SHA256 = {
         '{"kind":"kaniadakis","kappa":-0.5}': "8dc199c06b4e258e701f442bdd9e0dfab53d6e339e00b2a525df99b8f8fe74c7",
         '{"kind":"kappa_maxwell","kappa":0.5}': "45c083144da40d87752f4139b3ae819add9cca80f21421779752d700b07bd835",
         '{"kind":"kappa_maxwell","kappa":2.0}': "9b287ee16e548a2b34842062ee1a7b7d310e1e02d4215dcc1fbf036e2098bcac",
-        '{"kind":"sqrt_log"}': "edbca255de46efeb22cfbf7340d0858a52551a2a6653e76a159b10bf2618738a",
+        '{"kind":"sqrt_log"}': "d9bb7e820f8e2e51a190c866705d7765c12ac3cba48a4eaa6c215d039117451f",
         '{"kind":"piecewise_linear","base":2.0}': "e4cd8308d306bb75866301f48d27d9fdd4eb5c7ee12c9dfcf1e6b79f815f15e2",
         '{"kind":"piecewise_linear","base":1.1}': "2113cd25912506a5f018d31df3eb5afda41f8278de7528bb9d9f13c593f1ff40",
     },
@@ -150,7 +150,7 @@ EVAL_SHA256 = {
         '{"kind":"kaniadakis","kappa":-0.5}': "8dc199c06b4e258e701f442bdd9e0dfab53d6e339e00b2a525df99b8f8fe74c7",
         '{"kind":"kappa_maxwell","kappa":0.5}': "45c083144da40d87752f4139b3ae819add9cca80f21421779752d700b07bd835",
         '{"kind":"kappa_maxwell","kappa":2.0}': "9b287ee16e548a2b34842062ee1a7b7d310e1e02d4215dcc1fbf036e2098bcac",
-        '{"kind":"sqrt_log"}': "edbca255de46efeb22cfbf7340d0858a52551a2a6653e76a159b10bf2618738a",
+        '{"kind":"sqrt_log"}': "d9bb7e820f8e2e51a190c866705d7765c12ac3cba48a4eaa6c215d039117451f",
         '{"kind":"piecewise_linear","base":2.0}': "e4cd8308d306bb75866301f48d27d9fdd4eb5c7ee12c9dfcf1e6b79f815f15e2",
         '{"kind":"piecewise_linear","base":1.1}': "66f6f4e4708e405e8bf3be27b2427d523787863a737df5d445b425fba34e9297",
     },
