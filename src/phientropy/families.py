@@ -7,8 +7,7 @@ ln_phi is finite at x = 0.  From F come the deformed exponential
 deduced logarithm omega(x) = (x - 1) F(0) - x F(1/x), which builds the
 entropy functionals of :mod:`phientropy.functionals`.  Six built-in kinds
 have closed forms; a custom logarithm goes through quadrature with a
-declared endpoint-singularity exponent.  Every function takes scalars or
-ndarrays and is pure.
+declared endpoint-singularity exponent.  Every function takes scalars or ndarrays and is pure.
 
 Each kind is one row of the kind table ``_KINDS`` at the end of this module:
 its JSON fields with their admissible ranges, ``derive`` (the singularity
@@ -294,14 +293,12 @@ def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
 
 
 def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`ln_phi`, without the domain check: a float
-    ndarray, known finite and > 0, in (the bound checks validate theirs once)."""
+    """The kernel of :func:`ln_phi`, without the domain check, for callers that validated x once."""
     return _KINDS[fam.kind].ln(fam, arr)
 
 
 def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
-    """``F(0) - F(x)``, i.e. ``-integral_0^x ln_phi(y) dy``, for ``x >= 0``, in
-    closed form that keeps its relative accuracy at small x (about x (-ln_phi(x)))."""
+    """``F(0) - F(x)`` = -integral_0^x ln_phi for x >= 0, relatively accurate also at small x."""
     arr, scalar = _in_domain(x, "big_f_drop", allow_zero=True)
     with np.errstate(**_QUIET):
         return _ret(big_f_drop_unchecked(fam, arr), scalar)
@@ -328,7 +325,12 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
     """
     arr, scalar = _in_domain(x, "omega_phi")
     with np.errstate(**_QUIET):
-        return _ret(_KINDS[fam.kind].omega(fam, arr), scalar)
+        return _ret(omega_phi_unchecked(fam, arr), scalar)
+
+
+def omega_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
+    """The kernel of :func:`omega_phi`, without the domain check: finite x > 0 in."""
+    return _KINDS[fam.kind].omega(fam, arr)
 
 
 def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
@@ -450,10 +452,8 @@ def _custom_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     return arr * _custom_drop(fam, inv) - fam.f_zero
 
 
-# The kappa_maxwell drop's plain form subtracts two terms of size kappa * x:
-# off by 1.4e-13 relative at kappa = 400, by all its digits at 1e20, and
-# inf - inf from kappa = 142 on.  Above this kappa it factors
-# x**(-1/(1 + kappa)) through expm1; a smaller kappa keeps its bits.
+# The kappa_maxwell drop's plain form is off by 1.4e-13 relative at kappa = 400 and inf - inf from 142 on;
+# above this kappa it factors x**(-1/(1 + kappa)) through expm1, and a smaller kappa keeps its bits.
 _KM_EXPM1_KAPPA = 100.0
 
 
@@ -685,8 +685,8 @@ _KINDS = {
         ln=lambda fam, x: np.log(x),
         drop=lambda fam, x: x - x * np.log(np.where(x > 0, x, 1.0)),
         prime=lambda fam, x: 1.0 / x,
-        omega=lambda fam, x: np.log(x),
         exp=lambda fam, x: np.exp(x),
+        omega=lambda fam, x: np.log(x),
     ),
     "tsallis": _Kind(
         fields={"kappa": _KAPPA_POWER},
@@ -694,8 +694,8 @@ _KINDS = {
         ln=lambda fam, x: _times_expm1((1.0 + fam.kappa) / fam.kappa, fam.kappa * np.log(x)),
         drop=_tsallis_drop,
         prime=lambda fam, x: _times_power(1.0 + fam.kappa, x, fam.kappa - 1.0),
-        omega=lambda fam, x: (-1.0 / fam.kappa) * np.expm1(-fam.kappa * np.log(x)),
         exp=_tsallis_exp,
+        omega=lambda fam, x: (-1.0 / fam.kappa) * np.expm1(-fam.kappa * np.log(x)),
     ),
     "kaniadakis": _Kind(
         fields={"kappa": _KAPPA_POWER},
@@ -711,12 +711,12 @@ _KINDS = {
             lambda: x * ((x**-fam.kappa / (1.0 - fam.kappa) - x**fam.kappa / (1.0 + fam.kappa)) / (2.0 * fam.kappa)),
         ),
         prime=lambda fam, x: _times_power(0.5, x, fam.kappa - 1.0) + _times_power(0.5, x, -fam.kappa - 1.0),
+        exp=_kaniadakis_exp,
         # (expm1(k ln x) / (1 - k) - expm1(-k ln x) / (1 + k)) / (2 k), divisors in the factors
         omega=lambda fam, x: (
             _times_expm1(1.0 / ((1.0 - fam.kappa) * 2.0 * fam.kappa), fam.kappa * np.log(x))
             - _times_expm1(1.0 / ((1.0 + fam.kappa) * 2.0 * fam.kappa), -fam.kappa * np.log(x))
         ),
-        exp=_kaniadakis_exp,
     ),
     "kappa_maxwell": _Kind(
         fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
@@ -724,8 +724,8 @@ _KINDS = {
         ln=lambda fam, x: _times_expm1(-fam.kappa, -np.log(x) / (1.0 + fam.kappa)),
         drop=_km_drop,
         prime=lambda fam, x: _times_power(fam.kappa / (1.0 + fam.kappa), x, -(2.0 + fam.kappa) / (1.0 + fam.kappa)),
-        omega=lambda fam, x: (1.0 + fam.kappa) * np.expm1(np.log(x) / (1.0 + fam.kappa)),
         exp=_km_exp,
+        omega=lambda fam, x: (1.0 + fam.kappa) * np.expm1(np.log(x) / (1.0 + fam.kappa)),
     ),
     "sqrt_log": _Kind(
         fields={},
@@ -734,9 +734,9 @@ _KINDS = {
         # x**1.5 overflows from 3.2e205, the drop from 4.2e205.
         drop=lambda fam, x: _where_inf(x - (2.0 / 3.0) * x**1.5, lambda: x * (1.0 - (2.0 / 3.0) * np.sqrt(x))),
         prime=lambda fam, x: 0.5 / np.sqrt(x),
+        exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
         # (2/3)(1 - 1/sqrt(x)) with the cancellation taken out, as in ln
         omega=lambda fam, x: (x - 1.0) / (x + np.sqrt(x)) / 1.5,
-        exp=lambda fam, x: np.where(x <= -1.0, 0.0, (1.0 + x) ** 2),
     ),
     "piecewise_linear": _Kind(
         fields={"base": _Range("> 1", lambda v: v > 1.0, "; smaller bases make the knot values decreasing")},

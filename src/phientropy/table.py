@@ -44,7 +44,7 @@ from .errors import (
     SupportError,
 )
 from .distributions import Pdf
-from .families import LogFamily, big_f_drop_unchecked, family_to_json, ln_phi_unchecked, omega_phi
+from .families import LogFamily, big_f_drop_unchecked, family_to_json, ln_phi_unchecked, omega_phi_unchecked
 from . import numerics
 
 
@@ -73,7 +73,7 @@ class _Layout:
     ``over`` marks where 1/r overflows, and ``ln2`` holds ln_phi(1/r),
     ln_phi(r) (-inf at a subnormal r for some families), 0 where r = 0 and
     ln_phi(1) = 0 where 1/r overflows.  Per lane, ``lb_lhs`` is the
-    left side of ``lb`` and ``i_max`` = omega_phi(N), one call per run of
+    left side of ``lb`` and ``i_max`` = omega(N), one kernel call per run of
     lanes with one family; each is computed when
     first read, but for ``lb_lhs`` in a layout with r, which shares the
     reference values' kernel call.  ``rows`` gives each lane's rows as
@@ -170,7 +170,7 @@ class _Layout:
 
     @cached_property
     def i_max(self) -> list:
-        return [v for fam, first, end in self.groups for v in omega_phi(fam, self.n[first:end]).tolist()]
+        return [v for fam, first, end in self.groups for v in omega_phi_unchecked(fam, self.n[first:end]).tolist()]
 
 
 # The kernel-argument columns a batch can form, one row per pdf entry: p, q,
@@ -217,7 +217,7 @@ class _Batch:
     forming them over arrays of lanes changes no bit, and a lane's value
     depends neither on the other lanes nor on the other values asked for.
     An error a value's public function would raise (a ratio to r, or F at
-    one, that overflows, an unsupported limit, omega at an infinite x) is
+    one, that overflows, an unsupported limit, a sum of +inf and -inf) is
     kept per lane and recorded by the first row that reads the value where
     it applies, so errors still come in table order.  The reference-pdf
     edge cases take no lane of their own: an infinite ln_phi(r) meets only
@@ -379,7 +379,7 @@ def _settle(terms: np.ndarray, layout: _Layout) -> dict:
     """Zero the infinite terms of each lane whose terms hold both +inf and
     -inf, which math.fsum refuses, and return an overflow error for each
     such lane.  Only a ratio to r or a ln_phi(r) that overflows makes an
-    infinite term, and its lane carries that error already."""
+    infinite term, so the lane's values are refused anyway."""
     both = layout.lanes(terms == math.inf) & layout.lanes(terms == -math.inf)
     if not np.count_nonzero(both):
         return {}

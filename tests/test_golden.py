@@ -1,11 +1,10 @@
 """Pinned CLI output: the ``scan``, ``bounds`` and ``eval`` JSON must not change by a byte.
 
-The bounds payloads below were produced by the release before the check
-table was introduced, the eval digests by the release before the kind
-table, and the scan digests by the first release whose scan lanes draw one
-block of variates each (Python 3.11.7, numpy 2.4.6); any change to the
-check order, the arithmetic of a kernel, the summation or the scan's draw
-protocol shows up here.
+The bounds payloads and the eval and scan digests below were produced by
+the first release whose kind table gives omega in closed form and holds
+every kernel to an error budget (Python 3.11.7, numpy 2.4.6); any change to
+the check order, the arithmetic of a kernel, the summation or the scan's
+draw protocol shows up here.
 
 Byte identity holds per numpy version and per SIMD dispatch level: numpy's
 AVX-512 and AVX2 loops round some powers and logarithms differently, which
