@@ -446,10 +446,9 @@ def _km_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
 
 def _custom_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    inv = 1.0 / arr
-    if np.count_nonzero(np.isinf(inv)):
+    if np.count_nonzero(np.isinf(1.0 / arr)):
         raise DomainError(f"omega_phi requires x whose reciprocal is finite for {fam.kind} families")
-    return arr * _custom_drop(fam, inv) - fam.f_zero
+    return arr * _custom_drop(fam, 1.0 / arr) - fam.f_zero
 
 
 # The kappa_maxwell drop's plain form is off by 1.4e-13 relative at kappa = 400 and inf - inf from 142 on;
@@ -560,8 +559,7 @@ def _pw_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
         m = np.where(t * a <= 1.0, m + 1, m)
         t = _pw_scaled(arr, a, m)
     c, s = 1.0 / (a - 1.0), 1.0 - t
-    # For x in (1, a] (m = -1) that cancels: there omega is
-    # (x - 1)(1 + a/x) / (2 (a - 1)), from ln_phi's line through 1.
+    # For x in (1, a] (m = -1) that cancels; omega there is (x - 1)(1 + a/x) / (2 (a - 1)).
     return np.where(m == -1, 0.5 * (arr - 1.0) * ((1.0 + a / arr) / (a - 1.0)), -m - s * (0.5 + c + c * s / (2.0 * t)))
 
 

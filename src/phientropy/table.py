@@ -72,11 +72,10 @@ class _Layout:
     zeros set to 1, ``zero`` marks r = 0 (``any_zero`` if it marks any),
     ``over`` marks where 1/r overflows, and ``ln2`` holds ln_phi(1/r),
     ln_phi(r) (-inf at a subnormal r for some families), 0 where r = 0 and
-    ln_phi(1) = 0 where 1/r overflows.  Per lane, ``lb_lhs`` is the
-    left side of ``lb`` and ``i_max`` = omega(N), one kernel call per run of
-    lanes with one family; each is computed when
-    first read, but for ``lb_lhs`` in a layout with r, which shares the
-    reference values' kernel call.  ``rows`` gives each lane's rows as
+    ln_phi(1) = 0 where 1/r overflows.  Per lane, ``lb_lhs`` is the left
+    side of ``lb`` and ``i_max`` = omega(N), one kernel call per run of one
+    family; each is computed when first read, but for ``lb_lhs`` in a layout
+    with r, which shares the reference values' kernel call.  ``rows`` gives each lane's rows as
     (layout, lane) of a layout that holds them, so that the scan computes a
     hill-climb restart's reference values once; one index array picks them.
     Lanes of one family next to each other share kernel calls.
@@ -158,8 +157,12 @@ class _Layout:
         return np.array(self.ns, dtype=float)
 
     @cached_property
-    def kinds(self) -> np.ndarray:
-        return np.array([fam.kind for fam in self.fams])
+    def tsallis(self) -> np.ndarray:
+        return np.array([fam.kind == "tsallis" for fam in self.fams])
+
+    @cached_property
+    def shannon(self) -> np.ndarray:
+        return np.array([fam.kind == "shannon" for fam in self.fams])
 
     @cached_property
     def lb_lhs(self) -> np.ndarray:
@@ -328,7 +331,7 @@ class _Batch:
             relent += dpq * lay.f0_rows
             if lay.any_zero:
                 relent[lay.zero] = 0.0
-            if np.count_nonzero(overflowed):
+            if self.overflow:
                 _settle(relent, lay)
         sums = [list(map(math.fsum, map(col.__getitem__, lay.entries))) for col in summands.tolist()]
         # Each sum is the attribute of its name.
@@ -376,10 +379,9 @@ class _Batch:
 
 
 def _settle(terms: np.ndarray, layout: _Layout) -> dict:
-    """Zero the infinite terms of each lane whose terms hold both +inf and
-    -inf, which math.fsum refuses, and return an overflow error for each
-    such lane.  Only a ratio to r or a ln_phi(r) that overflows makes an
-    infinite term, so the lane's values are refused anyway."""
+    """Zero the infinite terms of each lane whose terms hold both +inf and -inf, which math.fsum
+    refuses, and return an overflow error for each such lane.  Only a ratio to r or a ln_phi(r)
+    that overflows makes an infinite term, so the lane's values are refused anyway."""
     both = layout.lanes(terms == math.inf) & layout.lanes(terms == -math.inf)
     if not np.count_nonzero(both):
         return {}
@@ -418,8 +420,8 @@ _MASKS = {
     "identical pdfs": (lambda b: b.identical, _IDENTICAL),
     "tv > 1": (lambda b: b.tv > 1.0, "tv > 1"),
     "tv > 1/3": (lambda b: b.tv > 1.0 / 3.0, "tv > 1/3"),
-    "not tsallis": (lambda b: b.layout.kinds != "tsallis", _NOT_APPLICABLE),
-    "not shannon": (lambda b: b.layout.kinds != "shannon", _NOT_APPLICABLE),
+    "not tsallis": (lambda b: ~b.layout.tsallis, _NOT_APPLICABLE),
+    "not shannon": (lambda b: ~b.layout.shannon, _NOT_APPLICABLE),
     "no r": (lambda b: np.full(b.layout.size, not b.layout.has_r), _NOT_APPLICABLE),
     "unsupported r for I": (lambda b: b.unsupported[0], _SUPPORT),
     "unsupported r for D": (lambda b: b.unsupported[1], _SUPPORT),
