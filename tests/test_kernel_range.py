@@ -95,6 +95,7 @@ BUDGETS = {
     },
 }
 KERNELS = tuple(BUDGETS)
+KINDS = tuple(BUDGETS["ln"])
 
 
 def _power_loss(fam) -> float:
@@ -107,7 +108,7 @@ def budget(kernel: str, fam) -> tuple:
     """(rel, rel_x, spacings) of ``kernel`` for ``fam``."""
     entry = BUDGETS[kernel][fam.kind]
     return entry(fam) if callable(entry) else entry
-KINDS = tuple(BUDGETS["ln"])
+
 
 # Each kind's admissible parameters: (name, log10 range of the drawn magnitude,
 # signed, edges).
