@@ -406,10 +406,11 @@ def _tsallis_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
 
 def _where_inf(out: np.ndarray, redo: Callable[[], np.ndarray], at: Optional[np.ndarray] = None) -> np.ndarray:
-    """``out``, with ``redo()`` where ``at`` (``out`` by default) is infinite: the
-    form a kernel takes where an intermediate overflows but its value need not."""
-    inf = np.isinf(out if at is None else at)
-    return np.where(inf, redo(), out) if np.count_nonzero(inf) else out
+    """``out``, with ``redo()`` where the mask ``at`` holds (where ``out`` is infinite
+    by default): the form a kernel takes where an intermediate overflows but its
+    value need not."""
+    at = np.isinf(out) if at is None else at
+    return np.where(at, redo(), out) if np.count_nonzero(at) else out
 
 
 def _times_expm1(c: float, y: np.ndarray) -> np.ndarray:
@@ -428,21 +429,23 @@ def _tsallis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     b = 1.0 + c * arr
     out = np.where(b > 0, np.maximum(b, 0.0 if k > 0 else 1e-300) ** (1.0 / k), 0.0 if k > 0 else math.inf)
     # An inverse whose base passes DBL_MAX can still be finite, even subnormal.
-    return _where_inf(out, lambda: np.exp((math.log(abs(c)) + np.log(np.abs(arr))) / k), at=b)
+    # A base of -inf is a y past the range, where out is already 0 or inf.
+    return _where_inf(out, lambda: np.exp((math.log(abs(c)) + np.log(np.abs(arr))) / k), at=b == math.inf)
 
 
 def _kaniadakis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     t = fam.kappa * arr
     s = np.hypot(1.0, t) + np.abs(t)
     out = np.where(t >= 0, s, 1.0 / s) ** (1.0 / fam.kappa)
-    return _where_inf(out, lambda: np.exp(np.copysign(math.log(2.0) + np.log(np.abs(t)), t) / fam.kappa), at=s)
+    return _where_inf(out, lambda: np.exp(np.copysign(math.log(2.0) + np.log(np.abs(t)), t) / fam.kappa), at=s == math.inf)
 
 
 def _km_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # (1 - y / kappa)**(-(1 + kappa)) through log1p, which keeps its digits at large kappa.
     k, b = fam.kappa, -arr / fam.kappa
     out = np.where(arr < k, np.exp(-(1.0 + k) * np.log1p(np.maximum(b, -1.0))), math.inf)
-    return _where_inf(out, lambda: np.exp(-(1.0 + k) * (np.log(np.abs(arr)) - math.log(k))), at=b)
+    # Only b = +inf is a y in the range (b = -inf lies above it, where out is inf).
+    return _where_inf(out, lambda: np.exp(-(1.0 + k) * (np.log(np.abs(arr)) - math.log(k))), at=b == math.inf)
 
 
 def _custom_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:

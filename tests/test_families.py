@@ -240,6 +240,30 @@ class TestExpPhi:
         assert pe.exp_phi(fam, 0.5) == math.inf
         assert pe.exp_phi(fam, 0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "fam",
+        [pe.shannon(), pe.sqrt_log(), pe.tsallis(0.5), pe.tsallis(1e-4), pe.tsallis(-0.5), pe.tsallis(-0.99),
+         pe.kaniadakis(0.5), pe.kaniadakis(-0.99), pe.kappa_maxwell(1e-5), pe.kappa_maxwell(2.0), pe.kappa_maxwell(1e6)],
+        ids=lambda fam: fam.label,
+    )
+    def test_closed_inverse_is_monotone_over_all_y(self, fam):
+        # Past the range of ln_phi the inverse is 0 below and inf above, also
+        # where y overflows an intermediate (1 + kappa y / (1 + kappa), -y / kappa).
+        big = np.logspace(-300, 308, 609)
+        top = np.finfo(float).max
+        y = np.concatenate([[-math.inf, -top], -big[::-1], [0.0], big, [top, math.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = pe.exp_phi(fam, y)
+        assert x[0] == 0.0 and x[-1] == math.inf
+        assert np.all(x[1:] >= x[:-1]), y[1:][x[1:] < x[:-1]]
+
+    def test_closed_inverse_past_the_range(self):
+        assert pe.exp_phi(pe.kappa_maxwell(2.0), math.inf) == math.inf
+        assert pe.exp_phi(pe.kappa_maxwell(1e-5), 1e304) == math.inf
+        assert pe.exp_phi(pe.tsallis(-0.99), 1e307) == math.inf
+        assert pe.exp_phi(pe.tsallis(0.5), -math.inf) == 0.0
+
     def test_round_trip_wide_range(self, family):
         # 1e-10 relative, plus the conditioning floor of representing the
         # rounded logarithm where it saturates toward the end of its range
