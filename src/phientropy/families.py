@@ -7,7 +7,8 @@ ln_phi is finite at x = 0.  From F come the deformed exponential
 deduced logarithm omega(x) = (x - 1) F(0) - x F(1/x), which builds the
 entropy functionals of :mod:`phientropy.functionals`.  Six built-in kinds
 have closed forms; a custom logarithm goes through quadrature with a
-declared endpoint-singularity exponent.  Every function takes scalars or ndarrays and is pure.
+declared endpoint-singularity exponent.  Every function takes scalars or
+ndarrays and is pure, so family values can be shared freely across threads.
 
 Each kind is one row of the kind table ``_KINDS`` at the end of this module:
 its JSON fields with their admissible ranges, ``derive`` (the singularity
@@ -27,28 +28,36 @@ admissible parameter, each built-in kernel f keeps |f - exact| <= rel |exact|
 rel_x = 0 keeps relative accuracy up to the zero at x = 1; ``exp_phi(y)``
 lies within rel of the exact inverse at a y' with |y' - y| <= d (1 + |y|),
 give or take n spacings; piecewise_linear's ln_phi', which jumps at its
-rounded knots, may take its value at x (1 +- 1e-15).  ``tests/test_kernel_range.py``
-enforces them.  After each, the largest error measured, as a share of it;
-L = 4 eps / min(|kappa|, 1 - |kappa|) + 2e-13, for 1 + 1/kappa and 1 +- kappa:
+rounded knots, may take its value at x (1 +- 1e-15).
+``tests/test_kernel_range.py`` enforces them.  After each, the largest
+error measured (seeds 1-5 of its report, both numpy dispatch levels), as a
+share of it; E = 1e-15, and L = 4 eps / min(|kappa|, 1 - |kappa|) + 2e-13,
+for 1 + 1/kappa and 1 +- kappa:
 
-    rel/rel_x/n  shannon          tsallis, kaniadakis      kappa_maxwell       sqrt_log          piecewise_linear
-    ln           1e-15/0/0 .11    4e-13/0/0 .36 .26        4e-13/0/0 .49       1e-15/0/0 .24     1e-15/1e-15/1 .15
-    omega        1e-15/0/0 .11    4e-13/0/0 .23 .26        4e-13/0/0 .33       1e-15/0/0 .29     1e-15/1e-15/0 .31
-    drop         1e-15/1e-15/1 .5 L/L/(1/|kappa|) .5 .82   1e-13/1e-12/64 .75  1e-15/1e-15/1 .12 1e-15/1e-15/1 .5
-    prime        1e-15/0/1 .14    1e-12/0/1 .94 .14        1e-12/0/1 .67       1e-15/0/1 .17     1e-15/0/1 .49
-    exp rel/d/n  1e-15/1e-15/1 .05 1e-15/4e-12/1 .28 .57   2e-13/4e-12/1 .04   1e-15/1e-15/1 .08 1e-12/2e-13/2 .5
+    rel/rel_x/n       ln         omega      drop                 prime          exp: rel/d/n
+    shannon           E/0/0 .11  E/0/0 .11  E/E/1 .50            E/0/1 .16      E/E/1 .05
+    tsallis           E/0/0 .48  E/0/0 .38  L/L/(1/|kappa|) .51  1e-12/0/1 .72  E/4e-12/1 .28
+    kaniadakis        E/0/0 .46  E/0/0 .51  L/L/(1/|kappa|) .82  1e-12/0/1 .17  E/4e-12/1 .57
+    kappa_maxwell     E/0/0 .41  E/0/0 .43  1e-13/1e-12/64 .50   1e-12/0/1 .77  2e-13/4e-12/1 .05
+    sqrt_log          E/0/0 .24  E/0/0 .26  E/E/1 .12            E/0/1 .17      E/E/1 .09
+    piecewise_linear  E/E/1 .14  E/E/0 .32  E/E/1 .50            E/0/1 .49      1e-12/2e-13/2 .50
+
+The power kinds' ln_phi and omega keep E because ``_ln_times`` forms their
+exponent as a sum of two doubles; one product is off by eps |kappa ln x|.
 
 Error state: the public functions set numpy's and the kernels none.  Kernels
 that overflow or underflow return inf, -inf or 0, so overflow and divide are
-ignored; invalid stays on, as a NaN is a wrong value.  Callers of
-``*_unchecked`` set it.
+ignored; invalid stays on, as a NaN is a wrong value (where F overflows,
+``big_f_drop`` is -inf, not inf - inf).  Callers of ``*_unchecked`` set it.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -293,19 +302,23 @@ def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
 
 
 def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`ln_phi`, without the domain check, for callers that validated x once."""
+    """The kernel of :func:`ln_phi`: a float ndarray, known finite and > 0, in, and no
+    domain check, so callers that validated x once (the bound checks) do not pay for it."""
     return _KINDS[fam.kind].ln(fam, arr)
 
 
 def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
-    """``F(0) - F(x)`` = -integral_0^x ln_phi for x >= 0, relatively accurate also at small x."""
+    """``F(0) - F(x)`` = -integral_0^x ln_phi for x >= 0, in closed form without
+    subtracting near-equal quantities, so relatively accurate also at small x,
+    where it behaves like x (-ln_phi(x))."""
     arr, scalar = _in_domain(x, "big_f_drop", allow_zero=True)
     with np.errstate(**_QUIET):
         return _ret(big_f_drop_unchecked(fam, arr), scalar)
 
 
 def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`big_f_drop`, without the domain check: finite x >= 0 in."""
+    """The kernel of :func:`big_f_drop`: a float ndarray, known finite and >= 0, in,
+    and no domain check, like :func:`ln_phi_unchecked`."""
     return _KINDS[fam.kind].drop(fam, arr)
 
 
@@ -329,7 +342,8 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
 
 
 def omega_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    """The kernel of :func:`omega_phi`, without the domain check: finite x > 0 in."""
+    """The kernel of :func:`omega_phi`: a float ndarray, known finite and > 0, in,
+    and no domain check, like :func:`ln_phi_unchecked`."""
     return _KINDS[fam.kind].omega(fam, arr)
 
 
@@ -413,10 +427,54 @@ def _where_inf(out: np.ndarray, redo: Callable[[], np.ndarray], at: Optional[np.
     return np.where(at, redo(), out) if np.count_nonzero(at) else out
 
 
-def _times_expm1(c: float, y: np.ndarray) -> np.ndarray:
-    """``c * expm1(y)``, with c in the exponent where expm1(y) alone overflows
-    (past y = 709.8; c expm1(y) lasts to 709.8 - log|c|, further for |c| < 1)."""
-    return _where_inf(c * np.expm1(y), lambda: math.copysign(1.0, c) * np.exp(y + math.log(abs(c))) - c)
+_LN2 = Fraction("0.6931471805599453094172321214581765680755")  # ln 2 to 40 digits
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2_times(a: float, b: float) -> tuple[float, float, float]:
+    """c = a / (1 + b), exactly, and c ln 2 as hi + lo, hi of 42 bits, so that
+    n hi is exact for every binary exponent n of a double: (hi, lo, c)."""
+    c = Fraction(a) / (1 + Fraction(b))
+    m, e = math.frexp(float(c * _LN2))
+    hi = math.ldexp(math.trunc(math.ldexp(m, 42)), e - 42)
+    return hi, float(c * _LN2 - Fraction(hi)), float(c)
+
+
+def _ln_times(x: np.ndarray, a: float, b: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """``a ln(x) / (1 + b)`` as an unevaluated sum s + t, |t| <= ulp(s).  With
+    x = m 2**n, m in [sqrt(1/2), sqrt(2)), n c ln 2 is an exact product plus a
+    small rest, and ln m = log1p(m - 1) is below 0.35, so s + t is off by about
+    eps |c|, where c ln(x) in one product is off by eps |c ln x|."""
+    hi, lo, c = _ln2_times(a, b)
+    m, n = np.frexp(x)
+    low = m < math.sqrt(0.5)
+    m, n = m + m * low, n - low
+    head, rest = n * hi, n * lo + c * np.log1p(m - 1.0)
+    s = head + rest
+    return s, (head - s) + rest
+
+
+def _times_expm1(c: float, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``c * expm1(s + t)``, |t| <= ulp(s), with c in the exponent where expm1(s)
+    alone overflows (past s = 709.8; c expm1(s) lasts to 709.8 - log|c|, further
+    for |c| < 1).  The cap keeps 0 * inf out of the t term."""
+    e = np.expm1(s)
+    out = c * e + (c * t) * np.minimum(1.0 + e, _MAX)
+
+    def in_exponent():  # s + t + log|c| as u + w, so that exp(u) (1 + w) keeps its digits
+        ls, lt = _ln_times(np.abs(c), 1.0)
+        u = s + ls
+        return math.copysign(1.0, c) * np.exp(u) * (1.0 + ((((s - u) + ls) + lt) + t)) - c
+
+    return _where_inf(out, in_exponent)
+
+
+def _kaniadakis_sum(fam: LogFamily, arr: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``(expm1(k ln x) / lo - expm1(-k ln x) / hi) / (2 k)``, divisors in the factors:
+    ln_phi with lo = hi = 1, omega with lo = 1 - k and hi = 1 + k."""
+    k = fam.kappa
+    s, t = _ln_times(arr, k)
+    return _times_expm1(1.0 / (lo * 2.0 * k), s, t) - _times_expm1(1.0 / (hi * 2.0 * k), -s, -t)
 
 
 def _times_power(c: float, x: np.ndarray, e: float) -> np.ndarray:
@@ -692,11 +750,11 @@ _KINDS = {
     "tsallis": _Kind(
         fields={"kappa": _KAPPA_POWER},
         derive=_tsallis_derive,
-        ln=lambda fam, x: _times_expm1((1.0 + fam.kappa) / fam.kappa, fam.kappa * np.log(x)),
+        ln=lambda fam, x: _times_expm1((1.0 + fam.kappa) / fam.kappa, *_ln_times(x, fam.kappa)),
         drop=_tsallis_drop,
         prime=lambda fam, x: _times_power(1.0 + fam.kappa, x, fam.kappa - 1.0),
         exp=_tsallis_exp,
-        omega=lambda fam, x: (-1.0 / fam.kappa) * np.expm1(-fam.kappa * np.log(x)),
+        omega=lambda fam, x: _times_expm1(-1.0 / fam.kappa, *_ln_times(x, -fam.kappa)),
     ),
     "kaniadakis": _Kind(
         fields={"kappa": _KAPPA_POWER},
@@ -704,7 +762,7 @@ _KINDS = {
             abs(fam.kappa), (1.0 / (2.0 * fam.kappa)) * (1.0 / (1.0 - fam.kappa) - 1.0 / (1.0 + fam.kappa)),
             -math.inf, math.inf,
         ),
-        ln=lambda fam, x: np.sinh(fam.kappa * np.log(x)) / fam.kappa,
+        ln=lambda fam, x: _kaniadakis_sum(fam, x, 1.0, 1.0),
         # Where x**(1 + |kappa|) overflows but the drop does not, x is factored out.
         drop=lambda fam, x: _where_inf(
             (x ** (1.0 - fam.kappa) / (1.0 - fam.kappa) - x ** (1.0 + fam.kappa) / (1.0 + fam.kappa))
@@ -713,20 +771,16 @@ _KINDS = {
         ),
         prime=lambda fam, x: _times_power(0.5, x, fam.kappa - 1.0) + _times_power(0.5, x, -fam.kappa - 1.0),
         exp=_kaniadakis_exp,
-        # (expm1(k ln x) / (1 - k) - expm1(-k ln x) / (1 + k)) / (2 k), divisors in the factors
-        omega=lambda fam, x: (
-            _times_expm1(1.0 / ((1.0 - fam.kappa) * 2.0 * fam.kappa), fam.kappa * np.log(x))
-            - _times_expm1(1.0 / ((1.0 + fam.kappa) * 2.0 * fam.kappa), -fam.kappa * np.log(x))
-        ),
+        omega=lambda fam, x: _kaniadakis_sum(fam, x, 1.0 - fam.kappa, 1.0 + fam.kappa),
     ),
     "kappa_maxwell": _Kind(
         fields={"kappa": _Range("> 0", lambda v: v > 0.0)},
         derive=lambda fam: (1.0 / (1.0 + fam.kappa), 1.0, -math.inf, fam.kappa),
-        ln=lambda fam, x: _times_expm1(-fam.kappa, -np.log(x) / (1.0 + fam.kappa)),
+        ln=lambda fam, x: _times_expm1(-fam.kappa, *_ln_times(x, -1.0, fam.kappa)),
         drop=_km_drop,
         prime=lambda fam, x: _times_power(fam.kappa / (1.0 + fam.kappa), x, -(2.0 + fam.kappa) / (1.0 + fam.kappa)),
         exp=_km_exp,
-        omega=lambda fam, x: (1.0 + fam.kappa) * np.expm1(np.log(x) / (1.0 + fam.kappa)),
+        omega=lambda fam, x: _times_expm1(1.0 + fam.kappa, *_ln_times(x, 1.0, fam.kappa)),
     ),
     "sqrt_log": _Kind(
         fields={},

@@ -36,8 +36,8 @@ TSALLIS = '{"kind":"tsallis","kappa":0.5}'
 # SHA-256 of what ``phientropy scan --trials 1000 --seed 3898507391`` prints,
 # per numpy SIMD dispatch level (see tests/test_golden.py).
 NOISE_SCAN_SHA256 = {
-    "X86_V4": "3a40d6fcbc72ee3137ca83f7cc751fa273c5be3ff91d0a5d402d28a0592de2ca",
-    "X86_V3": "6c9b15e6158de5c53b65d62a3df47e41e1d30fbc1f6e908628fa4f669fdfc892",
+    "X86_V4": "29e53ec89d42c4c5b373486a15e0013c1720e754aa14aa3583e3524bc2308990",
+    "X86_V3": "ec53a899fd54a981e8c4d30765c39c4d3ebab23a8c83454515848274befc17c1",
 }
 
 

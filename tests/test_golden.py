@@ -27,15 +27,15 @@ from phientropy.bounds import BOUND_IDS, CHECKS, run_bound_checks
 
 SCAN_SHA256 = {
     "X86_V4": {
-        "1": "048429824cb298e867925aaf7dbfd6ca22a822c786d5c0a9a4d75856ca226211",
-        "2": "ce4e4f4218d7efbc2d567585156fcab8d593bc54b1aea587a7bbfd6397e5a42d",
-        "3": "5176d4cba6d4084e8b17c91b78edc8447da3780335ef6bb49e94a833ec279249",
+        "1": "158a7876b8495b4c8b36dabe818128f54b280ab958bb3fa66c71bda77d500073",
+        "2": "dfe11c5a5a19a29f05b7a29c6d1d2c0edb2b468054b5c2704939738d255bf8ea",
+        "3": "97128e3ca56df5068e4de66c07b1501f6c424aa18ca3462b72d3c7915664d146",
         "271828": "a3836de70e6c036ed71850bbcae91a5089b2f6d612d5e706ec3b52c269387b68",
     },
     "X86_V3": {
-        "1": "048429824cb298e867925aaf7dbfd6ca22a822c786d5c0a9a4d75856ca226211",
-        "2": "96e7f6e97fcfb597b05df4e83f19cf2b7f8d830ef0eabaf3f8ddbb7c2f805947",
-        "3": "74660fa93cf6d677263ca19015121ea643180610534cc291b8c70f3b2c6e9de7",
+        "1": "158a7876b8495b4c8b36dabe818128f54b280ab958bb3fa66c71bda77d500073",
+        "2": "9212e13708327baca9e94bd01f1b8c4672d0eb7478c3387c0ed4645052c4b430",
+        "3": "394c52591f86dce34609ea231d584ed172ae586d167ef519d3ab691773f69d0f",
         "271828": "08416bb5661d455f42caa0f2b052c38a5653f4cfddbd1f70e082b93b1dc7c5c7",
     },
 }
@@ -123,32 +123,32 @@ EXP_XS = (-5.0, -0.7, 0.0, 0.4, 2.5, 30.0)
 EVAL_SHA256 = {
     "X86_V4": {
         '{"kind":"shannon"}': "ceacad2e221aef5839dc32cdbfb258a05b05b049ff6ad201e1db87f992760cb6",
-        '{"kind":"tsallis","kappa":0.1}': "6cb3921fb42d67e8c8514e39e2c882d028b26010ed11600f274b1f4a5d077a02",
-        '{"kind":"tsallis","kappa":-0.1}': "1a094ed8d05e86838a8fe551706700c53f6e16c2e9efa3da48e63e662785058f",
-        '{"kind":"tsallis","kappa":0.5}': "a1cbcb6603cc1aee46e1bbdd2642be6476c6957a2a9fe22372c76b9ee27d4fd0",
-        '{"kind":"tsallis","kappa":-0.5}': "2741b759c608a6015f5891d0cc8da7a2374441402d7e3f4e3bd0ff0d5e585b88",
-        '{"kind":"tsallis","kappa":0.9}': "1398e5315f84594cf24bff9d4c2c21b170ad29e8aa7021be5f5eecc9d709b6f9",
-        '{"kind":"tsallis","kappa":-0.9}': "71bafcc67724cb61a7071daad10aa5ff913ae8a4e85c3bf96698dfbf69e91203",
-        '{"kind":"kaniadakis","kappa":0.5}': "3e81226fb49d10d100666e9f9e55ae61cc749641860b91aa0d66edccbad2fc1f",
-        '{"kind":"kaniadakis","kappa":-0.5}': "8dc199c06b4e258e701f442bdd9e0dfab53d6e339e00b2a525df99b8f8fe74c7",
-        '{"kind":"kappa_maxwell","kappa":0.5}': "45c083144da40d87752f4139b3ae819add9cca80f21421779752d700b07bd835",
-        '{"kind":"kappa_maxwell","kappa":2.0}': "9b287ee16e548a2b34842062ee1a7b7d310e1e02d4215dcc1fbf036e2098bcac",
+        '{"kind":"tsallis","kappa":0.1}': "0d3cc9c7ebd51d09ad9e715d120a57eebc9080498f15b109634f2bc27a31f2f6",
+        '{"kind":"tsallis","kappa":-0.1}': "2cdcb7c75ea48bceea902a22acd7e1a30cfd47e46322bd314a4dcca92d69589d",
+        '{"kind":"tsallis","kappa":0.5}': "7c0699f9bd9cc68c62180f8d3b4cdb5ef97e4da15378a7150a1da959db40da04",
+        '{"kind":"tsallis","kappa":-0.5}': "0140d0e7b27faae356a82ca6610173d31f69e0069222d5e8801da6a064cd9ffb",
+        '{"kind":"tsallis","kappa":0.9}': "a1c65f4591aa2b808f723e45f53b67b6601070d6f747a022241e5f1493fc969c",
+        '{"kind":"tsallis","kappa":-0.9}': "78aa635266194552fb090c8cd88d7b499d0c7ece0bcd1c3f1cc20e2012989542",
+        '{"kind":"kaniadakis","kappa":0.5}': "4027e582fe753a21cec72875c383c4a78366c3f552098083f360bbc444d10934",
+        '{"kind":"kaniadakis","kappa":-0.5}': "db2c9414a896d98cc8d9ad421958d0950159cd39965c9417edfc97c5af6e5570",
+        '{"kind":"kappa_maxwell","kappa":0.5}': "c52cc3d9e2102b1a547de4227c8f7802a4552f24ce6471b80a8da7eaf4481b72",
+        '{"kind":"kappa_maxwell","kappa":2.0}': "6deef6f54484b42b5e209dc4e09db2fb91aa4b44dd14582239f8b535a3f7d731",
         '{"kind":"sqrt_log"}': "d9bb7e820f8e2e51a190c866705d7765c12ac3cba48a4eaa6c215d039117451f",
         '{"kind":"piecewise_linear","base":2.0}': "e4cd8308d306bb75866301f48d27d9fdd4eb5c7ee12c9dfcf1e6b79f815f15e2",
         '{"kind":"piecewise_linear","base":1.1}': "2113cd25912506a5f018d31df3eb5afda41f8278de7528bb9d9f13c593f1ff40",
     },
     "X86_V3": {
         '{"kind":"shannon"}': "ceacad2e221aef5839dc32cdbfb258a05b05b049ff6ad201e1db87f992760cb6",
-        '{"kind":"tsallis","kappa":0.1}': "ce9e2a4e11354f21b6677df12b92a16d178b95fe27729465b05d82a650523746",
-        '{"kind":"tsallis","kappa":-0.1}': "584e59d41cbf31cbf928dc541d218de250b8afd7514bc3902de0b5f745f06b30",
-        '{"kind":"tsallis","kappa":0.5}': "d4bc5bb390973ac958f6c4e7dbebca4edfab24c9e612b11b498197c1d1dea09f",
-        '{"kind":"tsallis","kappa":-0.5}': "2741b759c608a6015f5891d0cc8da7a2374441402d7e3f4e3bd0ff0d5e585b88",
-        '{"kind":"tsallis","kappa":0.9}': "1398e5315f84594cf24bff9d4c2c21b170ad29e8aa7021be5f5eecc9d709b6f9",
-        '{"kind":"tsallis","kappa":-0.9}': "71bafcc67724cb61a7071daad10aa5ff913ae8a4e85c3bf96698dfbf69e91203",
-        '{"kind":"kaniadakis","kappa":0.5}': "3e81226fb49d10d100666e9f9e55ae61cc749641860b91aa0d66edccbad2fc1f",
-        '{"kind":"kaniadakis","kappa":-0.5}': "8dc199c06b4e258e701f442bdd9e0dfab53d6e339e00b2a525df99b8f8fe74c7",
-        '{"kind":"kappa_maxwell","kappa":0.5}': "45c083144da40d87752f4139b3ae819add9cca80f21421779752d700b07bd835",
-        '{"kind":"kappa_maxwell","kappa":2.0}': "9b287ee16e548a2b34842062ee1a7b7d310e1e02d4215dcc1fbf036e2098bcac",
+        '{"kind":"tsallis","kappa":0.1}': "f548e4feab7bd8e9355598ede4b0b000436c3641b9e89aff7853e29342169abe",
+        '{"kind":"tsallis","kappa":-0.1}': "7e88db0027b97f511c0ad347a701447ccfccb3a2d87c1210014e4ac97a84c2d5",
+        '{"kind":"tsallis","kappa":0.5}': "f0b910f29c761f3e2f5dd032b1316abefc2cddd23570afab12ad1b40c2b91fda",
+        '{"kind":"tsallis","kappa":-0.5}': "f7325332cdcc3962eb559206a67ea6a2ca4949d4254ee016df030aaf4df9019a",
+        '{"kind":"tsallis","kappa":0.9}': "46a113efde0071ef3a6cea77d53e467d20db12b5a98a9ce34fbe546533c85167",
+        '{"kind":"tsallis","kappa":-0.9}': "84a7cf69e88afccc95700522dd887a1253f3359d20868d9d13e1161c6faa67cc",
+        '{"kind":"kaniadakis","kappa":0.5}': "8d012de1c465dee131ebe8f63871a394d2179522a4b1c1c32083ca2d61b29eff",
+        '{"kind":"kaniadakis","kappa":-0.5}': "504d9e93ea7de29d2a9abc65c14bc2cedb1d26df89fd972ae0ac5e83db0c1f62",
+        '{"kind":"kappa_maxwell","kappa":0.5}': "7977d6fcd6906eab9df97cd68ec62dcd42e4316a82d900865e5b0881348ea6ce",
+        '{"kind":"kappa_maxwell","kappa":2.0}': "5f305a0a15d9e6f1a5b35cb05c5d1f20373e0fc5cdaede2816bdd85f43b59623",
         '{"kind":"sqrt_log"}': "d9bb7e820f8e2e51a190c866705d7765c12ac3cba48a4eaa6c215d039117451f",
         '{"kind":"piecewise_linear","base":2.0}': "e4cd8308d306bb75866301f48d27d9fdd4eb5c7ee12c9dfcf1e6b79f815f15e2",
         '{"kind":"piecewise_linear","base":1.1}': "66f6f4e4708e405e8bf3be27b2427d523787863a737df5d445b425fba34e9297",
@@ -200,41 +200,41 @@ BUDGET_SCANS = {
 BUDGET_SCAN_SHA256 = {
     "X86_V4": {
         'trials=1 seed=7': "258f3c46ff3786320651b4404179c347f98c820716867e44778ad127750c5033",
-        'trials=52 seed=7': "9415e4302f5719fd9f7211ad3c9644d59834aa2443244141d519471b97bc7faf",
+        'trials=52 seed=7': "24407c62956f07bf60392e262b50be3f5bc3dd2e5167dea7623c1d54210c5794",
         'trials=157 seed=7': "a84b5a148304cf2dd075aa46563558fd55f02bcea41a382c133bc1f474579631",
         'trials=200 seed=7': "ac97651f5bb3eb1ba8f02bf351e5c83b22f53664f03a41ce24b560b2adf5256c",
         'trials=1001 seed=7': "4f02209ae62bf2b58d3bea552fff668a426a4c5177b04804235b55c2c7fef3bd",
-        'trials=5000 seed=7': "b7796a7198214a12f34eac8452165fd31ebc4b625fd227e47ddabc8f351ad522",
+        'trials=5000 seed=7': "6c9b05fd3db62dc39c285a4677bd86f26fae77770018c1daeed6e89dc7e1b5a9",
         'trials=1 seed=20040': "9420b7d88cedafac90cec9bd878b5f0334185f034b1029703d865447f5c18f5d",
-        'trials=52 seed=20040': "80582fb93a46a88436823fe9541a9b845a8e968dc499ff3d1d12771c3131488f",
+        'trials=52 seed=20040': "739414794658f96c88c14a5b08700245fb9cd050571966381ac1b5a56d8c7007",
         'trials=157 seed=20040': "7d9d74649ec3ffa953a94c3e55f403491f42b862da409a3c043d8a86d6b9770a",
         'trials=200 seed=20040': "0937b1eb45cf15978a4eb3f209c3d4a48df3e6a382456c93ccf9b79c717b678b",
         'trials=1001 seed=20040': "6b573a932906b1f742fb2634fa363a535f7c9dd1380a9c0ac6dd151003df99c3",
         'trials=5000 seed=20040': "dbcfe6ae47de28dea7fc1fbb9d5f3975b32f23635951d96928567ce661b189f8",
         'one family': "425f3e5ebf073a1f6cc63dec8d9b26a6842a7222a267f5ae66d1802eb7d16ff8",
-        'dims 64': "e2160e3e3edf721faec693e406f9b6e57ce968771e74dc28ac6f2f1cbb630972",
+        'dims 64': "0fef7ffa6d08c79b6b5dba90e2604ee8427eecf8fb9c0d72c3c387efbf79346a",
         'hillclimb only': "9e086cd9ea94559f3d6737bd56dac500c425fc0c29b4547ae7f7a7842f6c31c8",
-        'sparse only': "bc654b6771a5035e9cd21ca997256b2321df890f46bd647796f786f2b096f03d",
+        'sparse only': "10e2cc82011aa80501401c7a4be3f60e6b84e9ebc237f26a0b0a3c2873ca6774",
         'hillclimb first': "60928d708d18b73c47e2ee8094a8e4aad6762b22bc203c2ba04d1eaaf9f0569d",
         'hillclimb 104 slots': "4af9ad5a250fca8311a0b627823ea3cafd126a4d3fd600ef04dbfed68d9f4e50",
     },
     "X86_V3": {
         'trials=1 seed=7': "258f3c46ff3786320651b4404179c347f98c820716867e44778ad127750c5033",
-        'trials=52 seed=7': "dbe8af094cf50fc125b8e7a18b87065c4c8d1703f707a76c504b4bf3d4b3794c",
+        'trials=52 seed=7': "576187501c067cd914c025fe4aa2da06abcbae7fe56737c98795877f24ff355b",
         'trials=157 seed=7': "a84b5a148304cf2dd075aa46563558fd55f02bcea41a382c133bc1f474579631",
         'trials=200 seed=7': "ac97651f5bb3eb1ba8f02bf351e5c83b22f53664f03a41ce24b560b2adf5256c",
         'trials=1001 seed=7': "4f02209ae62bf2b58d3bea552fff668a426a4c5177b04804235b55c2c7fef3bd",
-        'trials=5000 seed=7': "b7796a7198214a12f34eac8452165fd31ebc4b625fd227e47ddabc8f351ad522",
+        'trials=5000 seed=7': "6c9b05fd3db62dc39c285a4677bd86f26fae77770018c1daeed6e89dc7e1b5a9",
         'trials=1 seed=20040': "9420b7d88cedafac90cec9bd878b5f0334185f034b1029703d865447f5c18f5d",
-        'trials=52 seed=20040': "588af167d949d916f43b1c30a8fae920b85a53ea28f3165d392e5ca26ed8f2f5",
+        'trials=52 seed=20040': "63ab8ebd1298c5d62303eff58eac4e4cd593acfc70a96f6eacc0c723949ae3ee",
         'trials=157 seed=20040': "59033c7bf96723fd6bbf0c11f8ef9e829e40b67d49ef16b38fd2b64441105606",
         'trials=200 seed=20040': "c56ab3acd34cfa05b5675dfbe9d5f95163266bb5a8e03bf7385bddb209fb16b4",
         'trials=1001 seed=20040': "2340c8c4a0f8558fb6d8fad62f4604e0062f37b2ff281ff77e65275e5d5c492d",
         'trials=5000 seed=20040': "cd3ec1e7d7b1b0617f35bda77391aa822dca652a280a0aa2ba6c9f1b61ab1653",
         'one family': "1b9d73bc3ec9ed12e60b6c674bd1c4b13d49e3802515d8347bec937288024618",
-        'dims 64': "e2160e3e3edf721faec693e406f9b6e57ce968771e74dc28ac6f2f1cbb630972",
+        'dims 64': "0fef7ffa6d08c79b6b5dba90e2604ee8427eecf8fb9c0d72c3c387efbf79346a",
         'hillclimb only': "9e086cd9ea94559f3d6737bd56dac500c425fc0c29b4547ae7f7a7842f6c31c8",
-        'sparse only': "bc654b6771a5035e9cd21ca997256b2321df890f46bd647796f786f2b096f03d",
+        'sparse only': "10e2cc82011aa80501401c7a4be3f60e6b84e9ebc237f26a0b0a3c2873ca6774",
         'hillclimb first': "60928d708d18b73c47e2ee8094a8e4aad6762b22bc203c2ba04d1eaaf9f0569d",
         'hillclimb 104 slots': "4af9ad5a250fca8311a0b627823ea3cafd126a4d3fd600ef04dbfed68d9f4e50",
     },

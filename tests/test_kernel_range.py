@@ -53,9 +53,9 @@ EPS = 2.0**-52
 BUDGETS = {
     "ln": {
         "shannon": (1e-15, 0.0, 0),
-        "tsallis": (4e-13, 0.0, 0),
-        "kaniadakis": (4e-13, 0.0, 0),
-        "kappa_maxwell": (4e-13, 0.0, 0),
+        "tsallis": (1e-15, 0.0, 0),
+        "kaniadakis": (1e-15, 0.0, 0),
+        "kappa_maxwell": (1e-15, 0.0, 0),
         "sqrt_log": (1e-15, 0.0, 0),
         "piecewise_linear": (1e-15, 1e-15, 1),
     },
@@ -70,9 +70,9 @@ BUDGETS = {
     },
     "omega": {
         "shannon": (1e-15, 0.0, 0),
-        "tsallis": (4e-13, 0.0, 0),
-        "kaniadakis": (4e-13, 0.0, 0),
-        "kappa_maxwell": (4e-13, 0.0, 0),
+        "tsallis": (1e-15, 0.0, 0),
+        "kaniadakis": (1e-15, 0.0, 0),
+        "kappa_maxwell": (1e-15, 0.0, 0),
         "sqrt_log": (1e-15, 0.0, 0),
         "piecewise_linear": (1e-15, 1e-15, 0),
     },
