@@ -430,7 +430,7 @@ def _where_inf(out: np.ndarray, redo: Callable[[], np.ndarray], at: Optional[np.
 _LN2 = Fraction("0.6931471805599453094172321214581765680755")  # ln 2 to 40 digits
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _ln2_times(a: float, b: float) -> tuple[float, float, float]:
     """c = a / (1 + b), exactly, and c ln 2 as hi + lo, hi of 42 bits, so that
     n hi is exact for every binary exponent n of a double: (hi, lo, c)."""
