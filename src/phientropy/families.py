@@ -495,7 +495,8 @@ def _kaniadakis_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     t = fam.kappa * arr
     s = np.hypot(1.0, t) + np.abs(t)
     out = np.where(t >= 0, s, 1.0 / s) ** (1.0 / fam.kappa)
-    return _where_inf(out, lambda: np.exp(np.copysign(math.log(2.0) + np.log(np.abs(t)), t) / fam.kappa), at=s == math.inf)
+    redo = lambda: np.exp(np.copysign(math.log(2.0) + np.log(np.abs(t)), t) / fam.kappa)
+    return _where_inf(out, redo, at=s == math.inf)
 
 
 def _km_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:

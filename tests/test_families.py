@@ -242,8 +242,9 @@ class TestExpPhi:
 
     @pytest.mark.parametrize(
         "fam",
-        [pe.shannon(), pe.sqrt_log(), pe.tsallis(0.5), pe.tsallis(1e-4), pe.tsallis(-0.5), pe.tsallis(-0.99),
-         pe.kaniadakis(0.5), pe.kaniadakis(-0.99), pe.kappa_maxwell(1e-5), pe.kappa_maxwell(2.0), pe.kappa_maxwell(1e6)],
+        [pe.shannon(), pe.sqrt_log(), pe.tsallis(0.5), pe.tsallis(1e-4), pe.tsallis(-0.5),
+         pe.tsallis(-0.99), pe.kaniadakis(0.5), pe.kaniadakis(-0.99), pe.kappa_maxwell(1e-5),
+         pe.kappa_maxwell(2.0), pe.kappa_maxwell(1e6)],
         ids=lambda fam: fam.label,
     )
     def test_closed_inverse_is_monotone_over_all_y(self, fam):
