@@ -16,8 +16,9 @@ the inputs before and picks the results after.  :func:`run_bound_checks`
 one, the latter raising on an input the table would skip; the scan
 evaluates many.
 
-Tolerance policy (uniform across all checks): an inequality ``lhs <= rhs``
-holds when ``lhs <= rhs + 1e-10 * (1 + |rhs|)``.
+Tolerance policy: :func:`phientropy.table.verdict` alone decides it, for every
+report, single or scanned: ``lhs <= rhs`` holds when ``lhs <= rhs + tol``, tol =
+1e-10 (1 + |rhs|), and sides both within tol of zero lie on the noise floor.
 
 Bound identifiers
 -----------------

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bounds import ScanConfig, default_family_grid, run_bound_checks, stability_scan
 from .distributions import Pdf, validate
-from .errors import NonDifferentiableError, PhiEntropyError
+from .errors import NonDifferentiableError, ParamError, PhiEntropyError
 from .families import (
     LogFamily,
     big_f,
@@ -95,6 +95,8 @@ def _load_pdf(path: str, tol: float = 1e-9) -> Pdf:
         text = fh.read()
     if path.endswith(".json"):
         data = json.loads(text)
+        if not (isinstance(data, dict) and isinstance(data.get("weights"), list)):
+            raise ParamError(f"{path}: a JSON pdf must be an object holding a 'weights' list")
         return validate(data["weights"], tol=tol)
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines and not _is_number(lines[0]):

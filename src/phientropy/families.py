@@ -362,14 +362,16 @@ def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
 def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
     """Deformed exponential: inverse of ``ln_phi`` extended to all of R.
 
-    Returns 0 below the range of ``ln_phi`` and ``+inf`` above it, so the
-    function is total.  Families without a closed inverse (piecewise_linear,
-    custom) fall back to monotone bisection at 1e-12 relative tolerance; they
-    return 0 only below ln_phi(5e-324) (or at and below a custom family's
-    finite ``ln_at_zero``) and inf only above ln_phi(DBL_MAX) (or at and
-    above a finite ``ln_sup``).
+    Returns 0 below the range of ``ln_phi`` and ``+inf`` above it, and raises
+    :class:`DomainError` at NaN.  Families without a closed inverse
+    (piecewise_linear, custom) fall back to monotone bisection at 1e-12 relative
+    tolerance; they return 0 only below ln_phi(5e-324) (or at and below a custom
+    family's finite ``ln_at_zero``) and inf only above ln_phi(DBL_MAX) (or at
+    and above a finite ``ln_sup``).
     """
     arr, scalar = _as_array(x)
+    if np.isnan(arr).any():
+        raise DomainError("exp_phi requires x that is not NaN")
     with np.errstate(**_QUIET):
         return _ret(_KINDS[fam.kind].exp(fam, arr), scalar)
 
@@ -666,8 +668,8 @@ def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
             return 0.0
         # The bracket is 1 and the first power of two 2**-k (below y) or
         # 2**k (above it) from 1 outward, found by bisection over k and cut
-        # to 64 binades.  A NaN y finds no 2**-k and gives 0.
-        if not y >= 0.0:
+        # to 64 binades.  A y below ln_phi(5e-324) finds no 2**-k and gives 0.
+        if y < 0.0:
             k = bisect.bisect_left(range(1075), True, key=lambda k: f(2.0**-k) <= y)
             if k == 1075:
                 return 0.0
@@ -819,8 +821,8 @@ def _field(kind: str, name: str, value) -> float:
     if value is None:
         raise ParamError(f"{kind} families need {name}")
     try:
-        # A bool is no number here; float() also rejects strings it cannot parse.
-        x = math.nan if isinstance(value, bool) else float(value)
+        # A bool is no number here, nor is text that float() would parse.
+        x = math.nan if isinstance(value, (bool, str, bytes)) else float(value)
     except (TypeError, ValueError, OverflowError):
         x = math.nan
     if not (math.isfinite(x) and allowed.admits(x)):

@@ -129,15 +129,21 @@ def binomial_mixture_model(m: int = 6) -> ParametricModel:
     return ParametricModel(dim_theta=2, dim_p=m + 1, eval=ev, name=f"binmix{m}")
 
 
+def _theta(model: ParametricModel, theta: Sequence[float]) -> np.ndarray:
+    """``theta`` as a float array, or ParamError unless it has one entry per model parameter."""
+    th = np.asarray(theta, dtype=float)
+    if th.shape != (model.dim_theta,):
+        raise ParamError(f"theta must have shape ({model.dim_theta},)")
+    return th
+
+
 def model_jacobian(model: ParametricModel, theta: Sequence[float]) -> np.ndarray:
     """Matrix of partials dp_k / dtheta_i, shape (dim_p, dim_theta).
 
     Richardson-extrapolated central differences with the model's fd_step.
     Verifies mass conservation: each column must sum to 0 within 1e-8.
     """
-    th = np.asarray(theta, dtype=float)
-    if th.shape != (model.dim_theta,):
-        raise ParamError(f"theta must have shape ({model.dim_theta},)")
+    th = _theta(model, theta)
     jac = np.empty((model.dim_p, model.dim_theta))
     for i in range(model.dim_theta):
         e = np.zeros_like(th)
@@ -153,7 +159,7 @@ def model_jacobian(model: ParametricModel, theta: Sequence[float]) -> np.ndarray
 
 
 def _positive_weights(model: ParametricModel, theta) -> np.ndarray:
-    w = model.eval(np.asarray(theta, dtype=float)).weights
+    w = model.eval(_theta(model, theta)).weights
     if np.any(w <= 0.0):
         raise ZeroProbability(
             f"model {model.name!r} has zero probability at theta={theta}"
@@ -230,7 +236,7 @@ def expansion_check(
     """
     if rungs < 2:
         raise ParamError("need at least two rungs to estimate an order")
-    th = np.asarray(theta, dtype=float)
+    th = _theta(model, theta)
     dth = np.asarray(dtheta, dtype=float)
     if dth.shape != th.shape:
         raise ParamError("dtheta must match theta's shape")

@@ -41,7 +41,7 @@ from .families import (
     LogFamily, family_to_json, kappa_maxwell, kaniadakis, piecewise_linear, shannon, sqrt_log, tsallis,
 )
 from .table import (
-    _QUIET, CHECKS, TOL_SCALE, Check, _Batch, _family_key, _Layout, _report, condition1_radii, reads, walk,
+    _QUIET, CHECKS, Check, _Batch, _family_key, _Layout, _report, condition1_radii, reads, verdict, walk,
 )
 
 __all__ = [
@@ -247,26 +247,6 @@ class _Aggregator:
         )
 
 
-def _ratios(lhs: np.ndarray, rhs: np.ndarray, applied: np.ndarray) -> tuple:
-    """Violations, each trial's max ratio, and the ratios that may become a worst.
-
-    A report whose ratio is undefined (rhs <= 0) has none.  A report whose
-    sides both lie within ``tol`` of zero is counted and checked, and its
-    ratio counts towards the trial's max, which steers the hill climb, but
-    it never becomes a worst: such noise says nothing of tightness.
-    """
-    ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, math.nan), where=applied & (rhs > 0))
-    best = [None if x != x else x for x in np.fmax.reduce(ratio, axis=0).tolist()]
-    # lhs <= rhs implies the tolerant comparison, and rhs >= 1e-9 exceeds
-    # tol, so most batches need no tolerance at all.
-    violated = applied & ~(lhs <= rhs)
-    if np.count_nonzero(violated) or np.count_nonzero(applied & (rhs < 1e-9)):
-        tol = TOL_SCALE * (1.0 + np.abs(rhs))
-        violated &= ~(lhs <= rhs + tol)
-        ratio = np.where((np.abs(lhs) <= tol) & (rhs <= tol), math.nan, ratio)
-    return violated, best, ratio
-
-
 def _transfer(pdf: Pdf, i: int, j: int, amount: float) -> Pdf:
     """``pdf`` with up to ``amount`` of mass moved from entry i to entry j.
 
@@ -379,21 +359,26 @@ class _Log:
     lane's inputs (fam, p, q, r, segment).  :meth:`finish` numbers the
     trials in slot order, keeps those within the budget, and sets
     ``trials``, the trials kept; ``counts``, the evaluated reports per row
-    of :data:`CHECKS`; ``violations`` and ``support_errors``;
-    ``discarded``, the trials the lanes ran past the budget; and
-    ``winners``, each row's worst once: over the kept trials only, in trial
-    order, its largest above-floor ratio, the first trial winning a tie, as
-    (ratio, row, record) in (trial, row) order, where the record is
-    (fam, p, q, r, segment, lhs, rhs).  ``mode`` names the block's mode,
-    which keys the scan's timings.
+    of :data:`CHECKS`; ``violations``; ``support_errors``, the trials
+    refused for support; ``discarded``, the trials the lanes ran past the
+    budget; and ``winners``, each row's worst once: over the kept trials
+    only, in trial order, its largest above-floor ratio, the first trial
+    winning a tie, as (ratio, row, record) in (trial, row) order, where the
+    record is (fam, p, q, r, segment, lhs, rhs).  ``mode`` names the block's
+    mode, which keys the scan's timings.
     """
 
     def __init__(self, mode: Optional[str] = None):
         self.mode, self.lane, self.pos, self.inputs, self.ticks = mode, [], [], [], []
 
     def add(self, lanes, cands, segments, applied, lhs, rhs, unsupported) -> list:
-        """Log one trial of each lane; return each trial's max ratio."""
-        violated, best, ratio = _ratios(lhs, rhs, applied)
+        """Log one trial of each lane, ``unsupported`` marking those refused for support; return each
+        trial's max ratio (none where rhs <= 0), which steers the hill climb, noise-floor ones included."""
+        ratio = np.divide(lhs, rhs, out=np.full(lhs.shape, math.nan), where=applied & (rhs > 0))
+        best = [None if x != x else x for x in np.fmax.reduce(ratio, axis=0).tolist()]
+        _, holds, noise = verdict(lhs, rhs)
+        violated = applied & ~holds
+        ratio[noise] = math.nan
         self.lane += [lane.index for lane in lanes]
         self.pos += [lane.used for lane in lanes]
         self.inputs += [(lane.fam, *cand, lane.r, seg) for lane, cand, seg in zip(lanes, cands, segments)]
@@ -418,8 +403,7 @@ class _Log:
         )
         self.trials, self.counts, self.discarded = sum(kept), applied.sum(axis=1), base - sum(kept)
         self.violations = int(violated.sum())
-        # cont1 applies to every trial of distinct pdfs.
-        self.support_errors = int((applied[0] & unsupported).sum())
+        self.support_errors = int(unsupported.sum())
         # NaN marks no ratio or a noise-floor one; argmax finds each row's first top.
         top = np.fmax.reduce(ratio, axis=1, initial=math.nan)
         first = (ratio == top[:, None]).argmax(axis=1).tolist()
@@ -438,9 +422,10 @@ def _tick(lanes: list, layout: _Layout, log: _Log) -> None:
     segments = [lane.segment(tv) for lane, tv in zip(lanes, b.tv_list)]
     deltas = [math.inf if seg is None else lane.delta for lane, seg in zip(lanes, segments)]
     b.evaluate(segments, deltas, reads(CHECKS))
-    # A trial of identical pdfs evaluates no bound.
-    _, applied, lhs, rhs = walk(b, CHECKS, also=("identical pdfs",))
-    best = log.add(lanes, cands, segments, applied, lhs, rhs, b.unsupported.any(axis=0))
+    # A trial of identical pdfs evaluates no bound and meets no support error.
+    masks, applied, lhs, rhs = walk(b, CHECKS, also=("identical pdfs",))
+    unsupported = (masks["unsupported r for I"] | masks["unsupported r for D"]) & ~masks["identical pdfs"]
+    best = log.add(lanes, cands, segments, applied, lhs, rhs, unsupported)
     for i, lane in enumerate(lanes):
         lane.error = lane.error or b.errors[i]
         lane.advance(cands[i], best[i])

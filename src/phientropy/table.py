@@ -433,8 +433,8 @@ _MASKS = {
 }
 
 
-# The values below raise tv to a power or take its logarithm: libm and
-# numpy's SIMD loops may round those differently, so they stay per lane.
+# The values below raise tv to a power or take its logarithm on the lanes of their kind: libm
+# and numpy's SIMD loops may round those differently, so they stay per lane.
 
 
 def _per_lane(b: _Batch, lanes, rhs: Callable[[float, int], float]) -> np.ndarray:
@@ -463,38 +463,36 @@ class _Value(NamedTuple):
     """A batch value: what it reads (kernel-argument columns, "tv/N" and
     "g_tv" for the scalar arguments, "r" for h_r's, e_r's and the cross
     sums), its array over the lanes, and the name of the batch's per-lane
-    errors it carries, if any.  A value computed lane by lane gets the lanes
-    where a row that reads it applies; the others get None."""
+    errors it carries, if any."""
 
     reads: tuple
-    compute: Callable[[_Batch, np.ndarray], np.ndarray]
+    compute: Callable[[_Batch], np.ndarray]
     errors: Optional[str] = None
-    per_lane: bool = False
 
 
 _VALUES = {
-    "gap": _Value(("p", "q"), lambda b, lanes: np.abs(b.ent_p - b.ent_q)),
-    "d": _Value(("diff",), lambda b, lanes: b.d),
-    "ent_sym": _Value(("sym",), lambda b, lanes: b.ent_sym),
-    "lb_lhs": _Value((), lambda b, lanes: b.layout.lb_lhs),
+    "gap": _Value(("p", "q"), lambda b: np.abs(b.ent_p - b.ent_q)),
+    "d": _Value(("diff",), lambda b: b.d),
+    "ent_sym": _Value(("sym",), lambda b: b.ent_sym),
+    "lb_lhs": _Value((), lambda b: b.layout.lb_lhs),
     # tv (F(0) + omega(N / tv)) = N g(tv / N)
-    "cont2": _Value(("p", "tv/N"), lambda b, lanes: b.layout.n * b.g_cont2),
+    "cont2": _Value(("p", "tv/N"), lambda b: b.layout.n * b.g_cont2),
     "improved": _Value(
-        ("q", "g_tv", "sym"), lambda b, lanes: (b.g_tv / b.layout.f0) * (b.layout.f0 + b.ent_sym)
+        ("q", "g_tv", "sym"), lambda b: (b.g_tv / b.layout.f0) * (b.layout.f0 + b.ent_sym)
     ),
-    "lesche3": _Value((), _lesche3, per_lane=True),
-    "lesche4": _Value((), lambda b, lanes: _fannes(b, lanes, 1.0), per_lane=True),
-    "fannes": _Value((), lambda b, lanes: _fannes(b, lanes, 0.0), per_lane=True),
+    "lesche3": _Value((), lambda b: _lesche3(b, b.layout.tsallis)),
+    "lesche4": _Value((), lambda b: _fannes(b, b.layout.shannon, 1.0)),
+    "fannes": _Value((), lambda b: _fannes(b, b.layout.shannon, 0.0)),
     # The per-coordinate integral form keeps full precision when p ~ q.
-    "relent_I": _Value(("q/r", "p/r", "r"), lambda b, lanes: np.abs(b.relent), "overflow"),
-    "d + h": _Value(("diff", "r"), lambda b, lanes: b.d + b.h, "h_error"),
+    "relent_I": _Value(("q/r", "p/r", "r"), lambda b: np.abs(b.relent), "overflow"),
+    "d + h": _Value(("diff", "r"), lambda b: b.d + b.h, "h_error"),
     # D(p|r) - D(q|r) = I(q) - I(p) - sum (p - q) ln_phi(r), over p != q when ln_phi(r) can be inf.
-    "relent_D": _Value(("p", "q", "r"), lambda b, lanes: np.abs(b.ent_q - b.ent_p - b.cross), "cross_error"),
-    "d + e": _Value(("diff", "r"), lambda b, lanes: b.d + b.e, "e_error"),
-    "segment": _Value(("lam", "mu"), lambda b, lanes: np.abs(b.mix_lam - b.mix_mu)),
-    "epsilon ent_sym": _Value(("sym",), lambda b, lanes: b.seg[2] * b.ent_sym),
-    "h": _Value(("r",), lambda b, lanes: b.h, "h_error"),
-    "e": _Value(("r",), lambda b, lanes: b.e, "e_error"),
+    "relent_D": _Value(("p", "q", "r"), lambda b: np.abs(b.ent_q - b.ent_p - b.cross), "cross_error"),
+    "d + e": _Value(("diff", "r"), lambda b: b.d + b.e, "e_error"),
+    "segment": _Value(("lam", "mu"), lambda b: np.abs(b.mix_lam - b.mix_mu)),
+    "epsilon ent_sym": _Value(("sym",), lambda b: b.seg[2] * b.ent_sym),
+    "h": _Value(("r",), lambda b: b.h, "h_error"),
+    "e": _Value(("r",), lambda b: b.e, "e_error"),
 }
 
 
@@ -539,7 +537,6 @@ class _Plan(NamedTuple):
     masks: list  # every mask a row names
     skips: np.ndarray  # (rows, masks): the masks each row skips
     values: tuple  # every value a side reads
-    readers: Optional[np.ndarray]  # (values, rows): the rows that read each value, if one is per lane
     lhs: np.ndarray  # each row's lhs and rhs, as indices into values
     rhs: np.ndarray
     errors: list  # (row, value) of each side whose value carries errors, in table order
@@ -550,11 +547,9 @@ def _plan(rows: tuple, also: tuple = ()) -> _Plan:
     masks = list(dict.fromkeys(m for c in rows for m in (*c.skips, *also)))
     values = tuple(dict.fromkeys(v for c in rows for v in c.sides))
     skips = np.array([[m in c.skips or m in also for m in masks] for c in rows], dtype=bool)
-    readers = np.array([[v in c.sides for c in rows] for v in values], dtype=bool)
     side = [np.array([values.index(c.sides[j]) for c in rows], dtype=np.intp) for j in (0, 1)]
     return _Plan(
-        masks, skips.reshape(len(rows), len(masks)), values,
-        readers if any(_VALUES[v].per_lane for v in values) else None, *side,
+        masks, skips.reshape(len(rows), len(masks)), values, *side,
         [(k, v) for k, c in enumerate(rows) for v in c.sides if _VALUES[v].errors],
     )
 
@@ -590,8 +585,7 @@ def walk(b: _Batch, rows: tuple, also: tuple = ()) -> tuple:
         applied = ~(plan.skips @ stacked)
     else:
         stacked, applied = (), np.ones((len(rows), size), dtype=bool)
-    lanes = [None] * len(plan.values) if plan.readers is None else plan.readers @ applied
-    values = np.array([_VALUES[name].compute(b, at) for name, at in zip(plan.values, lanes)])
+    values = np.array([_VALUES[name].compute(b) for name in plan.values])
     for k, name in plan.errors:
         errors = getattr(b, _VALUES[name].errors)
         if errors:
@@ -602,8 +596,18 @@ def walk(b: _Batch, rows: tuple, also: tuple = ()) -> tuple:
 # ---------------------------------------------------------------------------
 # the outcome of a row on one input
 
-# An inequality lhs <= rhs holds when lhs <= rhs + TOL_SCALE * (1 + |rhs|).
+# The scale of every report's tolerance; read only by :func:`verdict`.
 TOL_SCALE = 1e-10
+
+
+def verdict(lhs, rhs) -> tuple:
+    """(tol, holds, noise) of the reports lhs <= rhs: Python floats for one, arrays for a batch.
+
+    tol = TOL_SCALE (1 + |rhs|); a report holds when lhs <= rhs + tol, and lies on the noise floor,
+    where its ratio says nothing of tightness, when |lhs| and rhs are both within tol of zero.
+    """
+    tol = TOL_SCALE * (1.0 + abs(rhs))
+    return tol, lhs <= rhs + tol, (abs(lhs) <= tol) & (rhs <= tol)
 
 
 @dataclass(frozen=True)
@@ -664,14 +668,13 @@ def _report(check: Check, record: tuple, key: bytes) -> BoundReport:
     ``key`` is fam's :func:`_family_key`, which the caller forms once for its reports.
     """
     _, *inputs, lhs, rhs = record
-    tol = TOL_SCALE * (1.0 + abs(rhs))
-    ratio = lhs / rhs if rhs > 0 else None
+    tol, holds, _ = verdict(lhs, rhs)
     return BoundReport(
         bound_id=check.bound_id,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=None if ratio is None else float(ratio),
-        holds=bool(lhs <= rhs + tol),
+        lhs=lhs,
+        rhs=rhs,
+        ratio=lhs / rhs if rhs > 0 else None,
+        holds=holds,
         tol=tol,
         inputs_digest=_digest(check, key, *inputs),
     )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import phientropy as pe
 import phientropy.bounds as bounds
 import phientropy.scan as scan
+import phientropy.table as table
 from phientropy import distributions
 from phientropy.bounds import (
     ScanConfig,
@@ -751,6 +752,21 @@ class TestNoiseFloor:
             rep = stats.witness["report"] if stats.witness else None
             if rep is not None:
                 assert max(rep["lhs"], rep["rhs"]) > rep["tol"], rep
+
+    @given(st.floats(), st.floats())
+    @example(3e-16, 2.8e-16)
+    @example(1.0, 1.0 - 1e-11)
+    @example(0.0, -math.inf)
+    def test_one_verdict_for_a_report_and_a_batch(self, lhs, rhs):
+        # A single report rules on Python floats, the scan on arrays of sides.
+        tol, holds, noise = table.verdict(lhs, rhs)
+        with np.errstate(over="ignore", invalid="ignore"):  # rhs + tol near DBL_MAX or at -inf
+            tols, held, noisy = table.verdict(np.array([lhs, 0.0]), np.array([rhs, 1.0]))
+        assert type(tol) is float and type(holds) is bool and type(noise) is bool
+        assert tols[0] == tol or math.isnan(tols[0]) and math.isnan(tol)
+        assert (bool(held[0]), bool(noisy[0])) == (holds, noise)
+        assert holds is (lhs <= rhs + 1e-10 * (1.0 + abs(rhs)))
+        assert noise is (abs(lhs) <= tol and rhs <= tol)
 
 
 class TestStabilityScan:

@@ -48,7 +48,7 @@ def break_cont1(monkeypatch):
     the single-input checks and the scan each read their module's table.
     """
     d = table._VALUES["d"]
-    monkeypatch.setitem(table._VALUES, "d + 1", d._replace(compute=lambda b, lanes: d.compute(b, lanes) + 1.0))
+    monkeypatch.setitem(table._VALUES, "d + 1", d._replace(compute=lambda b: d.compute(b) + 1.0))
     rows = [dataclasses.replace(c, sides=("d + 1", "d")) if c.bound_id == "cont1" else c for c in bounds.CHECKS]
     monkeypatch.setattr(bounds, "CHECKS", tuple(rows))
     monkeypatch.setattr(scan, "CHECKS", tuple(rows))
@@ -81,6 +81,11 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--family", spec, "--fn", "ln", "--x", "2")
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "kappa" in err
+
+    def test_nan_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "eval", "--family", TSALLIS, "--fn", "exp", "--x", "nan")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exp_phi requires x that is not NaN")
 
     def test_multiple_points(self, capsys):
         code, out, _ = run(
@@ -120,6 +125,14 @@ class TestEntropy:
         code, out, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", pdf)
         assert code == 1
         assert "error" in err and "usage" in err
+
+    @pytest.mark.parametrize("text", ["[0.5, 0.5]", "3", '"weights"', '{"w": [0.5, 0.5]}', '{"weights": 0.5}'])
+    def test_malformed_json_pdf_is_input_error(self, capsys, tmp_path, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: a JSON pdf must be an object holding a 'weights' list")
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", "/nope.json")
@@ -414,6 +427,11 @@ class TestFisherCommand:
         )
         payload = json.loads(out)
         assert payload["expansion"]["order2"] >= 2.8
+
+    def test_theta_of_the_wrong_length_is_input_error(self, capsys):
+        code, out, err = run(capsys, "fisher", "--family", SHANNON, "--model", "binmix", "--theta", "0.2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: theta must have shape (2,)")
 
     def test_unknown_model(self, capsys):
         code, _, err = run(

@@ -50,6 +50,14 @@ class TestParameterValidation:
         with pytest.raises(ParamError, match="shannon"):
             pe.family_from_json({"kind": kind, "kappa": kappa})
 
+    @pytest.mark.parametrize("kappa", ["0.5", b"0.5"])
+    def test_text_parameter_is_refused(self, kappa):
+        # float() would parse it; family_from_json refuses it too.
+        with pytest.raises(ParamError, match="kappa"):
+            pe.tsallis(kappa)
+        with pytest.raises(ParamError, match="kappa"):
+            pe.LogFamily(kind="tsallis", kappa=kappa)
+
     @pytest.mark.parametrize("kind", ["tsallis", "kaniadakis"])
     @pytest.mark.parametrize("kappa", [1e-4, -1e-4])
     def test_smallest_kappa_accepted_and_round_trips(self, kind, kappa):
@@ -305,6 +313,19 @@ class TestExpPhi:
                 else:
                     assert got == pytest.approx(want, rel=1e-9, abs=0.0), y
                 assert len(calls) < 64, y
+
+    @pytest.mark.parametrize(
+        "fam",
+        [pe.shannon(), pe.tsallis(0.5), pe.tsallis(-0.5), pe.kaniadakis(0.5), pe.kappa_maxwell(0.5),
+         pe.sqrt_log(), pe.piecewise_linear(2.0), pe.custom_family(np.log, 0.0)],
+        ids=lambda fam: fam.label,
+    )
+    def test_nan_is_a_domain_error(self, fam):
+        # The infinities stay in the domain: 0 below the range of ln_phi, inf above it.
+        assert pe.exp_phi(fam, [-math.inf, math.inf]).tolist() == [0.0, math.inf]
+        for x in (math.nan, [0.5, math.nan]):
+            with pytest.raises(DomainError, match="exp_phi"):
+                pe.exp_phi(fam, x)
 
     def test_bisection_gives_0_and_inf_only_past_the_float_range(self):
         fam = pe.piecewise_linear(2.0)

@@ -244,3 +244,20 @@ class TestExpansion:
         rep = pe.expansion_check(pe.shannon(), BERN, np.array([0.4]), np.array([1e-2]))
         assert isinstance(rep, ExpansionReport)
         assert len(rep.steps) == len(rep.r1) == len(rep.r2) == len(rep.sym) == 3
+
+
+@pytest.mark.parametrize("theta", [[0.2], [0.2, 0.3, 0.4], [[0.2, 0.3]]], ids=["short", "long", "2-d"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda model, th: model_jacobian(model, th),
+        lambda model, th: pe.fisher_g1(pe.shannon(), model, th),
+        lambda model, th: pe.fisher_g2(pe.shannon(), model, th),
+        lambda model, th: pe.expansion_check(pe.shannon(), model, th, np.full(np.shape(th), 1e-3)),
+    ],
+    ids=["model_jacobian", "fisher_g1", "fisher_g2", "expansion_check"],
+)
+def test_theta_of_the_wrong_shape_is_a_param_error(call, theta):
+    # The model is not evaluated first: binmix reads theta[1].
+    with pytest.raises(ParamError, match=r"theta must have shape \(2,\)"):
+        call(pe.binomial_mixture_model(), np.array(theta))

@@ -221,6 +221,7 @@ def _replay(trials, want):
     """Fold ``trials``, each (inputs, sides, unsupported) in trial order, into
     ``want``, rows in order, under a strict ``>``."""
     for inputs, sides, unsupported in trials:
+        want["support_errors"] += unsupported
         for row, side in enumerate(sides):
             if side is None:
                 continue
@@ -228,7 +229,6 @@ def _replay(trials, want):
             tol = bounds.TOL_SCALE * (1.0 + abs(rhs))
             want["counts"][row] += 1
             want["violations"] += lhs > rhs + tol
-            want["support_errors"] += row == 0 and unsupported
             if not rhs > 0 or (abs(lhs) <= tol and rhs <= tol):
                 continue
             x = lhs / rhs

@@ -106,11 +106,17 @@ def _public_walk(fam, p, q, r, lam, mu, epsilon):
     pp, qq, rr = pw[pos], qw[pos], rw[pos]
     moved = (diff > 0) & pos
     if not bare.any() or fam.omega_at_zero_finite:
-        xq, xp = qq / rr, pp / rr
+        # A tiny r makes the ratios, or the drops at them, overflow on purpose; the library raises.
+        with np.errstate(over="ignore"):
+            xq, xp = qq / rr, pp / rr
         if not (np.isfinite(xq).all() and np.isfinite(xp).all()):
             raise DomainError(OVERFLOW)
-        lhs = sum_compensated((pp - qq) * f0 + rr * (big_f_drop(fam, xq) - big_f_drop(fam, xp)))
-        inv = 1.0 / rw[moved]
+        gq, gp = big_f_drop(fam, xq), big_f_drop(fam, xp)
+        with np.errstate(invalid="ignore"):  # inf - inf where both drops overflow
+            terms = (pp - qq) * f0 + rr * (gq - gp)
+        lhs = sum_compensated(terms)
+        with np.errstate(over="ignore"):
+            inv = 1.0 / rw[moved]
         if not np.isfinite(inv).all():
             raise DomainError(OVERFLOW)
         h = sum_compensated(diff[moved] * ln_phi(fam, inv))
@@ -171,7 +177,8 @@ def _public_reference_distance(fam, p, q, r, invert):
     if bare.any() and not math.isfinite(limit):
         raise SupportError(BARE)
     moved = (diff > 0) & (rw > 0)
-    x = 1.0 / rw[moved] if invert else rw[moved]
+    with np.errstate(over="ignore"):  # at a subnormal r, on purpose
+        x = 1.0 / rw[moved] if invert else rw[moved]
     if not np.isfinite(x).all():
         raise DomainError(OVERFLOW)
     total = sum_compensated(diff[moved] * ln_phi(fam, x))
