@@ -10,11 +10,12 @@ re-exported here) hunts for with randomized and hill-climbed inputs.
 
 One ordered table, :data:`CHECKS` (in :mod:`phientropy.table`, re-exported
 here), decides which inequalities apply to an input and evaluates them over
-a batch of inputs, through :func:`phientropy.table.walk`; this module checks
-the inputs before and picks the results after.  :func:`run_bound_checks`
-(the ``bounds`` command) and each ``check_*`` function evaluate a batch of
-one, the latter raising on an input the table would skip; the scan
-evaluates many.
+a batch of inputs, through :func:`phientropy.table.walk`.  Here one helper,
+``_walked``, checks an input, evaluates and walks the rows asked for as a
+batch of one, and gives their refusals and reports: :func:`run_bound_checks`
+(the ``bounds`` command) lists the refusals that are not FamilyError as
+skipped, and each ``check_*`` function raises the first; the scan
+evaluates many inputs.
 
 Tolerance policy: :func:`phientropy.table.verdict` alone decides it, for every
 report, single or scanned: ``lhs <= rhs`` holds when ``lhs <= rhs + tol``, tol =
@@ -135,13 +136,21 @@ def _input(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None, v
     return b.evaluate((segment,), (delta,), values)
 
 
-def _reports(rows: tuple, b: _Batch, applied, lhs, rhs) -> list[BoundReport]:
-    """The reports of the walked ``rows`` that apply to a batch of one; raise its error if it has one."""
-    if b.errors[0] is not None:
-        raise b.errors[0]
-    inputs = (b.layout.fams[0], b.p[0], b.q[0], b.layout.rs[0], b.segment[0])
-    key = _family_key(inputs[0])
-    return [
+def _walked(rows: tuple, fam: LogFamily, p: Pdf, q: Pdf, r: Pdf | None = None, segment=None) -> tuple:
+    """Check one input, evaluate ``rows`` of the table on it as a batch of one lane, and walk them.
+
+    Returns (errors, reports): each row's refusal or None, in table order,
+    then the input's error or None; and the reports of the rows that apply,
+    none if the input has an error.
+    """
+    with np.errstate(**_QUIET):
+        b = _input(fam, p, q, r, segment, reads(rows))
+        masks, applied, lhs, rhs = walk(b, rows)
+    errors = [_refusal(b, check, masks, 0) for check in rows] + [b.errors[0]]
+    if errors[-1] is not None:
+        return errors, []
+    inputs, key = (fam, p, q, r, segment), _family_key(fam)
+    return errors, [
         _report(check, (*inputs, float(lhs[k, 0]), float(rhs[k, 0])), key)
         for k, check in enumerate(rows)
         if applied[k, 0]
@@ -164,14 +173,11 @@ def run_bound_checks(
     and is skipped for identical pdfs.  Used by the ``bounds`` command and
     for witness replay.
     """
-    segment = None if epsilon is None else (mix_lambda, mix_mu, epsilon)
-    with np.errstate(**_QUIET):
-        b = _input(fam, p, q, r, segment, reads(CHECKS))
-        masks, applied, lhs, rhs = walk(b, CHECKS)
+    errors, reports = _walked(CHECKS, fam, p, q, r, None if epsilon is None else (mix_lambda, mix_mu, epsilon))
+    if errors[-1] is not None:
+        raise errors[-1]
     # A FamilyError refusal: the bound does not concern the input.
-    refusals = [_refusal(b, c, masks, 0) for c in CHECKS]
-    skipped = [c.bound_id for c, e in zip(CHECKS, refusals) if e is not None and not isinstance(e, FamilyError)]
-    return _reports(CHECKS, b, applied, lhs, rhs), skipped
+    return reports, [c.bound_id for c, e in zip(CHECKS, errors) if e is not None and not isinstance(e, FamilyError)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +189,11 @@ def _checked(bound_ids, fam, p, q, r=None, segment=None) -> tuple[BoundReport, .
 
     Refusals come first, in table order, then the input's error.
     """
-    rows = tuple(check for check in CHECKS if check.bound_id in bound_ids)
-    with np.errstate(**_QUIET):
-        b = _input(fam, p, q, r, segment, reads(rows))
-        masks, applied, lhs, rhs = walk(b, rows)
-    for check in rows:
-        refusal = _refusal(b, check, masks, 0)
-        if refusal is not None:
-            raise refusal
-    return tuple(_reports(rows, b, applied, lhs, rhs))
+    errors, reports = _walked(tuple(check for check in CHECKS if check.bound_id in bound_ids), fam, p, q, r, segment)
+    for error in errors:
+        if error is not None:
+            raise error
+    return tuple(reports)
 
 
 def check_cont1(fam: LogFamily, p: Pdf, q: Pdf) -> BoundReport:

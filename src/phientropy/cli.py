@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from .bounds import ScanConfig, default_family_grid, run_bound_checks, stability_scan
-from .distributions import Pdf, validate
+from .distributions import DEFAULT_VALIDATION_TOL, Pdf, validate
 from .errors import NonDifferentiableError, ParamError, PhiEntropyError
 from .families import (
     LogFamily,
@@ -90,18 +90,22 @@ def _load_family(spec: str) -> LogFamily:
     return family_from_json(json.loads(spec))
 
 
-def _load_pdf(path: str, tol: float = 1e-9) -> Pdf:
+def _load_pdf(path: str, tol: float = DEFAULT_VALIDATION_TOL) -> Pdf:
+    """The pdf in a .json or .csv file; each error met reading it names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".json"):
-        data = json.loads(text)
-        if not (isinstance(data, dict) and isinstance(data.get("weights"), list)):
-            raise ParamError(f"{path}: a JSON pdf must be an object holding a 'weights' list")
-        return validate(data["weights"], tol=tol)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if lines and not _is_number(lines[0]):
-        lines = lines[1:]  # optional header
-    return validate([float(ln) for ln in lines], tol=tol)
+    try:
+        if path.endswith(".json"):
+            data = json.loads(text)
+            if not (isinstance(data, dict) and isinstance(data.get("weights"), list)):
+                raise ParamError("a JSON pdf must be an object holding a 'weights' list")
+            return validate(data["weights"], tol=tol)
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+        if lines and not _is_number(lines[0]):
+            lines = lines[1:]  # optional header
+        return validate([float(ln) for ln in lines], tol=tol)
+    except (PhiEntropyError, ValueError) as exc:  # json's errors are ValueErrors
+        raise ParamError(f"{path}: {exc}") from exc
 
 
 def _is_number(s: str) -> bool:
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def pdf_tol(sp):
         sp.add_argument(
-            "--validate-tol", type=float, default=1e-9,
+            "--validate-tol", type=float, default=DEFAULT_VALIDATION_TOL,
             help="unit-sum tolerance when reading pdf files",
         )
 

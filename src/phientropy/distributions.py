@@ -1,8 +1,10 @@
 """Finite discrete probability distributions.
 
 A :class:`Pdf` is an immutable vector of nonnegative weights summing to one.
-Its constructor refuses non-finite and negative weights; :func:`validate` also
-checks the unit sum and never renormalizes: :func:`normalize` is the opt-in.
+Its constructor refuses weights that are not numbers
+(:func:`~phientropy.numerics.as_floats`), non-finite or negative;
+:func:`validate` also checks the unit sum and never renormalizes:
+:func:`normalize` is the opt-in.
 
 Random generation is driven by numpy's PCG64 generator seeded through
 ``SeedSequence``, a named, documented, splittable 64-bit PRNG: the same seed
@@ -26,7 +28,7 @@ from .errors import (
     ShrinkError,
     SumError,
 )
-from .numerics import sum_compensated
+from .numerics import as_floats, sum_compensated
 
 __all__ = [
     "Pdf",
@@ -49,15 +51,16 @@ DEFAULT_VALIDATION_TOL = 1e-9
 class Pdf:
     """Immutable finite discrete distribution.
 
-    The constructor freezes the array and raises :class:`DomainError` for a
-    NaN, infinite or negative weight; it does not check the unit sum.  Use
-    :func:`validate` for untrusted input.
+    The constructor freezes the array and raises :class:`ParamError` for
+    weights that are not a one-dimensional, nonempty sequence of numbers and
+    :class:`DomainError` for a NaN, infinite or negative weight; it does not
+    check the unit sum.  Use :func:`validate` for untrusted input.
     """
 
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = as_floats(self.weights, ParamError, "pdf weights")
         if w.ndim != 1 or w.size < 1:
             raise ParamError("weights must be a one-dimensional, nonempty sequence")
         if not (w.min() >= 0.0 and w.max() < np.inf):
@@ -102,7 +105,7 @@ def validate(weights: Sequence[float], tol: float = DEFAULT_VALIDATION_TOL) -> P
     """
     if not tol > 0:
         raise ParamError("validation tolerance must be positive")
-    w = np.asarray(weights, dtype=float)
+    w = as_floats(weights, ParamError, "weights")
     if w.ndim != 1 or w.size < 1:
         raise ParamError("weights must be a one-dimensional, nonempty sequence")
     if not np.all(np.isfinite(w)):
@@ -119,7 +122,7 @@ def validate(weights: Sequence[float], tol: float = DEFAULT_VALIDATION_TOL) -> P
 
 def normalize(weights: Sequence[float]) -> Pdf:
     """Explicitly rescale nonnegative weights to unit sum."""
-    w = np.asarray(weights, dtype=float)
+    w = as_floats(weights, ParamError, "weights")
     neg = np.nonzero(w < 0)[0]
     if neg.size:
         i = int(neg[0])

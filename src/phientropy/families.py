@@ -14,8 +14,11 @@ Each kind is one row of the kind table ``_KINDS`` at the end of this module:
 its JSON fields with their admissible ranges, ``derive`` (the singularity
 exponent, F(0) and the limits of ln_phi at 0+ and +inf, from the
 parameters), and its kernels ``ln``, ``drop`` (F(0) - F(x)), ``prime``,
-``omega`` and, where ln_phi has a closed inverse, ``exp``.  The public
-functions check their argument's domain and call the row's kernel;
+``omega`` and, where ln_phi has a closed inverse, ``exp``.  Each public
+function is one call of one entry, ``_public``: it refuses with DomainError
+an x that is not numbers (:func:`~phientropy.numerics.as_floats`) or lies
+outside the function's domain, named by the text of its refusal in
+``_DOMAINS``, runs the row's kernel and returns a float for a scalar x;
 ``LogFamily``'s construction, the wire format, the catalogue and the labels
 read the same row.  To add a kind, write its row and a one-line constructor
 ``return LogFamily(kind=..., <param>=<param>)``; ``fields=None`` keeps a
@@ -45,7 +48,7 @@ for 1 + 1/kappa and 1 +- kappa:
 The power kinds' ln_phi and omega keep E because ``_ln_times`` forms their
 exponent as a sum of two doubles; one product is off by eps |kappa ln x|.
 
-Error state: the public functions set numpy's and the kernels none.  Kernels
+Error state: ``_public`` sets numpy's and the kernels none.  Kernels
 that overflow or underflow return inf, -inf or 0, so overflow and divide are
 ignored; invalid stays on, as a NaN is a wrong value (where F overflows,
 ``big_f_drop`` is -inf, not inf - inf).  Callers of ``*_unchecked`` set it.
@@ -63,7 +66,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, FamilyError, NonDifferentiableError, ParamError
-from .numerics import bisect_monotone, integrate, richardson_diff
+from .numerics import as_floats, bisect_monotone, integrate, richardson_diff
 
 __all__ = [
     "LogFamily",
@@ -219,12 +222,16 @@ def custom_family(
     0+ (``ln_at_zero < 0``) and +inf (``ln_sup > 0``) refine support handling
     in the entropy functionals; ``-inf`` / ``+inf`` mean divergent.
     """
+    singularity_exponent, ln_at_zero, ln_sup = (
+        None if v is None else float(as_floats(v, ParamError, name))
+        for v, name in ((singularity_exponent, "singularity_exponent"), (ln_at_zero, "ln_at_zero"), (ln_sup, "ln_sup"))
+    )
     if not 0.0 <= singularity_exponent < 1.0:
         raise ParamError("singularity exponent must lie in [0, 1)")
     # An increasing ln with ln(1) = 0 has ln(0+) < 0 < ln(+inf); NaN fails both.
-    if ln_at_zero is not None and not float(ln_at_zero) < 0.0:
+    if ln_at_zero is not None and not ln_at_zero < 0.0:
         raise ParamError(f"ln_at_zero must be negative or -inf, got {ln_at_zero}")
-    if ln_sup is not None and not float(ln_sup) > 0.0:
+    if ln_sup is not None and not ln_sup > 0.0:
         raise ParamError(f"ln_sup must be positive or +inf, got {ln_sup}")
 
     grid = np.logspace(-6, 6, 121)
@@ -258,8 +265,8 @@ def custom_family(
         custom_ln=fn,
         singularity_exponent=singularity_exponent,
         f_zero=f0,
-        ln_at_zero=-math.inf if ln_at_zero is None else float(ln_at_zero),
-        ln_sup=math.inf if ln_sup is None else float(ln_sup),
+        ln_at_zero=-math.inf if ln_at_zero is None else ln_at_zero,
+        ln_sup=math.inf if ln_sup is None else ln_sup,
     )
 
 
@@ -270,35 +277,31 @@ def custom_family(
 _TINY, _MAX = np.finfo(float).tiny, np.finfo(float).max
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
-
-
-def _in_domain(x, name: str, allow_zero: bool = False):
-    """``x`` as a float ndarray and whether it was a scalar.
-
-    Raises :class:`DomainError` unless every value is finite and > 0
-    (>= 0 with ``allow_zero``).
-    """
-    arr, scalar = _as_array(x)
-    if np.any(arr < 0 if allow_zero else arr <= 0) or not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} requires finite x {'>=' if allow_zero else '>'} 0")
-    return arr, scalar
-
-
+# The domains of the public kernels, by the text of their refusal: whether x lies in one.
+# np.count_nonzero costs a fraction of np.all on the few-element arrays most calls pass.
+_DOMAINS = {
+    "finite x > 0": lambda a: np.count_nonzero((a > 0.0) & (a < math.inf)) == a.size,
+    "finite x >= 0": lambda a: np.count_nonzero((a >= 0.0) & (a < math.inf)) == a.size,
+    "x that is not NaN": lambda a: not np.count_nonzero(np.isnan(a)),
+}
 _QUIET = {"over": "ignore", "divide": "ignore"}
+
+
+def _public(name: str, fam: LogFamily, x, domain: str, kernel: Kernel) -> float | np.ndarray:
+    """The public kernel ``name``: ``kernel(fam, x)`` under the kernels' error state, a
+    float for a scalar x.  Raises :class:`DomainError` unless x is numbers
+    (:func:`~phientropy.numerics.as_floats`) in ``domain``, a key of ``_DOMAINS``."""
+    arr = as_floats(x, DomainError, name)
+    if not _DOMAINS[domain](arr):
+        raise DomainError(f"{name} requires {domain}")
+    with np.errstate(**_QUIET):
+        out = kernel(fam, arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def ln_phi(fam: LogFamily, x) -> float | np.ndarray:
     """Evaluate the deformed logarithm at ``x > 0``."""
-    arr, scalar = _in_domain(x, "ln_phi")
-    with np.errstate(**_QUIET):
-        return _ret(ln_phi_unchecked(fam, arr), scalar)
+    return _public("ln_phi", fam, x, "finite x > 0", ln_phi_unchecked)
 
 
 def ln_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -311,9 +314,7 @@ def big_f_drop(fam: LogFamily, x) -> float | np.ndarray:
     """``F(0) - F(x)`` = -integral_0^x ln_phi for x >= 0, in closed form without
     subtracting near-equal quantities, so relatively accurate also at small x,
     where it behaves like x (-ln_phi(x))."""
-    arr, scalar = _in_domain(x, "big_f_drop", allow_zero=True)
-    with np.errstate(**_QUIET):
-        return _ret(big_f_drop_unchecked(fam, arr), scalar)
+    return _public("big_f_drop", fam, x, "finite x >= 0", big_f_drop_unchecked)
 
 
 def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -324,8 +325,7 @@ def big_f_drop_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
 def big_f(fam: LogFamily, x) -> float | np.ndarray:
     """Antiderivative ``F(x) = integral_1^x ln_phi``; convex, ``F(1) = 0``."""
-    arr, scalar = _as_array(x)
-    return _ret(fam.f_zero - np.asarray(big_f_drop(fam, arr)), scalar)
+    return _public("big_f", fam, x, "finite x >= 0", lambda fam, arr: fam.f_zero - big_f_drop_unchecked(fam, arr))
 
 
 def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
@@ -336,9 +336,7 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
     The custom kind takes the defining form ``x * big_f_drop(1/x) - F(0)``
     and raises :class:`DomainError` where 1/x overflows.
     """
-    arr, scalar = _in_domain(x, "omega_phi")
-    with np.errstate(**_QUIET):
-        return _ret(omega_phi_unchecked(fam, arr), scalar)
+    return _public("omega_phi", fam, x, "finite x > 0", omega_phi_unchecked)
 
 
 def omega_phi_unchecked(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -354,9 +352,7 @@ def ln_phi_prime(fam: LogFamily, x) -> float | np.ndarray:
     ``base**n`` (1 among them), so evaluation there raises
     :class:`NonDifferentiableError`.
     """
-    arr, scalar = _in_domain(x, "ln_phi_prime")
-    with np.errstate(**_QUIET):
-        return _ret(_KINDS[fam.kind].prime(fam, arr), scalar)
+    return _public("ln_phi_prime", fam, x, "finite x > 0", _KINDS[fam.kind].prime)
 
 
 def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
@@ -369,11 +365,7 @@ def exp_phi(fam: LogFamily, x) -> float | np.ndarray:
     family's finite ``ln_at_zero``) and inf only above ln_phi(DBL_MAX) (or at
     and above a finite ``ln_sup``).
     """
-    arr, scalar = _as_array(x)
-    if np.isnan(arr).any():
-        raise DomainError("exp_phi requires x that is not NaN")
-    with np.errstate(**_QUIET):
-        return _ret(_KINDS[fam.kind].exp(fam, arr), scalar)
+    return _public("exp_phi", fam, x, "x that is not NaN", _KINDS[fam.kind].exp)
 
 
 def kappa_maxwell_density(
@@ -388,10 +380,10 @@ def kappa_maxwell_density(
         raise FamilyError("density defined for the kappa_maxwell family only")
     if not (amplitude > 0 and beta > 0 and v0 > 0):
         raise ParamError("amplitude, beta and v0 must be positive")
-    arr, scalar = _as_array(v)
+    arr = as_floats(v, DomainError, "kappa_maxwell_density")
     k = fam.kappa
     out = amplitude * (1.0 + beta * arr * arr / (2.0 * k * v0 * v0)) ** (-1.0 - k)
-    return _ret(out, scalar)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -821,9 +813,8 @@ def _field(kind: str, name: str, value) -> float:
     if value is None:
         raise ParamError(f"{kind} families need {name}")
     try:
-        # A bool is no number here, nor is text that float() would parse.
-        x = math.nan if isinstance(value, (bool, str, bytes)) else float(value)
-    except (TypeError, ValueError, OverflowError):
+        x = float(as_floats(value, ParamError, name))
+    except (ParamError, TypeError):  # not a number, or not one
         x = math.nan
     if not (math.isfinite(x) and allowed.admits(x)):
         raise ParamError(

@@ -31,7 +31,7 @@ from .distributions import Pdf
 from .errors import NonDifferentiableError, ParamError, StepTooLarge, ZeroProbability
 from .families import LogFamily, ln_phi_prime
 from .functionals import divergence, rel_entropy
-from .numerics import richardson_diff
+from .numerics import as_floats, richardson_diff
 
 __all__ = [
     "ParametricModel",
@@ -130,8 +130,8 @@ def binomial_mixture_model(m: int = 6) -> ParametricModel:
 
 
 def _theta(model: ParametricModel, theta: Sequence[float]) -> np.ndarray:
-    """``theta`` as a float array, or ParamError unless it has one entry per model parameter."""
-    th = np.asarray(theta, dtype=float)
+    """``theta`` as a float array, or ParamError unless it is numbers, one per model parameter."""
+    th = as_floats(theta, ParamError, "theta")
     if th.shape != (model.dim_theta,):
         raise ParamError(f"theta must have shape ({model.dim_theta},)")
     return th
@@ -237,7 +237,7 @@ def expansion_check(
     if rungs < 2:
         raise ParamError("need at least two rungs to estimate an order")
     th = _theta(model, theta)
-    dth = np.asarray(dtheta, dtype=float)
+    dth = as_floats(dtheta, ParamError, "dtheta")
     if dth.shape != th.shape:
         raise ParamError("dtheta must match theta's shape")
     try:

@@ -4,12 +4,18 @@ Adaptive Simpson quadrature (with geometric grading toward an integrable
 endpoint singularity), monotone bisection, central differences and
 compensated summation.  Everything here is pure and deterministic: the same
 inputs produce bit-identical results.
+
+:func:`as_floats` is the one rule for what a number from outside the package
+is; every public entry that takes numbers (the family kernels, pdf weights,
+family parameters and a custom family's constants, Fisher thetas and steps)
+reads its input through it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -17,12 +23,33 @@ import numpy as np
 from .errors import BracketError, NoConvergence, ParamError
 
 __all__ = [
+    "as_floats",
     "integrate",
     "bisect_monotone",
     "central_diff",
     "richardson_diff",
     "sum_compensated",
 ]
+
+
+def as_floats(x, error: type, what: str) -> np.ndarray:
+    """``x`` as a float ndarray, or ``error`` unless np.asarray gives it an integer or float dtype.
+
+    So text that ``float()`` would parse, bytes, bools, complex numbers,
+    other objects and ragged sequences are refused, with a message that
+    names ``what``.  Real numbers that np.asarray keeps as objects (Python
+    ints past 2**64, fractions) count too, and are refused only past the
+    float range.
+    """
+    try:
+        arr = np.asarray(x)
+        if arr.dtype.kind == "O" and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in arr.flat):
+            arr = arr.astype(float)
+    except (ValueError, OverflowError):  # a ragged sequence, or an int past the float range
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{what}: expected integer or float numbers, got {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 # Quadrature settings of :func:`integrate`: the absolute tolerance, the
@@ -33,7 +60,7 @@ _MAX_DEPTH = 40
 _GRADING_RATIO = 0.5
 
 
-def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
+def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     """Recursive Simpson with the |S_fine - S_coarse|/15 error estimate."""
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
@@ -43,27 +70,27 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth, max_depth):
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = left + right - whole
-    if abs(err) <= 15.0 * tol or depth >= max_depth:
-        if depth >= max_depth and abs(err) > 15.0 * tol:
+    if abs(err) <= 15.0 * tol or depth >= _MAX_DEPTH:
+        if depth >= _MAX_DEPTH and abs(err) > 15.0 * tol:
             raise NoConvergence(
-                f"adaptive Simpson hit max depth {max_depth} on [{a}, {b}]",
+                f"adaptive Simpson hit max depth {_MAX_DEPTH} on [{a}, {b}]",
                 estimate=left + right + err / 15.0,
                 error=abs(err) / 15.0,
             )
         return left + right + err / 15.0
     half = 0.5 * tol
     return _adaptive_simpson(
-        f, a, m, fa, flm, fm, left, half, depth + 1, max_depth
-    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth + 1, max_depth)
+        f, a, m, fa, flm, fm, left, half, depth + 1
+    ) + _adaptive_simpson(f, m, b, fm, frm, fb, right, half, depth + 1)
 
 
-def _simpson_panel(f, a, b, tol, max_depth):
+def _simpson_panel(f, a, b, tol):
     fa = f(a)
     m = 0.5 * (a + b)
     fm = f(m)
     fb = f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 0)
 
 
 def integrate(
@@ -92,7 +119,7 @@ def integrate(
             raise ParamError("a declared singularity at a requires a < b")
         return -integrate(f, b, a)
     if singular_at_a is None:
-        return _simpson_panel(f, a, b, _ABS_TOL, _MAX_DEPTH)
+        return _simpson_panel(f, a, b, _ABS_TOL)
 
     s = float(singular_at_a)
     if not 0.0 <= s < 1.0:
@@ -102,7 +129,7 @@ def integrate(
     graded = 0.1 * (b - a)
     smooth = 0.0
     if b > a + graded:
-        smooth = _simpson_panel(f, a + graded, b, 0.25 * _ABS_TOL, _MAX_DEPTH)
+        smooth = _simpson_panel(f, a + graded, b, 0.25 * _ABS_TOL)
 
     # Geometric decay rate of panel integrals for the declared singularity;
     # the per-panel tolerance budget is split at the same rate so deep panels
@@ -124,7 +151,7 @@ def integrate(
                 estimate=smooth + total,
                 error=abs(last) * tail_factor,
             )
-        last = _simpson_panel(f, lo, hi, budget * q ** (k - 1), _MAX_DEPTH)
+        last = _simpson_panel(f, lo, hi, budget * q ** (k - 1))
         total += last
         hi = lo
         if abs(last) <= stop:

@@ -262,11 +262,13 @@ def _transfer(pdf: Pdf, i: int, j: int, amount: float) -> Pdf:
     return _frozen(w)
 
 
-# A fresh restart's step 0.1 needs this many halvings to fall to 1e-9 or
-# below (halving is exact, so 0.1 * 0.5**k is the step after k of them), so
-# a restart lasts at least _HALVINGS + 1 trials.  A step is rejected, and
-# the step halved, about every other trial.
-_HALVINGS = next(k for k in range(64) if not 0.1 * 0.5**k > 1e-9)
+# A restart's first step, and the floor at or below which a lane stops.
+# The first step needs _HALVINGS halvings to reach the floor (halving is
+# exact, so _FIRST_STEP * 0.5**k is the step after k of them), so a restart
+# lasts at least _HALVINGS + 1 trials.  A step is rejected, and the step
+# halved, about every other trial.
+_FIRST_STEP, _STEP_FLOOR = 0.1, 1e-9
+_HALVINGS = next(k for k in range(64) if not _FIRST_STEP * 0.5**k > _STEP_FLOOR)
 _STEPS_PER_HALVING = 2
 
 
@@ -297,7 +299,7 @@ class _Lane:
         self.steps = steps if self.dim > 1 else 1
         self.p, self.q, self.r = draw(self.dim, NEIGHBOR_SCALES[slot % len(NEIGHBOR_SCALES)], rng)
         self.draws = rng.random((self.steps, 5)).tolist()
-        self.step, self.halvings, self.used, self.best = 0.1, 0, 0, None
+        self.step, self.halvings, self.used, self.best = _FIRST_STEP, 0, 0, None
         self.done, self.error, self.rows = False, None, None
 
     def length(self, steps_per_halving: int) -> int:
@@ -347,7 +349,7 @@ class _Lane:
         else:
             self.step *= 0.5
             self.halvings += 1
-        self.done = self.used >= self.steps or not self.step > 1e-9 or self.error is not None
+        self.done = self.used >= self.steps or not self.step > _STEP_FLOOR or self.error is not None
         if self.done:  # what only a running lane needs
             self.draws = self.p = self.q = self.r = None
 

@@ -16,7 +16,9 @@ What depends only on the family, N and the reference pdf sits in a
 evaluate over arrays of lanes; a single input is a batch of one, and every
 lane takes one path: a reference pdf that vanishes or underflows where p
 and q differ is handled inside :meth:`_Batch.evaluate`'s vectorized sums.
-:func:`condition1_radii` solves the segment row's radii, and
+Each skip mask in ``_MASKS`` names the lanes it skips, the error type it
+refuses them with and the reason, from which :func:`_refusal` forms a
+refusal.  :func:`condition1_radii` solves the segment row's radii, and
 :func:`condition1_delta` is its cached one-pair call.
 """
 
@@ -242,12 +244,6 @@ class _Batch:
         self.tv = np.array(self.tv_list)
         self.errors = [None] * layout.size
 
-    def fail(self, lanes: np.ndarray, errors: dict) -> None:
-        """Record ``errors[i]`` for each lane i of ``lanes`` that has no error yet."""
-        for i, error in errors.items():
-            if lanes[i] and self.errors[i] is None:
-                self.errors[i] = error
-
     def evaluate(self, segments, deltas, values) -> "_Batch":
         """Compute what the named :data:`_VALUES` read.
 
@@ -398,17 +394,11 @@ def _lane_errors(lanes: np.ndarray, error: type, text: str) -> dict:
 # the check table
 #
 # A row names its skip masks and the values its two sides read.  A mask
-# gives the lanes of a batch the row skips, and the reason a skipped lane is
-# refused for: a string, or a function of the batch and the lane.  A skip
-# refuses the lane with the error type below (RangeError for the reasons not
-# listed): _NOT_APPLICABLE, a FamilyError, means the check does not concern
-# the input (wrong family, no reference, no segment), and
-# ``run_bound_checks`` lists every other refusal as skipped.
-
-_NOT_APPLICABLE = "not applicable"
-_SUPPORT = "r vanishes where p and q differ"
-_IDENTICAL = "identical pdfs"
-_REFUSALS = {_NOT_APPLICABLE: FamilyError, _SUPPORT: SupportError, _IDENTICAL: IdenticalPdfs}
+# gives the lanes of a batch the row skips, the error type a skipped lane is
+# refused with, and the reason: a string, or a function of the batch and the
+# lane.  A FamilyError means the check does not concern the input (wrong
+# family, no reference, no segment); ``run_bound_checks`` lists every other
+# refusal as skipped.
 
 
 def _hypothesis(b: _Batch, i: int) -> str:
@@ -417,18 +407,18 @@ def _hypothesis(b: _Batch, i: int) -> str:
 
 
 _MASKS = {
-    "identical pdfs": (lambda b: b.identical, _IDENTICAL),
-    "tv > 1": (lambda b: b.tv > 1.0, "tv > 1"),
-    "tv > 1/3": (lambda b: b.tv > 1.0 / 3.0, "tv > 1/3"),
-    "not tsallis": (lambda b: ~b.layout.tsallis, _NOT_APPLICABLE),
-    "not shannon": (lambda b: ~b.layout.shannon, _NOT_APPLICABLE),
-    "no r": (lambda b: np.full(b.layout.size, not b.layout.has_r), _NOT_APPLICABLE),
-    "unsupported r for I": (lambda b: b.unsupported[0], _SUPPORT),
-    "unsupported r for D": (lambda b: b.unsupported[1], _SUPPORT),
-    "no segment": (lambda b: np.array([s is None for s in b.segment]), _NOT_APPLICABLE),
+    "identical pdfs": (lambda b: b.identical, IdenticalPdfs, "identical pdfs"),
+    "tv > 1": (lambda b: b.tv > 1.0, RangeError, "tv > 1"),
+    "tv > 1/3": (lambda b: b.tv > 1.0 / 3.0, RangeError, "tv > 1/3"),
+    "not tsallis": (lambda b: ~b.layout.tsallis, FamilyError, "not applicable"),
+    "not shannon": (lambda b: ~b.layout.shannon, FamilyError, "not applicable"),
+    "no r": (lambda b: np.full(b.layout.size, not b.layout.has_r), FamilyError, "not applicable"),
+    "unsupported r for I": (lambda b: b.unsupported[0], SupportError, "r vanishes where p and q differ"),
+    "unsupported r for D": (lambda b: b.unsupported[1], SupportError, "r vanishes where p and q differ"),
+    "no segment": (lambda b: np.array([s is None for s in b.segment]), FamilyError, "not applicable"),
     # |lam - mu| * tv beyond the radius
     "segment hypothesis": (
-        lambda b: np.abs(b.seg[0] - b.seg[1]) * b.tv > np.array(b.deltas) * (1.0 + 1e-12), _hypothesis
+        lambda b: np.abs(b.seg[0] - b.seg[1]) * b.tv > np.array(b.deltas) * (1.0 + 1e-12), RangeError, _hypothesis
     ),
 }
 
@@ -563,9 +553,8 @@ def _refusal(b: _Batch, check: Check, masks: dict, i: int) -> Optional[PhiEntrop
     """The error with which ``check`` refuses lane i of a walked batch, or None."""
     for name in check.skips:
         if masks[name][i]:
-            reason = _MASKS[name][1]
-            text = reason(b, i) if callable(reason) else reason
-            return _REFUSALS.get(text, RangeError)(f"{check.bound_id}: {text}")
+            _, error, reason = _MASKS[name]
+            return error(f"{check.bound_id}: {reason(b, i) if callable(reason) else reason}")
     return None
 
 
@@ -586,10 +575,11 @@ def walk(b: _Batch, rows: tuple, also: tuple = ()) -> tuple:
     else:
         stacked, applied = (), np.ones((len(rows), size), dtype=bool)
     values = np.array([_VALUES[name].compute(b) for name in plan.values])
+    # A lane keeps the first error of a row that applies to it.
     for k, name in plan.errors:
-        errors = getattr(b, _VALUES[name].errors)
-        if errors:
-            b.fail(applied[k], errors)
+        for i, error in getattr(b, _VALUES[name].errors).items():
+            if applied[k, i] and b.errors[i] is None:
+                b.errors[i] = error
     return dict(zip(plan.masks, stacked)), applied, values[plan.lhs], values[plan.rhs]
 
 

@@ -27,6 +27,7 @@ from phientropy.errors import (
     IdenticalPdfs,
     LengthMismatch,
     ParamError,
+    PhiEntropyError,
     RangeError,
     SupportError,
 )
@@ -628,6 +629,74 @@ class TestInputValidation:
                 pe.check_relent(pe.tsallis(-0.5), P(), Q(), r)
             with pytest.raises(DomainError):
                 pe.h_r(pe.tsallis(-0.5), P(), Q(), r)
+
+
+# One input per (row, skip mask) of the check table that the row refuses for that mask:
+# (family, p, q, r, segment, error type, reason).  P and Q differ by tv 1/2.
+_APART = (pe.validate([1.0, 0.0]), pe.validate([0.0, 1.0]))  # tv 2
+_BARE_R = pe.validate([1.0, 0.0])  # zero where P and Q differ
+_UNCONCERNED = (FamilyError, "not applicable")
+_VANISHES = (SupportError, "r vanishes where p and q differ")
+_REFUSED = {
+    ("lb", "identical pdfs"): (pe.shannon(), P(), P(), None, None, IdenticalPdfs, "identical pdfs"),
+    ("cont2", "identical pdfs"): (pe.shannon(), P(), P(), None, None, IdenticalPdfs, "identical pdfs"),
+    ("improved", "identical pdfs"): (pe.shannon(), P(), P(), None, None, IdenticalPdfs, "identical pdfs"),
+    ("improved", "tv > 1"): (pe.shannon(), *_APART, None, None, RangeError, "tv > 1"),
+    ("lesche3", "not tsallis"): (pe.shannon(), P(), Q(), None, None, *_UNCONCERNED),
+    ("lesche4", "not shannon"): (pe.tsallis(0.5), P(), Q(), None, None, *_UNCONCERNED),
+    ("fannes", "not shannon"): (pe.tsallis(0.5), P(), Q(), None, None, *_UNCONCERNED),
+    ("fannes", "tv > 1/3"): (pe.shannon(), P(), Q(), None, None, RangeError, "tv > 1/3"),
+    ("relent_I", "no r"): (pe.shannon(), P(), Q(), None, None, *_UNCONCERNED),
+    # shannon's omega(0+) is infinite; kappa_maxwell's is finite, and its ln_phi(0+) is not.
+    ("relent_I", "unsupported r for I"): (pe.shannon(), P(), Q(), _BARE_R, None, *_VANISHES),
+    ("relent_D", "no r"): (pe.shannon(), P(), Q(), None, None, *_UNCONCERNED),
+    ("relent_D", "unsupported r for D"): (pe.kappa_maxwell(1.0), P(), Q(), _BARE_R, None, *_VANISHES),
+    ("condition1_segment", "no segment"): (pe.shannon(), P(), Q(), None, None, *_UNCONCERNED),
+    ("condition1_segment", "identical pdfs"): (
+        pe.shannon(), P(), P(), None, (1.0, 0.0, 0.5), IdenticalPdfs, "identical pdfs"
+    ),
+    ("condition1_segment", "segment hypothesis"): (
+        pe.shannon(), *_APART, None, (1.0, 0.0, 0.1), RangeError,
+        f"hypothesis violated: |lam-mu|*tv = 2.0 > delta = {condition1_delta(pe.shannon(), 0.1)}",
+    ),
+}
+# Each row's check_* function, called on (family, p, q, r, segment).
+_CHECK_OF = {
+    "lb": lambda fam, p, q, r, seg: pe.check_lb(fam, p, q),
+    "cont2": lambda fam, p, q, r, seg: pe.check_cont2(fam, p, q),
+    "improved": lambda fam, p, q, r, seg: pe.check_improved(fam, p, q),
+    "lesche3": lambda fam, p, q, r, seg: pe.check_lesche3(fam, p, q),
+    "lesche4": lambda fam, p, q, r, seg: pe.check_lesche4(fam, p, q),
+    "fannes": lambda fam, p, q, r, seg: pe.check_fannes(fam, p, q),
+    "relent_I": lambda fam, p, q, r, seg: pe.check_relent(fam, p, q, r),
+    "relent_D": lambda fam, p, q, r, seg: pe.check_relent(fam, p, q, r),
+    "condition1_segment": lambda fam, p, q, r, seg: pe.check_condition1_segment(fam, p, q, *seg),
+}
+
+
+class TestEveryRefusal:
+    def test_every_skip_mask_of_every_row_has_a_case(self):
+        assert set(_REFUSED) == {(c.bound_id, mask) for c in bounds.CHECKS for mask in c.skips}
+
+    @pytest.mark.parametrize("row, mask", list(_REFUSED), ids=lambda v: str(v))
+    def test_refusal_type_and_message(self, row, mask):
+        fam, p, q, r, segment, error, reason = _REFUSED[row, mask]
+        message = f"{row}: {reason}"
+        mix = {} if segment is None else dict(zip(("mix_lambda", "mix_mu", "epsilon"), segment))
+        reports, skipped = run_bound_checks(fam, p, q, r, **mix)
+        assert row not in [rep.bound_id for rep in reports]
+        assert (row in skipped) == (error is not FamilyError)
+        # The refusals run_bound_checks reads, by row.
+        errors, _ = bounds._walked(bounds.CHECKS, fam, p, q, r, segment)
+        refusal = dict(zip(bounds.BOUND_IDS, errors))[row]
+        assert (type(refusal), str(refusal)) == (error, message)
+        if segment is None and row == "condition1_segment":
+            return  # check_condition1_segment always takes a segment
+        if (row, mask) == ("relent_D", "no r"):
+            error, message = FamilyError, "relent_I: not applicable"  # check_relent's first row refuses first
+        with pytest.raises(PhiEntropyError) as raised:
+            _CHECK_OF[row](fam, p, q, r, segment)
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 class TestRelentAtTinyReference:

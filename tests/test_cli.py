@@ -134,6 +134,26 @@ class TestEntropy:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: a JSON pdf must be an object holding a 'weights' list")
 
+    @pytest.mark.parametrize("weights", [["0.5", "0.5"], [True, False]], ids=str)
+    def test_text_or_bool_weights_are_input_error(self, capsys, tmp_path, weights):
+        # float() would parse the strings and cast the booleans into a pdf.
+        pdf = write_pdf(tmp_path, "p.json", weights)
+        code, out, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", pdf)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {pdf}: weights: expected integer or float numbers")
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [("p.json", '{"weights": ["a", 1]}'), ("p.csv", "weight\n0.5\na\n"), ("p.json", '{"weights": [0.5,')],
+        ids=["text-weight", "csv-text-line", "malformed-json"],
+    )
+    def test_pdf_file_error_names_the_file(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "entropy", "--family", SHANNON, "--pdf", "/nope.json")
         assert code == 1

@@ -36,6 +36,13 @@ class TestPdf:
         with pytest.raises(DomainError, match="pdf weights must be finite and nonnegative"):
             pe.Pdf(bad)
 
+    @pytest.mark.parametrize("make", [pe.Pdf, validate, normalize], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [["0.5", "0.5"], [True, False], ["a", 1], [b"1"], [[0.5], [0.25, 0.25]]], ids=str)
+    def test_text_and_bools_are_no_weights(self, make, bad):
+        # float() would parse the text and cast the bools; ["a", 1] raised a bare ValueError.
+        with pytest.raises(ParamError, match="weights: expected integer or float numbers"):
+            make(bad)
+
     def test_rejects_a_two_dimensional_array(self):
         with pytest.raises(ParamError, match="one-dimensional"):
             pe.Pdf([[0.5, 0.5]])

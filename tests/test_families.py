@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -57,6 +58,16 @@ class TestParameterValidation:
             pe.tsallis(kappa)
         with pytest.raises(ParamError, match="kappa"):
             pe.LogFamily(kind="tsallis", kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [np.True_, np.str_("2.0"), np.array([2.0])], ids=repr)
+    def test_numpy_bool_or_text_parameter_is_refused(self, kappa):
+        # float() casts np.True_ to a kappa of 1.0.
+        with pytest.raises(ParamError, match="kappa_maxwell kappa = .* is outside its range"):
+            pe.kappa_maxwell(kappa)
+
+    def test_real_number_objects_are_parameters(self):
+        assert pe.kappa_maxwell(Fraction(1, 2)) == pe.kappa_maxwell(0.5)
+        assert pe.kappa_maxwell(2**70).kappa == float(2**70)
 
     @pytest.mark.parametrize("kind", ["tsallis", "kaniadakis"])
     @pytest.mark.parametrize("kappa", [1e-4, -1e-4])
@@ -200,12 +211,28 @@ class TestLnPhi:
             (pe.big_f_drop, math.nan, "big_f_drop requires finite x >= 0"),
             (pe.omega_phi, 0.0, "omega_phi requires finite x > 0"),
             (pe.ln_phi_prime, [-2.0], "ln_phi_prime requires finite x > 0"),
+            (pe.big_f, -1.0, "big_f requires finite x >= 0"),
         ],
     )
     def test_domain_messages(self, family, fn, bad, message):
         with pytest.raises(DomainError) as err:
             fn(family, bad)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad", ["2.0", b"1", True, [0.5, "1"], [True, False], [[1.0], [1.0, 2.0]]])
+    @pytest.mark.parametrize(
+        "fn", [pe.ln_phi, pe.big_f, pe.big_f_drop, pe.omega_phi, pe.ln_phi_prime, pe.exp_phi], ids=lambda f: f.__name__
+    )
+    def test_text_and_bools_are_no_numbers(self, fn, bad):
+        # float() would parse the text and cast the bools.
+        with pytest.raises(DomainError, match=f"^{fn.__name__}: expected integer or float numbers"):
+            fn(pe.shannon(), bad)
+
+    def test_python_ints_past_int64_are_numbers(self):
+        # np.asarray keeps them as objects; they are integers all the same.
+        fam, big = pe.shannon(), float(2**70)
+        assert pe.ln_phi(fam, 2**70) == pe.ln_phi(fam, big)
+        assert pe.ln_phi(fam, [2**70, 0.5]).tolist() == pe.ln_phi(fam, [big, 0.5]).tolist()
 
     def test_monotone_on_random_pairs(self, family, rng):
         xs = np.sort(np.exp(rng.uniform(-12, 6, size=400)))
@@ -576,6 +603,11 @@ class TestKappaMaxwellDensity:
             composed = 1.7 * pe.exp_phi(fam, -0.5 * 2.2 * v * v / 0.8**2)
             assert direct == pytest.approx(composed, rel=1e-10)
 
+    @pytest.mark.parametrize("v", ["1.0", [True]], ids=str)
+    def test_text_and_bool_velocity_is_refused(self, v):
+        with pytest.raises(DomainError, match="^kappa_maxwell_density: expected integer or float numbers"):
+            pe.kappa_maxwell_density(pe.kappa_maxwell(1.0), 1.0, 2.0, v, 1.0)
+
     def test_wrong_family_and_params(self):
         with pytest.raises(FamilyError):
             pe.kappa_maxwell_density(pe.shannon(), 1.0, 1.0, 0.0, 1.0)
@@ -689,6 +721,17 @@ class TestCustomFamily:
     def test_rejects_limits_outside_domain(self, limits):
         with pytest.raises(ParamError):
             pe.custom_family(lambda x: x - 1.0, singularity_exponent=0.0, **limits)
+
+    @pytest.mark.parametrize(
+        "constants",
+        [{"ln_at_zero": "-1"}, {"ln_sup": b"1"}, {"ln_sup": True}, {"singularity_exponent": "0.3"}],
+        ids=str,
+    )
+    def test_text_and_bool_constants_are_refused(self, constants):
+        # float() would parse "-1" and b"1", and cast True to an ln_sup of 1.0.
+        name = next(iter(constants))
+        with pytest.raises(ParamError, match=f"^{name}: expected integer or float numbers"):
+            pe.custom_family(np.log, **{"singularity_exponent": 0.0, **constants})
 
 
 class TestWireFormat:

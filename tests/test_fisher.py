@@ -261,3 +261,12 @@ def test_theta_of_the_wrong_shape_is_a_param_error(call, theta):
     # The model is not evaluated first: binmix reads theta[1].
     with pytest.raises(ParamError, match=r"theta must have shape \(2,\)"):
         call(pe.binomial_mixture_model(), np.array(theta))
+
+
+@pytest.mark.parametrize("theta", [["0.3"], [True], "0.3"], ids=str)
+def test_text_and_bool_theta_or_step_is_a_param_error(theta):
+    # float() would parse "0.3" and cast True.
+    with pytest.raises(ParamError, match="^theta: expected integer or float numbers"):
+        pe.fisher_g2(pe.shannon(), pe.bernoulli_model(), theta)
+    with pytest.raises(ParamError, match="^dtheta: expected integer or float numbers"):
+        pe.expansion_check(pe.shannon(), pe.bernoulli_model(), [0.3], theta)
