@@ -60,12 +60,7 @@ class Pdf:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = as_floats(self.weights, ParamError, "pdf weights")
-        if w.ndim != 1 or w.size < 1:
-            raise ParamError("weights must be a one-dimensional, nonempty sequence")
-        if not (w.min() >= 0.0 and w.max() < np.inf):
-            raise DomainError("pdf weights must be finite and nonnegative")
-        w = w.copy()
+        w = _checked(as_floats(self.weights, ParamError, "pdf weights")).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -83,6 +78,15 @@ class Pdf:
 
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist()}
+
+
+def _checked(w: np.ndarray) -> np.ndarray:
+    """``w``, a float ndarray, after the constructor's checks of its shape and values."""
+    if w.ndim != 1 or w.size < 1:
+        raise ParamError("weights must be a one-dimensional, nonempty sequence")
+    if not (w.min() >= 0.0 and w.max() < np.inf):
+        raise DomainError("pdf weights must be finite and nonnegative")
+    return w
 
 
 def _frozen(w: np.ndarray) -> Pdf:
@@ -117,7 +121,7 @@ def validate(weights: Sequence[float], tol: float = DEFAULT_VALIDATION_TOL) -> P
     total = sum_compensated(w)
     if abs(total - 1.0) > tol:
         raise SumError(total, tol)
-    return Pdf(w)
+    return _frozen(w.copy())
 
 
 def normalize(weights: Sequence[float]) -> Pdf:
@@ -130,7 +134,7 @@ def normalize(weights: Sequence[float]) -> Pdf:
     total = sum_compensated(w)
     if not total > 0:
         raise ParamError("cannot normalize weights with zero total mass")
-    return Pdf(w / total)
+    return _frozen(_checked(w) / total)
 
 
 def _check_lengths(p: Pdf, q: Pdf):

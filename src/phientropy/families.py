@@ -223,7 +223,7 @@ def custom_family(
     in the entropy functionals; ``-inf`` / ``+inf`` mean divergent.
     """
     singularity_exponent, ln_at_zero, ln_sup = (
-        None if v is None else float(as_floats(v, ParamError, name))
+        None if v is None else _number(v, name)
         for v, name in ((singularity_exponent, "singularity_exponent"), (ln_at_zero, "ln_at_zero"), (ln_sup, "ln_sup"))
     )
     if not 0.0 <= singularity_exponent < 1.0:
@@ -254,12 +254,7 @@ def custom_family(
         raise ParamError("custom ln must be concave")
 
     fn = lambda x: np.asarray(ln(np.asarray(x, dtype=float)), dtype=float)
-    f0 = -integrate(
-        lambda t: float(fn(np.asarray([t]))[0]),
-        0.0,
-        1.0,
-        singular_at_a=singularity_exponent,
-    )
+    f0 = -integrate(fn, 0.0, 1.0, singular_at_a=singularity_exponent)
     return LogFamily(
         kind="custom",
         custom_ln=fn,
@@ -378,6 +373,7 @@ def kappa_maxwell_density(
     """
     if fam.kind != "kappa_maxwell":
         raise FamilyError("density defined for the kappa_maxwell family only")
+    amplitude, beta, v0 = _number(amplitude, "amplitude"), _number(beta, "beta"), _number(v0, "v0")
     if not (amplitude > 0 and beta > 0 and v0 > 0):
         raise ParamError("amplitude, beta and v0 must be positive")
     arr = as_floats(v, DomainError, "kappa_maxwell_density")
@@ -630,22 +626,53 @@ def _pw_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
 
 def _custom_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
-
     def drop(x: float) -> float:
         if x == 0.0:
             return 0.0
         if x <= 1.0:
-            return -integrate(f, 0.0, x, singular_at_a=fam.singularity_exponent)
-        return fam.f_zero - integrate(f, 1.0, x)
+            return -integrate(fam.custom_ln, 0.0, x, singular_at_a=fam.singularity_exponent)
+        return fam.f_zero - integrate(fam.custom_ln, 1.0, x)
 
     return _per_point(drop, arr)
 
 
 def _custom_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
-    f = lambda t: float(fam.custom_ln(np.asarray([t]))[0])
-    # The step stays a small fraction of x, so that x - h is in the domain.
-    return _per_point(lambda x: richardson_diff(f, x, min(1e-6 * max(x, 1e-3), 1e-3 * x)), arr)
+    # A Richardson central difference for all points at once, its step a
+    # small fraction of x, so that x - h is in the domain.  Where no such
+    # step is left (h / 2 underflows, x below about 7e-321), or the
+    # difference is not positive (ln's values do not resolve the step, as
+    # x - 1 near 0), a forward difference takes over.
+    f = fam.custom_ln
+    h = np.minimum(1e-6 * np.maximum(arr, 1e-3), 1e-3 * arr)
+    fits = 0.5 * h > 0.0
+    out = np.zeros(arr.shape)
+    out[fits] = richardson_diff(f, arr[fits], h[fits])
+    rest = ~(out > 0.0)
+    if np.count_nonzero(rest):
+        out[rest] = _forward_diff(f, arr[rest])
+    return out
+
+
+# The doublings k of the steps x 2**k that the forward difference searches:
+# x + x 2**2098 passes DBL_MAX from x = 5e-324 on.
+_FORWARD_STEPS = 2098
+
+
+def _forward_diff(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """``(f(x + h) - f(x)) / h`` at the least step h = x 2**k (x + h at most DBL_MAX)
+    whose difference holds 2**26 spacings of f(x), so that rounding moves it by
+    at most about 1e-8 relative; at the largest such step if none does.  The
+    steps are searched by bisection over k, one call of ``f`` per level."""
+    fx = f(x)
+    need = 2.0**26 * np.spacing(np.minimum(np.abs(fx), _MAX))
+    step = lambda k: np.minimum(np.ldexp(x, k), _MAX - x)
+    lo, hi = np.zeros(x.shape, dtype=int), np.full(x.shape, _FORWARD_STEPS)
+    while np.count_nonzero(lo < hi):
+        mid = (lo + hi) // 2
+        held = f(x + step(mid)) - fx >= need
+        hi, lo = np.where(held, mid, hi), np.where(held, lo, mid + 1)
+    h = step(lo)
+    return (f(x + h) - fx) / h
 
 
 def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
@@ -813,14 +840,23 @@ def _field(kind: str, name: str, value) -> float:
     if value is None:
         raise ParamError(f"{kind} families need {name}")
     try:
-        x = float(as_floats(value, ParamError, name))
-    except (ParamError, TypeError):  # not a number, or not one
+        x = _number(value, name)
+    except ParamError:  # not a number, or not one
         x = math.nan
     if not (math.isfinite(x) and allowed.admits(x)):
         raise ParamError(
             f"{kind} {name} = {value!r} is outside its range: finite and {allowed.text}{allowed.note}"
         )
     return x
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float, or ParamError unless it is one number
+    (:func:`~phientropy.numerics.as_floats`, of no dimension)."""
+    arr = as_floats(value, ParamError, name)
+    if arr.ndim:
+        raise ParamError(f"{name}: expected one number, got an array of shape {arr.shape}")
+    return float(arr)
 
 
 def _row(kind) -> _Kind:

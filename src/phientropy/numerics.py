@@ -3,7 +3,9 @@
 Adaptive Simpson quadrature (with geometric grading toward an integrable
 endpoint singularity), monotone bisection, central differences and
 compensated summation.  Everything here is pure and deterministic: the same
-inputs produce bit-identical results.
+inputs produce bit-identical results.  The functions these take are
+vectorized, ndarray in and ndarray out, so that each step evaluates all of
+its points in one call.
 
 :func:`as_floats` is the one rule for what a number from outside the package
 is; every public entry that takes numbers (the family kernels, pdf weights,
@@ -61,12 +63,12 @@ _GRADING_RATIO = 0.5
 
 
 def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    """Recursive Simpson with the |S_fine - S_coarse|/15 error estimate."""
+    """Recursive Simpson with the |S_fine - S_coarse|/15 error estimate; each
+    node evaluates its two new points in one call of ``f``."""
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
+    flm, frm = f(np.array([lm, rm])).tolist()
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     err = left + right - whole
@@ -85,21 +87,24 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def _simpson_panel(f, a, b, tol):
-    fa = f(a)
     m = 0.5 * (a + b)
-    fm = f(m)
-    fb = f(b)
+    fa, fm, fb = f(np.array([a, m, b])).tolist()
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     return _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, 0)
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     singular_at_a: Optional[float] = None,
 ) -> float:
     """Integrate ``f`` over ``[a, b]``.
+
+    ``f`` maps a float ndarray to the ndarray of its values, element by
+    element.  A Simpson panel evaluates its ends and midpoint in one call,
+    and each refinement its two new points in one call; the nodes, sums and
+    error tests are those of one point at a time, so the result is the same.
 
     If ``singular_at_a`` is given it declares that ``|f(x)| = O((x-a)^-s)``
     near ``a`` with exponent ``s = singular_at_a`` in ``[0, 1)``.  The
@@ -268,20 +273,21 @@ def bisect_monotone(
     return walk.result
 
 
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Two-point central difference ``(f(x+h) - f(x-h)) / 2h``."""
+def central_diff(f: Callable[[np.ndarray], np.ndarray], x, h):
+    """Two-point central difference ``(f(x+h) - f(x-h)) / 2h``, elementwise on arrays."""
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def richardson_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """Central difference with one Richardson extrapolation step (O(h^4))."""
+def richardson_diff(f: Callable[[np.ndarray], np.ndarray], x, h) -> np.ndarray:
+    """Central difference with one Richardson extrapolation step (O(h^4)),
+    elementwise on arrays."""
     d1 = central_diff(f, x, h)
     d2 = central_diff(f, x, 0.5 * h)
-    # A scalar derivative past DBL_MAX: d1 is inf, and (4 d2 - d1) / 3 would
-    # be NaN (or -inf where d2 is finite).  The finer difference stands in.
-    if np.ndim(d1) == 0 and math.isinf(d1):
-        return d2
-    return (4.0 * d2 - d1) / 3.0
+    # A derivative past DBL_MAX: d1 is inf, and (4 d2 - d1) / 3 would be NaN
+    # (or -inf where d2 is finite).  The finer difference stands in, and d1
+    # is zeroed there first, so that no NaN is formed.
+    past = np.isinf(d1)
+    return np.where(past, d2, (4.0 * d2 - np.where(past, 0.0, d1)) / 3.0)
 
 
 def sum_compensated(values: Iterable[float]) -> float:

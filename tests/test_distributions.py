@@ -116,6 +116,35 @@ class TestValidate:
         with pytest.raises(ParamError, match="tolerance must be positive"):
             pe.validate([0.5, 0.5], tol=0)
 
+    @pytest.mark.parametrize("make", [validate, normalize], ids=lambda f: f.__name__)
+    def test_reads_its_weights_once(self, make, monkeypatch):
+        # The Pdf constructor read, checked and copied them a second time.
+        calls = []
+        real = distributions.as_floats
+        monkeypatch.setattr(distributions, "as_floats", lambda *args: calls.append(args) or real(*args))
+        make([0.25, 0.75])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("make", [validate, normalize], ids=lambda f: f.__name__)
+    def test_the_pdf_owns_its_weights(self, make):
+        w = np.array([0.25, 0.75])
+        p = make(w)
+        w[0] = 0.5
+        assert p.weights.tolist() == [0.25, 0.75] and not p.weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ([np.inf, 1.0], DomainError, "pdf weights must be finite and nonnegative"),
+            ([np.nan, 1.0], ParamError, "cannot normalize weights with zero total mass"),
+        ],
+        ids=str,
+    )
+    def test_normalize_keeps_the_constructor_refusals(self, bad, error, message):
+        # inf / inf made a NaN, which the constructor refused, with a RuntimeWarning.
+        with pytest.raises(error, match=f"^{message}$"):
+            normalize(bad)
+
 
 class TestTvNorm:
     def test_identical(self):

@@ -566,6 +566,22 @@ class TestLnPhiPrime:
             fd = central_diff(lambda t: float(np.asarray(pe.ln_phi(family, t))), x, 1e-6 * x)
             assert pe.ln_phi_prime(family, x) == pytest.approx(fd, rel=1e-6)
 
+    @pytest.mark.parametrize("x", [5e-324, 1e-323, 2e-322, 1e-320])
+    def test_custom_at_tiny_subnormal_x(self, x):
+        # The step 1e-3 x underflowed to 0 below 1e-320: ZeroDivisionError.
+        # The derivative of ln there, 1 / x, is past DBL_MAX.
+        assert pe.ln_phi_prime(pe.custom_family(np.log, 0.0), x) == math.inf
+        # x - 1 does not resolve a step of a small fraction of x.
+        linear = pe.custom_family(lambda t: t - 1.0, 0.0, ln_at_zero=-1.0)
+        assert pe.ln_phi_prime(linear, x) == pytest.approx(1.0, rel=1e-7)
+
+    def test_custom_matches_each_point_alone(self):
+        fam = pe.custom_family(lambda t: (t**0.3 - t**-0.3) / 0.6, 0.3)
+        xs = np.array([5e-324, 1e-300, 1e-9, 0.3, 1.0, 1.7, 5.0, 1e12, 1e300, 1.7e308])
+        got = pe.ln_phi_prime(fam, xs)
+        assert got.tolist() == [pe.ln_phi_prime(fam, x) for x in xs]
+        assert np.all(got > 0.0)
+
     def test_piecewise_knots_raise(self):
         fam = pe.piecewise_linear(2.0)
         for knot in (0.25, 0.5, 1.0, 2.0, 8.0):
@@ -607,6 +623,16 @@ class TestKappaMaxwellDensity:
     def test_text_and_bool_velocity_is_refused(self, v):
         with pytest.raises(DomainError, match="^kappa_maxwell_density: expected integer or float numbers"):
             pe.kappa_maxwell_density(pe.kappa_maxwell(1.0), 1.0, 2.0, v, 1.0)
+
+    @pytest.mark.parametrize("at", [0, 1, 3])
+    @pytest.mark.parametrize("bad", ["1.0", [1.0], True], ids=str)
+    def test_text_list_or_bool_parameter_is_refused(self, at, bad):
+        # Text and lists raised a bare TypeError; True passed as an amplitude of 1.
+        args = [1.0, 2.0, 0.5, 1.0]
+        args[at] = bad
+        name = {0: "amplitude", 1: "beta", 3: "v0"}[at]
+        with pytest.raises(ParamError, match=f"^{name}: expected "):
+            pe.kappa_maxwell_density(pe.kappa_maxwell(1.0), *args)
 
     def test_wrong_family_and_params(self):
         with pytest.raises(FamilyError):
@@ -731,6 +757,17 @@ class TestCustomFamily:
         # float() would parse "-1" and b"1", and cast True to an ln_sup of 1.0.
         name = next(iter(constants))
         with pytest.raises(ParamError, match=f"^{name}: expected integer or float numbers"):
+            pe.custom_family(np.log, **{"singularity_exponent": 0.0, **constants})
+
+    @pytest.mark.parametrize(
+        "constants",
+        [{"ln_at_zero": [-1.0]}, {"ln_sup": [[1.0]]}, {"singularity_exponent": [0.3]}, {"ln_sup": np.array([2.0, 3.0])}],
+        ids=str,
+    )
+    def test_array_constants_are_refused(self, constants):
+        # float() raised a bare TypeError: only 0-dimensional arrays convert.
+        name = next(iter(constants))
+        with pytest.raises(ParamError, match=f"^{name}: expected one number, got an array of shape"):
             pe.custom_family(np.log, **{"singularity_exponent": 0.0, **constants})
 
 

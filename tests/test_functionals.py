@@ -323,7 +323,7 @@ class TestBregmanF:
     def test_tsallis_reference_value(self):
         # F(4) + 3*F(0) with F from quadrature of the tsallis logarithm
         fam = pe.tsallis(0.5)
-        f_quad = integrate(lambda t: float(np.asarray(pe.ln_phi(fam, t))), 1.0, 4.0)
+        f_quad = integrate(lambda t: pe.ln_phi(fam, t), 1.0, 4.0)
         want = f_quad - (1.0 - 4.0) * 1.0
         got = pe.bregman_f(fam, 4.0)
         assert got == pytest.approx(8.0, rel=1e-12)

@@ -133,6 +133,21 @@ def test_custom_family_single_checks_integrate_only_what_they_read(monkeypatch):
     assert calls["integrate"] == []
 
 
+def test_custom_drop_evaluates_its_logarithm_in_batches():
+    # A Simpson panel evaluates its three points in one call of ln, and each
+    # refinement its two new points: 10997 calls of one point each before.
+    calls = []
+
+    def ln(x):
+        calls.append(np.size(x))
+        return (x**0.3 - x**-0.3) / 0.6
+
+    fam = pe.custom_family(ln, singularity_exponent=0.3)
+    calls.clear()
+    pe.big_f_drop(fam, 0.3)
+    assert (len(calls), sum(calls)) == (5472, 10997)
+
+
 def test_default_scan_keeps_its_kernel_calls(monkeypatch):
     # The scan asks for every row.  The counts follow the scan's draws: the
     # hill climbs' lengths decide when lanes launch, and so the batches.
