@@ -3,7 +3,7 @@
 The package provides, for a family of generalized logarithms:
 
 - the derived functions F, omega and exp (:mod:`phientropy.families`),
-- finite discrete pdfs with seeded sampling (:mod:`phientropy.distributions`),
+- finite discrete pdfs and their samplers (:mod:`phientropy.distributions`),
 - entropy, relative entropy and Bregman divergence (:mod:`phientropy.functionals`),
 - the metric and stability inequalities (:mod:`phientropy.bounds`) and an
   adversarial scan engine that hunts for their violations (:mod:`phientropy.scan`),
@@ -11,7 +11,7 @@ The package provides, for a family of generalized logarithms:
 - a reproducible CLI (:mod:`phientropy.cli`).
 """
 
-from .distributions import Pdf, normalize, pad, sample_simplex, sym_diff, tv_norm, validate
+from .distributions import Pdf, normalize, pad, sym_diff, tv_norm, validate
 from .errors import PhiEntropyError
 from .families import (
     LogFamily,
@@ -51,7 +51,6 @@ from .bounds import (
     e_r,
     h_r,
     metric_d,
-    metric_d_capped,
     stability_scan,
 )
 from .fisher import (

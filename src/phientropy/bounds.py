@@ -59,7 +59,7 @@ from .table import (
 
 __all__ = [
     "TOL_SCALE", "BOUND_IDS", "CHECKS", "Check", "BoundReport", "ScanConfig", "ScanReport", "NEIGHBOR_SCALES",
-    "HILL_STEPS", "SCAN_EPSILONS", "metric_d", "metric_d_capped", "h_r", "e_r", "check_cont1", "check_relent",
+    "HILL_STEPS", "SCAN_EPSILONS", "metric_d", "h_r", "e_r", "check_cont1", "check_relent",
     "check_improved", "check_lb", "check_cont2", "check_lesche3", "check_lesche4", "check_fannes",
     "condition1_delta", "check_condition1_segment", "run_bound_checks", "entropy_min_half", "stability_scan",
     "default_family_grid",
@@ -81,13 +81,6 @@ def metric_d(fam: LogFamily, p: Pdf, q: Pdf) -> float:
     """
     _check_lengths(p, q)
     return sum_compensated(np.asarray(big_f_drop(fam, np.abs(p.weights - q.weights))))
-
-
-def metric_d_capped(fam: LogFamily, p: Pdf, q: Pdf, cap: float) -> float:
-    """``min(d(p, q), cap)``; still a metric, same topology as ``d``."""
-    if not cap > 0:
-        raise ParamError("cap must be positive")
-    return min(metric_d(fam, p, q), cap)
 
 
 def h_r(fam: LogFamily, p: Pdf, q: Pdf, r: Pdf) -> float:

@@ -14,6 +14,7 @@ streams can be derived per trial with ``SeedSequence(seed).spawn(n)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,11 +38,9 @@ __all__ = [
     "tv_norm",
     "sym_diff",
     "pad",
-    "sample_simplex",
     "sample_uniform",
     "sample_sparse",
     "sample_neighbor",
-    "rng_for_seed",
 ]
 
 DEFAULT_VALIDATION_TOL = 1e-9
@@ -60,7 +59,7 @@ class Pdf:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _checked(as_floats(self.weights, ParamError, "pdf weights")).copy()
+        w = _checked(_read(self.weights, "pdf weights")).copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -71,21 +70,32 @@ class Pdf:
     def __len__(self) -> int:
         return self.n
 
-    def allclose(self, other: "Pdf", tol: float = 0.0) -> bool:
-        return self.n == other.n and bool(
-            np.all(np.abs(self.weights - other.weights) <= tol)
-        )
-
     def to_json(self) -> dict:
         return {"weights": self.weights.tolist()}
 
 
-def _checked(w: np.ndarray) -> np.ndarray:
-    """``w``, a float ndarray, after the constructor's checks of its shape and values."""
+def _read(weights, what: str = "weights") -> np.ndarray:
+    """``weights`` as a float ndarray (:func:`~phientropy.numerics.as_floats`),
+    refused with :class:`ParamError` unless one-dimensional and nonempty."""
+    w = as_floats(weights, ParamError, what)
     if w.ndim != 1 or w.size < 1:
         raise ParamError("weights must be a one-dimensional, nonempty sequence")
+    return w
+
+
+def _checked(w: np.ndarray) -> np.ndarray:
+    """``w`` after the constructor's check of its values."""
     if not (w.min() >= 0.0 and w.max() < np.inf):
         raise DomainError("pdf weights must be finite and nonnegative")
+    return w
+
+
+def _no_negative(w: np.ndarray) -> np.ndarray:
+    """``w``, or :class:`NegativeWeight` at its first negative weight."""
+    neg = np.nonzero(w < 0)[0]
+    if neg.size:
+        i = int(neg[0])
+        raise NegativeWeight(i, float(w[i]))
     return w
 
 
@@ -105,36 +115,34 @@ def validate(weights: Sequence[float], tol: float = DEFAULT_VALIDATION_TOL) -> P
     """Check nonnegativity and unit sum, then freeze into a :class:`Pdf`.
 
     Raises :class:`NegativeWeight` (with the offending index) or
-    :class:`SumError` (with the actual sum).  Never renormalizes.
+    :class:`SumError` (with the actual sum, inf where it passes DBL_MAX).
+    Never renormalizes.
     """
     if not tol > 0:
         raise ParamError("validation tolerance must be positive")
-    w = as_floats(weights, ParamError, "weights")
-    if w.ndim != 1 or w.size < 1:
-        raise ParamError("weights must be a one-dimensional, nonempty sequence")
+    w = _read(weights)
     if not np.all(np.isfinite(w)):
         raise ParamError("weights must be finite")
-    neg = np.nonzero(w < 0)[0]
-    if neg.size:
-        i = int(neg[0])
-        raise NegativeWeight(i, float(w[i]))
-    total = sum_compensated(w)
+    _no_negative(w)
+    try:
+        total = sum_compensated(w)
+    except OverflowError:
+        total = math.inf
     if abs(total - 1.0) > tol:
         raise SumError(total, tol)
     return _frozen(w.copy())
 
 
 def normalize(weights: Sequence[float]) -> Pdf:
-    """Explicitly rescale nonnegative weights to unit sum."""
-    w = as_floats(weights, ParamError, "weights")
-    neg = np.nonzero(w < 0)[0]
-    if neg.size:
-        i = int(neg[0])
-        raise NegativeWeight(i, float(w[i]))
-    total = sum_compensated(w)
+    """Explicitly rescale nonnegative, finite weights to unit sum."""
+    w = _checked(_no_negative(_read(weights)))
+    try:
+        total = sum_compensated(w)
+    except OverflowError:  # the sum passes DBL_MAX: scaled by a power of two, the quotients are the same
+        return normalize(w * 2.0**-64)
     if not total > 0:
         raise ParamError("cannot normalize weights with zero total mass")
-    return _frozen(_checked(w) / total)
+    return _frozen(w / total)
 
 
 def _check_lengths(p: Pdf, q: Pdf):
@@ -176,11 +184,6 @@ def pad(p: Pdf, n: int) -> Pdf:
     return Pdf(np.concatenate([p.weights, np.zeros(n - p.n)]))
 
 
-def rng_for_seed(seed: int) -> np.random.Generator:
-    """PCG64 generator for a seed, via ``SeedSequence`` (documented contract)."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def _flat_dirichlet(n: int, rng: np.random.Generator) -> np.ndarray:
     """Weights of a flat Dirichlet draw on the n-simplex; n = 1 draws nothing.
 
@@ -207,9 +210,8 @@ def sample_sparse(n: int, rng: np.random.Generator) -> Pdf:
     """Uniform draw with a random subset of coordinates zeroed out."""
     base = _flat_dirichlet(n, rng)
     if n > 1:
-        keep = max(1, int(rng.integers(1, n + 1)))
-        zero_idx = rng.permutation(n)[keep:]
-        base[zero_idx] = 0.0
+        keep = int(rng.integers(1, n + 1))
+        base[rng.permutation(n)[keep:]] = 0.0
         total = np.add.reduce(base)
         if total <= 0:  # all surviving mass zeroed; keep a point mass
             base[:] = 0.0
@@ -243,20 +245,3 @@ def sample_neighbor(p: Pdf, eps: float, rng: np.random.Generator) -> Pdf:
         lam = min(lam, np.minimum.reduce(p.weights[neg] / -v[neg]))
     return _frozen(np.maximum(p.weights + lam * v, 0.0))
 
-
-def sample_simplex(n: int, seed: int, mode: str = "uniform", *, p: Pdf | None = None, eps: float | None = None) -> Pdf:
-    """Seeded sampling front end: modes ``uniform``, ``sparse``, ``neighbor``.
-
-    Deterministic given ``seed``.  ``neighbor`` requires the centre pdf ``p``
-    and radius ``eps``.
-    """
-    rng = rng_for_seed(seed)
-    if mode == "uniform":
-        return sample_uniform(n, rng)
-    if mode == "sparse":
-        return sample_sparse(n, rng)
-    if mode == "neighbor":
-        if p is None or eps is None:
-            raise ParamError("neighbor mode requires p and eps")
-        return sample_neighbor(p, eps, rng)
-    raise ParamError(f"unknown sampling mode {mode!r}")

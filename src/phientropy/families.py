@@ -641,15 +641,21 @@ def _custom_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # small fraction of x, so that x - h is in the domain.  Where no such
     # step is left (h / 2 underflows, x below about 7e-321), or the
     # difference is not positive (ln's values do not resolve the step, as
-    # x - 1 near 0), a forward difference takes over.
+    # x - 1 near 0), a forward difference takes over.  In the top 1e-6 of
+    # the float range x + h passes DBL_MAX, and a backward difference with
+    # one Richardson step, 2 D(h / 2) - D(h) at h = 1e-4 x, stands in.
     f = fam.custom_ln
     h = np.minimum(1e-6 * np.maximum(arr, 1e-3), 1e-3 * arr)
-    fits = 0.5 * h > 0.0
+    top = arr > _MAX - h
+    fits = (0.5 * h > 0.0) & ~top
     out = np.zeros(arr.shape)
     out[fits] = richardson_diff(f, arr[fits], h[fits])
-    rest = ~(out > 0.0)
+    rest = ~(out > 0.0) & ~top
     if np.count_nonzero(rest):
         out[rest] = _forward_diff(f, arr[rest])
+    if np.count_nonzero(top):
+        x, fx = arr[top], f(arr[top])
+        out[top] = (4.0 * (fx - f(x - 5e-5 * x)) - (fx - f(x - 1e-4 * x))) / (1e-4 * x)
     return out
 
 

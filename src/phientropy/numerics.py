@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
 Adaptive Simpson quadrature (with geometric grading toward an integrable
-endpoint singularity), monotone bisection, central differences and
-compensated summation.  Everything here is pure and deterministic: the same
+endpoint singularity), monotone bisection on a given bracket, central
+differences and compensated summation.  Everything here is pure and deterministic: the same
 inputs produce bit-identical results.  The functions these take are
 vectorized, ndarray in and ndarray out, so that each step evaluates all of
 its points in one call.
@@ -226,15 +226,15 @@ class BisectionWalk:
 def bisect_monotone(
     f: Callable[[np.ndarray], np.ndarray],
     target: float,
-    lo_hint: float,
-    hi_hint: float,
+    lo: float,
+    hi: float,
     tol: float = 1e-12,
     x_rel_tol: Optional[float] = None,
 ) -> float:
-    """Solve ``f(x) = target`` for a strictly increasing, vectorized ``f``.
+    """Solve ``f(x) = target`` for a strictly increasing, vectorized ``f`` on the bracket ``[lo, hi]``.
 
-    The initial bracket ``[lo_hint, hi_hint]`` is expanded outward, doubling
-    its width, up to 64 times on each side.  Returns ``x`` with
+    Raises :class:`BracketError` unless ``f(lo) <= target <= f(hi)``, so a
+    reversed bracket is refused too.  Returns ``x`` with
     ``|f(x) - target| <= tol * (1 + |target|)``; when ``x_rel_tol`` is given
     the bracket is additionally narrowed to that relative width.
 
@@ -244,26 +244,10 @@ def bisect_monotone(
     the path, and the exit, of plain one-point-at-a-time bisection, so the
     result is the same.
     """
-    lo, hi = float(lo_hint), float(hi_hint)
-    if hi < lo:
-        lo, hi = hi, lo
-    flo, fhi = (float(v) for v in f(np.array([lo, hi])))
-    width = max(hi - lo, 1e-12)
-    for _ in range(64):
-        if flo <= target:
-            break
-        width *= 2.0
-        lo -= width
-        flo = float(f(np.array([lo]))[0])
-    else:
+    flo, fhi = f(np.array([lo, hi], dtype=float)).tolist()
+    if not flo <= target:
         raise BracketError(f"target {target} below reachable range of f")
-    for _ in range(64):
-        if fhi >= target:
-            break
-        width *= 2.0
-        hi += width
-        fhi = float(f(np.array([hi]))[0])
-    else:
+    if not fhi >= target:
         raise BracketError(f"target {target} above reachable range of f")
 
     walk = BisectionWalk(lo, hi, target, tol, x_rel_tol)

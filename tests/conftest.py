@@ -85,3 +85,20 @@ def mp_f_drop(fam, x, knots_below=60):
             points = [0, *(k for k in knots if k < x), x]
             return -mpmath.quad(lambda t: mp_ln_phi(fam, t), points, method="gauss-legendre", maxdegree=1)
         return -mpmath.quad(lambda u: mp_ln_phi(fam, u**20) * 20 * u**19, [0, mpmath.root(x, 20)])
+
+
+def _sequential_bisection(f, target, lo, hi, tol, x_rel_tol=None):
+    """Plain bisection of a scalar ``f``, one midpoint per call: the loop whose path and
+    exit ``numerics.bisect_monotone``'s tree walk must reproduce, kept apart from it."""
+    f_tol = tol * (1.0 + abs(target))
+    mid = 0.5 * (lo + hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm - target) <= f_tol and (x_rel_tol is None or hi - lo <= x_rel_tol * max(1.0, abs(mid))):
+            return mid
+        if fm < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid

@@ -78,21 +78,6 @@ class TestMetricD:
                 pe.metric_d(family, p, q) + pe.metric_d(family, q, r) + 1e-11
             )
 
-    def test_capped(self, family, rng):
-        p, q, r = triple(rng, 6)
-        d = pe.metric_d(family, p, q)
-        assert pe.metric_d_capped(family, p, q, cap=d + 1.0) == d
-        assert pe.metric_d_capped(family, p, q, cap=d / 2) == d / 2
-        with pytest.raises(ParamError):
-            pe.metric_d_capped(family, p, q, cap=0.0)
-
-    def test_capped_triangle(self, family, rng):
-        for _ in range(100):
-            p, q, r = triple(rng, 5)
-            cap = 0.3
-            dm = lambda a, b: pe.metric_d_capped(family, a, b, cap)
-            assert dm(p, r) <= dm(p, q) + dm(q, r) + 1e-11
-
 
 class TestReferenceDistances:
     def test_zero_at_equal(self, family):

@@ -701,6 +701,16 @@ class TestCustomFamily:
             got = pe.ln_phi_prime(fam, xs)
         np.testing.assert_allclose(got, pe.ln_phi_prime(twin, xs), rtol=1e-7, atol=0)
 
+    def test_ln_phi_prime_at_the_top_of_the_float_range(self):
+        # x + h passed DBL_MAX in both central differences, and the derivative read inf.
+        fam = pe.custom_family(np.log, 0.0)
+        top = np.finfo(float).max
+        xs = np.array([np.nextafter(top, 0.0), top])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pe.ln_phi_prime(fam, xs)
+        np.testing.assert_allclose(got, 1.0 / xs, rtol=1e-7, atol=0)
+
     def test_exp_by_bisection_round_trip(self):
         fam = pe.custom_family(self._kan_like(0.3), singularity_exponent=0.3)
         for x in (1e-4, 0.3, 1.0, 7.0, 1e4):

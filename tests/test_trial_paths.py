@@ -32,6 +32,8 @@ from phientropy.errors import (
 from phientropy.families import big_f_drop, ln_phi, omega_phi
 from phientropy.numerics import sum_compensated
 
+from conftest import _sequential_bisection
+
 GRID = pe.default_family_grid()
 DIMS = (2, 4, 16, 64)
 CASES = ("uniform", "sparse", "identical", "disjoint", "near", "overflow", "tiny_tv")
@@ -244,23 +246,6 @@ def test_subnormal_tv_gives_a_cont2_report_that_holds():
         assert report.holds and math.isfinite(report.rhs) and report.rhs >= 0.0, fam.label
 
 
-def _sequential_bisection(f, target, lo, hi, tol):
-    """Plain bisection, one point per call, kept here so the oracle does not
-    share ``numerics.bisect_monotone``, which evaluates a tree of midpoints per call."""
-    f_tol = tol * (1.0 + abs(target))
-    mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm - target) <= f_tol:
-            return mid
-        if fm < target:
-            lo = mid
-        else:
-            hi = mid
-    return mid
-
-
 def _delta_by_public_bisection(fam, epsilon):
     f0 = fam.f_zero
     i_min = 2.0 * big_f_drop(fam, 0.5) - f0
@@ -271,7 +256,7 @@ def _delta_by_public_bisection(fam, epsilon):
 
     if coeff(1.0) <= epsilon:
         return 1.0
-    # coeff(0) = 0 < epsilon <= coeff(1): [0, 1] is a bracket, no expansion.
+    # coeff(0) = 0 < epsilon <= coeff(1): [0, 1] is a bracket.
     return _sequential_bisection(coeff, epsilon, 0.0, 1.0, 1e-12)
 
 
