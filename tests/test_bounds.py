@@ -78,6 +78,23 @@ class TestMetricD:
                 pe.metric_d(family, p, q) + pe.metric_d(family, q, r) + 1e-11
             )
 
+    def test_disjoint_point_masses(self, family):
+        # Two gaps of 1 and the rest 0: d = 2 (F(0) - F(1)) = 2 F(0).
+        p, q = pe.validate([0.0, 1.0, 0.0, 0.0]), pe.validate([0.0, 0.0, 0.0, 1.0])
+        assert pe.metric_d(family, p, q) == pytest.approx(2.0 * family.f_zero, rel=1e-13)
+
+    def test_grows_along_a_segment(self, family, rng):
+        # |p - q_t| = t |p - q| for q_t = (1 - t) p + t q, and F(0) - F(x) is
+        # nondecreasing on [0, 1] (its slope is -ln_phi(x) >= 0).
+        for _ in range(20):
+            p, q, _ = triple(rng, int(rng.integers(2, 10)))
+            ds = [
+                pe.metric_d(family, p, pe.validate((1.0 - t) * p.weights + t * q.weights))
+                for t in np.linspace(0.0, 1.0, 11)
+            ]
+            assert ds[0] == 0.0
+            assert all(a <= b + 1e-12 for a, b in zip(ds, ds[1:]))
+
 
 class TestReferenceDistances:
     def test_zero_at_equal(self, family):
