@@ -180,10 +180,6 @@ def _cmd_bounds(args) -> int:
     return 0 if all_hold else 2
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t)
-
-
 def _cmd_scan(args) -> int:
     if args.families == "default":
         fams = default_family_grid()
@@ -191,7 +187,7 @@ def _cmd_scan(args) -> int:
         fams = tuple(family_from_json(s) for s in json.loads(args.families))
     config = ScanConfig(
         families=fams,
-        dims=_parse_dims(args.dims),
+        dims=tuple(int(t) for t in args.dims.split(",") if t),
         trials=args.trials,
         seed=args.seed,
         modes=tuple(args.modes.split(",")),

@@ -638,53 +638,64 @@ def _custom_drop(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 
 def _custom_prime(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # A Richardson central difference for all points at once, its step a
-    # small fraction of x, so that x - h is in the domain.  Where no such
-    # step is left (h / 2 underflows, x below about 7e-321), or the
+    # small fraction of x, so that x - h is in the domain.  In the top 1e-6
+    # of the float range x + h passes DBL_MAX, and a backward difference with
+    # one Richardson step, 2 D(h / 2) - D(h) at h = 1e-4 x, stands in.  Where
+    # no such step is left (h / 2 underflows, x below about 7e-321), or the
     # difference is not positive (ln's values do not resolve the step, as
-    # x - 1 near 0), a forward difference takes over.  In the top 1e-6 of
-    # the float range x + h passes DBL_MAX, and a backward difference with
-    # one Richardson step, 2 D(h / 2) - D(h) at h = 1e-4 x, stands in.
+    # x - 1 near 0), a one-sided difference toward the interior takes over.
     f = fam.custom_ln
     h = np.minimum(1e-6 * np.maximum(arr, 1e-3), 1e-3 * arr)
     top = arr > _MAX - h
     fits = (0.5 * h > 0.0) & ~top
     out = np.zeros(arr.shape)
     out[fits] = richardson_diff(f, arr[fits], h[fits])
-    rest = ~(out > 0.0) & ~top
-    if np.count_nonzero(rest):
-        out[rest] = _forward_diff(f, arr[rest])
     if np.count_nonzero(top):
         x, fx = arr[top], f(arr[top])
         out[top] = (4.0 * (fx - f(x - 5e-5 * x)) - (fx - f(x - 1e-4 * x))) / (1e-4 * x)
+    rest = ~(out > 0.0)
+    for backward in (False, True):
+        part = rest & (top == backward)
+        if np.count_nonzero(part):
+            out[part] = _one_sided_diff(f, arr[part], backward)
     return out
 
 
 # The doublings k of the steps x 2**k that the forward difference searches:
-# x + x 2**2098 passes DBL_MAX from x = 5e-324 on.
-_FORWARD_STEPS = 2098
+# x + x 2**2098 passes DBL_MAX from x = 5e-324 on.  Backward, the steps are
+# x 2**(k - 53), and x - x 2**-53 rounds to x: k runs up to 52, the step x / 2.
+_FORWARD_STEPS, _BACKWARD_STEPS = 2098, 52
 
 
-def _forward_diff(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """``(f(x + h) - f(x)) / h`` at the least step h = x 2**k (x + h at most DBL_MAX)
-    whose difference holds 2**26 spacings of f(x), so that rounding moves it by
-    at most about 1e-8 relative; at the largest such step if none does.  The
-    steps are searched by bisection over k, one call of ``f`` per level."""
+def _one_sided_diff(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, backward: bool) -> np.ndarray:
+    """``(f(x + h) - f(x)) / h`` at the least step h = x 2**k (x + h at most
+    DBL_MAX), or backward ``(f(x) - f(x - h)) / h`` at h = x 2**(k - 53) (at
+    most x / 2), whose difference holds 2**26 spacings of f(x), so that
+    rounding moves it by at most about 1e-8 relative; at the largest such step
+    if none does.  The steps are searched by bisection over k, one call of
+    ``f`` per level."""
     fx = f(x)
     need = 2.0**26 * np.spacing(np.minimum(np.abs(fx), _MAX))
-    step = lambda k: np.minimum(np.ldexp(x, k), _MAX - x)
-    lo, hi = np.zeros(x.shape, dtype=int), np.full(x.shape, _FORWARD_STEPS)
+    if backward:
+        diff, step, levels = lambda h: fx - f(x - h), lambda k: np.ldexp(x, k - 53), _BACKWARD_STEPS
+    else:
+        diff, levels = lambda h: f(x + h) - fx, _FORWARD_STEPS
+        step = lambda k: np.minimum(np.ldexp(x, k), _MAX - x)
+    lo, hi = np.zeros(x.shape, dtype=int), np.full(x.shape, levels)
     while np.count_nonzero(lo < hi):
         mid = (lo + hi) // 2
-        held = f(x + step(mid)) - fx >= need
+        held = diff(step(mid)) >= need
         hi, lo = np.where(held, mid, hi), np.where(held, lo, mid + 1)
     h = step(lo)
-    return (f(x + h) - fx) / h
+    return diff(h) / h
 
 
 def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     # ln_phi is evaluated at powers of two 2**e, -1074 <= e <= 1023, at
     # DBL_MAX, and inside the bracket they give: every point is a finite x > 0.
     f = lambda t: ln_phi_unchecked(fam, np.asarray(t, dtype=float))
+    # A custom ln may miss 0 at 1 by up to 1e-12, so the split is at its value.
+    at_one = float(f(1.0))
 
     def inverse(y: float) -> float:
         if math.isfinite(fam.ln_sup) and y >= fam.ln_sup:
@@ -694,7 +705,7 @@ def _exp_by_bisection(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
         # The bracket is 1 and the first power of two 2**-k (below y) or
         # 2**k (above it) from 1 outward, found by bisection over k and cut
         # to 64 binades.  A y below ln_phi(5e-324) finds no 2**-k and gives 0.
-        if y < 0.0:
+        if y < at_one:
             k = bisect.bisect_left(range(1075), True, key=lambda k: f(2.0**-k) <= y)
             if k == 1075:
                 return 0.0

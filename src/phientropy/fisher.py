@@ -98,16 +98,10 @@ def softmax_model(n: int) -> ParametricModel:
     return ParametricModel(dim_theta=n - 1, dim_p=n, eval=ev, name=f"softmax{n}")
 
 
-def _binom_pmf(m: int, t: float) -> np.ndarray:
-    ks = np.arange(m + 1)
-    return np.array(
-        [math.comb(m, int(k)) * t**k * (1.0 - t) ** (m - k) for k in ks]
-    )
-
-
 def binomial_mixture_components(m: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three fixed binomial rows B(m, 1/4), B(m, 1/2), B(m, 3/4)."""
-    return tuple(_binom_pmf(m, t) for t in (0.25, 0.5, 0.75))
+    ks = np.arange(m + 1)
+    return tuple(np.array([math.comb(m, int(k)) * t**k * (1.0 - t) ** (m - k) for k in ks]) for t in (0.25, 0.5, 0.75))
 
 
 def binomial_mixture_model(m: int = 6) -> ParametricModel:

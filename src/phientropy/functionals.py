@@ -93,14 +93,6 @@ def entropy_max(fam: LogFamily, n: int) -> float:
     return float(np.asarray(omega_phi(fam, float(n))))
 
 
-def _check_support(fam: LogFamily, p: np.ndarray, q: np.ndarray):
-    if np.any((p > 0) & (q == 0)) and not fam.omega_at_zero_finite:
-        raise SupportError(
-            "q has zero weight where p does not, and omega diverges at 0 "
-            f"for family {fam.label}"
-        )
-
-
 def rel_entropy(fam: LogFamily, p: Pdf, q: Pdf, method: str = "auto") -> float:
     """Relative entropy ``I(p|q) = -sum_k p_k omega(q_k/p_k)``.
 
@@ -112,7 +104,8 @@ def rel_entropy(fam: LogFamily, p: Pdf, q: Pdf, method: str = "auto") -> float:
     """
     _check_lengths(p, q)
     pw, qw = p.weights, q.weights
-    _check_support(fam, pw, qw)
+    if np.any((pw > 0) & (qw == 0)) and not fam.omega_at_zero_finite:
+        raise SupportError(f"q has zero weight where p does not, and omega diverges at 0 for family {fam.label}")
     method = resolve_method(fam, "rel_entropy", method)
     if method in ("generic", "omega"):
         both = (pw > 0) & (qw > 0)

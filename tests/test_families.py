@@ -711,6 +711,27 @@ class TestCustomFamily:
             got = pe.ln_phi_prime(fam, xs)
         np.testing.assert_allclose(got, 1.0 / xs, rtol=1e-7, atol=0)
 
+    def test_ln_phi_prime_at_the_top_where_ln_barely_resolves(self):
+        # A Tsallis-like ln, bounded by 25: near DBL_MAX its values no longer
+        # resolve a step of 1e-4 x, and the backward difference read 0.  The
+        # slope over [x / 2, x] stands in, within a factor 2 of x**-q.
+        q = 1.04
+        fam = pe.custom_family(lambda x: (x ** (1.0 - q) - 1.0) / (1.0 - q), 0.0)
+        top = np.finfo(float).max
+        xs = np.array([np.nextafter(top, 0.0), top])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = pe.ln_phi_prime(fam, xs)
+        assert np.all((got > 0.5 * xs**-q) & (got < 2.0 * xs**-q))
+
+    @pytest.mark.parametrize("offset", [1e-13, -1e-13])
+    def test_exp_near_zero_when_ln_misses_zero_at_one(self, offset):
+        # custom_family lets ln(1) miss 0 by 1e-12; the bisection bracket is
+        # split at ln(1), not at 0, so that it holds y on either side.
+        fam = pe.custom_family(lambda x: np.log(x) + offset, 0.0)
+        for y in (0.0, -0.5 * offset, 0.5 * offset):
+            assert pe.exp_phi(fam, y) == pytest.approx(math.exp(y - offset), rel=1e-11)
+
     def test_exp_by_bisection_round_trip(self):
         fam = pe.custom_family(self._kan_like(0.3), singularity_exponent=0.3)
         for x in (1e-4, 0.3, 1.0, 7.0, 1e4):
