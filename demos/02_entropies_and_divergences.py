@@ -53,3 +53,11 @@ for lam in (0.25, 0.5, 0.75):
     mix = pe.Pdf(lam * p.weights + (1 - lam) * q.weights)
     gain = pe.entropy(fam, mix) - (lam * pe.entropy(fam, p) + (1 - lam) * pe.entropy(fam, q))
     print(f"  lam={lam:.2f}  mixture entropy gain = {gain:+.6f} (>= 0)")
+
+print()
+print("a custom logarithm, integrated by quadrature, beside its built-in twin")
+custom = pe.custom_family(lambda x: -(x**-0.5 - 1.0), singularity_exponent=0.5)  # tsallis(-0.5)'s ln_phi
+twin = pe.tsallis(-0.5)
+for pdf, name in ((p, "p"), (q, "q")):
+    a, b = pe.entropy(custom, pdf), pe.entropy(twin, pdf)
+    print(f"  I({name})  custom={a:.15f}  {twin.label}={b:.15f}  gap={abs(a-b):.1e}")

@@ -692,9 +692,10 @@ def condition1_radii(pairs: list) -> list:
     I_min and its coefficient at 1 come from one kernel call.  Each round
     then builds the trees of every unfinished bisection in one array and
     evaluates each family's in one kernel call (:class:`numerics.BisectionWalk`,
-    one level per round if a family is custom, whose kernel call is one
-    quadrature per point, six otherwise; no caller mixes them).  Every walk
-    takes the path of plain bisection, so a radius has the bits of a lone one.
+    ``numerics.BISECT_LEVELS`` levels per round, a custom family's included:
+    its kernel call on a tree's 63 points is one batched quadrature).  Every
+    walk takes the path of plain bisection, so a radius has the bits of a
+    lone one.
     """
     out, by_family = [None] * len(pairs), {}
     for k, (fam, epsilon) in enumerate(pairs):
@@ -702,7 +703,6 @@ def condition1_radii(pairs: list) -> list:
             by_family.setdefault(fam, []).append(k)
         else:
             out[k] = ParamError("epsilon must be positive")
-    levels = 1 if any(fam.kind == "custom" for fam in by_family) else numerics.BISECT_LEVELS
     # Per family: the family, F(0) and (F(0) + I_min) / I_min; per unfinished
     # walk: its family's index, the walk and its pair's index, each family's together.
     scales, live = [], []
@@ -724,10 +724,10 @@ def condition1_radii(pairs: list) -> list:
                 if one / f0 * amp <= epsilon:
                     out[k] = 1.0
                 else:
-                    live.append((len(scales), numerics.BisectionWalk(0.0, 1.0, epsilon, 1e-12, levels=levels), k))
+                    live.append((len(scales), numerics.BisectionWalk(0.0, 1.0, epsilon, 1e-12), k))
             scales.append((fam, f0, amp))
         while live:
-            trees = numerics.bisection_trees([w.lo for _, w, _ in live], [w.hi for _, w, _ in live], levels)
+            trees = numerics.bisection_trees([w.lo for _, w, _ in live], [w.hi for _, w, _ in live])
             values = np.empty((len(live), trees.shape[1] - 2))
             first = 0
             for i, run in itertools.groupby(live, key=lambda x: x[0]):

@@ -260,6 +260,16 @@ class TestRelentBounds:
         assert per_bound[kept].trials == per_bound["cont1"].trials
         assert report.support_errors == per_bound["cont1"].trials - per_bound[refused].trials > 0
 
+    def test_custom_family_at_a_large_ratio_to_the_reference(self):
+        # p/r = 1e7: the custom drop at 1e7 raised NoConvergence under an
+        # absolute quadrature tolerance.  The reports are shannon's.
+        p, q, r = pe.validate([0.5, 0.5]), pe.validate([0.4, 0.6]), pe.validate([1.0 - 5e-8, 5e-8])
+        got = pe.check_relent(pe.custom_family(np.log, 0.0), p, q, r)
+        for rep, want in zip(got, pe.check_relent(pe.shannon(), p, q, r)):
+            assert rep.holds and rep.bound_id == want.bound_id
+            assert rep.lhs == pytest.approx(want.lhs, rel=1e-12)
+            assert rep.rhs == pytest.approx(want.rhs, rel=1e-12)
+
     def test_tsallis_eight_states(self, rng):
         fam = pe.tsallis(0.5)
         for _ in range(20):

@@ -657,6 +657,15 @@ class TestShannonReduction:
         assert np.max(np.abs(np.asarray(pe.big_f(ts, fgrid)) - np.asarray(pe.big_f(sh, fgrid)))) <= 1e-3
 
 
+# The benchmark's four custom logarithms, each at its own singularity exponent.
+_WORKLOAD_CUSTOM = {
+    "log": pe.custom_family(np.log, 0.0),
+    "kaniadakis(0.3)": pe.custom_family(lambda x: (x**0.3 - x**-0.3) / 0.6, 0.3),
+    "tsallis(-0.5)": pe.custom_family(lambda x: -(x**-0.5 - 1.0), 0.5),
+    "tsallis(-0.9)": pe.custom_family(lambda x: (1.0 - 1.0 / 0.9) * (x**-0.9 - 1.0), 0.9),
+}
+
+
 class TestCustomFamily:
     @staticmethod
     def _kan_like(kappa):
@@ -664,18 +673,38 @@ class TestCustomFamily:
 
     def test_f_zero_by_quadrature(self):
         fam = pe.custom_family(self._kan_like(0.3), singularity_exponent=0.3)
-        assert fam.f_zero == pytest.approx(1.0 / (1.0 - 0.09), abs=1e-8)
+        assert fam.f_zero == pytest.approx(1.0 / (1.0 - 0.09), rel=1e-13)
+        # The drop is one quadrature from 0: F(0) at x = 1, bit for bit, and +0.0 at x = 0.
+        assert pe.big_f_drop(fam, 1.0) == fam.f_zero
+        assert math.copysign(1.0, pe.big_f_drop(fam, 0.0)) == 1.0
 
     def test_matches_builtin_everywhere(self, rng):
         fam = pe.custom_family(self._kan_like(0.3), singularity_exponent=0.3)
         ref = pe.kaniadakis(0.3)
         for x in np.exp(rng.uniform(-4, 3, size=12)):
-            assert pe.big_f_drop(fam, float(x)) == pytest.approx(
-                pe.big_f_drop(ref, float(x)), rel=1e-7, abs=1e-9
-            )
-            assert pe.omega_phi(fam, float(x)) == pytest.approx(
-                pe.omega_phi(ref, float(x)), rel=1e-6, abs=1e-8
-            )
+            assert pe.big_f_drop(fam, float(x)) == pytest.approx(pe.big_f_drop(ref, float(x)), rel=1e-12)
+            assert pe.omega_phi(fam, float(x)) == pytest.approx(pe.omega_phi(ref, float(x)), rel=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(st.floats(-150.0, 15.0).map(lambda e: 10.0**e), st.sampled_from([0.0, 1.0])),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(sorted(_WORKLOAD_CUSTOM)),
+    )
+    def test_drop_has_the_bits_of_each_point_alone(self, xs, name):
+        # One quadrature serves every point, and each point stops on its own test.
+        fam = _WORKLOAD_CUSTOM[name]
+        batch = pe.big_f_drop(fam, np.array(xs)).tolist()
+        assert [v.hex() for v in batch] == [pe.big_f_drop(fam, x).hex() for x in xs]
+
+    @pytest.mark.parametrize("x", [1e6, 1e12, 1e15])
+    def test_drop_keeps_its_tolerance_far_above_one(self, x):
+        # An absolute tolerance of 1e-11 on an integral of 1.3e7 raised
+        # NoConvergence from x = 1e6 on.
+        fam = pe.custom_family(np.log, 0.0)
+        assert pe.big_f_drop(fam, x) == pytest.approx(pe.big_f_drop(pe.shannon(), x), rel=1e-12)
 
     @pytest.mark.parametrize(
         "ln, s, twin, lo",
