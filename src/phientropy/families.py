@@ -220,9 +220,10 @@ def custom_family(
     with ``|ln(x)| = O(x**-s)`` near 0.  F(0) and every drop
     -integral_0^x ln are then one quadrature
     (:func:`~phientropy.numerics.integrate`): the substitution
-    t = x w**(1/(1-s)) cancels the singularity, a tanh-sinh rule sums the
-    nodes to 1e-11 relative, and each level of nodes of all the points of a
-    kernel call goes through ``ln`` in one call.  Where the share of
+    t = x w**(1/(1-s)) cancels the singularity, and a tanh-sinh rule sums the
+    nodes to 1e-11 relative.  The nodes of all the points of a kernel call go
+    through ``ln`` together: levels 0-3 in one call, then one level per
+    call, from node tables cached per exponent.  Where the share of
     [0, 5e-324], which no double reaches, exceeds that tolerance (below
     about x = 1e-213 at s = 0.9, 1e-301 at s = 0.5), the drop raises
     :class:`~phientropy.errors.NoConvergence`.  Optional finite limits at
@@ -335,8 +336,10 @@ def omega_phi(fam: LogFamily, x) -> float | np.ndarray:
 
     Each built-in kind's row gives omega in closed form, with no F in it, so
     it keeps its digits near x = 1 and does not overflow where 1/x does.
-    The custom kind takes the defining form ``x * big_f_drop(1/x) - F(0)``
-    and raises :class:`DomainError` where 1/x overflows.
+    The custom kind takes the defining form ``x * big_f_drop(1/x) - F(0)``,
+    and raises :class:`DomainError` where 1/x overflows; for x in [1/2, 2]
+    it integrates F(0) + ln_phi from 1/x to 1 instead, which keeps its
+    digits near x = 1.
     """
     return _public("omega_phi", fam, x, "finite x > 0", omega_phi_unchecked)
 
@@ -502,7 +505,19 @@ def _km_exp(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
 def _custom_omega(fam: LogFamily, arr: np.ndarray) -> np.ndarray:
     if np.count_nonzero(np.isinf(1.0 / arr)):
         raise DomainError(f"omega_phi requires x whose reciprocal is finite for {fam.kind} families")
-    return arr * _custom_drop(fam, 1.0 / arr) - fam.f_zero
+    # Near 1, x big_f_drop(1/x) - F(0) cancels.  For x in [1/2, 2], omega is
+    # (x - 1) F(0) - x integral_1^(1/x) ln = x integral_0^((x-1)/x) (F(0) + ln(1 - v)) dv,
+    # whose integrand is >= 0 (F(0) >= -ln(1/2) for a concave ln, by Jensen),
+    # so it keeps relative accuracy: one quadrature with no singularity.
+    near = (arr >= 0.5) & (arr <= 2.0)
+    out = np.empty(arr.shape)
+    if np.count_nonzero(near):
+        x = arr[near]
+        out[near] = x * integrate(lambda v: fam.f_zero + fam.custom_ln(1.0 - v), 0.0, (x - 1.0) / x)
+    if np.count_nonzero(~near):
+        x = arr[~near]
+        out[~near] = x * _custom_drop(fam, 1.0 / x) - fam.f_zero
+    return out
 
 
 # The kappa_maxwell drop's plain form is off by 1.4e-13 relative at kappa = 400 and inf - inf from 142 on;

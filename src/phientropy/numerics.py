@@ -16,6 +16,7 @@ reads its input through it.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import Callable, Iterable, Optional
@@ -60,6 +61,33 @@ def as_floats(x, error: type, what: str) -> np.ndarray:
 _RTOL = 1e-11
 _LEVELS = 8
 _U = 4.0
+# The levels that share one call of the integrand: levels 0-3 (65 nodes),
+# which every limit of the benchmark's logarithms runs, then one level a call.
+# Their nodes are built once per exponent, when a call first reaches them.
+_BLOCKS = ((0, 1, 2, 3),) + tuple((level,) for level in range(4, _LEVELS))
+
+
+@functools.lru_cache(maxsize=64)
+def _node_table(p: float, levels: tuple) -> tuple:
+    """The new nodes of :func:`integrate`'s ``levels`` under the power ``p``, end to end,
+    built once: each level's slice of them, h, first node and count, then w**p and
+    the weight (p pi) cosh(u) (1 - w) w**p at each node, read-only."""
+    h = np.array([0.5**level for level in levels])
+    wps, weights = [], []
+    for level, step in zip(levels, h.tolist()):
+        k = np.arange(-int(_U / step), int(_U / step) + 1)
+        u = step * (k if level == 0 else k[k % 2 != 0])
+        z = math.pi * np.sinh(u)
+        w, wc = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
+        wps.append(w**p)
+        # dt/du over b - a: p w^(p-1) dw/du, with dw/du = pi cosh(u) w (1 - w).
+        weights.append((p * math.pi) * np.cosh(u) * wc * wps[-1])
+    n = np.array([wp.size for wp in wps])
+    start = np.cumsum(n) - n
+    arrays = (h, start, n, np.concatenate(wps), np.concatenate(weights))
+    for arr in arrays:  # every call shares them
+        arr.flags.writeable = False
+    return (tuple(map(slice, start.tolist(), (start + n).tolist())), *arrays)
 
 
 def integrate(
@@ -79,13 +107,16 @@ def integrate(
     that no node near an end loses digits, and their weights
     pi cosh(u) w (1 - w) sit at u = k h, |u| <= 4; each level halves h.
 
-    Each level calls ``f`` once, on the new nodes of every unfinished
-    integral, and each integral stops on its own test: |I_l - I_(l-1)| plus
-    its tail at most 1e-11 times the level's sum of |terms|.  So its bits do
-    not depend on which others share the calls.  ``f`` is never evaluated
-    where t rounds onto ``a`` (at a = 0, where t underflows); the tail, the
-    share of ``[a, t*]`` below the least node t* evaluated, is at most
-    |f(t*)| (t* - a) / (1 - s) under the declared exponent.
+    ``f`` is called on levels 0-3 in one call, then on one level per call,
+    from node tables cached per exponent; each call takes the new nodes of
+    every unfinished integral.  Each integral stops on its own test, at the
+    first level l >= 1 where |I_l - I_(l-1)| plus its tail is at most 1e-11
+    times the level's sum of |terms|, with that level's estimate.  So its
+    bits are those of one level per call, and do not depend on which others
+    share the calls.  ``f`` is never evaluated where t rounds onto ``a`` (at
+    a = 0, where t underflows); the tail, the share of ``[a, t*]`` below the
+    least node t* of the level, is at most |f(t*)| (t* - a) / (1 - s) under
+    the declared exponent.
 
     Returns a float for a float ``b``, else an array of b's shape.  ``b < a``
     flips the sign, except with a declared singularity (ParamError).  Raises
@@ -100,37 +131,38 @@ def integrate(
         raise ParamError("a declared singularity at a requires a < b")
     p = 1.0 / (1.0 - s)
     span = (b - a).ravel()
-    # Per integral, on [0, 1] in w: the estimate and the sums of the terms and of their magnitudes.
-    est, total, size = (np.zeros(span.size) for _ in range(3))
+    # Per integral, on [0, 1] in w: the estimate, and the sums of the terms and of their magnitudes.
+    est, sums = np.zeros(span.size), np.zeros((2, span.size))
     live = np.flatnonzero(span)
-    for level in range(_LEVELS):
+    for levels in _BLOCKS:
         if not live.size:
             break
-        h = 0.5**level
-        k = np.arange(-int(_U / h), int(_U / h) + 1)
-        u = h * (k if level == 0 else k[k % 2 != 0])
-        z = math.pi * np.sinh(u)
-        w, wc = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
-        wp = w**p
-        # dt/du over b - a: p w^(p-1) dw/du, with dw/du = pi cosh(u) w (1 - w).
-        weight = (p * math.pi) * np.cosh(u) * wc * wp
+        slices, h, start, n, wp, weight = _node_table(p, levels)
         t = a + span[live, None] * wp
         kept = t != a
         values = np.zeros(t.shape)
         values[kept] = f(t[kept])
-        terms = values * weight
-        total[live] += terms.sum(axis=1)
-        size[live] += np.abs(terms).sum(axis=1)
-        last, est[live] = est[live], h * total[live]
-        # The least node kept is the row's first: |t - a| grows with u.
-        first = np.count_nonzero(~kept, axis=1)
-        at = np.minimum(first, u.size - 1)
-        tail = np.where(first < u.size, p * wp[at] * np.abs(values[np.arange(live.size), at]), math.inf)
-        err = np.abs(est[live] - last) + tail
-        if level:
-            # A NaN error does not pass.
-            left = ~(err <= _RTOL * h * size[live])
-            live, err = live[left], err[left]
+        terms = np.empty((2, *t.shape))
+        np.abs(np.multiply(values, weight, out=terms[0]), out=terms[1])
+        # After the sums so far, each level's sums over its own slice, then
+        # added up in order: the bits of one level at a time.
+        steps = np.stack([sums[:, live], *(terms[:, :, part].sum(axis=2) for part in slices)], axis=2)
+        total, size = np.cumsum(steps, axis=2)[:, :, 1:]
+        ests = h * total
+        # The least node kept in a level is its first: |t - a| grows with u.
+        # reduceat counts each level's lost nodes; on the float sums it would change their bits.
+        first = np.add.reduceat(~kept, start, axis=1, dtype=int)
+        at = start + np.minimum(first, n - 1)
+        rows = np.arange(live.size)
+        tail = np.where(first < n, p * wp[at] * np.abs(values[rows[:, None], at]), math.inf)
+        err = np.abs(ests - np.concatenate((est[live, None], ests[:, :-1]), axis=1)) + tail
+        # Each integral stops at its first level that passes.  A NaN error
+        # does not pass, nor does level 0 (h = 1), which has no I_(l-1).
+        passed = (err <= _RTOL * h * size) & (h < 1.0)
+        done = passed.any(axis=1)
+        est[live] = ests[rows, np.where(done, passed.argmax(axis=1), -1)]
+        sums[:, live] = total[:, -1], size[:, -1]
+        live, err = live[~done], err[~done, -1]
     if live.size:
         i = live[0]
         raise NoConvergence(

@@ -685,6 +685,17 @@ class TestCustomFamily:
             assert pe.big_f_drop(fam, float(x)) == pytest.approx(pe.big_f_drop(ref, float(x)), rel=1e-12)
             assert pe.omega_phi(fam, float(x)) == pytest.approx(pe.omega_phi(ref, float(x)), rel=1e-12)
 
+    @pytest.mark.parametrize("name, twin", [("log", pe.shannon()), ("tsallis(-0.5)", pe.tsallis(-0.5))])
+    @pytest.mark.parametrize("x", [1.0 - 1e-8, 1.0 + 1e-8, 1.0 + 1e-12, 0.5, 2.0])
+    def test_omega_keeps_its_digits_near_one(self, name, twin, x):
+        # x big_f_drop(1/x) - F(0) cancels near 1: 2.7e-8 relative off shannon
+        # at 1 - 1e-8 and 5e-13 at 1 + 1e-12.  The near form keeps relative
+        # accuracy, in a batch with points outside [1/2, 2] too.
+        fam = _WORKLOAD_CUSTOM[name]
+        assert pe.omega_phi(fam, x) == pytest.approx(pe.omega_phi(twin, x), rel=1e-12, abs=0)
+        assert pe.omega_phi(fam, np.array([0.1, x, 7.0]))[1] == pe.omega_phi(fam, x)
+        assert pe.omega_phi(fam, 1.0) == 0.0
+
     @given(
         st.lists(
             st.one_of(st.floats(-150.0, 15.0).map(lambda e: 10.0**e), st.sampled_from([0.0, 1.0])),

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import _sequential_bisection, mp_f_drop
 
 import phientropy as pe
+from phientropy import numerics
 from phientropy.errors import BracketError, NoConvergence, ParamError
 from phientropy.numerics import (
     bisect_monotone,
@@ -119,8 +122,9 @@ def test_integrate_cheap_integrands(s):
 
 
 def test_strong_singularity_takes_four_node_levels():
-    # The power substitution makes x**-0.9 constant in w: four calls of 63
-    # points in all (the adaptive graded mesh took 265 ms).
+    # The power substitution makes x**-0.9 constant in w: levels 0-3, 63
+    # points in one call (the adaptive graded mesh took 265 ms; one call per
+    # level took calls of 8, 8, 16 and 31 points).
     calls = []
 
     def f(x):
@@ -128,7 +132,125 @@ def test_strong_singularity_takes_four_node_levels():
         return x**-0.9
 
     assert integrate(f, 0.0, 1.0, singular_at_a=0.9) == pytest.approx(10.0, rel=1e-14)
-    assert calls == [8, 8, 16, 31]
+    assert calls == [63]
+
+
+def test_a_limit_past_the_opening_levels_takes_one_more_call():
+    # tsallis(-0.9)'s logarithm at 0.3 needs level 4: one call for levels
+    # 0-3 and one for level 4, each without the one node that underflows.
+    calls = []
+
+    def ln(x):
+        calls.append(np.size(x))
+        return (1.0 + 1.0 / -0.9) * (x**-0.9 - 1.0)
+
+    assert -integrate(ln, 0.0, 0.3, singular_at_a=0.9) == pytest.approx(float(pe.big_f_drop(pe.tsallis(-0.9), 0.3)))
+    assert calls == [63, 63]
+
+
+def test_node_tables_stay_within_their_cache():
+    tables = numerics._node_table
+    tables.cache_clear()
+    for s in np.linspace(0.0, 0.99, 2000):
+        integrate(lambda x: x, 0.0, 1.0, singular_at_a=s)
+    info = tables.cache_info()
+    assert info.misses >= 2000 and info.currsize <= info.maxsize
+
+
+def test_custom_drop_keeps_its_bits_after_a_fresh_import(monkeypatch):
+    # A benchmark round imports the package afresh, with an empty node cache.
+    xs = np.logspace(-100, 12, 7)
+    ln = lambda x: (1.0 + 1.0 / -0.9) * (x**-0.9 - 1.0)
+    want = pe.big_f_drop(pe.custom_family(ln, 0.9), xs)
+    for name in [m for m in sys.modules if m == "phientropy" or m.startswith("phientropy.")]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh = importlib.import_module("phientropy")
+    assert fresh is not pe and fresh.numerics._node_table.cache_info().currsize == 0
+    assert fresh.big_f_drop(fresh.custom_family(ln, 0.9), xs).tobytes() == want.tobytes()
+
+
+def _per_level_integrate(f, a, b, s):
+    """``integrate`` as it ran one level per call, building each level's nodes
+    afresh: the rule whose bits the cached blocks of levels must keep."""
+    b = np.asarray(b, dtype=float)
+    p = 1.0 / (1.0 - (s or 0.0))
+    span = (b - a).ravel()
+    est, total, size = (np.zeros(span.size) for _ in range(3))
+    live = np.flatnonzero(span)
+    for level in range(8):
+        if not live.size:
+            break
+        h = 0.5**level
+        k = np.arange(-int(4.0 / h), int(4.0 / h) + 1)
+        u = h * (k if level == 0 else k[k % 2 != 0])
+        z = math.pi * np.sinh(u)
+        w, wc = 1.0 / (1.0 + np.exp(-z)), 1.0 / (1.0 + np.exp(z))
+        wp = w**p
+        weight = (p * math.pi) * np.cosh(u) * wc * wp
+        t = a + span[live, None] * wp
+        kept = t != a
+        values = np.zeros(t.shape)
+        values[kept] = f(t[kept])
+        terms = values * weight
+        total[live] += terms.sum(axis=1)
+        size[live] += np.abs(terms).sum(axis=1)
+        last, est[live] = est[live], h * total[live]
+        first = np.count_nonzero(~kept, axis=1)
+        at = np.minimum(first, u.size - 1)
+        tail = np.where(first < u.size, p * wp[at] * np.abs(values[np.arange(live.size), at]), math.inf)
+        err = np.abs(est[live] - last) + tail
+        if level:
+            left = ~(err <= 1e-11 * h * size[live])
+            live, err = live[left], err[left]
+    if live.size:
+        i = live[0]
+        raise NoConvergence(
+            f"tanh-sinh quadrature on [{a}, {a + span[i]}] missed its relative tolerance 1e-11 in 8 levels",
+            estimate=float(span[i] * est[i]),
+            error=float(abs(span[i]) * err[0]),
+        )
+    out = span * est
+    return float(out[0]) if b.ndim == 0 else out.reshape(b.shape)
+
+
+def _outcome(rule, f, a, b, s):
+    """The hex of each result, or NoConvergence's text, estimate and error."""
+    try:
+        return [float(v).hex() for v in np.ravel(rule(f, a, b, s))]
+    except NoConvergence as err:
+        return [str(err), err.estimate.hex(), err.error.hex()]
+
+
+# Integrands, exponents and lower limits beside the workload logarithms: a
+# strong singularity, a logarithmic one, smooth ones over limits on both
+# sides of a, and one that is NaN where 0.5 < t < 0.6.
+_DIFFERENTIAL = [(name, _WORKLOAD_LOGS[name][0], s, 0.0) for name, s in _DECLARED] + [
+    ("x**-0.9", lambda x: x**-0.9, 0.9, 0.0),
+    ("-log", lambda x: -np.log(x), 0.5, 0.0),
+    ("exp", np.exp, None, 1.0),
+    ("sin", np.sin, None, -2.0),
+    ("nan", lambda x: np.where((x > 0.5) & (x < 0.6), np.nan, x), 0.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("name, f, s, a", _DIFFERENTIAL, ids=[f"{c[0]}-{c[2]}" for c in _DIFFERENTIAL])
+def test_integrate_keeps_the_bits_of_one_level_per_call(name, f, s, a):
+    # Limits from 1e-320 to 1e15 (1e-6 to 10 from a for the smooth
+    # integrands), in arrays of 1-5: some lose nodes to underflow, some need
+    # levels 4-7, and some raise NoConvergence.
+    rng = np.random.default_rng(2801)
+    limits = []
+    for n in rng.integers(1, 6, 40).tolist():
+        if s is None:
+            limits.append(a + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 1.0, n))
+        else:
+            limits.append(10.0 ** rng.uniform(-320.0, 15.0, n))
+    # Over [a, -a], sin's estimate at level 0 is within rounding of 0, its
+    # test passes there, and only a later level may stop it; at a = 0 it is an empty interval.
+    limits.append(np.array([-a, 1.0]))
+    for b in limits:
+        args = (f, a, b if b.size > 1 else float(b[0]), s)
+        assert _outcome(integrate, *args) == _outcome(_per_level_integrate, *args), (name, s, b)
 
 
 class TestBisect:
